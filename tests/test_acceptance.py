@@ -15,6 +15,7 @@ import numpy as np
 
 from hilbertball import algebra, dynamics, geometry, isometries, numerics
 from hilbertball.geometry import BallPoint, origin
+from hilbertball.verify import _cgauss, _lie_element, _member, _mirror, _point
 
 
 def _report(num, label, ok, detail):
@@ -23,47 +24,8 @@ def _report(num, label, ok, detail):
     assert ok, line
 
 
-def _cgauss(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _point(rng, dim, max_norm=0.85):
-    return BallPoint(numerics.ball_sample(rng, dim, max_norm))
-
-
-def _lie_element(rng, dim):
-    G = _cgauss(rng, (dim, dim))
-    u = _cgauss(rng, dim)
-    c = float(rng.standard_normal())
-    X = isometries.ExtendedOperator.from_blocks(G - G.conj().T, u, u, 1j * c)
-    scale = numerics.op_norm(X.matrix)
-    if scale > 1.0:
-        X = (1.0 / scale) * X
-    return X
-
-
-def _member(rng, dim):
-    T = isometries.exp_element(_lie_element(rng, dim), float(rng.uniform(-1.5, 1.5)))
-    if rng.uniform() < 0.5:
-        T = isometries.transport_from_origin(_point(rng, dim)) @ T
-    return T
-
-
-def _mirror(rng, dim):
-    # only the two families that are isometries of the distance
-    Q, _ = np.linalg.qr(_cgauss(rng, (dim, dim)))
-    if rng.uniform() < 0.5:
-        k = int(rng.integers(1, dim + 1))
-        basis = []
-        for j in range(k):
-            basis.append(Q[:, j])
-            basis.append(1j * Q[:, j])
-    else:
-        basis = [Q[:, j] for j in range(dim)]
-    return isometries.MirrorTransformation.from_basis(basis)
-
-
 def _self_adjoint(rng, dim):
+    # an extended operator, unlike verify's n x n Hamiltonian
     G = _cgauss(rng, (dim + 1, dim + 1))
     return isometries.ExtendedOperator(0.5 * (G + G.conj().T))
 

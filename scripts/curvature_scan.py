@@ -1,10 +1,13 @@
 """Scan the curvature probe's defect over radius and step size.
 
-The probe estimates the holomorphic sectional curvature from geodesic
-triangle excess, so it carries an O(step^2) bias plus quadrature noise
-that grows toward the boundary.  This scan prints the worst defect from
-the constant -2 on a (radius, step) grid; it is the experiment behind
-the probe's default step.
+The probe transports the point to the origin and takes a 5-point
+Laplacian of log lambda, the metric coefficient on the complex line
+along the direction, at a fixed chart point; the curvature is
+-Laplacian(log lambda) / (2 lambda).  The stencil carries an O(step^2)
+bias, and the transport should make the defect independent of the
+radius.  This scan prints the worst defect from the constant -2 on a
+(radius, step) grid; it is the experiment behind the probe's default
+step.
 
     python3 scripts/curvature_scan.py --dim 4 --trials 20
 """

@@ -131,11 +131,6 @@ def trajectory_csv(samples):
     return "\n".join(lines) + "\n"
 
 
-def save_trajectory_csv(path, samples):
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(trajectory_csv(samples))
-
-
 def dumps(obj):
     """Deterministic JSON: insertion-ordered keys, %.17g floats."""
     pieces = []

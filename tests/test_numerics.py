@@ -26,37 +26,60 @@ from conftest import cgauss, complex_matrices
 
 
 # ---------------------------------------------------------------------
-# oracles: largest singular value straight from LAPACK, and the matrix
-# exponential from scipy (Pade with balancing, a genuinely different
-# algorithm than the Taylor scaling-squaring used by the library).
+# oracles: matrices assembled from a known singular value decomposition
+# U diag(sigma) V* (op_norm itself is LAPACK's SVD, so comparing against
+# np.linalg.svd would check nothing), and the matrix exponential from
+# scipy (Pade with balancing, a genuinely different algorithm than the
+# Taylor scaling-squaring used by the library).
 # ---------------------------------------------------------------------
 
-def svd_norm(M):
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+def haar_unitary(rng, n):
+    Q, R = np.linalg.qr(cgauss(rng, (n, n)))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
+
+
+def with_singular_values(rng, sigma, n, m):
+    """An n x m matrix whose singular values are exactly `sigma` (up to
+    the roundoff of assembling it), in Haar-random singular frames."""
+    S = np.zeros((n, m))
+    S[np.arange(len(sigma)), np.arange(len(sigma))] = sigma
+    return haar_unitary(rng, n) @ S @ haar_unitary(rng, m).conj().T
 
 
 def test_op_norm_matches_svd(rng):
+    # every rectangular shape up to 6 x 6, with the top two singular
+    # values equal or a relative gap apart
     worst = 0.0
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 7))
-        M = cgauss(rng, (n, m))
-        worst = max(worst, abs(op_norm(M) - svd_norm(M)))
-    assert worst < 1e-10
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for gap in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                top = 10.0 ** rng.uniform(-2.0, 2.0)
+                rest = rng.uniform(0.0, 1.0 - gap, 4)
+                sigma = top * np.concatenate([[1.0, 1.0 - gap], rest])[:min(n, m)]
+                M = with_singular_values(rng, sigma, n, m)
+                worst = max(worst, abs(op_norm(M) - top) / top)
+    assert worst <= 1e-13
 
 
 def test_op_norm_anchors():
     assert op_norm(np.zeros((4, 4))) == 0.0
+    assert op_norm(np.zeros((0, 3))) == 0.0
     assert abs(op_norm(np.diag([2.0, 1.0, 1.0, 1.0, 1.0])) - 2.0) < 1e-12
     # rank one: ||x y^H|| = ||x|| ||y||
     x = np.array([3.0, 4.0j])
     y = np.array([1.0, 1.0, 1.0 + 0j])
     assert abs(op_norm(np.outer(x, y.conj())) - 5.0 * math.sqrt(3.0)) < 1e-10
+    # np.linalg.norm would return nan or a vector norm for these
+    for bad in (np.array([[1.0, np.nan], [0.0, 1.0]]),
+                np.array([[1.0, 0.0], [np.inf, 1.0]]),
+                np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(DomainError):
+            op_norm(bad)
 
 
 def test_op_norm_degenerate_spectrum():
-    # power iteration must not stall when the top singular value is
-    # nearly repeated
+    # a nearly repeated top singular value must not cost accuracy
     M = np.diag([1.0, 1.0, 1.0 - 1e-14])
     assert abs(op_norm(M) - 1.0) < 1e-12
 

@@ -14,13 +14,17 @@ representable functions is representable).  eps itself represents the
 constant function 1 and is the unit.  The deformation coefficient -1 is
 pinned by the ball's curvature -2 through c = 2/hbar.
 
-Norms: the invariant norm of f_C equals the operator norm of C; the
-estimators below certify sampled lower bounds against that oracle.  The
-supremand of the invariant norm at a pair (z, lambda) reduces
-algebraically to the Rayleigh quotient ||C (-z, lambda)|| / ||(-z, lambda)||
-(conjugating the chain t_lambda * conj(f) * h * f * t_lambda collapses
-eps I eps = I and leaves D C*C D with D = diag(-I, lambda)); the
-function-level star chain is kept as an independent evaluator and the
+Norms: the invariant norm of f_C equals the operator norm of C, and
+`norm_b` certifies sampled lower bounds against that oracle.  Its
+supremand at a pair (z, lambda) reduces algebraically to the Rayleigh
+quotient ||C (-z, lambda)|| / ||(-z, lambda)|| (conjugating the chain
+t_lambda * conj(f) * h * f * t_lambda collapses eps I eps = I and leaves
+D C*C D with D = diag(-I, lambda)).  `norm_s` and `norm_d` estimate one
+cone norm, the supremum of ||C (z, 1)|| / ||(z, 1)||, by two routes: the
+shifted chain conj(f) * h * f has operator C* eps I eps C = C*C, so
+`norm_d` reads the chain where `norm_s` reads the quotient, at the same
+argmax.  Every estimator screens and refines on the reduced quotient and
+re-evaluates its argmax once through the function-level star chain; the
 two routes are required to agree.
 """
 
@@ -349,64 +353,59 @@ def _refine(scalar_fn, zvec, lam, best_val):
     return coords[:n] + 1j * coords[n:], cur_lam, val
 
 
-def norm_b_estimate(C, samples=2048, seed=0):
-    """Sampled supremum of the invariant norm of f_C.
-
-    Sobol candidates over (z, lambda) with lambda = tan(pi u / 2), then
-    coordinate-wise golden-section refinement; the refined argmax is
-    re-evaluated through the function-level star chain as a guard against
-    drift between the two supremand routes.
-    """
-    n = C.dim
-    Z, lams = _sobol_candidates(n, samples, seed, with_lambda=True)
-    Xi = np.hstack([-Z, lams[:, None].astype(complex)])
+def _search(C, samples, seed, with_lambda, restarts, reduced, chain):
+    """Screen every Sobol candidate with the reduced quotient ||C xi||/||xi||
+    in one batched product (xi = (-z, lambda), or (z, 1) on the cone),
+    polish the best `restarts` with `_refine` on `reduced`, and re-evaluate
+    the argmax once through `chain`, the function-level star chain, which
+    must agree.  Returns (z, lambda, reduced value, chain value)."""
+    Z, lams = _sobol_candidates(C.dim, samples, seed, with_lambda)
+    if with_lambda:
+        Xi = np.hstack([-Z, lams[:, None].astype(complex)])
+    else:
+        Xi = np.hstack([Z, np.ones((Z.shape[0], 1), dtype=complex)])
     vals = np.linalg.norm(Xi @ C.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
-    order = np.argsort(vals)[::-1][:REFINE_RESTARTS]
-
-    def scalar(zv, lam):
-        return invariant_supremand(C, zv, lam)
-
     zbest, lbest, val = None, None, -1.0
-    for i in order:
-        zc, lc, vc = _refine(scalar, Z[i].copy(), float(lams[i]), float(vals[i]))
+    for i in np.argsort(-vals, kind="stable")[:restarts]:
+        lam = float(lams[i]) if with_lambda else None
+        zc, lc, vc = _refine(reduced, Z[i].copy(), lam, float(vals[i]))
         if vc > val:
             zbest, lbest, val = zc, lc, vc
-    chain_val = invariant_supremand_chain(C, zbest, lbest)
+    chain_val = chain(zbest, lbest)
     if abs(chain_val - val) > 1e-8 * (1.0 + val):
         raise RuntimeError(
             f"supremand routes disagree: chain {chain_val:.17g} vs reduced {val:.17g}"
         )
-    return NormEstimate(val, zbest, lbest, samples)
+    return zbest, lbest, val, chain_val
+
+
+def norm_b_estimate(C, samples=2048, seed=0):
+    """Sampled supremum of the invariant norm of f_C over (z, lambda),
+    lambda = tan(pi u / 2), refining the best few candidates."""
+    z, lam, val, _ = _search(C, samples, seed, True, REFINE_RESTARTS,
+                             lambda zv, lam: invariant_supremand(C, zv, lam),
+                             lambda zv, lam: invariant_supremand_chain(C, zv, lam))
+    return NormEstimate(val, z, lam, samples)
+
+
+def _cone_search(C, samples, seed):
+    return _search(C, samples, seed, False, 1,
+                   lambda zv, _: cone_supremand(C, zv),
+                   lambda zv, _: shifted_supremand_chain(C, zv))
 
 
 def norm_s_estimate(C, samples=2048, seed=0):
-    """Sampled supremum of ||C (z,1)||/||(z,1)|| over the ball."""
-    n = C.dim
-    Z, _ = _sobol_candidates(n, samples, seed, with_lambda=False)
-    Xi = np.hstack([Z, np.ones((Z.shape[0], 1), dtype=complex)])
-    vals = np.linalg.norm(Xi @ C.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
-    i = int(np.argmax(vals))
-
-    def scalar(zv, lam):
-        return cone_supremand(C, zv)
-
-    zbest, _, val = _refine(scalar, Z[i].copy(), None, float(vals[i]))
-    return NormEstimate(val, zbest, None, samples)
+    """Sampled supremum of ||C (z,1)||/||(z,1)|| over the ball, read
+    through the reduced quotient."""
+    z, _, val, _ = _cone_search(C, samples, seed)
+    return NormEstimate(val, z, None, samples)
 
 
 def norm_d_estimate(C, samples=2048, seed=0):
-    """Sampled supremum of the shifted norm, evaluated through the
-    function-level star chain at every candidate."""
-    n = C.dim
-    Z, _ = _sobol_candidates(n, samples, seed, with_lambda=False)
-    vals = np.array([shifted_supremand_chain(C, Z[j]) for j in range(Z.shape[0])])
-    i = int(np.argmax(vals))
-
-    def scalar(zv, lam):
-        return shifted_supremand_chain(C, zv)
-
-    zbest, _, val = _refine(scalar, Z[i].copy(), None, float(vals[i]))
-    return NormEstimate(val, zbest, None, samples)
+    """The same cone supremum read through the star chain
+    |h(z)^{-1} (conj(f) * h * f)(z)|^(1/2) at the argmax of norm_s."""
+    z, _, _, val = _cone_search(C, samples, seed)
+    return NormEstimate(val, z, None, samples)
 
 
 def norm_b(C, samples=2048, seed=0):

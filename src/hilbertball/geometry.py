@@ -24,9 +24,10 @@ The distance between interior points is
 
 equivalently tanh d(u,v) = s/m.  The identity
 m^2 - s^2 = (1 - ||u||^2)(1 - ||v||^2) keeps m - s strictly positive on
-the open ball, and m, s are invariant under the Moebius transport group
-as well as under unitary and antiunitary maps, which is what makes d the
-geodesic distance of the metric above.  When <u|v> happens to be real
+the open ball, and `distance` evaluates m - s through it so that nothing
+cancels near the rim.  m and s are invariant under the Moebius
+transport group as well as under unitary and antiunitary maps, which is
+what makes d the geodesic distance of the metric above.  When <u|v> happens to be real
 both quantities reduce to 1 - <u|v> and the familiar real-part form of
 the formula.
 """
@@ -168,12 +169,14 @@ def connection(z, X, Y):
 
 
 def _distance_parts(u, v):
+    """m, s and the squared norms of u and v."""
     uv = u.vector - v.vector
     c = complex(np.vdot(u.vector, v.vector))
     m = abs(1.0 - c)
+    nu, nv = u.norm_sq(), v.norm_sq()
     radicand = (
         float(np.real(np.vdot(uv, uv)))
-        - u.norm_sq() * v.norm_sq()
+        - nu * nv
         + c.real * c.real
         + c.imag * c.imag
     )
@@ -183,21 +186,20 @@ def _distance_parts(u, v):
                 f"distance radicand clamped from {radicand:.3e} to 0", RuntimeWarning
             )
         radicand = 0.0
-    return m, math.sqrt(radicand)
+    return m, math.sqrt(radicand), nu, nv
 
 
 def distance(u, v):
-    """Geodesic distance between interior points (logarithm form)."""
+    """Geodesic distance between interior points (logarithm form).
+
+    m - s is taken as (1-||u||^2)(1-||v||^2) / (m + s), which does not
+    cancel near the rim, and (m+s)/(m-s) = 1 + 2s/(m-s) goes through log1p.
+    """
     if u.dim != v.dim:
         raise DomainError("points of different dimension")
-    m, s = _distance_parts(u, v)
-    num = m + s
-    den = m - s
-    if den <= 0.0:
-        # m^2 - s^2 = (1-||u||^2)(1-||v||^2) > 0 holds strictly on the
-        # open ball; only roundoff at the extreme rim can produce this.
-        den = 5e-324
-    return 0.5 * math.log(num / den)
+    m, s, nu, nv = _distance_parts(u, v)
+    den = (1.0 - nu) * (1.0 - nv) / (m + s)
+    return 0.5 * math.log1p(2.0 * s / den)
 
 
 def tanh_distance(u, v):
@@ -206,7 +208,7 @@ def tanh_distance(u, v):
     `distance`."""
     if u.dim != v.dim:
         raise DomainError("points of different dimension")
-    m, s = _distance_parts(u, v)
+    m, s, _, _ = _distance_parts(u, v)
     return s / m
 
 
@@ -239,7 +241,7 @@ def curve_length(samples):
     return float(np.sum(np.sqrt(np.maximum(energy, 0.0))) * dt)
 
 
-def sectional_curvature_probe(z, u, step=3e-3, base=0.25):
+def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
     """Numerical Gaussian curvature of the holomorphic section through z
     along the direction u; returns a value near the constant -2.
 

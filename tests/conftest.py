@@ -4,6 +4,18 @@ from hypothesis import strategies as st
 
 from hilbertball.geometry import BallPoint
 
+# The acceptance gate's `criterion NN PASS/FAIL` lines.  They are printed
+# in the terminal summary because output written during a test is
+# captured.
+CRITERION_LINES = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if CRITERION_LINES:
+        terminalreporter.section("acceptance gate")
+        for line in CRITERION_LINES:
+            terminalreporter.write_line(line)
+
 
 def cgauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -1,13 +1,15 @@
 """End-to-end acceptance gate.
 
-One test per advertised guarantee, fourteen in all, each printing a
+One test per advertised guarantee, fourteen in all, each reporting a
 single PASS/FAIL line with the measured defect next to the tolerance it
-is held to.  Every test seeds its own generator, so the file can be run
-alone, reordered, or filtered without changing any draw.  The whole
-module is budgeted to finish well under a minute.
+is held to; conftest prints the lines in the terminal summary.  Every
+test seeds its own generator, so the file can be run alone, reordered,
+or filtered without changing any draw.  The whole module is budgeted
+to finish well under a minute.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -17,10 +19,12 @@ from hilbertball import algebra, dynamics, geometry, isometries, numerics
 from hilbertball.geometry import BallPoint, origin
 from hilbertball.verify import _cgauss, _lie_element, _member, _mirror, _point
 
+from conftest import CRITERION_LINES
+
 
 def _report(num, label, ok, detail):
     line = "criterion %2d %s  %s: %s" % (num, "PASS" if ok else "FAIL", label, detail)
-    print(line, file=sys.__stdout__, flush=True)
+    CRITERION_LINES.append(line)
     assert ok, line
 
 
@@ -349,8 +353,12 @@ def test_second_degree_certificate():
 def test_verification_report_is_deterministic():
     cmd = [sys.executable, "-m", "hilbertball", "verify", "all",
            "--dim", "4", "--trials", "60", "--seed", "11"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the subprocesses import the package this test imported
+    src = os.path.dirname(os.path.dirname(algebra.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
     _report(14, "verification report byte-identical", ok,

@@ -20,6 +20,7 @@ from hilbertball.algebra import (
     norm_b,
     norm_b_estimate,
     norm_d,
+    norm_d_estimate,
     norm_s,
     poisson_bracket,
     second_degree_defect,
@@ -270,6 +271,39 @@ def test_norm_d_runs_deterministically(rng):
     b = norm_d(C, samples=256, seed=3)
     assert a == b
     assert a >= 0.0
+
+
+def test_norm_d_runs_the_star_chain_once(rng, monkeypatch):
+    # the chain is the independent check at the argmax; the screen and
+    # the refinement run on the reduced quotient
+    calls = []
+    chain = algebra.shifted_supremand_chain
+
+    def counted(C, zvec):
+        calls.append(1)
+        return chain(C, zvec)
+
+    monkeypatch.setattr(algebra, "shifted_supremand_chain", counted)
+    norm_d_estimate(random_operator(rng, 3), samples=2048, seed=1)
+    assert len(calls) == 1
+
+
+def test_norm_d_matches_norm_s(rng):
+    for i in range(5):
+        C = random_operator(rng, 4)
+        s = norm_s(C, seed=i)
+        assert abs(norm_d(C, seed=i) - s) <= 1e-12 * (1.0 + s)
+
+
+@pytest.mark.parametrize("estimator", [norm_b, norm_s, norm_d])
+def test_broken_chain_route_is_caught(rng, monkeypatch, estimator):
+    invariant, shifted = algebra.invariant_supremand_chain, algebra.shifted_supremand_chain
+    monkeypatch.setattr(algebra, "invariant_supremand_chain",
+                        lambda C, zvec, lam: 1.01 * invariant(C, zvec, lam))
+    monkeypatch.setattr(algebra, "shifted_supremand_chain",
+                        lambda C, zvec: 1.01 * shifted(C, zvec))
+    with pytest.raises(RuntimeError, match="supremand routes disagree"):
+        estimator(random_operator(rng, 2), samples=256, seed=0)
 
 
 # second-degree structure ---------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,7 +92,7 @@ def test_connection_frozen_value():
 
 
 def test_curvature_probe_frozen_origin():
-    got = sectional_curvature_probe(origin(2), np.array([1.0 + 0j, 0j]))
+    got = sectional_curvature_probe(origin(2), np.array([1.0 + 0j, 0j]), step=3e-3)
     assert abs(got - (-2.0000115600877884)) < 1e-9
 
 
@@ -198,6 +199,37 @@ def test_distance_transport_invariant(rng):
     assert worst < 1e-9
 
 
+def mp_distance(u, v):
+    """(1/2) log[(m + s)/(m - s)] in 50-digit arithmetic on the exact
+    input floats: the cancelling form, evaluated where it cannot cancel."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(x.real, x.imag) for x in u.vector]
+        b = [mpmath.mpc(x.real, x.imag) for x in v.vector]
+        c = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b))
+        nu = mpmath.fsum(abs(x) ** 2 for x in a)
+        nv = mpmath.fsum(abs(y) ** 2 for y in b)
+        duv = mpmath.fsum(abs(x - y) ** 2 for x, y in zip(a, b))
+        m = abs(1 - c)
+        s = mpmath.sqrt(duv - nu * nv + abs(c) ** 2)
+        return float(mpmath.log((m + s) / (m - s)) / 2)
+
+
+def test_distance_near_the_rim_matches_mpmath(rng):
+    # 1 - ||z||; the last one sits just inside BallPoint's 1e-12 margin
+    gaps = (1e-4, 1e-6, 1e-8, 1e-10, 1.01e-12)
+    eps = np.finfo(float).eps
+    for dim in (1, 4, 16):
+        for gu in gaps:
+            for gv in gaps:
+                pu, pv = cgauss(rng, dim), cgauss(rng, dim)
+                u = BallPoint((1.0 - gu) * pu / np.linalg.norm(pu))
+                v = BallPoint((1.0 - gv) * pv / np.linalg.norm(pv))
+                got, want = distance(u, v), mp_distance(u, v)
+                du, dv = 1.0 - u.norm_sq(), 1.0 - v.norm_sq()
+                bound = 1e-12 * max(1.0, want) + 4 * dim * eps * (1.0 / du + 1.0 / dv)
+                assert abs(got - want) <= bound, (dim, gu, gv, got, want)
+
+
 # geodesics and lengths -----------------------------------------------
 
 def test_geodesic_param_is_euclidean_scaling():
@@ -251,6 +283,17 @@ def test_curvature_constant_minus_two(rng):
         u = cgauss(rng, 3)
         worst = max(worst, abs(sectional_curvature_probe(z, u) + 2.0))
     assert worst < 1e-3
+
+
+def test_curvature_default_step_defect(rng):
+    # the default step is the minimum of scripts/curvature_scan.py, where
+    # the stencil's O(step^2) bias meets roundoff
+    worst = 0.0
+    for dim in (1, 4, 16):
+        for _ in range(10):
+            z = random_point(rng, dim, max_norm=0.8)
+            worst = max(worst, abs(sectional_curvature_probe(z, cgauss(rng, dim)) + 2.0))
+    assert worst <= 1e-6
 
 
 # inner product recovery ----------------------------------------------

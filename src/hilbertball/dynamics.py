@@ -33,6 +33,9 @@ from .numerics import mat_exp, op_norm
 TAN_POLE_GUARD = 1e-8
 GENERATOR_TOL = 1e-10
 SELF_ADJOINT_TOL = 1e-12
+# Times a trajectory exponentiates together: long enough to amortize the
+# per-call overhead, short enough that the stack of matrices stays small.
+TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -116,53 +119,61 @@ def disc_evolve_closed(g, z, t):
 
 
 def evolve_exp(X, z, t):
-    """phi_{exp(tX)}(z) for any group generator in any dimension."""
+    """phi_{exp(tX)}(z) for any group generator in any dimension.
+
+    A 1-D array of times gives a list of points, one per time, from one
+    batched `mat_exp`.
+    """
     if not lie_algebra_check(X, GENERATOR_TOL):
         raise DomainError("generator leaves the isometry Lie algebra")
-    T = ExtendedOperator(mat_exp(X.matrix, t))
-    return mobius_apply(T, z)
+    T = mat_exp(X.matrix, t)
+    if T.ndim == 2:
+        return mobius_apply(ExtendedOperator(T), z)
+    return [mobius_apply(ExtendedOperator(Ti), z) for Ti in T]
 
 
 def schrodinger_evolve(gen, z, t):
-    """Norm-preserving quantum flow z(t) = exp(-iHt) z."""
+    """Norm-preserving quantum flow z(t) = exp(-iHt) z.
+
+    A 1-D array of times gives a list of points, one per time, from one
+    batched `mat_exp`.
+    """
     if gen.dim != z.dim:
         raise DomainError("Hamiltonian and state dimensions differ")
     U = mat_exp(-1j * gen.H, t)
-    return BallPoint(U @ z.vector)
+    if U.ndim == 2:
+        return BallPoint(U @ z.vector)
+    return [BallPoint(w) for w in U @ z.vector]
 
 
 def trajectory(generator, z0, t_max, dt):
     """Samples of the exact flow at t = 0, dt, 2dt, ... up to t_max.
 
     Returns a list of (t, BallPoint).  t_max must cover at least one
-    step, so the shortest output has two samples.
+    step, so the shortest output has two samples.  Disc flows are
+    evaluated per step in closed form; the other generators go through
+    `evolve_exp` or `schrodinger_evolve` TIME_BLOCK times at a time, so
+    one block of matrices is alive at once.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if t_max < dt - 1e-15:
         raise DomainError("t_max must be at least dt")
     steps = int(math.floor(t_max / dt + 1e-9))
+    times = [i * dt for i in range(steps + 1)]
 
     if isinstance(generator, DiscGenerator):
         if z0.dim != 1:
             raise DomainError("disc generators act on the one-dimensional ball")
-
-        def flow(t):
-            return BallPoint([disc_evolve_closed(generator, z0.vector[0], t)])
-
-    elif isinstance(generator, HamiltonianGenerator):
-
-        def flow(t):
-            return schrodinger_evolve(generator, z0, t)
-
+        points = [BallPoint([disc_evolve_closed(generator, z0.vector[0], t)]) for t in times]
+        return list(zip(times, points))
+    if isinstance(generator, HamiltonianGenerator):
+        flow = schrodinger_evolve
     elif isinstance(generator, ExtendedOperator):
-        if not lie_algebra_check(generator, GENERATOR_TOL):
-            raise DomainError("generator leaves the isometry Lie algebra")
-
-        def flow(t):
-            return mobius_apply(ExtendedOperator(mat_exp(generator.matrix, t)), z0)
-
+        flow = evolve_exp
     else:
         raise DomainError(f"unsupported generator type {type(generator).__name__}")
-
-    return [(i * dt, flow(i * dt)) for i in range(steps + 1)]
+    points = []
+    for start in range(0, len(times), TIME_BLOCK):
+        points += flow(generator, z0, np.array(times[start:start + TIME_BLOCK]))
+    return list(zip(times, points))

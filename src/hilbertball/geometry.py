@@ -25,7 +25,9 @@ The distance between interior points is
 equivalently tanh d(u,v) = s/m.  The identity
 m^2 - s^2 = (1 - ||u||^2)(1 - ||v||^2) keeps m - s strictly positive on
 the open ball, and `distance` evaluates m - s through it so that nothing
-cancels near the rim.  m and s are invariant under the Moebius
+cancels near the rim.  The radicand of s is evaluated as a sum of
+non-negative terms in w = u - v (see `_distance_parts`), so nothing
+cancels for nearby points either.  m and s are invariant under the Moebius
 transport group as well as under unitary and antiunitary maps, which is
 what makes d the geodesic distance of the metric above.  When <u|v> happens to be real
 both quantities reduce to 1 - <u|v> and the familiar real-part form of
@@ -33,7 +35,6 @@ the formula.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,6 @@ import numpy as np
 from .errors import DomainError
 
 BOUNDARY_MARGIN = 1e-12
-# Roundoff-negative radicands below this defect are clamped silently.
-CLAMP_WARN = 1e-10
 # Constant holomorphic sectional curvature of the ball, and the scale
 # constant tied to it by c = 2/hbar.
 CURVATURE = -2.0
@@ -61,7 +60,7 @@ class BallPoint:
         v = np.atleast_1d(np.asarray(self.vector, dtype=complex))
         if v.ndim != 1:
             raise DomainError(f"a point is a vector, got ndim {v.ndim}")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise DomainError("point has non-finite entries")
         if np.linalg.norm(v) >= 1.0 - BOUNDARY_MARGIN:
             raise DomainError(
@@ -169,24 +168,20 @@ def connection(z, X, Y):
 
 
 def _distance_parts(u, v):
-    """m, s and the squared norms of u and v."""
-    uv = u.vector - v.vector
+    """m, s and the rim gaps 1 - ||u||^2, 1 - ||v||^2.
+
+    s^2 is summed as (1/2)[(du + dv)||w||^2 + |<u|w>|^2 + |<v|w>|^2] with
+    w = u - v: every term is non-negative, so nothing cancels for nearby
+    points, and swapping u and v swaps two terms of one exact sum.
+    """
+    w = u.vector - v.vector
     c = complex(np.vdot(u.vector, v.vector))
     m = abs(1.0 - c)
-    nu, nv = u.norm_sq(), v.norm_sq()
-    radicand = (
-        float(np.real(np.vdot(uv, uv)))
-        - nu * nv
-        + c.real * c.real
-        + c.imag * c.imag
+    du, dv = 1.0 - u.norm_sq(), 1.0 - v.norm_sq()
+    s_sq = (du + dv) * float(np.real(np.vdot(w, w))) + (
+        abs(np.vdot(u.vector, w)) ** 2 + abs(np.vdot(v.vector, w)) ** 2
     )
-    if radicand < 0.0:
-        if -radicand > CLAMP_WARN:
-            warnings.warn(
-                f"distance radicand clamped from {radicand:.3e} to 0", RuntimeWarning
-            )
-        radicand = 0.0
-    return m, math.sqrt(radicand), nu, nv
+    return m, math.sqrt(0.5 * s_sq), du, dv
 
 
 def distance(u, v):
@@ -197,8 +192,8 @@ def distance(u, v):
     """
     if u.dim != v.dim:
         raise DomainError("points of different dimension")
-    m, s, nu, nv = _distance_parts(u, v)
-    den = (1.0 - nu) * (1.0 - nv) / (m + s)
+    m, s, du, dv = _distance_parts(u, v)
+    den = du * dv / (m + s)
     return 0.5 * math.log1p(2.0 * s / den)
 
 

@@ -28,7 +28,7 @@ def _as_complex_matrix(M, square=False):
         raise DomainError(f"expected a matrix, got array of ndim {M.ndim}")
     if square and M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
     return M
 
@@ -48,23 +48,50 @@ def op_norm(M):
 def mat_exp(X, t=1.0):
     """exp(t X) by scaling-and-squaring with an 18-term Taylor kernel.
 
-    The matrix is halved until its infinity norm is at most 0.5, where the
+    t X is halved until its infinity norm is at most 0.5, where the
     truncated series is accurate to well below double roundoff, then the
-    result is squared back up.
+    result is squared back up.  A scalar t gives one matrix.  A 1-D array
+    of times gives the (k, n, n) stack of exp(t_i X): each time gets the
+    halvings count a scalar call would, and the times that share a count
+    are expanded and squared together as one stack, so every slice equals
+    the scalar call's result bit for bit.
     """
     X = _as_complex_matrix(X, square=True)
-    if not np.isfinite(t):
+    times = np.asarray(t)
+    if times.ndim > 1:
+        raise DomainError(f"time must be a scalar or a 1-D array, got ndim {times.ndim}")
+    if not np.isfinite(times).all():
         raise DomainError("non-finite time parameter")
-    n = X.shape[0]
-    M = t * X
-    nrm = float(np.linalg.norm(M, np.inf))
+    if times.ndim == 0:
+        M = t * X
+        return _scaled_exp(M, _halvings(float(np.linalg.norm(M, np.inf))))
+    M = times[:, None, None] * X
+    counts = np.array([_halvings(x) for x in np.linalg.norm(M, np.inf, axis=(1, 2)).tolist()])
+    out = np.empty_like(M)
+    for squarings in np.unique(counts).tolist():
+        group = counts == squarings
+        out[group] = _scaled_exp(M[group], squarings)
+    return out
+
+
+def _halvings(nrm):
+    """How many times a matrix of infinity norm nrm is halved to reach
+    EXP_SCALE_LIMIT."""
     squarings = 0
     while nrm > EXP_SCALE_LIMIT:
-        M = M / 2.0
         nrm /= 2.0
         squarings += 1
-    E = np.eye(n, dtype=complex)
-    R = np.eye(n, dtype=complex)
+    return squarings
+
+
+def _scaled_exp(M, squarings):
+    """exp(M) for a matrix, or a stack of matrices, that the caller has
+    found to need `squarings` halvings: halve, sum the Taylor series by
+    Horner's rule, square back up."""
+    for _ in range(squarings):
+        M = M / 2.0
+    E = np.eye(M.shape[-1], dtype=complex)
+    R = E
     for k in range(EXP_TAYLOR_TERMS, 0, -1):
         R = E + (M @ R) / k
     for _ in range(squarings):

@@ -115,19 +115,25 @@ def save_matrix(path, M):
 
 
 def trajectory_csv(samples):
-    """CSV text for a list of (t, BallPoint), header t,re_z1,im_z1,..."""
+    """CSV text for a list of (t, BallPoint), header t,re_z1,im_z1,...
+
+    Each row is one %.17g format over the row's floats; adding 0.0
+    turns -0.0 into 0.0, as `format_float` does.
+    """
     if not samples:
         raise ParseError("trajectory must contain at least one sample")
     dim = samples[0][1].dim
     header = ["t"]
     for i in range(1, dim + 1):
         header += [f"re_z{i}", f"im_z{i}"]
-    lines = [",".join(header)]
-    for t, point in samples:
-        row = [format_float(t)]
-        for v in point.vector:
-            row += [format_float(v.real), format_float(v.imag)]
-        lines.append(",".join(row))
+    rows = np.empty((len(samples), 2 * dim + 1))
+    rows[:, 0] = [t for t, _ in samples]
+    Z = np.stack([point.vector for _, point in samples])
+    rows[:, 1::2] = Z.real
+    rows[:, 2::2] = Z.imag
+    rows += 0.0
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 

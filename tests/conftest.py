@@ -21,6 +21,12 @@ def cgauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def same_bytes(a, b):
+    """Equal shapes and bit-for-bit equal entries."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 def random_point(rng, dim, max_norm=0.9):
     g = cgauss(rng, dim)
     g = g / np.linalg.norm(g)

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from hilbertball.dynamics import (
+    TIME_BLOCK,
     DiscGenerator,
     HamiltonianGenerator,
     alpha,
@@ -19,7 +20,7 @@ from hilbertball.geometry import BallPoint, distance, origin
 from hilbertball.isometries import ExtendedOperator, lie_defect
 from hilbertball.numerics import op_norm
 
-from conftest import cgauss, random_point
+from conftest import cgauss, random_point, same_bytes
 
 
 def lie_element(rng, dim):
@@ -216,6 +217,53 @@ def test_trajectory_dispatches_all_generator_kinds(rng):
         samples = trajectory(gen, z, 0.6, 0.2)
         assert len(samples) == 4
         assert all(p.norm() < 1.0 for _, p in samples)
+
+
+def hamiltonian(rng, dim):
+    H = cgauss(rng, (dim, dim))
+    return HamiltonianGenerator(0.5 * (H + H.conj().T))
+
+
+def batched_flows(rng):
+    """(generator, flow) for the two flows that take an array of times."""
+    return ((lie_element(rng, 3), evolve_exp), (hamiltonian(rng, 3), schrodinger_evolve))
+
+
+def test_time_array_flows_equal_scalar_calls(rng):
+    z = random_point(rng, 3, 0.8)
+    times = [0.0, 1.7, -0.4, 0.05, 3.2, -2.9]
+    for gen, flow in batched_flows(rng):
+        for ts in (times, np.array(times)):
+            points = flow(gen, z, ts)
+            assert len(points) == len(times)
+            for t, p in zip(times, points):
+                assert same_bytes(p.vector, flow(gen, z, t).vector)
+
+
+@pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([0.1, np.nan])])
+def test_time_array_flows_reject_bad_times(rng, t):
+    z = random_point(rng, 3, 0.8)
+    with pytest.raises(DomainError):
+        evolve_exp(lie_element(rng, 3), z, t)
+    with pytest.raises(DomainError):
+        schrodinger_evolve(hamiltonian(rng, 3), z, t)
+
+
+def test_trajectory_equals_per_step_flow(rng):
+    z = random_point(rng, 3, 0.8)
+    for gen, flow in batched_flows(rng):
+        samples = trajectory(gen, z, 1.5, 0.01)
+        assert len(samples) == 151 > 2 * TIME_BLOCK
+        for i, (t, p) in enumerate(samples):
+            assert t == i * 0.01
+            assert same_bytes(p.vector, flow(gen, z, t).vector)
+
+
+def test_trajectory_rejects_non_generator(rng):
+    G = cgauss(rng, (3, 3))
+    bad = ExtendedOperator.from_blocks(G + G.conj().T, cgauss(rng, 3), cgauss(rng, 3), 1.0)
+    with pytest.raises(DomainError, match="Lie algebra"):
+        trajectory(bad, random_point(rng, 3), 1.0, 0.1)
 
 
 def test_trajectory_validation(rng):

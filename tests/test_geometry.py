@@ -166,7 +166,7 @@ def test_distance_log_and_tanh_agree(uv, vv):
 def test_distance_symmetry_and_identity(uv, vv):
     u, v = BallPoint(uv), BallPoint(vv)
     assert distance(u, v) == distance(v, u)
-    assert distance(u, u) < 1e-7  # clamped radicand noise only
+    assert distance(u, u) == 0.0
     assert distance(u, v) >= 0.0
 
 
@@ -200,9 +200,9 @@ def test_distance_transport_invariant(rng):
 
 
 def mp_distance(u, v):
-    """(1/2) log[(m + s)/(m - s)] in 50-digit arithmetic on the exact
+    """(1/2) log[(m + s)/(m - s)] in 120-digit arithmetic on the exact
     input floats: the cancelling form, evaluated where it cannot cancel."""
-    with mpmath.workdps(50):
+    with mpmath.workdps(120):
         a = [mpmath.mpc(x.real, x.imag) for x in u.vector]
         b = [mpmath.mpc(x.real, x.imag) for x in v.vector]
         c = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b))
@@ -214,20 +214,37 @@ def mp_distance(u, v):
         return float(mpmath.log((m + s) / (m - s)) / 2)
 
 
+def assert_distance_matches_mpmath(u, v):
+    got, want = distance(u, v), mp_distance(u, v)
+    du, dv = 1.0 - u.norm_sq(), 1.0 - v.norm_sq()
+    eps = np.finfo(float).eps
+    bound = 1e-12 * max(1.0, want) + 4 * u.dim * eps * (1.0 / du + 1.0 / dv)
+    assert abs(got - want) <= bound, (u.dim, 1.0 - u.norm(), 1.0 - v.norm(), got, want)
+
+
 def test_distance_near_the_rim_matches_mpmath(rng):
     # 1 - ||z||; the last one sits just inside BallPoint's 1e-12 margin
     gaps = (1e-4, 1e-6, 1e-8, 1e-10, 1.01e-12)
-    eps = np.finfo(float).eps
     for dim in (1, 4, 16):
         for gu in gaps:
             for gv in gaps:
                 pu, pv = cgauss(rng, dim), cgauss(rng, dim)
                 u = BallPoint((1.0 - gu) * pu / np.linalg.norm(pu))
                 v = BallPoint((1.0 - gv) * pv / np.linalg.norm(pv))
-                got, want = distance(u, v), mp_distance(u, v)
-                du, dv = 1.0 - u.norm_sq(), 1.0 - v.norm_sq()
-                bound = 1e-12 * max(1.0, want) + 4 * dim * eps * (1.0 / du + 1.0 / dv)
-                assert abs(got - want) <= bound, (dim, gu, gv, got, want)
+                assert_distance_matches_mpmath(u, v)
+
+
+def test_distance_of_nearby_points_matches_mpmath(rng):
+    # v = u + h d with Re<u|d> <= 0, so v stays inside with u
+    for dim in (1, 4, 16):
+        for radius in (0.5, 0.99, 1.0 - 1e-6):
+            for h in (1e-6, 1e-9, 1e-12):
+                pu, d = cgauss(rng, dim), cgauss(rng, dim)
+                u = radius * pu / np.linalg.norm(pu)
+                d /= np.linalg.norm(d)
+                if np.vdot(u, d).real > 0.0:
+                    d = -d
+                assert_distance_matches_mpmath(BallPoint(u), BallPoint(u + h * d))
 
 
 # geodesics and lengths -----------------------------------------------

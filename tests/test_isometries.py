@@ -191,6 +191,24 @@ def test_operator_rejects_nonsquare():
         ExtendedOperator(np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [complex(np.nan, 0.1), complex(np.inf, 0.1), complex(0.1, np.nan), complex(0.1, -np.inf)],
+    ids=["re_nan", "re_inf", "im_nan", "im_inf"],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: BallPoint(np.array([0.1, bad])),
+        lambda bad: ExtendedOperator(np.array([[1.0, 0.0], [0.0, bad]])),
+    ],
+    ids=["BallPoint", "ExtendedOperator"],
+)
+def test_constructors_reject_non_finite_entries(make, bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        make(bad)
+
+
 # mirrors -------------------------------------------------------------
 
 def test_conjugation_mirror():

@@ -22,7 +22,9 @@ from hilbertball.numerics import (
     wirtinger_second,
 )
 
-from conftest import cgauss, complex_matrices
+from hilbertball.dynamics import TIME_BLOCK
+
+from conftest import cgauss, complex_matrices, same_bytes
 
 
 # ---------------------------------------------------------------------
@@ -112,6 +114,32 @@ def test_mat_exp_skew_hermitian_is_unitary(rng):
     X = G - G.conj().T
     U = mat_exp(X, 1.3)
     assert op_norm(U.conj().T @ U - np.eye(4)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 9, 17])
+def test_mat_exp_batch_equals_scalar_calls(rng, n):
+    X = cgauss(rng, (n, n))
+    X *= 4.0 / np.linalg.norm(X, np.inf)
+    # unsorted, with zeros and negatives, spanning halving counts 0 to 8
+    # or more, and more times than one trajectory block
+    ts = np.concatenate(
+        [[0.0, -0.0], rng.uniform(-0.05, 0.05, 20), rng.uniform(-40.0, 40.0, 60)]
+    )
+    rng.shuffle(ts)
+    norms = np.abs(ts) * np.linalg.norm(X, np.inf)
+    assert norms.min() <= 0.5 and norms.max() > 2.0 ** 7 and ts.size > TIME_BLOCK
+    stack = mat_exp(X, ts)
+    assert stack.shape == (ts.size, n, n)
+    for t, E in zip(ts.tolist(), stack):
+        assert same_bytes(E, mat_exp(X, t))
+
+
+@pytest.mark.parametrize(
+    "t", [np.zeros((2, 2)), np.array([0.1, np.nan]), np.array([np.inf]), np.nan]
+)
+def test_mat_exp_rejects_bad_times(t):
+    with pytest.raises(DomainError):
+        mat_exp(np.eye(2), t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -85,11 +85,16 @@ def test_load_rejects_bad_file(tmp_path):
 
 
 def test_trajectory_csv_golden():
-    samples = [(0.0, BallPoint([0.1 + 0.2j])), (0.5, BallPoint([0.3 - 0.1j]))]
+    samples = [
+        (0.0, BallPoint([0.1 + 0.2j])),
+        (0.5, BallPoint([0.3 - 0.1j])),
+        (1.0, BallPoint([complex(-0.0, -0.0)])),
+    ]
     want = (
         "t,re_z1,im_z1\n"
         "0,0.10000000000000001,0.20000000000000001\n"
         "0.5,0.29999999999999999,-0.10000000000000001\n"
+        "1,0,0\n"
     )
     assert trajectory_csv(samples) == want
 

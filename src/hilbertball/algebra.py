@@ -35,9 +35,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, HBAR, TangentVector, k_factor, kahler_form, metric
+from .geometry import BallPoint, HBAR, TangentVector, _as_points, k_factor, kahler_form, metric
 from .isometries import ExtendedOperator, epsilon_matrix, epsilon_operator
 from .numerics import (
+    _as_complex_matrix,
     gaussian_directions,
     golden_max,
     op_norm,
@@ -65,16 +66,33 @@ def unit(dim):
 
 
 def extended_point(z):
-    """zhat = (z, 1) in C^n + C."""
-    return np.concatenate([z.vector, [1.0 + 0.0j]])
+    """zhat = (z, 1) in C^n + C; for an array of points along its last
+    axis, the array of their zhat."""
+    if isinstance(z, BallPoint):
+        return np.concatenate([z.vector, [1.0 + 0.0j]])
+    return np.concatenate([z, np.ones(z.shape[:-1] + (1,), dtype=complex)], axis=-1)
 
 
 def evaluate(C, z):
-    """f_C(z) through the compact form k_z <zhat|C zhat>."""
-    if C.dim != z.dim:
+    """f_C(z) through the compact form k_z <zhat|C zhat>.
+
+    C may also be an array of (n+1) x (n+1) matrices and z an array of
+    points along its last axis; their leading axes broadcast as numpy's
+    do, and the result is the complex array of values.  One point
+    outside the ball raises DomainError.
+    """
+    if isinstance(C, ExtendedOperator):
+        if C.dim != z.dim:
+            raise DomainError("operator and point dimensions differ")
+        zh = extended_point(z)
+        return complex(k_factor(z) * np.vdot(zh, C.apply(zh)))
+    C = _as_complex_matrix(C, square=True, stack=True)
+    Z = _as_points(z)
+    if C.shape[-1] != Z.shape[-1] + 1:
         raise DomainError("operator and point dimensions differ")
-    zh = extended_point(z)
-    return complex(k_factor(z) * np.vdot(zh, C.apply(zh)))
+    zh = extended_point(Z)
+    k = 1.0 / (1.0 - np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1))
+    return k * np.sum(zh.conj() * (C @ zh[..., None])[..., 0], axis=-1)
 
 
 def evaluate_blocks(C, z):
@@ -215,22 +233,34 @@ def fit_operator(points, values):
     """Least-squares recovery of C from samples of f_C.
 
     Each sample contributes one linear equation
-    (1 - ||z||^2) f(z) = sum_jk conj(zhat_j) C_jk zhat_k; fifty generic
-    points determine the (n+1)^2 unknowns comfortably.
+    (1 - ||z||^2) f(z) = sum_jk conj(zhat_j) C_jk zhat_k in the (n+1)^2
+    entries of C, so at least (n+1)^2 points are needed; fewer raise
+    DomainError.  Generic points determine C once there are enough of
+    them, and the system is solved through its QR factorization.  A list
+    of points gives an ExtendedOperator.  A (..., P, n) array of points
+    with a (..., P) array of values fits one operator per leading index
+    and gives the (..., n+1, n+1) array of their matrices.
     """
-    if not points:
-        raise DomainError("need at least one sample")
-    n = points[0].dim
-    rows = []
-    rhs = []
-    for p, val in zip(points, values):
-        zh = extended_point(p)
-        rows.append(np.outer(np.conj(zh), zh).reshape(-1))
-        rhs.append(val * (1.0 - p.norm_sq()))
-    M = np.stack(rows)
-    b = np.asarray(rhs, dtype=complex)
-    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-    return ExtendedOperator(sol.reshape(n + 1, n + 1))
+    stacked = isinstance(points, np.ndarray)
+    if stacked:
+        Z = _as_points(points)
+    else:
+        if not points:
+            raise DomainError("need at least one sample")
+        Z = np.stack([p.vector for p in points])
+    b = np.asarray(values, dtype=complex)
+    d = Z.shape[-1] + 1
+    if Z.ndim < 2 or b.shape != Z.shape[:-1]:
+        raise DomainError(f"need one value per point, got {b.shape} for points {Z.shape}")
+    if Z.shape[-2] < d * d:
+        raise DomainError(f"fitting (n+1)^2 = {d * d} entries needs as many points, got {Z.shape[-2]}")
+    zh = extended_point(Z)
+    rows = (zh.conj()[..., :, None] * zh[..., None, :]).reshape(Z.shape[:-1] + (d * d,))
+    rhs = b * (1.0 - np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1))
+    Q, R = np.linalg.qr(rows)
+    sol = np.linalg.solve(R, (Q.conj().swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
+    fitted = sol.reshape(sol.shape[:-1] + (d, d))
+    return fitted if stacked else ExtendedOperator(fitted)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,30 @@ HBAR = 2.0 / CURVATURE
 NORM_MATCH_TOL = 1e-10
 
 
+def _check_points(z):
+    """z, a complex vector or an array of points along its last axis,
+    once every point is finite with norm below 1 - BOUNDARY_MARGIN; a
+    single bad point raises DomainError for the whole array."""
+    if not np.isfinite(z).all():
+        raise DomainError("point has non-finite entries")
+    if z.ndim == 1:
+        worst = np.linalg.norm(z)
+    else:
+        norms = np.linalg.norm(z, axis=-1)
+        worst = norms.max() if norms.size else 0.0
+    if worst >= 1.0 - BOUNDARY_MARGIN:
+        raise DomainError(f"point with norm {worst:.17g} is outside the open ball")
+    return z
+
+
+def _as_points(z):
+    """An array of points (last axis) as a validated complex array."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim < 1:
+        raise DomainError("points need at least one axis")
+    return _check_points(z)
+
+
 @dataclass(frozen=True, eq=False)
 class BallPoint:
     """An interior point of the unit ball, ||z|| < 1."""
@@ -57,16 +81,12 @@ class BallPoint:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.vector, dtype=complex))
+        v = np.asarray(self.vector, dtype=complex)
         if v.ndim != 1:
-            raise DomainError(f"a point is a vector, got ndim {v.ndim}")
-        if not np.isfinite(v).all():
-            raise DomainError("point has non-finite entries")
-        if np.linalg.norm(v) >= 1.0 - BOUNDARY_MARGIN:
-            raise DomainError(
-                f"point with norm {np.linalg.norm(v):.17g} is outside the open ball"
-            )
-        object.__setattr__(self, "vector", v)
+            if v.ndim:
+                raise DomainError(f"a point is a vector, got ndim {v.ndim}")
+            v = v.reshape(1)
+        object.__setattr__(self, "vector", _check_points(v))
 
     @property
     def dim(self):

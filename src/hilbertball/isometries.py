@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint
+from .geometry import BallPoint, _as_points, _check_points
 from .numerics import RealLinearMap, _as_complex_matrix, mat_exp, op_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
@@ -102,6 +102,13 @@ class ExtendedOperator:
     __rmul__ = __mul__
 
 
+def _matrices(T):
+    """The matrix of an ExtendedOperator, or a validated array of
+    (n+1) x (n+1) matrices over leading axes, with n."""
+    M = T.matrix if isinstance(T, ExtendedOperator) else _as_complex_matrix(T, square=True, stack=True)
+    return M, M.shape[-1] - 1
+
+
 def epsilon_matrix(dim):
     """diag(-1, ..., -1, 1) on C^dim + C."""
     d = np.ones(dim + 1, dtype=complex)
@@ -115,7 +122,8 @@ def epsilon_operator(dim):
 
 @dataclass(frozen=True)
 class MembershipCheck:
-    """Boolean verdict plus the measured defect."""
+    """Boolean verdict plus the measured defect (arrays of them, one per
+    matrix, for a stack)."""
 
     ok: bool
     defect: float
@@ -125,20 +133,28 @@ class MembershipCheck:
 
 
 def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
-    """Whether T* eps T = eps holds within tol, with the defect reported."""
-    eps = epsilon_matrix(T.dim)
-    defect = op_norm(T.matrix.conj().T @ eps @ T.matrix - eps)
+    """Whether T* eps T = eps holds within tol, with the defect reported.
+
+    T is an ExtendedOperator, or a (k, n+1, n+1) stack of matrices, for
+    which the verdicts and defects are arrays.
+    """
+    M, n = _matrices(T)
+    eps = epsilon_matrix(n)
+    defect = op_norm(M.conj().swapaxes(-1, -2) @ eps @ M - eps)
     return MembershipCheck(defect <= tol, defect)
 
 
 def block_condition_defect(T):
-    """Largest residual of the three block identities."""
-    A, x, y, a = T.A, T.x, T.y, T.a
-    n = T.dim
-    r1 = op_norm(A.conj().T @ A - np.outer(y, np.conj(y)) - np.eye(n))
-    r2 = abs(float(np.real(np.vdot(x, x))) - abs(a) ** 2 + 1.0)
-    r3 = float(np.linalg.norm(A.conj().T @ x - a * y))
-    return max(r1, r2, r3)
+    """Largest residual of the three block identities; the array of them
+    for a (k, n+1, n+1) stack of matrices."""
+    M, n = _matrices(T)
+    # the bottom row stores conj(y)
+    A, x, yc, a = M[..., :n, :n], M[..., :n, n], M[..., n, :n], M[..., n, n]
+    r1 = op_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
+    r2 = np.abs(np.sum(x.real ** 2 + x.imag ** 2, axis=-1) - np.abs(a) ** 2 + 1.0)
+    r3 = np.linalg.norm((A.conj().swapaxes(-1, -2) @ x[..., None])[..., 0] - a[..., None] * yc.conj(), axis=-1)
+    defect = np.maximum(np.maximum(r1, r2), r3)
+    return float(defect) if M.ndim == 2 else defect
 
 
 def check_block_conditions(T, tol=MEMBERSHIP_TOL):
@@ -147,13 +163,29 @@ def check_block_conditions(T, tol=MEMBERSHIP_TOL):
 
 def mobius_apply(T, z):
     """phi_T(z) = (A z + x)/(<y|z> + a); stays inside the ball for group
-    members."""
-    if T.dim != z.dim:
-        raise DomainError("operator and point dimensions differ")
-    den = complex(np.vdot(T.y, z.vector) + T.a)
-    if abs(den) < DEGENERATE_DENOMINATOR:
+    members.
+
+    A (k, n+1, n+1) stack of matrices and a (k, n) array of points give
+    the (k, n) array of images, phi_{T_i}(z_i); one degenerate
+    denominator, or one point or image outside the ball, raises
+    DomainError.
+    """
+    if isinstance(T, ExtendedOperator):
+        if T.dim != z.dim:
+            raise DomainError("operator and point dimensions differ")
+        den = complex(np.vdot(T.y, z.vector) + T.a)
+        if abs(den) < DEGENERATE_DENOMINATOR:
+            raise DomainError("degenerate Moebius denominator")
+        return BallPoint((T.A @ z.vector + T.x) / den)
+    M, n = _matrices(T)
+    Z = _as_points(z)
+    if M.ndim != 3 or Z.shape != (M.shape[0], n):
+        raise DomainError(f"need a (k, n+1, n+1) stack and a (k, n) array, got {M.shape} and {Z.shape}")
+    top = (M[:, :n, :n] @ Z[:, :, None])[:, :, 0] + M[:, :n, n]
+    den = np.sum(M[:, n, :n] * Z, axis=-1) + M[:, n, n]
+    if (np.abs(den) < DEGENERATE_DENOMINATOR).any():
         raise DomainError("degenerate Moebius denominator")
-    return BallPoint((T.A @ z.vector + T.x) / den)
+    return _check_points(top / den[:, None])
 
 
 def mobius_differential(T, z):
@@ -213,13 +245,16 @@ def mirror_apply(F, z):
 
 
 def lie_defect(X):
-    """Residual of the infinitesimal group condition X* eps + eps X = 0."""
-    eps = epsilon_matrix(X.dim)
-    return op_norm(X.matrix.conj().T @ eps + eps @ X.matrix)
+    """Residual of the infinitesimal group condition X* eps + eps X = 0;
+    the array of them for a (k, n+1, n+1) stack of matrices."""
+    M, n = _matrices(X)
+    eps = epsilon_matrix(n)
+    return op_norm(M.conj().swapaxes(-1, -2) @ eps + eps @ M)
 
 
 def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
-    """True when exp(tX) stays in the group for all real t."""
+    """True when exp(tX) stays in the group for all real t (an array of
+    verdicts for a stack)."""
     return lie_defect(X) <= tol
 
 

@@ -22,11 +22,13 @@ EXP_TAYLOR_TERMS = 18
 GRAM_TOL = 1e-12
 
 
-def _as_complex_matrix(M, square=False):
+def _as_complex_matrix(M, square=False, stack=False):
+    """M as a finite complex matrix, or with `stack` also as an array of
+    matrices over leading axes; DomainError otherwise."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
+    if M.ndim != 2 and not (stack and M.ndim > 2):
         raise DomainError(f"expected a matrix, got array of ndim {M.ndim}")
-    if square and M.shape[0] != M.shape[1]:
+    if square and M.shape[-2] != M.shape[-1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
@@ -36,10 +38,15 @@ def _as_complex_matrix(M, square=False):
 def op_norm(M):
     """Largest singular value of a complex matrix, from LAPACK's SVD.
 
+    A (k, m, n) stack of matrices gives the array of their k norms.
     Non-finite entries and non-matrix input raise DomainError; an empty
     matrix has norm 0.
     """
-    M = _as_complex_matrix(M)
+    M = _as_complex_matrix(M, stack=True)
+    if M.ndim > 2:
+        if M.size == 0:
+            return np.zeros(M.shape[:-2])
+        return np.linalg.norm(M, 2, axis=(-2, -1))
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
@@ -54,18 +61,24 @@ def mat_exp(X, t=1.0):
     of times gives the (k, n, n) stack of exp(t_i X): each time gets the
     halvings count a scalar call would, and the times that share a count
     are expanded and squared together as one stack, so every slice equals
-    the scalar call's result bit for bit.
+    the scalar call's result bit for bit.  A (k, n, n) stack of
+    generators with a scalar t gives the stack of exp(t X_i) the same way;
+    a caller with one time per generator scales the stack first.
     """
-    X = _as_complex_matrix(X, square=True)
+    X = _as_complex_matrix(X, square=True, stack=True)
     times = np.asarray(t)
     if times.ndim > 1:
         raise DomainError(f"time must be a scalar or a 1-D array, got ndim {times.ndim}")
+    if X.ndim > 3:
+        raise DomainError(f"expected a matrix or a (k, n, n) stack, got array of ndim {X.ndim}")
+    if X.ndim == 3 and times.ndim:
+        raise DomainError("a stack of generators takes one scalar time")
     if not np.isfinite(times).all():
         raise DomainError("non-finite time parameter")
-    if times.ndim == 0:
+    if X.ndim == 2 and times.ndim == 0:
         M = t * X
         return _scaled_exp(M, _halvings(float(np.linalg.norm(M, np.inf))))
-    M = times[:, None, None] * X
+    M = t * X if X.ndim == 3 else times[:, None, None] * X
     counts = np.array([_halvings(x) for x in np.linalg.norm(M, np.inf, axis=(1, 2)).tolist()])
     out = np.empty_like(M)
     for squarings in np.unique(counts).tolist():
@@ -109,17 +122,6 @@ def ball_sample(rng, dim, max_norm):
             break
     r = rng.uniform(0.0, max_norm)
     return (r / nw) * w
-
-
-def sample_ball_point(dim, rng_seed, max_norm):
-    """Deterministic interior sample: uniform direction, radius uniform on
-    [0, max_norm]."""
-    if not 0.0 < max_norm < 1.0:
-        raise DomainError(f"max_norm must lie in (0, 1), got {max_norm}")
-    if dim < 1:
-        raise DomainError("dim must be positive")
-    rng = np.random.default_rng(rng_seed)
-    return ball_sample(rng, dim, max_norm)
 
 
 def realify(z):
@@ -207,12 +209,6 @@ def wirtinger_second(g, h=1e-4, conjugate=False):
     if conjugate:
         return 0.25 * (gxx - gyy + 2j * gxy)
     return 0.25 * (gxx - gyy - 2j * gxy)
-
-
-def richardson(fd, h):
-    """Richardson extrapolation of a second-order central difference: two
-    evaluations at h and h/2 cancel the h^2 error term."""
-    return (4.0 * fd(h / 2.0) - fd(h)) / 3.0
 
 
 # ---------------------------------------------------------------------------

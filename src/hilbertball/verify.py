@@ -4,9 +4,11 @@ Every module contributes its invariants as named properties grouped into
 three suites (geometry, algebra, dynamics).  A property draws its trials
 from a generator seeded by (seed, property index), measures a defect per
 trial, and max-reduces; it passes when the worst defect stays within its
-tolerance times the configured scale.  Reports are plain dicts with a
-fixed field order and no timestamps, so a fixed seed reproduces the
-output byte for byte.
+tolerance times the configured scale.  The heaviest properties draw all
+their trials up front as arrays and reduce them through the library's
+stacked kernels; the rest loop over trials.  Reports are plain dicts
+with a fixed field order and no timestamps, so a fixed seed reproduces
+the output byte for byte.
 
 All library calls go through module attributes (geometry.metric and
 friends) rather than imported names; the self-test in the CLI suite
@@ -16,6 +18,7 @@ watch the right property fail.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +28,11 @@ from .errors import DomainError
 SAMPLE_NORM = 0.85
 PINNED_TRIALS = 1000
 MEMBERSHIP_DECISION_TOL = 1e-8
+# Entries of the least-squares systems that representation_injectivity
+# solves at once (a trial's system has max(50, 2(n+1)^2) rows of (n+1)^2
+# entries): bounds the memory of a run.  Larger blocks are no faster at
+# dim 4 and raise its peak memory.
+FIT_BLOCK = 1 << 13
 
 SUITES = ("geometry", "algebra", "dynamics")
 
@@ -53,6 +61,7 @@ class PropertyResult:
     max_defect: float
     tolerance: float
     passed: bool
+    error: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +126,69 @@ def _mirror(rng, dim):
     return isometries.MirrorTransformation.from_basis(basis)
 
 
-def _self_adjoint(rng, dim, max_norm=2.0):
-    G = _cgauss(rng, (dim, dim))
-    H = 0.5 * (G + G.conj().T)
+# Stacked generators for the batched properties: `count` draws at once,
+# each distributed as its scalar counterpart above, returned as arrays
+# (points along the last axis, matrices along the last two).  The scalar
+# generators stay for the properties that loop and for the tests.
+
+def _points(rng, dim, shape, max_norm=SAMPLE_NORM):
+    """An array of points of C^dim of the given leading shape."""
+    shape = tuple(np.atleast_1d(shape).tolist())
+    W = _cgauss(rng, shape + (dim,))
+    r = rng.uniform(0.0, max_norm, size=shape)
+    nw = np.linalg.norm(W, axis=-1)
+    # a zero Gaussian draw (probability zero) lands on the origin
+    return (r / np.where(nw > 0.0, nw, 1.0))[..., None] * W
+
+
+def _operators(rng, dim, count):
+    return _cgauss(rng, (count, dim + 1, dim + 1))
+
+
+def _lie_elements(rng, dim, count):
+    G = _cgauss(rng, (count, dim, dim))
+    u = _cgauss(rng, (count, dim))
+    c = rng.standard_normal(count)
+    X = np.zeros((count, dim + 1, dim + 1), dtype=complex)
+    X[:, :dim, :dim] = G - G.conj().swapaxes(-1, -2)
+    X[:, :dim, dim] = u
+    X[:, dim, :dim] = u.conj()
+    X[:, dim, dim] = 1j * c
+    return X / np.maximum(numerics.op_norm(X), 1.0)[:, None, None]
+
+
+def _members(rng, dim, count):
+    X = _lie_elements(rng, dim, count)
+    t = rng.uniform(-1.5, 1.5, size=count)
+    T = numerics.mat_exp(t[:, None, None] * X)
+    moved = np.flatnonzero(rng.uniform(size=count) < 0.5)
+    T[moved] = _transports(_points(rng, dim, moved.size)) @ T[moved]
+    return T
+
+
+def _transports(points):
+    return np.array(
+        [isometries.transport_from_origin(geometry.BallPoint(p)).matrix for p in points]
+    ).reshape(points.shape[:1] + (points.shape[1] + 1,) * 2)
+
+
+def _self_adjoints(rng, dim, count, max_norm=2.0):
+    G = _cgauss(rng, (count, dim, dim))
+    H = 0.5 * (G + G.conj().swapaxes(-1, -2))
     scale = numerics.op_norm(H)
-    if scale > max_norm:
-        H = H * (max_norm / scale)
-    return H
+    return H * np.where(scale > max_norm, max_norm / scale, 1.0)[:, None, None]
+
+
+def _distance_defects(U, V, SU, SV):
+    """|d(su, sv) - d(u, v)| row by row over arrays of points."""
+    P = geometry.BallPoint
+    return [abs(geometry.distance(P(su), P(sv)) - geometry.distance(P(u), P(v)))
+            for u, v, su, sv in zip(U, V, SU, SV)]
+
+
+def _worst(defects):
+    """Largest entry of an array of defects, 0 for an empty one."""
+    return float(np.max(defects, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +207,16 @@ def _p_op_norm_square_identity(cfg, rng):
 
 
 def _p_exp_additivity(cfg, rng):
+    sizes = rng.integers(2, 7, size=cfg.trials)
+    times = rng.uniform(-1.5, 1.5, size=(cfg.trials, 2))
     worst = 0.0
-    for _ in range(cfg.trials):
-        d = int(rng.integers(2, 7))
-        X = _cgauss(rng, (d, d)) / (2.0 * math.sqrt(d))
-        s, t = rng.uniform(-1.5, 1.5, size=2)
-        lhs = numerics.mat_exp(X, s + t)
-        rhs = numerics.mat_exp(X, s) @ numerics.mat_exp(X, t)
-        worst = max(worst, numerics.op_norm(lhs - rhs))
+    for d in np.unique(sizes).tolist():
+        picked = sizes == d
+        X = _cgauss(rng, (int(picked.sum()), d, d)) / (2.0 * math.sqrt(d))
+        s, t = times[picked, 0, None, None], times[picked, 1, None, None]
+        lhs = numerics.mat_exp((s + t) * X)
+        rhs = numerics.mat_exp(s * X) @ numerics.mat_exp(t * X)
+        worst = max(worst, _worst(numerics.op_norm(lhs - rhs)))
     return cfg.trials, worst
 
 
@@ -233,59 +300,54 @@ def _p_curvature_constancy(cfg, rng):
 
 
 def _p_group_closure(cfg, rng):
-    worst = 0.0
-    for _ in range(cfg.trials):
-        T = _member(rng, cfg.dim) @ _member(rng, cfg.dim)
-        worst = max(worst, isometries.is_inhomogeneous_unitary(T).defect)
-    return cfg.trials, worst
+    T = _members(rng, cfg.dim, 2 * cfg.trials)
+    T = T[: cfg.trials] @ T[cfg.trials:]
+    return cfg.trials, _worst(isometries.is_inhomogeneous_unitary(T).defect)
 
 
 def _p_membership_equivalence(cfg, rng):
     """The two membership routes must agree on clean members, scaled-off
     members, and arbitrary garbage: disagreements are counted."""
     trials = max(cfg.trials, PINNED_TRIALS)
-    disagreements = 0.0
-    for i in range(trials):
-        kind = i % 4
-        if kind == 0:
-            T = _member(rng, cfg.dim)
-        elif kind == 1:
-            T = isometries.transport_from_origin(_point(rng, cfg.dim))
-        elif kind == 2:
-            # scaling a member off the group shifts T*eps T by a
-            # guaranteed 2*delta, far beyond the decision tolerance
-            delta = (1e-5, 1e-3, 0.3)[i % 3]
-            T = (1.0 + delta) * _member(rng, cfg.dim)
-        else:
-            T = _operator(rng, cfg.dim)
-        direct = bool(isometries.is_inhomogeneous_unitary(T, MEMBERSHIP_DECISION_TOL))
+    count = [len(range(kind, trials, 4)) for kind in range(4)]
+    # scaling a member off the group shifts T*eps T by a guaranteed
+    # 2*delta, far beyond the decision tolerance
+    delta = np.array((1e-5, 1e-3, 0.3))[np.arange(2, trials, 4) % 3]
+    stacks = (
+        _members(rng, cfg.dim, count[0]),
+        _transports(_points(rng, cfg.dim, count[1])),
+        (1.0 + delta)[:, None, None] * _members(rng, cfg.dim, count[2]),
+        _operators(rng, cfg.dim, count[3]),
+    )
+    disagreements = 0
+    for T in stacks:
+        direct = isometries.is_inhomogeneous_unitary(T, MEMBERSHIP_DECISION_TOL).ok
         blocks = isometries.check_block_conditions(T, MEMBERSHIP_DECISION_TOL)
-        if direct != blocks:
-            disagreements += 1.0
-    return trials, disagreements
+        disagreements += int(np.count_nonzero(direct != blocks))
+    return trials, float(disagreements)
 
 
 def _p_isometry_distance_invariance(cfg, rng):
-    worst = 0.0
-    for i in range(cfg.trials):
-        u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-        if i % 2 == 0:
-            T = _member(rng, cfg.dim)
-            su, sv = isometries.mobius_apply(T, u), isometries.mobius_apply(T, v)
-        else:
-            F = _mirror(rng, cfg.dim)
-            su, sv = isometries.mirror_apply(F, u), isometries.mirror_apply(F, v)
-        worst = max(worst, abs(geometry.distance(su, sv) - geometry.distance(u, v)))
-    return cfg.trials, worst
+    """Even trials move both points by a group member, odd ones by a
+    mirror."""
+    U, V = _points(rng, cfg.dim, cfg.trials), _points(rng, cfg.dim, cfg.trials)
+    T = _members(rng, cfg.dim, len(U[0::2]))
+    SU, SV = np.empty_like(U), np.empty_like(V)
+    SU[0::2] = isometries.mobius_apply(T, U[0::2])
+    SV[0::2] = isometries.mobius_apply(T, V[0::2])
+    for i in range(1, cfg.trials, 2):
+        F = _mirror(rng, cfg.dim)
+        SU[i] = isometries.mirror_apply(F, geometry.BallPoint(U[i])).vector
+        SV[i] = isometries.mirror_apply(F, geometry.BallPoint(V[i])).vector
+    return cfg.trials, _worst(_distance_defects(U, V, SU, SV))
 
 
 def _p_exponential_membership(cfg, rng):
+    X = _lie_elements(rng, cfg.dim, cfg.trials)
     worst = 0.0
-    for _ in range(cfg.trials):
-        X = _lie_element(rng, cfg.dim)
-        for t in (-2.0, -1.0, 0.5, 1.0, 3.0):
-            T = isometries.exp_element(X, t)
-            worst = max(worst, isometries.is_inhomogeneous_unitary(T).defect)
+    for t in (-2.0, -1.0, 0.5, 1.0, 3.0):
+        T = numerics.mat_exp(X, t)
+        worst = max(worst, _worst(isometries.is_inhomogeneous_unitary(T).defect))
     return cfg.trials, worst
 
 
@@ -306,14 +368,20 @@ def _p_transport_transitivity(cfg, rng):
 # ---------------------------------------------------------------------------
 
 def _p_representation_injectivity(cfg, rng):
+    """Fit each operator back from its values at twice as many points as
+    it has entries (at least fifty).  Trials are drawn and fitted in
+    blocks of at most FIT_BLOCK entries of the least-squares systems."""
+    d = cfg.dim + 1
+    samples = max(50, 2 * d * d)
+    block = max(1, FIT_BLOCK // (samples * d * d))
     worst = 0.0
-    for _ in range(cfg.trials):
-        C = _operator(rng, cfg.dim)
-        points = [_point(rng, cfg.dim, max_norm=0.9) for _ in range(50)]
-        values = [algebra.evaluate(C, p) for p in points]
-        fitted = algebra.fit_operator(points, values)
-        defect = numerics.op_norm(fitted.matrix - C.matrix)
-        worst = max(worst, defect / max(1.0, numerics.op_norm(C.matrix)))
+    for start in range(0, cfg.trials, block):
+        count = min(block, cfg.trials - start)
+        C = _operators(rng, cfg.dim, count)
+        Z = _points(rng, cfg.dim, (count, samples), max_norm=0.9)
+        fitted = algebra.fit_operator(Z, algebra.evaluate(C[:, None], Z))
+        defects = numerics.op_norm(fitted - C) / np.maximum(1.0, numerics.op_norm(C))
+        worst = max(worst, _worst(defects))
     return cfg.trials, worst
 
 
@@ -395,97 +463,92 @@ def _p_involution_twist_witness(cfg, rng):
 # ---------------------------------------------------------------------------
 
 def _p_flow_distance_invariance(cfg, rng):
+    """Trials cycle through exponential, Schroedinger and disc flows."""
+    times = rng.uniform(-2.0, 2.0, size=cfg.trials)
+    t = [times[k::3, None, None] for k in range(3)]
+    pairs = []
+    U, V = _points(rng, cfg.dim, t[0].size), _points(rng, cfg.dim, t[0].size)
+    X = t[0] * _lie_elements(rng, cfg.dim, t[0].size)
+    pairs.append((U, V, dynamics.evolve_exp(X, U, 1.0), dynamics.evolve_exp(X, V, 1.0)))
+    U, V = _points(rng, cfg.dim, t[1].size), _points(rng, cfg.dim, t[1].size)
+    H = t[1] * _self_adjoints(rng, cfg.dim, t[1].size)
+    pairs.append((U, V, dynamics.schrodinger_evolve(H, U, 1.0),
+                  dynamics.schrodinger_evolve(H, V, 1.0)))
+    U, V = _points(rng, 1, t[2].size), _points(rng, 1, t[2].size)
+    b = _cgauss(rng, t[2].size)
+    # keep the boost bounded so near-rim roundoff cannot eat into the
+    # 1e-9 agreement being measured
+    b = b / np.maximum(1.0, np.abs(b))
+    gens = [dynamics.DiscGenerator(a, bk) for a, bk in
+            zip(rng.standard_normal(t[2].size).tolist(), b.tolist())]
+
+    def disc_flow(W):
+        flowed = [dynamics.disc_evolve_closed(g, z, tk) for g, z, tk in
+                  zip(gens, W[:, 0].tolist(), t[2].ravel().tolist())]
+        return np.array(flowed, dtype=complex).reshape(W.shape)
+
+    pairs.append((U, V, disc_flow(U), disc_flow(V)))
     worst = 0.0
-    for i in range(cfg.trials):
-        t = float(rng.uniform(-2.0, 2.0))
-        if i % 3 == 0:
-            u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-            X = _lie_element(rng, cfg.dim)
-            su = dynamics.evolve_exp(X, u, t)
-            sv = dynamics.evolve_exp(X, v, t)
-        elif i % 3 == 1:
-            u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-            gen = dynamics.HamiltonianGenerator(_self_adjoint(rng, cfg.dim))
-            su = dynamics.schrodinger_evolve(gen, u, t)
-            sv = dynamics.schrodinger_evolve(gen, v, t)
-        else:
-            u, v = _point(rng, 1), _point(rng, 1)
-            b = complex(_cgauss(rng, ()))
-            # keep the boost bounded so near-rim roundoff cannot eat
-            # into the 1e-9 agreement being measured
-            b = b / max(1.0, abs(b))
-            g = dynamics.DiscGenerator(float(rng.standard_normal()), b)
-            su = geometry.BallPoint(
-                [dynamics.disc_evolve_closed(g, u.vector[0], t)]
-            )
-            sv = geometry.BallPoint(
-                [dynamics.disc_evolve_closed(g, v.vector[0], t)]
-            )
-        worst = max(worst, abs(geometry.distance(su, sv) - geometry.distance(u, v)))
+    for U, V, SU, SV in pairs:
+        worst = max(worst, _worst(_distance_defects(U, V, SU, SV)))
     return cfg.trials, worst
 
 
 def _p_flow_group_law(cfg, rng):
-    worst = 0.0
-    for _ in range(cfg.trials):
-        X = _lie_element(rng, cfg.dim)
-        z = _point(rng, cfg.dim)
-        s, t = rng.uniform(-1.5, 1.5, size=2)
-        once = dynamics.evolve_exp(X, z, s + t)
-        twice = dynamics.evolve_exp(X, dynamics.evolve_exp(X, z, t), s)
-        worst = max(worst, float(np.linalg.norm(once.vector - twice.vector)))
-    return cfg.trials, worst
+    X = _lie_elements(rng, cfg.dim, cfg.trials)
+    Z = _points(rng, cfg.dim, cfg.trials)
+    times = rng.uniform(-1.5, 1.5, size=(cfg.trials, 2))
+    s, t = times[:, 0, None, None], times[:, 1, None, None]
+    once = dynamics.evolve_exp((s + t) * X, Z, 1.0)
+    twice = dynamics.evolve_exp(s * X, dynamics.evolve_exp(t * X, Z, 1.0), 1.0)
+    return cfg.trials, _worst(np.linalg.norm(once - twice, axis=-1))
 
 
 def _p_disc_closed_form_agreement(cfg, rng):
-    worst = 0.0
-    for i in range(cfg.trials):
-        a = float(rng.standard_normal())
-        phase = complex(np.exp(2j * math.pi * rng.uniform()))
-        if i % 3 == 0:
-            b = abs(a) * (1.2 + rng.uniform()) * phase
-        elif i % 3 == 1:
-            b = abs(a) * 0.5 * rng.uniform() * phase
-        else:
-            b = abs(a) * phase
-        g = dynamics.DiscGenerator(a, b)
-        z = _point(rng, 1)
-        t = float(rng.uniform(-2.0, 2.0))
-        closed = dynamics.disc_evolve_closed(g, z.vector[0], t)
-        viaexp = dynamics.evolve_exp(g.extended(), z, t).vector[0]
-        worst = max(worst, abs(closed - viaexp))
-    return cfg.trials, worst
+    """Trials cycle through the hyperbolic (|b| > |a|), elliptic
+    (|b| < |a|) and parabolic (|b| = |a|) regimes."""
+    a = rng.standard_normal(cfg.trials)
+    phase = np.exp(2j * math.pi * rng.uniform(size=cfg.trials))
+    spread = rng.uniform(size=cfg.trials)
+    regime = np.arange(cfg.trials) % 3
+    ratio = np.where(regime == 0, 1.2 + spread, np.where(regime == 1, 0.5 * spread, 1.0))
+    b = np.abs(a) * ratio * phase
+    Z = _points(rng, 1, cfg.trials)
+    t = rng.uniform(-2.0, 2.0, size=cfg.trials)
+    gens = [dynamics.DiscGenerator(ak, bk) for ak, bk in zip(a.tolist(), b.tolist())]
+    closed = np.array([dynamics.disc_evolve_closed(g, z, tk) for g, z, tk in
+                       zip(gens, Z[:, 0].tolist(), t.tolist())], dtype=complex)
+    X = t[:, None, None] * np.array([g.matrix() for g in gens]).reshape(-1, 2, 2)
+    viaexp = dynamics.evolve_exp(X, Z, 1.0)[:, 0]
+    return cfg.trials, _worst(np.abs(closed - viaexp))
 
 
 def _p_quantum_flow_radius(cfg, rng):
-    o = geometry.origin(cfg.dim)
-    worst = 0.0
-    for _ in range(cfg.trials):
-        gen = dynamics.HamiltonianGenerator(_self_adjoint(rng, cfg.dim))
-        z = _point(rng, cfg.dim)
-        t = float(rng.uniform(-3.0, 3.0))
-        moved = dynamics.schrodinger_evolve(gen, z, t)
-        fixed = dynamics.schrodinger_evolve(gen, o, t)
-        worst = max(worst, fixed.norm(), abs(moved.norm() - z.norm()))
-    return cfg.trials, worst
+    H = _self_adjoints(rng, cfg.dim, cfg.trials)
+    Z = _points(rng, cfg.dim, cfg.trials)
+    H = rng.uniform(-3.0, 3.0, size=cfg.trials)[:, None, None] * H
+    moved = dynamics.schrodinger_evolve(H, Z, 1.0)
+    fixed = dynamics.schrodinger_evolve(H, np.zeros_like(Z), 1.0)
+    radius = np.abs(np.linalg.norm(moved, axis=-1) - np.linalg.norm(Z, axis=-1))
+    return cfg.trials, max(_worst(np.linalg.norm(fixed, axis=-1)), _worst(radius))
 
 
 def _p_observable_pullback(cfg, rng):
     """f_C at a Moebius image equals the conformally rescaled quadratic
     form of the pushed-forward extended point."""
-    worst = 0.0
-    for _ in range(cfg.trials):
-        T = _member(rng, cfg.dim)
-        C = _operator(rng, cfg.dim)
-        z = _point(rng, cfg.dim)
-        w = isometries.mobius_apply(T, z)
-        den = complex(np.vdot(T.y, z.vector) + T.a)
-        what = algebra.extended_point(w)
-        tz = T.apply(algebra.extended_point(z))
-        lhs = complex(np.vdot(what, C.apply(what)))
-        rhs = complex(np.vdot(tz, C.apply(tz))) / abs(den) ** 2
-        worst = max(worst, abs(lhs - rhs))
-    return cfg.trials, worst
+    n = cfg.dim
+    T = _members(rng, n, cfg.trials)
+    C = _operators(rng, n, cfg.trials)
+    Z = _points(rng, n, cfg.trials)
+    what = algebra.extended_point(isometries.mobius_apply(T, Z))
+    tz = (T @ algebra.extended_point(Z)[:, :, None])[:, :, 0]
+    # <y|z> + a, with y stored conjugated in the bottom row
+    den = np.sum(T[:, n, :n] * Z, axis=-1) + T[:, n, n]
+
+    def form(v):
+        return np.sum(v.conj() * (C @ v[:, :, None])[:, :, 0], axis=-1)
+
+    return cfg.trials, _worst(np.abs(form(what) - form(tz) / np.abs(den) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +590,18 @@ PROPERTIES = (
 def run_property(index, cfg):
     suite, name, tolerance, runner = PROPERTIES[index]
     rng = np.random.default_rng([cfg.seed, index])
+    error = None
     try:
         trials, max_defect = runner(cfg, rng)
         max_defect = float(max_defect)
-    except (ArithmeticError, ValueError, RuntimeError, DomainError):
+    except (ArithmeticError, ValueError, RuntimeError, DomainError) as exc:
         # a property whose evaluation blows up has certainly failed; an
         # infinite defect keeps the report intact so the other
-        # properties still get checked
+        # properties still get checked, and the exception says why
         trials, max_defect = cfg.trials, math.inf
+        error = f"{type(exc).__name__}: {exc}"
     tol = tolerance * cfg.tol_scale
-    return PropertyResult(name, suite, trials, max_defect, tol, max_defect <= tol)
+    return PropertyResult(name, suite, trials, max_defect, tol, max_defect <= tol, error)
 
 
 def run_suite(suite="all", config=None):
@@ -569,6 +634,7 @@ def run_suite(suite="all", config=None):
                 "max_defect": r.max_defect,
                 "tolerance": r.tolerance,
                 "passed": r.passed,
+                "error": r.error,
             }
             for r in results
         ],

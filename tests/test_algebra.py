@@ -188,6 +188,23 @@ def test_fit_operator_roundtrip(rng):
     assert op_norm(got.matrix - C.matrix) < 1e-9
     with pytest.raises(DomainError):
         fit_operator([], [])
+    # (n+1)^2 = 16 unknowns need 16 points
+    with pytest.raises(DomainError):
+        fit_operator(pts[:15], vals[:15])
+
+
+def test_stacked_evaluate_and_fit_equal_scalar_calls(rng):
+    C = np.array([random_operator(rng, 2).matrix for _ in range(3)])
+    Z = np.array([[random_point(rng, 2, 0.8).vector for _ in range(12)] for _ in range(3)])
+    values = evaluate(C[:, None], Z)
+    fitted = fit_operator(Z, values)
+    assert values.shape == (3, 12) and fitted.shape == (3, 3, 3)
+    for Ci, Zi, vi, Fi in zip(C, Z, values, fitted):
+        points = [BallPoint(z) for z in Zi]
+        single = [evaluate(ExtendedOperator(Ci), p) for p in points]
+        assert np.abs(vi - single).max() <= 1e-14 * np.abs(vi).max()
+        assert op_norm(Fi - fit_operator(points, single).matrix) < 1e-12
+        assert op_norm(Fi - Ci) < 1e-9
 
 
 # norms ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hilbertball import cli, geometry, serialize
+from hilbertball import cli, geometry, isometries, serialize
 from hilbertball.geometry import BallPoint
 
 from conftest import cgauss
@@ -210,3 +210,21 @@ def test_verify_flags_broken_metric(monkeypatch, capsys):
     assert "metric_j_invariance" in captured.err
     report = json.loads(captured.out)
     assert "metric_j_invariance" in report["failed_properties"]
+
+
+def test_verify_flags_broken_stacked_mobius(monkeypatch, capsys):
+    # halving the images of a stack keeps them inside the ball but breaks
+    # distance invariance; single points still get the true map
+    true_apply = isometries.mobius_apply
+
+    def halved(T, z):
+        image = true_apply(T, z)
+        return image if isinstance(image, BallPoint) else 0.5 * image
+
+    monkeypatch.setattr("hilbertball.isometries.mobius_apply", halved)
+    rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "isometry_distance_invariance" in captured.err
+    report = json.loads(captured.out)
+    assert "isometry_distance_invariance" in report["failed_properties"]

@@ -249,6 +249,31 @@ def test_time_array_flows_reject_bad_times(rng, t):
         schrodinger_evolve(hamiltonian(rng, 3), z, t)
 
 
+def test_stacked_flows_equal_scalar_calls(rng):
+    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(5)])
+    X = np.array([lie_element(rng, 3).matrix for _ in range(5)])
+    H = np.array([hamiltonian(rng, 3).H for _ in range(5)])
+    for stack, single, flow in ((X, ExtendedOperator, evolve_exp),
+                                (H, HamiltonianGenerator, schrodinger_evolve)):
+        for t in (0.8, -2.5):
+            moved = flow(stack, Z, t)
+            assert moved.shape == Z.shape
+            for M, z, w in zip(stack, Z, moved):
+                assert np.abs(w - flow(single(M), BallPoint(z), t).vector).max() < 1e-15
+
+
+def test_stacked_flows_reject_bad_generators(rng):
+    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(3)])
+    X = np.array([lie_element(rng, 3).matrix for _ in range(3)])
+    X[1, 0, 1] += 0.1
+    H = np.array([hamiltonian(rng, 3).H for _ in range(3)])
+    H[2, 0, 1] += 0.1j
+    with pytest.raises(DomainError, match="Lie algebra"):
+        evolve_exp(X, Z, 1.0)
+    with pytest.raises(DomainError, match="self-adjoint"):
+        schrodinger_evolve(H, Z, 1.0)
+
+
 def test_trajectory_equals_per_step_flow(rng):
     z = random_point(rng, 3, 0.8)
     for gen, flow in batched_flows(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hilbertball import isometries
+from hilbertball import algebra, dynamics, isometries
 from hilbertball.errors import DomainError
 from hilbertball.geometry import (
     BallPoint,
@@ -360,3 +360,24 @@ def test_tangent_vector_structure():
     assert np.allclose(JJX.hol, -X.hol)
     with pytest.raises(DomainError):
         TangentVector(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", ["rim", "nan"])
+def test_stack_kernels_reject_one_bad_row(rng, bad):
+    n = 3
+    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(16)])
+    if bad == "rim":
+        Z[5] *= (1.0 - 1e-13) / np.linalg.norm(Z[5])
+    else:
+        Z[5, 1] = complex(np.nan, 0.0)
+    ident = np.broadcast_to(np.eye(n + 1, dtype=complex), (16, n + 1, n + 1))
+    calls = [
+        lambda: isometries.mobius_apply(ident, Z),
+        lambda: algebra.evaluate(ident, Z),
+        lambda: algebra.fit_operator(Z, np.ones(16)),
+        lambda: dynamics.evolve_exp(np.zeros((16, n + 1, n + 1)), Z, 1.0),
+        lambda: dynamics.schrodinger_evolve(np.zeros((16, n, n)), Z, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()

@@ -275,3 +275,26 @@ def test_mixed_subspace_mirror_is_not_an_isometry():
     d1 = distance(mirror_apply(F, u), mirror_apply(F, v))
     assert abs(mirror_apply(F, u).norm() - u.norm()) < 1e-14
     assert abs(d1 - d0) > 1e-4
+
+
+def test_stacked_kernels_equal_scalar_calls(rng):
+    T = np.array([group_member(rng, 3).matrix for _ in range(6)])
+    T[1] *= 1.001  # off the group, but the same Moebius map
+    X = np.array([lie_element(rng, 3).matrix for _ in range(6)])
+    X[2, 0, 0] += 0.5  # off the Lie algebra
+    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
+    images = mobius_apply(T, Z)
+    check = is_inhomogeneous_unitary(T)
+    blocks = block_condition_defect(T)
+    lie = lie_defect(X)
+    assert images.shape == (6, 3) and check.ok.tolist().count(False) == 1
+    for i in range(6):
+        Ti, Xi = ExtendedOperator(T[i]), ExtendedOperator(X[i])
+        assert np.abs(images[i] - mobius_apply(Ti, BallPoint(Z[i])).vector).max() < 1e-15
+        single = is_inhomogeneous_unitary(Ti)
+        assert check.ok[i] == single.ok
+        assert abs(check.defect[i] - single.defect) <= 1e-15 * max(1.0, single.defect)
+        assert abs(blocks[i] - block_condition_defect(Ti)) <= 1e-15 * max(1.0, blocks[i])
+        assert check_block_conditions(T)[i] == check_block_conditions(Ti)
+        assert abs(lie[i] - lie_defect(Xi)) <= 1e-15 * max(1.0, lie[i])
+        assert lie_algebra_check(X)[i] == lie_algebra_check(Xi)

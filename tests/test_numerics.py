@@ -14,8 +14,6 @@ from hilbertball.numerics import (
     op_norm,
     real_projection,
     realify,
-    richardson,
-    sample_ball_point,
     sobol_unit,
     unrealify,
     wirtinger_first,
@@ -23,6 +21,7 @@ from hilbertball.numerics import (
 )
 
 from hilbertball.dynamics import TIME_BLOCK
+from hilbertball.verify import _points
 
 from conftest import cgauss, complex_matrices, same_bytes
 
@@ -134,6 +133,47 @@ def test_mat_exp_batch_equals_scalar_calls(rng, n):
         assert same_bytes(E, mat_exp(X, t))
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_mat_exp_stack_equals_scalar_calls(rng, n):
+    # unsorted generators with the zero matrix, spanning halving counts 0
+    # to 10, at a positive and a negative time
+    scales = np.concatenate([[0.0], rng.uniform(0.0, 0.4, 5), rng.uniform(1.0, 400.0, 10)])
+    rng.shuffle(scales)
+    X = cgauss(rng, (scales.size, n, n))
+    X *= (scales / np.linalg.norm(X, np.inf, axis=(1, 2)))[:, None, None]
+    for t in (1.0, -0.7):
+        stack = mat_exp(X, t)
+        assert stack.shape == X.shape
+        for Xi, E in zip(X, stack):
+            assert same_bytes(E, mat_exp(Xi, t))
+
+
+def test_op_norm_stack_equals_scalar_calls(rng):
+    stack = cgauss(rng, (7, 4, 6))
+    norms = op_norm(stack)
+    assert norms.shape == (7,)
+    for M, nrm in zip(stack, norms.tolist()):
+        assert abs(nrm - op_norm(M)) <= 4e-16 * nrm
+    assert op_norm(np.zeros((3, 0, 2))).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", ["nan_entry", "times_with_stack", "four_axes"])
+def test_stacked_kernels_reject_bad_stacks(rng, bad):
+    X = cgauss(rng, (3, 2, 2))
+    t = 1.0
+    if bad == "nan_entry":
+        X[1, 0, 1] = np.nan
+    elif bad == "times_with_stack":
+        t = np.array([0.1, 0.2, 0.3])
+    else:
+        X = X[None]
+    with pytest.raises(DomainError):
+        mat_exp(X, t)
+    if bad == "nan_entry":
+        with pytest.raises(DomainError):
+            op_norm(X)
+
+
 @pytest.mark.parametrize(
     "t", [np.zeros((2, 2)), np.array([0.1, np.nan]), np.array([np.inf]), np.nan]
 )
@@ -204,16 +244,6 @@ def test_wirtinger_second_on_polynomial():
     assert abs(wirtinger_second(g, conjugate=True) - 2 * a * a) < 1e-6
 
 
-def test_richardson_kills_leading_error():
-    # fd(h) = derivative stencil of sin at 0 with O(h^2) error
-    def stencil(h):
-        return (math.sin(h) - math.sin(-h)) / (2 * h)
-
-    plain = abs(stencil(1e-2) - 1.0)
-    extrapolated = abs(richardson(stencil, 1e-2) - 1.0)
-    assert extrapolated < plain * 1e-3
-
-
 def test_sobol_unit_deterministic():
     a = sobol_unit(64, 5, seed=3)
     b = sobol_unit(64, 5, seed=3)
@@ -237,8 +267,8 @@ def test_gaussian_directions_inverse_cdf():
 
 
 def test_sample_ball_point_stays_inside():
+    # verify's stacked point draw, over 200 seeds and a (3, 4) shape
     for seed in range(200):
-        z = sample_ball_point(5, seed, 0.97)
-        assert float(np.linalg.norm(z)) <= 0.97 + 1e-12
-    with pytest.raises(DomainError):
-        sample_ball_point(5, 0, 1.0)
+        Z = _points(np.random.default_rng(seed), 5, (3, 4), 0.97)
+        assert Z.shape == (3, 4, 5)
+        assert np.linalg.norm(Z, axis=-1).max() <= 0.97 + 1e-12

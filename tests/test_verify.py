@@ -48,6 +48,7 @@ def test_suite_filter_and_report_shape():
     names = [p["name"] for p in report["properties"]]
     assert names == sorted(names)
     assert report["passed"] is True
+    assert all(p["error"] is None for p in report["properties"])
     with pytest.raises(DomainError):
         run_suite("nope", cfg)
 
@@ -74,3 +75,12 @@ def test_crashing_runner_reported_not_raised(monkeypatch):
     res = run_property(0, VerifyConfig(dim=2, trials=3))
     assert res.passed is False
     assert math.isinf(res.max_defect)
+    assert res.error == "ValueError: synthetic failure"
+
+
+@pytest.mark.parametrize("dim, trials", [(7, 10), (16, 2)])
+def test_representation_injectivity_at_high_dims(dim, trials):
+    # (n+1)^2 unknowns outgrow a fixed fifty points from dim 7 on
+    index = [entry[1] for entry in PROPERTIES].index("representation_injectivity")
+    res = run_property(index, VerifyConfig(dim=dim, trials=trials, seed=0))
+    assert res.passed and res.error is None

@@ -86,13 +86,18 @@ def evaluate(C, z):
             raise DomainError("operator and point dimensions differ")
         zh = extended_point(z)
         return complex(k_factor(z) * np.vdot(zh, C.apply(zh)))
+    C, Z, zh = _stacked_operands(C, z)
+    return k_factor(Z) * np.sum(zh.conj() * (C @ zh[..., None])[..., 0], axis=-1)
+
+
+def _stacked_operands(C, z):
+    """Validated arrays of matrices and of points whose leading axes
+    broadcast, with the points' zhat."""
     C = _as_complex_matrix(C, square=True, stack=True)
     Z = _as_points(z)
     if C.shape[-1] != Z.shape[-1] + 1:
         raise DomainError("operator and point dimensions differ")
-    zh = extended_point(Z)
-    k = 1.0 / (1.0 - np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1))
-    return k * np.sum(zh.conj() * (C @ zh[..., None])[..., 0], axis=-1)
+    return C, Z, extended_point(Z)
 
 
 def evaluate_blocks(C, z):
@@ -123,21 +128,36 @@ def holo_differential(C, z):
     """Components w of the holomorphic differential of f_C at z.
 
     The action on a holomorphic tangent u is the plain dot product w . u:
-    (df)(u) = k <zhat|C(u,0)> + k^2 <zhat|C zhat><z|u>.
+    (df)(u) = k <zhat|C(u,0)> + k^2 <zhat|C zhat><z|u>.  Arrays of
+    matrices and of points broadcast over their leading axes as in
+    `evaluate`, giving the array of differentials.
     """
-    n = z.dim
-    k = k_factor(z)
-    zh = extended_point(z)
-    row = np.conj(zh) @ C.matrix
-    fz = np.vdot(zh, C.apply(zh))
-    return k * row[:n] + (k * k) * fz * np.conj(z.vector)
+    if isinstance(C, ExtendedOperator):
+        n = z.dim
+        k = k_factor(z)
+        zh = extended_point(z)
+        row = np.conj(zh) @ C.matrix
+        fz = np.vdot(zh, C.apply(zh))
+        return k * row[:n] + (k * k) * fz * np.conj(z.vector)
+    C, Z, zh = _stacked_operands(C, z)
+    n = Z.shape[-1]
+    k = k_factor(Z)[..., None]
+    row = (zh.conj()[..., None, :] @ C)[..., 0, :]
+    fz = np.sum(zh.conj() * (C @ zh[..., None])[..., 0], axis=-1)[..., None]
+    return k * row[..., :n] + (k * k) * fz * Z.conj()
 
 
 def gradient(C, z):
-    """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector."""
-    n = z.dim
-    czh = C.apply(extended_point(z))
-    return czh[:n] + czh[n] * z.vector
+    """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
+    array of them for arrays of matrices and points, as in `evaluate`."""
+    if isinstance(C, ExtendedOperator):
+        n = z.dim
+        czh = C.apply(extended_point(z))
+        return czh[:n] + czh[n] * z.vector
+    C, Z, zh = _stacked_operands(C, z)
+    n = Z.shape[-1]
+    czh = (C @ zh[..., None])[..., 0]
+    return czh[..., :n] + czh[..., n, None] * Z
 
 
 def symplectic_gradient(C, z):
@@ -162,17 +182,30 @@ def poisson_bracket(C, Cp, z):
 
 
 def star_pointwise(C, Cp, z):
-    """(f_C * f_C')(z) = f_C(z) f_C'(z) - (df_C)(grad f_C')."""
-    correction = np.dot(holo_differential(C, z), gradient(Cp, z))
-    return complex(evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction)
+    """(f_C * f_C')(z) = f_C(z) f_C'(z) - (df_C)(grad f_C').
+
+    Arrays of matrices and of points broadcast as in `evaluate` and give
+    the complex array of values."""
+    if isinstance(C, ExtendedOperator):
+        correction = np.dot(holo_differential(C, z), gradient(Cp, z))
+        return complex(evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction)
+    correction = np.sum(holo_differential(C, z) * gradient(Cp, z), axis=-1)
+    return evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction
 
 
 def star_operator(C, Cp):
-    """Operator form of the product: C eps C'."""
-    if C.dim != Cp.dim:
+    """Operator form of the product: C eps C'.  Two arrays of matrices
+    broadcast over their leading axes and give the array of products."""
+    if isinstance(C, ExtendedOperator):
+        if C.dim != Cp.dim:
+            raise DomainError("operator dimensions differ")
+        eps = epsilon_matrix(C.dim)
+        return ExtendedOperator(C.matrix @ eps @ Cp.matrix)
+    C = _as_complex_matrix(C, square=True, stack=True)
+    Cp = _as_complex_matrix(Cp, square=True, stack=True)
+    if C.shape[-1] != Cp.shape[-1]:
         raise DomainError("operator dimensions differ")
-    eps = epsilon_matrix(C.dim)
-    return ExtendedOperator(C.matrix @ eps @ Cp.matrix)
+    return C @ epsilon_matrix(C.shape[-1] - 1) @ Cp
 
 
 def self_adjoint_defect(C):

@@ -143,19 +143,44 @@ class TangentVector:
 
 
 def k_factor(z):
-    """Conformal factor 1/(1 - ||z||^2), at least 1 on the ball."""
-    return 1.0 / (1.0 - z.norm_sq())
+    """Conformal factor 1/(1 - ||z||^2), at least 1 on the ball.
+
+    An array of points along its last axis gives the array of factors;
+    one point outside the ball raises DomainError.
+    """
+    if isinstance(z, BallPoint):
+        return 1.0 / (1.0 - z.norm_sq())
+    Z = _as_points(z)
+    return 1.0 / (1.0 - np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1))
+
+
+def _dots(a, b):
+    """<a|b> along the last axis, antilinear in a."""
+    return np.sum(a.conj() * b, axis=-1)
 
 
 def metric(z, s, t):
-    """Evaluate the metric at z on two complexified tangent vectors."""
-    zv = z.vector
-    if s.hol.size != zv.size or t.hol.size != zv.size:
-        raise DomainError("tangent dimension does not match the point")
-    k = k_factor(z)
-    term1 = np.vdot(s.antihol, t.hol) + np.vdot(t.antihol, s.hol)
-    term2 = np.vdot(s.antihol, zv) * np.vdot(zv, t.hol) + np.vdot(t.antihol, zv) * np.vdot(zv, s.hol)
-    return complex(k * term1 + k * k * term2)
+    """Evaluate the metric at z on two complexified tangent vectors.
+
+    z may also be an array of points along its last axis, with tangent
+    vectors whose parts are arrays of the same shape; the result is then
+    the complex array of values.
+    """
+    if isinstance(z, BallPoint):
+        zv = z.vector
+        if s.hol.size != zv.size or t.hol.size != zv.size:
+            raise DomainError("tangent dimension does not match the point")
+        k = k_factor(z)
+        term1 = np.vdot(s.antihol, t.hol) + np.vdot(t.antihol, s.hol)
+        term2 = np.vdot(s.antihol, zv) * np.vdot(zv, t.hol) + np.vdot(t.antihol, zv) * np.vdot(zv, s.hol)
+        return complex(k * term1 + k * k * term2)
+    Z = np.asarray(z, dtype=complex)
+    k = k_factor(Z)
+    if s.hol.shape != Z.shape or t.hol.shape != Z.shape:
+        raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}")
+    term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
+    term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
+    return k * term1 + k * k * term2
 
 
 def kahler_form(z, s, t):
@@ -265,34 +290,39 @@ def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
     line through 0 is evaluated with the real-tangent (doubled) metric.
     The curvature is -(1/(2 lambda)) Laplacian(log lambda), with the
     Laplacian taken by the 5-point stencil at an interior chart point.
+
+    A (k, n) array of points with a (k, n) array of directions gives the
+    array of k curvatures.  A single point is probed as a stack of one,
+    so both forms agree bit for bit.
     """
     from . import isometries  # the two modules reference each other
 
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise DomainError("curvature probe needs a nonzero direction")
-    if z.norm() > 0.0:
-        back = isometries.inverse(isometries.transport_from_origin(z))
-        pushed = isometries.mobius_differential(back, z) @ u
+    single = isinstance(z, BallPoint)
+    U = np.asarray(u, dtype=complex)
+    if single:
+        Z, U = z.vector[None], np.atleast_1d(U)[None]
     else:
-        pushed = u
-    direction = pushed / np.linalg.norm(pushed)
+        Z = _as_points(z)
+    if Z.ndim != 2 or U.shape != Z.shape:
+        raise DomainError(f"need (k, n) arrays of points and directions, got {Z.shape} and {U.shape}")
+    if not (np.linalg.norm(U, axis=-1) > 0.0).all():
+        raise DomainError("curvature probe needs finite nonzero directions")
+    back = isometries.inverse(isometries.transport_from_origin(Z))
+    pushed = (isometries.mobius_differential(back, Z) @ U[:, :, None])[:, :, 0]
+    direction = pushed / np.linalg.norm(pushed, axis=-1)[:, None]
 
-    def lam(w):
-        p = BallPoint(w * direction)
-        s = TangentVector.real(direction)
-        return metric(p, s, s).real
-
+    # lambda(w) at the stencil's five chart points, one row per probe
     h = step
-    w0 = complex(base, 0.0)
-    f0 = math.log(lam(w0))
-    fxp = math.log(lam(w0 + h))
-    fxm = math.log(lam(w0 - h))
-    fyp = math.log(lam(w0 + 1j * h))
-    fym = math.log(lam(w0 - 1j * h))
-    lap = (fxp + fxm + fyp + fym - 4.0 * f0) / (h * h)
-    return -lap / (2.0 * lam(w0))
+    w = complex(base, 0.0) + np.array([0.0, h, -h, 1j * h, -1j * h])
+    D = np.broadcast_to(direction, (5,) + direction.shape)
+    s = TangentVector.real(D)
+    lam = metric(w[:, None, None] * D, s, s).real
+    if not (lam > 0.0).all():
+        raise DomainError("the metric is not positive along the probed line")
+    f = np.log(lam)
+    lap = (f[1] + f[2] + f[3] + f[4] - 4.0 * f[0]) / (h * h)
+    curvature = -lap / (2.0 * lam[0])
+    return float(curvature[0]) if single else curvature
 
 
 def recover_inner_product(u, v):

@@ -109,6 +109,16 @@ def _matrices(T):
     return M, M.shape[-1] - 1
 
 
+def _stack_and_points(T, z):
+    """A validated (k, n+1, n+1) stack of matrices, n, and a validated
+    (k, n) array of points."""
+    M, n = _matrices(T)
+    Z = _as_points(z)
+    if M.ndim != 3 or Z.shape != (M.shape[0], n):
+        raise DomainError(f"need a (k, n+1, n+1) stack and a (k, n) array, got {M.shape} and {Z.shape}")
+    return M, n, Z
+
+
 def epsilon_matrix(dim):
     """diag(-1, ..., -1, 1) on C^dim + C."""
     d = np.ones(dim + 1, dtype=complex)
@@ -177,10 +187,7 @@ def mobius_apply(T, z):
         if abs(den) < DEGENERATE_DENOMINATOR:
             raise DomainError("degenerate Moebius denominator")
         return BallPoint((T.A @ z.vector + T.x) / den)
-    M, n = _matrices(T)
-    Z = _as_points(z)
-    if M.ndim != 3 or Z.shape != (M.shape[0], n):
-        raise DomainError(f"need a (k, n+1, n+1) stack and a (k, n) array, got {M.shape} and {Z.shape}")
+    M, n, Z = _stack_and_points(T, z)
     top = (M[:, :n, :n] @ Z[:, :, None])[:, :, 0] + M[:, :n, n]
     den = np.sum(M[:, n, :n] * Z, axis=-1) + M[:, n, n]
     if (np.abs(den) < DEGENERATE_DENOMINATOR).any():
@@ -189,12 +196,24 @@ def mobius_apply(T, z):
 
 
 def mobius_differential(T, z):
-    """Complex Jacobian of phi_T at z, as an n x n matrix."""
-    den = complex(np.vdot(T.y, z.vector) + T.a)
-    if abs(den) < DEGENERATE_DENOMINATOR:
+    """Complex Jacobian of phi_T at z, as an n x n matrix.
+
+    A (k, n+1, n+1) stack of matrices and a (k, n) array of points give
+    the (k, n, n) array of Jacobians.
+    """
+    if isinstance(T, ExtendedOperator):
+        den = complex(np.vdot(T.y, z.vector) + T.a)
+        if abs(den) < DEGENERATE_DENOMINATOR:
+            raise DomainError("degenerate Moebius denominator")
+        top = T.A @ z.vector + T.x
+        return T.A / den - np.outer(top, np.conj(T.y)) / (den * den)
+    M, n, Z = _stack_and_points(T, z)
+    A, yc = M[:, :n, :n], M[:, n, :n]
+    den = np.sum(yc * Z, axis=-1) + M[:, n, n]
+    if (np.abs(den) < DEGENERATE_DENOMINATOR).any():
         raise DomainError("degenerate Moebius denominator")
-    top = T.A @ z.vector + T.x
-    return T.A / den - np.outer(top, np.conj(T.y)) / (den * den)
+    top = (A @ Z[:, :, None])[:, :, 0] + M[:, :n, n]
+    return A / den[:, None, None] - top[:, :, None] * yc[:, None, :] / (den * den)[:, None, None]
 
 
 def transport_from_origin(u):
@@ -202,22 +221,41 @@ def transport_from_origin(u):
 
     With m = (1 - ||u||^2)^(-1/2): A = I + (m - 1) E_u for the orthogonal
     projection E_u onto the line through u, x = y = m u, a = m.  Self-
-    adjoint blocks, deterministic, and phi_T(0) = u.
+    adjoint blocks, deterministic, and phi_T(0) = u.  A (k, n) array of
+    points gives the (k, n+1, n+1) array of their transports.
     """
-    n = u.dim
-    nsq = u.norm_sq()
-    if nsq == 0.0:
-        return ExtendedOperator.identity(n)
+    if isinstance(u, BallPoint):
+        n = u.dim
+        nsq = u.norm_sq()
+        if nsq == 0.0:
+            return ExtendedOperator.identity(n)
+        m = 1.0 / np.sqrt(1.0 - nsq)
+        proj = np.outer(u.vector, np.conj(u.vector)) / nsq
+        A = np.eye(n, dtype=complex) + (m - 1.0) * proj
+        return ExtendedOperator.from_blocks(A, m * u.vector, m * u.vector, m)
+    U = _as_points(u)
+    if U.ndim != 2:
+        raise DomainError(f"need a (k, n) array of points, got shape {U.shape}")
+    k, n = U.shape
+    nsq = np.sum(U.real ** 2 + U.imag ** 2, axis=-1)
     m = 1.0 / np.sqrt(1.0 - nsq)
-    proj = np.outer(u.vector, np.conj(u.vector)) / nsq
-    A = np.eye(n, dtype=complex) + (m - 1.0) * proj
-    return ExtendedOperator.from_blocks(A, m * u.vector, m * u.vector, m)
+    # the origin's projection is left at zero, so its transport is I
+    proj = U[:, :, None] * U.conj()[:, None, :] / np.where(nsq > 0.0, nsq, 1.0)[:, None, None]
+    T = np.empty((k, n + 1, n + 1), dtype=complex)
+    T[:, :n, :n] = np.eye(n) + (m - 1.0)[:, None, None] * proj
+    T[:, :n, n] = m[:, None] * U
+    T[:, n, :n] = m[:, None] * U.conj()
+    T[:, n, n] = m
+    return T
 
 
 def inverse(T):
-    """Group inverse eps T* eps (valid whenever T* eps T = eps)."""
-    eps = epsilon_matrix(T.dim)
-    return ExtendedOperator(eps @ T.matrix.conj().T @ eps)
+    """Group inverse eps T* eps (valid whenever T* eps T = eps); the array
+    of inverses for a (k, n+1, n+1) stack of matrices."""
+    M, n = _matrices(T)
+    eps = epsilon_matrix(n)
+    inv = eps @ M.conj().swapaxes(-1, -2) @ eps
+    return ExtendedOperator(inv) if isinstance(T, ExtendedOperator) else inv
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,14 @@ def same_bytes(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
+def rows_close(stacked, singles, rel=1e-15):
+    """A stacked kernel's result against the list of its single-input
+    results: equal shapes, and every difference within rel times the
+    largest entry."""
+    a, b = np.asarray(stacked), np.array(singles)
+    return a.shape == b.shape and np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 def random_point(rng, dim, max_norm=0.9):
     g = cgauss(rng, dim)
     g = g / np.linalg.norm(g)

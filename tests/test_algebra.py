@@ -34,7 +34,7 @@ from hilbertball.geometry import BallPoint
 from hilbertball.isometries import ExtendedOperator, epsilon_operator
 from hilbertball.numerics import op_norm, wirtinger_first
 
-from conftest import cgauss, random_point
+from conftest import cgauss, random_point, rows_close, same_bytes
 
 
 def random_operator(rng, dim):
@@ -205,6 +205,24 @@ def test_stacked_evaluate_and_fit_equal_scalar_calls(rng):
         assert np.abs(vi - single).max() <= 1e-14 * np.abs(vi).max()
         assert op_norm(Fi - fit_operator(points, single).matrix) < 1e-12
         assert op_norm(Fi - Ci) < 1e-9
+
+
+def test_stacked_star_kernels_equal_scalar_calls(rng):
+    n, k = 3, 8
+    C, Cp = cgauss(rng, (k, n + 1, n + 1)), cgauss(rng, (k, n + 1, n + 1))
+    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
+    ops = [(ExtendedOperator(c), ExtendedOperator(cp), BallPoint(z)) for c, cp, z in zip(C, Cp, Z)]
+    assert same_bytes(star_operator(C, Cp), [star_operator(c, cp).matrix for c, cp, _ in ops])
+    assert rows_close(holo_differential(C, Z), [holo_differential(c, z) for c, _, z in ops])
+    assert rows_close(gradient(C, Z), [gradient(c, z) for c, _, z in ops])
+    assert rows_close(star_pointwise(C, Cp, Z), [star_pointwise(c, cp, z) for c, cp, z in ops])
+    # one operator against many points broadcasts like evaluate
+    assert rows_close(star_pointwise(C[0], Cp[0], Z), [star_pointwise(ops[0][0], ops[0][1], z)
+                                                       for _, _, z in ops])
+    with pytest.raises(DomainError):
+        star_operator(C, Cp[:, :n, :n])
+    with pytest.raises(DomainError):
+        gradient(C, Z[:, :2])
 
 
 # norms ---------------------------------------------------------------

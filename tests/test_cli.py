@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hilbertball import cli, geometry, isometries, serialize
+from hilbertball import cli, geometry, isometries, serialize, verify
 from hilbertball.geometry import BallPoint
 
 from conftest import cgauss
@@ -197,10 +197,12 @@ def test_verify_rejects_bad_configuration(capsys):
 
 def test_verify_flags_broken_metric(monkeypatch, capsys):
     # a bilinear stand-in loses the J-invariance the true pairing has;
-    # the suite must fail and say which property broke
+    # the suite must fail and say which property broke.  It takes single
+    # points and stacks alike, so the property fails by its defect, not
+    # by a crash.
     def bilinear(z, s, t):
         k = geometry.k_factor(z)
-        return complex(k * (np.dot(s.antihol, t.hol) + np.dot(t.antihol, s.hol)))
+        return k * (np.sum(s.antihol * t.hol, axis=-1) + np.sum(t.antihol * s.hol, axis=-1))
 
     monkeypatch.setattr("hilbertball.geometry.metric", bilinear)
     rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
@@ -210,6 +212,31 @@ def test_verify_flags_broken_metric(monkeypatch, capsys):
     assert "metric_j_invariance" in captured.err
     report = json.loads(captured.out)
     assert "metric_j_invariance" in report["failed_properties"]
+    entry = next(p for p in report["properties"] if p["name"] == "metric_j_invariance")
+    assert entry["error"] is None and 0.0 < entry["max_defect"] < float("inf")
+
+
+def test_verify_reports_any_exception(monkeypatch, capsys):
+    # a property that raises outside the numeric error types still
+    # yields the complete report and exit code 1
+    index = [entry[1] for entry in verify.PROPERTIES].index("metric_positivity")
+    suite, name, tol, _ = verify.PROPERTIES[index]
+
+    def broken(cfg, rng):
+        raise TypeError("unsupported operand")
+
+    patched = list(verify.PROPERTIES)
+    patched[index] = (suite, name, tol, broken)
+    monkeypatch.setattr(verify, "PROPERTIES", tuple(patched))
+    rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert len(report["properties"]) == sum(e[0] == "geometry" for e in verify.PROPERTIES)
+    assert report["failed_properties"] == ["metric_positivity"]
+    entry = next(p for p in report["properties"] if p["name"] == "metric_positivity")
+    assert entry["error"] == "TypeError: unsupported operand"
+    assert "verification failed: metric_positivity" in captured.err
 
 
 def test_verify_flags_broken_stacked_mobius(monkeypatch, capsys):

@@ -24,7 +24,7 @@ from hilbertball.geometry import (
     tanh_distance,
 )
 
-from conftest import ball_vectors, cgauss, random_point
+from conftest import ball_vectors, cgauss, random_point, rows_close, same_bytes
 
 
 # ---------------------------------------------------------------------
@@ -371,13 +371,48 @@ def test_stack_kernels_reject_one_bad_row(rng, bad):
     else:
         Z[5, 1] = complex(np.nan, 0.0)
     ident = np.broadcast_to(np.eye(n + 1, dtype=complex), (16, n + 1, n + 1))
+    s = TangentVector.real(np.ones_like(Z))
     calls = [
         lambda: isometries.mobius_apply(ident, Z),
         lambda: algebra.evaluate(ident, Z),
         lambda: algebra.fit_operator(Z, np.ones(16)),
         lambda: dynamics.evolve_exp(np.zeros((16, n + 1, n + 1)), Z, 1.0),
         lambda: dynamics.schrodinger_evolve(np.zeros((16, n, n)), Z, 1.0),
+        lambda: k_factor(Z),
+        lambda: metric(Z, s, s),
+        lambda: sectional_curvature_probe(Z, np.ones_like(Z)),
+        lambda: isometries.transport_from_origin(Z),
+        lambda: isometries.mobius_differential(ident, Z),
+        lambda: algebra.holo_differential(ident, Z),
+        lambda: algebra.gradient(ident, Z),
+        lambda: algebra.star_pointwise(ident, ident, Z),
     ]
+    if bad == "nan":
+        # the matrix kernels take no points: one bad matrix instead
+        M = np.array(ident)
+        M[5, 0, 1] = complex(0.0, np.nan)
+        calls += [lambda: isometries.inverse(M), lambda: algebra.star_operator(ident, M)]
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+def test_stacked_geometry_kernels_equal_scalar_calls(rng):
+    n, k = 3, 9
+    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
+    Z[4] = 0.0  # the probe's transport is the identity there
+    U, V, W = (cgauss(rng, (k, n)) for _ in range(3))
+    points = [BallPoint(z) for z in Z]
+    assert rows_close(k_factor(Z), [k_factor(p) for p in points])
+    s, t = TangentVector(U, V), TangentVector(W, U)
+    single = [metric(p, TangentVector(u, v), TangentVector(w, u))
+              for p, u, v, w in zip(points, U, V, W)]
+    assert rows_close(metric(Z, s, t), single)
+    # a single point is probed as a stack of one: the same arithmetic
+    probes = sectional_curvature_probe(Z, U)
+    assert same_bytes(probes, [sectional_curvature_probe(p, u) for p, u in zip(points, U)])
+    assert np.abs(probes + 2.0).max() <= 1e-6
+    with pytest.raises(DomainError):
+        sectional_curvature_probe(Z, np.zeros_like(U))
+    with pytest.raises(DomainError):
+        metric(Z, TangentVector(U[:3], V[:3]), t)

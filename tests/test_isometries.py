@@ -22,7 +22,7 @@ from hilbertball.isometries import (
 )
 from hilbertball.numerics import op_norm
 
-from conftest import cgauss, random_point
+from conftest import cgauss, random_point, rows_close, same_bytes
 
 
 def lie_element(rng, dim):
@@ -298,3 +298,26 @@ def test_stacked_kernels_equal_scalar_calls(rng):
         assert check_block_conditions(T)[i] == check_block_conditions(Ti)
         assert abs(lie[i] - lie_defect(Xi)) <= 1e-15 * max(1.0, lie[i])
         assert lie_algebra_check(X)[i] == lie_algebra_check(Xi)
+
+
+def test_stacked_transport_inverse_differential_equal_scalar_calls(rng):
+    n, k = 3, 8
+    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
+    Z[3] = 0.0  # the origin's transport is the identity
+    W = np.array([random_point(rng, n, 0.7).vector for _ in range(k)])
+    points = [BallPoint(z) for z in Z]
+    T = transport_from_origin(Z)
+    single = [transport_from_origin(p).matrix for p in points]
+    assert rows_close(T, single)
+    assert same_bytes(T[3], np.eye(n + 1, dtype=complex))
+    M = np.array([group_member(rng, n).matrix for _ in range(k)])
+    M[1] *= 1.001  # off the group: the formula is applied all the same
+    # eps T* eps only flips signs, so the stack is exact
+    assert same_bytes(inverse(M), [inverse(ExtendedOperator(m)).matrix for m in M])
+    D = mobius_differential(M, W)
+    assert rows_close(D, [mobius_differential(ExtendedOperator(m), BallPoint(w))
+                          for m, w in zip(M, W)])
+    with pytest.raises(DomainError):
+        transport_from_origin(Z[None])
+    with pytest.raises(DomainError):
+        mobius_differential(M, W[:-1])

@@ -26,6 +26,10 @@ shifted chain conj(f) * h * f has operator C* eps I eps C = C*C, so
 argmax.  Every estimator screens and refines on the reduced quotient and
 re-evaluates its argmax once through the function-level star chain; the
 two routes are required to agree.
+
+`evaluate`, its derivatives and both star products take arrays of
+operators and of points over any leading axes as well as single
+objects, with one formula body for both (see `geometry`).
 """
 
 import math
@@ -35,10 +39,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, HBAR, TangentVector, _as_points, k_factor, kahler_form, metric
-from .isometries import ExtendedOperator, epsilon_matrix, epsilon_operator
+from .geometry import (
+    BallPoint,
+    HBAR,
+    TangentVector,
+    _as_points,
+    _result,
+    k_factor,
+    kahler_form,
+    metric,
+)
+from .isometries import ExtendedOperator, _matrices, _operands, epsilon_matrix, epsilon_operator
 from .numerics import (
-    _as_complex_matrix,
     gaussian_directions,
     golden_max,
     op_norm,
@@ -68,9 +80,16 @@ def unit(dim):
 def extended_point(z):
     """zhat = (z, 1) in C^n + C; for an array of points along its last
     axis, the array of their zhat."""
-    if isinstance(z, BallPoint):
-        return np.concatenate([z.vector, [1.0 + 0.0j]])
-    return np.concatenate([z, np.ones(z.shape[:-1] + (1,), dtype=complex)], axis=-1)
+    z = z.vector if isinstance(z, BallPoint) else z
+    zh = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=complex)
+    zh[..., :-1] = z
+    zh[..., -1] = 1.0
+    return zh
+
+
+def _form(C, zh):
+    """<zhat|C zhat> over the leading axes."""
+    return np.vecdot(zh, np.matvec(C, zh))
 
 
 def evaluate(C, z):
@@ -81,23 +100,9 @@ def evaluate(C, z):
     do, and the result is the complex array of values.  One point
     outside the ball raises DomainError.
     """
-    if isinstance(C, ExtendedOperator):
-        if C.dim != z.dim:
-            raise DomainError("operator and point dimensions differ")
-        zh = extended_point(z)
-        return complex(k_factor(z) * np.vdot(zh, C.apply(zh)))
-    C, Z, zh = _stacked_operands(C, z)
-    return k_factor(Z) * np.sum(zh.conj() * (C @ zh[..., None])[..., 0], axis=-1)
-
-
-def _stacked_operands(C, z):
-    """Validated arrays of matrices and of points whose leading axes
-    broadcast, with the points' zhat."""
-    C = _as_complex_matrix(C, square=True, stack=True)
-    Z = _as_points(z)
-    if C.shape[-1] != Z.shape[-1] + 1:
-        raise DomainError("operator and point dimensions differ")
-    return C, Z, extended_point(Z)
+    C, _, Z = _operands(C, z)
+    zh = extended_point(Z)
+    return _result(k_factor(z) * _form(C, zh))
 
 
 def evaluate_blocks(C, z):
@@ -132,31 +137,18 @@ def holo_differential(C, z):
     matrices and of points broadcast over their leading axes as in
     `evaluate`, giving the array of differentials.
     """
-    if isinstance(C, ExtendedOperator):
-        n = z.dim
-        k = k_factor(z)
-        zh = extended_point(z)
-        row = np.conj(zh) @ C.matrix
-        fz = np.vdot(zh, C.apply(zh))
-        return k * row[:n] + (k * k) * fz * np.conj(z.vector)
-    C, Z, zh = _stacked_operands(C, z)
-    n = Z.shape[-1]
-    k = k_factor(Z)[..., None]
-    row = (zh.conj()[..., None, :] @ C)[..., 0, :]
-    fz = np.sum(zh.conj() * (C @ zh[..., None])[..., 0], axis=-1)[..., None]
-    return k * row[..., :n] + (k * k) * fz * Z.conj()
+    C, n, Z = _operands(C, z)
+    zh = extended_point(Z)
+    k = np.asarray(k_factor(z))[..., None]
+    return k * np.vecmat(zh, C)[..., :n] + (k * k) * _form(C, zh)[..., None] * Z.conj()
 
 
 def gradient(C, z):
     """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
     array of them for arrays of matrices and points, as in `evaluate`."""
-    if isinstance(C, ExtendedOperator):
-        n = z.dim
-        czh = C.apply(extended_point(z))
-        return czh[:n] + czh[n] * z.vector
-    C, Z, zh = _stacked_operands(C, z)
-    n = Z.shape[-1]
-    czh = (C @ zh[..., None])[..., 0]
+    C, n, Z = _operands(C, z)
+    zh = extended_point(Z)
+    czh = np.matvec(C, zh)
     return czh[..., :n] + czh[..., n, None] * Z
 
 
@@ -186,26 +178,20 @@ def star_pointwise(C, Cp, z):
 
     Arrays of matrices and of points broadcast as in `evaluate` and give
     the complex array of values."""
-    if isinstance(C, ExtendedOperator):
-        correction = np.dot(holo_differential(C, z), gradient(Cp, z))
-        return complex(evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction)
-    correction = np.sum(holo_differential(C, z) * gradient(Cp, z), axis=-1)
-    return evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction
+    correction = np.vecdot(holo_differential(C, z).conj(), gradient(Cp, z))
+    return _result(evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction)
 
 
 def star_operator(C, Cp):
     """Operator form of the product: C eps C'.  Two arrays of matrices
     broadcast over their leading axes and give the array of products."""
-    if isinstance(C, ExtendedOperator):
-        if C.dim != Cp.dim:
-            raise DomainError("operator dimensions differ")
-        eps = epsilon_matrix(C.dim)
-        return ExtendedOperator(C.matrix @ eps @ Cp.matrix)
-    C = _as_complex_matrix(C, square=True, stack=True)
-    Cp = _as_complex_matrix(Cp, square=True, stack=True)
-    if C.shape[-1] != Cp.shape[-1]:
+    M, n = _matrices(C)
+    Mp, m = _matrices(Cp)
+    if n != m:
         raise DomainError("operator dimensions differ")
-    return C @ epsilon_matrix(C.shape[-1] - 1) @ Cp
+    P = M @ epsilon_matrix(n) @ Mp
+    single = isinstance(C, ExtendedOperator) or isinstance(Cp, ExtendedOperator)
+    return ExtendedOperator(P) if single and P.ndim == 2 else P
 
 
 def self_adjoint_defect(C):
@@ -275,12 +261,7 @@ def fit_operator(points, values):
     and gives the (..., n+1, n+1) array of their matrices.
     """
     stacked = isinstance(points, np.ndarray)
-    if stacked:
-        Z = _as_points(points)
-    else:
-        if not points:
-            raise DomainError("need at least one sample")
-        Z = np.stack([p.vector for p in points])
+    Z = _as_points(points) if stacked else np.array([p.vector for p in points], dtype=complex)
     b = np.asarray(values, dtype=complex)
     d = Z.shape[-1] + 1
     if Z.ndim < 2 or b.shape != Z.shape[:-1]:
@@ -289,7 +270,7 @@ def fit_operator(points, values):
         raise DomainError(f"fitting (n+1)^2 = {d * d} entries needs as many points, got {Z.shape[-2]}")
     zh = extended_point(Z)
     rows = (zh.conj()[..., :, None] * zh[..., None, :]).reshape(Z.shape[:-1] + (d * d,))
-    rhs = b * (1.0 - np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1))
+    rhs = b * (1.0 - np.vecdot(Z, Z).real)
     Q, R = np.linalg.qr(rows)
     sol = np.linalg.solve(R, (Q.conj().swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
     fitted = sol.reshape(sol.shape[:-1] + (d, d))

@@ -17,6 +17,11 @@ In any dimension a self-adjoint H drives the norm-preserving flow
 z(t) = exp(-iHt) z, which is the quantum evolution this geometry
 reproduces.  Trajectories always sample these exact flows; nothing here
 integrates an ODE.
+
+`evolve_exp` and `schrodinger_evolve` take a single generator and point,
+arrays of them over any leading axes (see `geometry`), or one generator
+and point with a 1-D array of times, which gives a list of points from
+one batched exponential.
 """
 
 import cmath
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _as_points, _check_points
-from .isometries import ExtendedOperator, lie_algebra_check, mobius_apply
+from .geometry import BallPoint, _paired_points, _points_result
+from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, mat_exp, op_norm
 
 TAN_POLE_GUARD = 1e-8
@@ -122,44 +127,37 @@ def evolve_exp(X, z, t):
     """phi_{exp(tX)}(z) for any group generator in any dimension.
 
     A 1-D array of times gives a list of points, one per time, from one
-    batched `mat_exp`.  A (k, n+1, n+1) stack of generator matrices with
-    a (k, n) array of points and a scalar t gives the (k, n) array of
-    phi_{exp(t X_i)}(z_i); one matrix off the Lie algebra raises
-    DomainError.
+    batched `mat_exp` and one stacked `mobius_apply`.  Arrays of
+    generator matrices and of points with a scalar t give the array of
+    phi_{exp(t X_i)}(z_i) over their leading axes; one matrix off the
+    Lie algebra raises DomainError.
     """
     if not np.all(lie_algebra_check(X, GENERATOR_TOL)):
         raise DomainError("generator leaves the isometry Lie algebra")
-    if not isinstance(X, ExtendedOperator):
-        return mobius_apply(mat_exp(X, t), z)
-    T = mat_exp(X.matrix, t)
-    if T.ndim == 2:
-        return mobius_apply(ExtendedOperator(T), z)
-    return [mobius_apply(ExtendedOperator(Ti), z) for Ti in T]
+    moved = mobius_apply(mat_exp(_matrices(X)[0], t), z)
+    return [BallPoint(w) for w in moved] if np.ndim(t) else moved
 
 
 def schrodinger_evolve(gen, z, t):
     """Norm-preserving quantum flow z(t) = exp(-iHt) z.
 
     A 1-D array of times gives a list of points, one per time, from one
-    batched `mat_exp`.  A (k, n, n) stack of self-adjoint matrices H_i
-    with a (k, n) array of points and a scalar t gives the (k, n) array
-    of exp(-i H_i t) z_i; one matrix that is not self-adjoint, or one
+    batched `mat_exp`.  Arrays of self-adjoint matrices H_i and of
+    points with a scalar t give the array of exp(-i H_i t) z_i over
+    their leading axes; one matrix that is not self-adjoint, or one
     point outside the ball, raises DomainError.
     """
-    if not isinstance(gen, HamiltonianGenerator):
+    if isinstance(gen, HamiltonianGenerator):
+        H = gen.H
+    else:
         H = _as_complex_matrix(gen, square=True, stack=True)
-        Z = _as_points(z)
-        if H.ndim != 3 or Z.shape != H.shape[:2]:
-            raise DomainError(f"need a (k, n, n) stack and a (k, n) array, got {H.shape} and {Z.shape}")
         if (op_norm(H - H.conj().swapaxes(-1, -2)) > SELF_ADJOINT_TOL).any():
             raise DomainError("Hamiltonian must be self-adjoint")
-        return _check_points((mat_exp(-1j * H, t) @ Z[:, :, None])[:, :, 0])
-    if gen.dim != z.dim:
-        raise DomainError("Hamiltonian and state dimensions differ")
-    U = mat_exp(-1j * gen.H, t)
-    if U.ndim == 2:
-        return BallPoint(U @ z.vector)
-    return [BallPoint(w) for w in U @ z.vector]
+    Z = _paired_points(H, z, H.shape[-1])
+    moved = np.matvec(mat_exp(-1j * H, t), Z)
+    if np.ndim(t):
+        return [BallPoint(w) for w in moved]
+    return _points_result(moved, isinstance(z, BallPoint))
 
 
 def trajectory(generator, z0, t_max, dt):

@@ -32,6 +32,17 @@ transport group as well as under unitary and antiunitary maps, which is
 what makes d the geodesic distance of the metric above.  When <u|v> happens to be real
 both quantities reduce to 1 - <u|v> and the familiar real-part form of
 the formula.
+
+The kernels of this module and of `isometries`, `algebra` and `dynamics`
+each have one formula body written over leading axes: points lie along
+the last axis of an array and operators along the last two, and any
+axes before those broadcast.  A single object is the case with no
+leading axes.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
+and the result wrapped on exit, so a single point gives a `BallPoint`,
+an operator an `ExtendedOperator` and a scalar a Python float or
+complex.  Every point of an array passes the check `BallPoint` makes,
+and one bad point raises DomainError for the whole array.  `distance`
+and the other helpers that take `BallPoint`s only are the exceptions.
 """
 
 import math
@@ -142,21 +153,43 @@ class TangentVector:
         return TangentVector(1j * self.hol, 1j * self.antihol)
 
 
+def _vectors(z):
+    """The vector of a BallPoint, which is validated already, or z as a
+    validated array of points along its last axis."""
+    return z.vector if isinstance(z, BallPoint) else _as_points(z)
+
+
+def _paired_points(M, z, n):
+    """z as validated points of dimension n whose leading axes broadcast
+    against those of the array of matrices M."""
+    Z = _vectors(z)
+    if Z.shape[-1] != n:
+        raise DomainError("operator and point dimensions differ")
+    lead, zlead = M.shape[:-2], Z.shape[:-1]
+    if lead != zlead and not all(a == b or 1 in (a, b) for a, b in zip(lead[::-1], zlead[::-1])):
+        raise DomainError(f"leading axes {lead} and {zlead} do not broadcast")
+    return Z
+
+
+def _result(x):
+    """A result with no leading axes as a Python scalar, any other as is."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _points_result(w, single):
+    """Images of points: a BallPoint for a single point, otherwise the
+    validated array."""
+    return BallPoint(w) if single and w.ndim == 1 else _check_points(w)
+
+
 def k_factor(z):
     """Conformal factor 1/(1 - ||z||^2), at least 1 on the ball.
 
     An array of points along its last axis gives the array of factors;
     one point outside the ball raises DomainError.
     """
-    if isinstance(z, BallPoint):
-        return 1.0 / (1.0 - z.norm_sq())
-    Z = _as_points(z)
-    return 1.0 / (1.0 - np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1))
-
-
-def _dots(a, b):
-    """<a|b> along the last axis, antilinear in a."""
-    return np.sum(a.conj() * b, axis=-1)
+    Z = _vectors(z)
+    return _result(1.0 / (1.0 - np.vecdot(Z, Z).real))
 
 
 def metric(z, s, t):
@@ -166,21 +199,15 @@ def metric(z, s, t):
     vectors whose parts are arrays of the same shape; the result is then
     the complex array of values.
     """
-    if isinstance(z, BallPoint):
-        zv = z.vector
-        if s.hol.size != zv.size or t.hol.size != zv.size:
-            raise DomainError("tangent dimension does not match the point")
-        k = k_factor(z)
-        term1 = np.vdot(s.antihol, t.hol) + np.vdot(t.antihol, s.hol)
-        term2 = np.vdot(s.antihol, zv) * np.vdot(zv, t.hol) + np.vdot(t.antihol, zv) * np.vdot(zv, s.hol)
-        return complex(k * term1 + k * k * term2)
-    Z = np.asarray(z, dtype=complex)
-    k = k_factor(Z)
+    Z = _vectors(z)
     if s.hol.shape != Z.shape or t.hol.shape != Z.shape:
         raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}")
-    term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
-    term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
-    return k * term1 + k * k * term2
+    k = k_factor(z)
+    # np.vecdot(a, b) is <a|b> along the last axis, antilinear in a
+    term1 = np.vecdot(s.antihol, t.hol) + np.vecdot(t.antihol, s.hol)
+    term2 = (np.vecdot(s.antihol, Z) * np.vecdot(Z, t.hol)
+             + np.vecdot(t.antihol, Z) * np.vecdot(Z, s.hol))
+    return _result(k * term1 + k * k * term2)
 
 
 def kahler_form(z, s, t):
@@ -291,38 +318,32 @@ def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
     The curvature is -(1/(2 lambda)) Laplacian(log lambda), with the
     Laplacian taken by the 5-point stencil at an interior chart point.
 
-    A (k, n) array of points with a (k, n) array of directions gives the
-    array of k curvatures.  A single point is probed as a stack of one,
-    so both forms agree bit for bit.
+    Arrays of points and of directions of one shape give the array of
+    curvatures over their leading axes.
     """
     from . import isometries  # the two modules reference each other
 
-    single = isinstance(z, BallPoint)
-    U = np.asarray(u, dtype=complex)
-    if single:
-        Z, U = z.vector[None], np.atleast_1d(U)[None]
-    else:
-        Z = _as_points(z)
-    if Z.ndim != 2 or U.shape != Z.shape:
-        raise DomainError(f"need (k, n) arrays of points and directions, got {Z.shape} and {U.shape}")
+    Z = _vectors(z)
+    U = np.atleast_1d(np.asarray(u, dtype=complex))
+    if U.shape != Z.shape:
+        raise DomainError(f"need points and directions of one shape, got {Z.shape} and {U.shape}")
     if not (np.linalg.norm(U, axis=-1) > 0.0).all():
         raise DomainError("curvature probe needs finite nonzero directions")
     back = isometries.inverse(isometries.transport_from_origin(Z))
-    pushed = (isometries.mobius_differential(back, Z) @ U[:, :, None])[:, :, 0]
-    direction = pushed / np.linalg.norm(pushed, axis=-1)[:, None]
+    pushed = np.matvec(isometries.mobius_differential(back, Z), U)
+    direction = pushed / np.linalg.norm(pushed, axis=-1)[..., None]
 
     # lambda(w) at the stencil's five chart points, one row per probe
     h = step
     w = complex(base, 0.0) + np.array([0.0, h, -h, 1j * h, -1j * h])
     D = np.broadcast_to(direction, (5,) + direction.shape)
     s = TangentVector.real(D)
-    lam = metric(w[:, None, None] * D, s, s).real
+    lam = metric(w.reshape((5,) + (1,) * direction.ndim) * D, s, s).real
     if not (lam > 0.0).all():
         raise DomainError("the metric is not positive along the probed line")
     f = np.log(lam)
     lap = (f[1] + f[2] + f[3] + f[4] - 4.0 * f[0]) / (h * h)
-    curvature = -lap / (2.0 * lam[0])
-    return float(curvature[0]) if single else curvature
+    return _result(-lap / (2.0 * lam[0]))
 
 
 def recover_inner_product(u, v):

@@ -16,6 +16,10 @@ Members act on the ball by phi_T(z) = (A z + x)/(<y|z> + a), and these
 maps preserve the metric and the distance.  Mirror maps E_W - E_Wperp
 for a real subspace W are the other family of isometries; they are
 real-linear but not complex-linear.
+
+`mobius_apply`, `mobius_differential`, `transport_from_origin` and the
+membership checks take arrays over any leading axes as well as single
+objects, with one formula body for both (see `geometry`).
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _as_points, _check_points
+from .geometry import BallPoint, _paired_points, _points_result, _vectors
 from .numerics import RealLinearMap, _as_complex_matrix, mat_exp, op_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
@@ -109,14 +113,11 @@ def _matrices(T):
     return M, M.shape[-1] - 1
 
 
-def _stack_and_points(T, z):
-    """A validated (k, n+1, n+1) stack of matrices, n, and a validated
-    (k, n) array of points."""
+def _operands(T, z):
+    """Validated matrices, n, and validated points of dimension n whose
+    leading axes broadcast against the matrices'."""
     M, n = _matrices(T)
-    Z = _as_points(z)
-    if M.ndim != 3 or Z.shape != (M.shape[0], n):
-        raise DomainError(f"need a (k, n+1, n+1) stack and a (k, n) array, got {M.shape} and {Z.shape}")
-    return M, n, Z
+    return M, n, _paired_points(M, z, n)
 
 
 def epsilon_matrix(dim):
@@ -171,82 +172,58 @@ def check_block_conditions(T, tol=MEMBERSHIP_TOL):
     return block_condition_defect(T) <= tol
 
 
+def _moved(M, n, Z):
+    """T zhat = (A z + x, <y|z> + a) over the leading axes, with the
+    denominator <y|z> + a checked for degeneracy."""
+    W = np.matvec(M[..., :, :n], Z) + M[..., :, n]
+    if np.count_nonzero(np.abs(W[..., n]) < DEGENERATE_DENOMINATOR):
+        raise DomainError("degenerate Moebius denominator")
+    return W
+
+
 def mobius_apply(T, z):
     """phi_T(z) = (A z + x)/(<y|z> + a); stays inside the ball for group
     members.
 
-    A (k, n+1, n+1) stack of matrices and a (k, n) array of points give
-    the (k, n) array of images, phi_{T_i}(z_i); one degenerate
-    denominator, or one point or image outside the ball, raises
-    DomainError.
+    Arrays of (n+1) x (n+1) matrices and of points (last axis) give the
+    array of images over their broadcast leading axes; a BallPoint under
+    one operator gives a BallPoint.  One degenerate denominator, or one
+    point or image outside the ball, raises DomainError.
     """
-    if isinstance(T, ExtendedOperator):
-        if T.dim != z.dim:
-            raise DomainError("operator and point dimensions differ")
-        den = complex(np.vdot(T.y, z.vector) + T.a)
-        if abs(den) < DEGENERATE_DENOMINATOR:
-            raise DomainError("degenerate Moebius denominator")
-        return BallPoint((T.A @ z.vector + T.x) / den)
-    M, n, Z = _stack_and_points(T, z)
-    top = (M[:, :n, :n] @ Z[:, :, None])[:, :, 0] + M[:, :n, n]
-    den = np.sum(M[:, n, :n] * Z, axis=-1) + M[:, n, n]
-    if (np.abs(den) < DEGENERATE_DENOMINATOR).any():
-        raise DomainError("degenerate Moebius denominator")
-    return _check_points(top / den[:, None])
+    M, n, Z = _operands(T, z)
+    W = _moved(M, n, Z)
+    return _points_result(W[..., :n] / W[..., n, None], isinstance(z, BallPoint))
 
 
 def mobius_differential(T, z):
-    """Complex Jacobian of phi_T at z, as an n x n matrix.
-
-    A (k, n+1, n+1) stack of matrices and a (k, n) array of points give
-    the (k, n, n) array of Jacobians.
-    """
-    if isinstance(T, ExtendedOperator):
-        den = complex(np.vdot(T.y, z.vector) + T.a)
-        if abs(den) < DEGENERATE_DENOMINATOR:
-            raise DomainError("degenerate Moebius denominator")
-        top = T.A @ z.vector + T.x
-        return T.A / den - np.outer(top, np.conj(T.y)) / (den * den)
-    M, n, Z = _stack_and_points(T, z)
-    A, yc = M[:, :n, :n], M[:, n, :n]
-    den = np.sum(yc * Z, axis=-1) + M[:, n, n]
-    if (np.abs(den) < DEGENERATE_DENOMINATOR).any():
-        raise DomainError("degenerate Moebius denominator")
-    top = (A @ Z[:, :, None])[:, :, 0] + M[:, :n, n]
-    return A / den[:, None, None] - top[:, :, None] * yc[:, None, :] / (den * den)[:, None, None]
+    """Complex Jacobian of phi_T at z, as an n x n matrix; the array of
+    Jacobians over the leading axes of arrays of matrices and points."""
+    M, n, Z = _operands(T, z)
+    W = _moved(M, n, Z)
+    den = W[..., n, None, None]
+    return M[..., :n, :n] / den - W[..., :n, None] * M[..., n, None, :n] / (den * den)
 
 
 def transport_from_origin(u):
     """The canonical group member taking the origin to u.
 
     With m = (1 - ||u||^2)^(-1/2): A = I + (m - 1) E_u for the orthogonal
-    projection E_u onto the line through u, x = y = m u, a = m.  Self-
-    adjoint blocks, deterministic, and phi_T(0) = u.  A (k, n) array of
-    points gives the (k, n+1, n+1) array of their transports.
+    projection E_u onto the line through u, x = y = m u, a = m.  Since
+    (m - 1)/||u||^2 = m^2/(m + 1), A = I + m^2/(m + 1) u u*, which is I
+    at the origin.  Self-adjoint blocks, deterministic, and phi_T(0) = u.
+    An array of points along its last axis gives the array of their
+    transports.
     """
-    if isinstance(u, BallPoint):
-        n = u.dim
-        nsq = u.norm_sq()
-        if nsq == 0.0:
-            return ExtendedOperator.identity(n)
-        m = 1.0 / np.sqrt(1.0 - nsq)
-        proj = np.outer(u.vector, np.conj(u.vector)) / nsq
-        A = np.eye(n, dtype=complex) + (m - 1.0) * proj
-        return ExtendedOperator.from_blocks(A, m * u.vector, m * u.vector, m)
-    U = _as_points(u)
-    if U.ndim != 2:
-        raise DomainError(f"need a (k, n) array of points, got shape {U.shape}")
-    k, n = U.shape
-    nsq = np.sum(U.real ** 2 + U.imag ** 2, axis=-1)
-    m = 1.0 / np.sqrt(1.0 - nsq)
-    # the origin's projection is left at zero, so its transport is I
-    proj = U[:, :, None] * U.conj()[:, None, :] / np.where(nsq > 0.0, nsq, 1.0)[:, None, None]
-    T = np.empty((k, n + 1, n + 1), dtype=complex)
-    T[:, :n, :n] = np.eye(n) + (m - 1.0)[:, None, None] * proj
-    T[:, :n, n] = m[:, None] * U
-    T[:, n, :n] = m[:, None] * U.conj()
-    T[:, n, n] = m
-    return T
+    U = _vectors(u)
+    n = U.shape[-1]
+    m = 1.0 / np.sqrt(1.0 - np.vecdot(U, U).real)
+    Uc = U.conj()
+    T = np.empty(U.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    T[..., :n, :n] = np.eye(n) + (m * m / (m + 1.0))[..., None, None] * (U[..., :, None] * Uc[..., None, :])
+    T[..., :n, n] = m[..., None] * U
+    T[..., n, :n] = m[..., None] * Uc
+    T[..., n, n] = m
+    return ExtendedOperator(T) if isinstance(u, BallPoint) else T
 
 
 def inverse(T):

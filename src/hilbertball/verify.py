@@ -3,15 +3,16 @@
 Every module contributes its invariants as named properties grouped into
 three suites (geometry, algebra, dynamics).  A property draws its trials
 from a generator seeded by (seed, property index), measures a defect per
-trial, and max-reduces; it passes when the worst defect stays within its
-tolerance times the configured scale.  Properties draw their trials up
-front as arrays and reduce them through the library's stacked kernels.
-The exceptions loop: the distance properties measure one pair at a time
-through the scalar `geometry.distance`, the projection identity builds
-each projection through the one-basis `numerics.real_projection`, and
-the twist witness is a single fixed operator.  Reports are plain dicts
-with a fixed field order and no timestamps, so a fixed seed reproduces
-the output byte for byte.
+trial, and reduces the defects through `_worst`, a max that keeps NaN;
+it passes when the worst defect stays within its tolerance times the
+configured scale, so a NaN defect fails.  Properties draw their trials
+up front as arrays and pass them to the library's kernels, which take
+any leading axes.  The exceptions loop: the distance properties measure
+one pair at a time through `geometry.distance`, which takes single
+points only, the projection identity builds each projection through the
+one-basis `numerics.real_projection`, and the twist witness is a single
+fixed operator.  Reports are plain dicts with a fixed field order and no
+timestamps, so a fixed seed reproduces the output byte for byte.
 
 All library calls go through module attributes (geometry.metric and
 friends) rather than imported names; the self-test in the CLI suite
@@ -175,9 +176,11 @@ def _distance_defects(U, V, SU, SV):
             for u, v, su, sv in zip(U, V, SU, SV)]
 
 
-def _worst(defects):
-    """Largest entry of an array of defects, 0 for an empty one."""
-    return float(np.max(defects, initial=0.0))
+def _worst(*defects):
+    """Largest entry over one or more arrays of defects, 0 when they are
+    empty.  A NaN entry gives NaN, which fails the property: numpy's max
+    propagates it, where Python's max(worst, nan) would drop it."""
+    return float(np.max([np.max(d, initial=0.0) for d in defects], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +189,27 @@ def _worst(defects):
 
 def _p_op_norm_square_identity(cfg, rng):
     """Trials cycle through sizes 2..9, drawn and checked size by size."""
-    worst = 0.0
+    defects = []
     for d in range(2, 10):
         M = _cgauss(rng, (len(range(d - 2, cfg.trials, 8)), d, d))
         lhs = numerics.op_norm(M.conj().swapaxes(-1, -2) @ M)
         rhs = numerics.op_norm(M) ** 2
-        worst = max(worst, _worst(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))
-    return cfg.trials, worst
+        defects.append(np.abs(lhs - rhs) / np.maximum(1.0, rhs))
+    return cfg.trials, _worst(*defects)
 
 
 def _p_exp_additivity(cfg, rng):
     sizes = rng.integers(2, 7, size=cfg.trials)
     times = rng.uniform(-1.5, 1.5, size=(cfg.trials, 2))
-    worst = 0.0
+    defects = []
     for d in np.unique(sizes).tolist():
         picked = sizes == d
         X = _cgauss(rng, (int(picked.sum()), d, d)) / (2.0 * math.sqrt(d))
         s, t = times[picked, 0, None, None], times[picked, 1, None, None]
         lhs = numerics.mat_exp((s + t) * X)
         rhs = numerics.mat_exp(s * X) @ numerics.mat_exp(t * X)
-        worst = max(worst, _worst(numerics.op_norm(lhs - rhs)))
-    return cfg.trials, worst
+        defects.append(numerics.op_norm(lhs - rhs))
+    return cfg.trials, _worst(*defects)
 
 
 def _p_projection_complement_identity(cfg, rng):
@@ -239,39 +242,36 @@ def _p_metric_j_invariance(cfg, rng):
 
 
 def _p_distance_symmetry(cfg, rng):
-    worst = 0.0
+    defects = []
     for _ in range(cfg.trials):
         u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-        worst = max(worst, abs(geometry.distance(u, v) - geometry.distance(v, u)))
-    return cfg.trials, worst
+        defects.append(abs(geometry.distance(u, v) - geometry.distance(v, u)))
+    return cfg.trials, _worst(defects)
 
 
 def _p_triangle_inequality(cfg, rng):
-    worst = 0.0
+    gaps = []
     for _ in range(cfg.trials):
         u, v, w = (_point(rng, cfg.dim) for _ in range(3))
-        gap = geometry.distance(u, w) - geometry.distance(u, v) - geometry.distance(v, w)
-        worst = max(worst, max(0.0, gap))
-    return cfg.trials, worst
+        gaps.append(geometry.distance(u, w) - geometry.distance(u, v) - geometry.distance(v, w))
+    return cfg.trials, _worst(np.maximum(0.0, gaps))
 
 
 def _p_radial_distance_identity(cfg, rng):
     o = geometry.origin(cfg.dim)
-    worst = 0.0
+    defects = []
     for _ in range(cfg.trials):
         u = _point(rng, cfg.dim)
-        worst = max(worst, abs(math.tanh(geometry.distance(u, o)) - u.norm()))
-    return cfg.trials, worst
+        defects.append(abs(math.tanh(geometry.distance(u, o)) - u.norm()))
+    return cfg.trials, _worst(defects)
 
 
 def _p_distance_formula_agreement(cfg, rng):
-    worst = 0.0
+    defects = []
     for _ in range(cfg.trials):
         u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-        lhs = math.tanh(geometry.distance(u, v))
-        rhs = geometry.tanh_distance(u, v)
-        worst = max(worst, abs(lhs - rhs))
-    return cfg.trials, worst
+        defects.append(abs(math.tanh(geometry.distance(u, v)) - geometry.tanh_distance(u, v)))
+    return cfg.trials, _worst(defects)
 
 
 def _p_curvature_constancy(cfg, rng):
@@ -325,11 +325,8 @@ def _p_isometry_distance_invariance(cfg, rng):
 
 def _p_exponential_membership(cfg, rng):
     X = _lie_elements(rng, cfg.dim, cfg.trials)
-    worst = 0.0
-    for t in (-2.0, -1.0, 0.5, 1.0, 3.0):
-        T = numerics.mat_exp(X, t)
-        worst = max(worst, _worst(isometries.is_inhomogeneous_unitary(T).defect))
-    return cfg.trials, worst
+    return cfg.trials, _worst(*(isometries.is_inhomogeneous_unitary(numerics.mat_exp(X, t)).defect
+                                for t in (-2.0, -1.0, 0.5, 1.0, 3.0)))
 
 
 def _p_transport_transitivity(cfg, rng):
@@ -352,15 +349,14 @@ def _p_representation_injectivity(cfg, rng):
     d = cfg.dim + 1
     samples = max(50, 2 * d * d)
     block = max(1, FIT_BLOCK // (samples * d * d))
-    worst = 0.0
+    defects = []
     for start in range(0, cfg.trials, block):
         count = min(block, cfg.trials - start)
         C = _operators(rng, cfg.dim, count)
         Z = _points(rng, cfg.dim, (count, samples), max_norm=0.9)
         fitted = algebra.fit_operator(Z, algebra.evaluate(C[:, None], Z))
-        defects = numerics.op_norm(fitted - C) / np.maximum(1.0, numerics.op_norm(C))
-        worst = max(worst, _worst(defects))
-    return cfg.trials, worst
+        defects.append(numerics.op_norm(fitted - C) / np.maximum(1.0, numerics.op_norm(C)))
+    return cfg.trials, _worst(*defects)
 
 
 def _p_star_homomorphism(cfg, rng):
@@ -389,7 +385,7 @@ def _p_star_associativity(cfg, rng):
     full = algebra.evaluate(algebra.star_operator(algebra.star_operator(C, Cp), Cpp), Z)
     left = algebra.star_pointwise(algebra.star_operator(C, Cp), Cpp, Z)
     right = algebra.star_pointwise(C, algebra.star_operator(Cp, Cpp), Z)
-    return cfg.trials, max(_worst(np.abs(full - left)), _worst(np.abs(full - right)))
+    return cfg.trials, _worst(np.abs(full - left), np.abs(full - right))
 
 
 def _p_banach_inequality(cfg, rng):
@@ -412,7 +408,7 @@ def _p_involution_twist_witness(cfg, rng):
     A = algebra.involution_failure_operator(cfg.dim)
     plain = numerics.op_norm((A.adjoint() @ A).matrix)
     twisted = numerics.op_norm(algebra.star_operator(A.adjoint(), A).matrix)
-    return 1, max(abs(plain - 2.0), twisted)
+    return 1, _worst(abs(plain - 2.0), twisted)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +441,7 @@ def _p_flow_distance_invariance(cfg, rng):
         return np.array(flowed, dtype=complex).reshape(W.shape)
 
     pairs.append((U, V, disc_flow(U), disc_flow(V)))
-    worst = 0.0
-    for U, V, SU, SV in pairs:
-        worst = max(worst, _worst(_distance_defects(U, V, SU, SV)))
-    return cfg.trials, worst
+    return cfg.trials, _worst(*(_distance_defects(*pair) for pair in pairs))
 
 
 def _p_flow_group_law(cfg, rng):
@@ -487,7 +480,7 @@ def _p_quantum_flow_radius(cfg, rng):
     moved = dynamics.schrodinger_evolve(H, Z, 1.0)
     fixed = dynamics.schrodinger_evolve(H, np.zeros_like(Z), 1.0)
     radius = np.abs(np.linalg.norm(moved, axis=-1) - np.linalg.norm(Z, axis=-1))
-    return cfg.trials, max(_worst(np.linalg.norm(fixed, axis=-1)), _worst(radius))
+    return cfg.trials, _worst(np.linalg.norm(fixed, axis=-1), radius)
 
 
 def _p_observable_pullback(cfg, rng):

@@ -397,6 +397,37 @@ def test_stack_kernels_reject_one_bad_row(rng, bad):
             call()
 
 
+def _mismatched_calls():
+    """Single-object calls whose operands have different dimensions: an
+    operator or generator of dim 3 against a point of dim 2, and a
+    dim-3 point against tangent vectors of dim 2."""
+    rng = np.random.default_rng(5)
+    C = isometries.ExtendedOperator(cgauss(rng, (4, 4)))
+    T = isometries.transport_from_origin(random_point(rng, 3, 0.5))
+    X = isometries.ExtendedOperator(np.diag([1j, -1j, 0.5j, 0.0]))
+    H = dynamics.HamiltonianGenerator(np.eye(3))
+    z2, z3 = random_point(rng, 2, 0.5), random_point(rng, 3, 0.5)
+    s = TangentVector.real(np.ones(2, dtype=complex))
+    return {
+        "evaluate": lambda: algebra.evaluate(C, z2),
+        "holo_differential": lambda: algebra.holo_differential(C, z2),
+        "gradient": lambda: algebra.gradient(C, z2),
+        "star_pointwise": lambda: algebra.star_pointwise(C, C, z2),
+        "star_operator": lambda: algebra.star_operator(C, isometries.ExtendedOperator(np.eye(3))),
+        "mobius_apply": lambda: isometries.mobius_apply(T, z2),
+        "mobius_differential": lambda: isometries.mobius_differential(T, z2),
+        "metric": lambda: metric(z3, s, s),
+        "evolve_exp": lambda: dynamics.evolve_exp(X, z2, 0.5),
+        "schrodinger_evolve": lambda: dynamics.schrodinger_evolve(H, z2, 0.5),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(_mismatched_calls()))
+def test_single_object_kernels_reject_mismatched_dimensions(kernel):
+    with pytest.raises(DomainError):
+        _mismatched_calls()[kernel]()
+
+
 def test_stacked_geometry_kernels_equal_scalar_calls(rng):
     n, k = 3, 9
     Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])

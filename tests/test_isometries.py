@@ -317,7 +317,9 @@ def test_stacked_transport_inverse_differential_equal_scalar_calls(rng):
     D = mobius_differential(M, W)
     assert rows_close(D, [mobius_differential(ExtendedOperator(m), BallPoint(w))
                           for m, w in zip(M, W)])
+    # any leading axes: one more is the same stack
+    assert same_bytes(transport_from_origin(Z[None]), T[None])
     with pytest.raises(DomainError):
-        transport_from_origin(Z[None])
+        transport_from_origin(Z[0, 0])
     with pytest.raises(DomainError):
         mobius_differential(M, W[:-1])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hilbertball.errors import DomainError
@@ -84,3 +85,41 @@ def test_representation_injectivity_at_high_dims(dim, trials):
     index = [entry[1] for entry in PROPERTIES].index("representation_injectivity")
     res = run_property(index, VerifyConfig(dim=dim, trials=trials, seed=0))
     assert res.passed and res.error is None
+
+
+def _index(name):
+    return [entry[1] for entry in PROPERTIES].index(name)
+
+
+DISTANCE_PROPERTIES = (
+    "distance_symmetry",
+    "triangle_inequality",
+    "radial_distance_identity",
+    "distance_formula_agreement",
+    "isometry_distance_invariance",
+    "flow_distance_invariance",
+)
+
+
+@pytest.mark.parametrize("name", DISTANCE_PROPERTIES)
+def test_nan_distance_fails_every_distance_property(monkeypatch, name):
+    from hilbertball import geometry
+
+    monkeypatch.setattr(geometry, "distance", lambda u, v: math.nan)
+    res = run_property(_index(name), VerifyConfig(dim=2, trials=10))
+    assert res.passed is False and math.isnan(res.max_defect)
+
+
+def test_nan_op_norm_of_one_size_fails_the_square_identity(monkeypatch):
+    # sizes 2..8 stay clean; only the last group of the reduction is NaN
+    from hilbertball import numerics
+
+    op_norm = numerics.op_norm
+
+    def nan_at_nine(M):
+        norms = op_norm(M)
+        return np.full_like(norms, np.nan) if np.shape(M)[-1] == 9 else norms
+
+    monkeypatch.setattr(numerics, "op_norm", nan_at_nine)
+    res = run_property(_index("op_norm_square_identity"), VerifyConfig(dim=2, trials=16))
+    assert res.passed is False and math.isnan(res.max_defect)

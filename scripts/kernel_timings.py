@@ -3,9 +3,9 @@
 Times `evaluate`, `star_operator`, `star_pointwise`, `mobius_apply`,
 `transport_from_origin`, `k_factor`, `metric` and `distance` at each
 dimension, once on single objects (`BallPoint`, `ExtendedOperator`,
-one `TangentVector` pair) and once on stacks of `--stack` of them
-(arrays over one leading axis), and prints the median over `--repeats`
-rounds of the time per call in microseconds.  `distance` takes single
+one `TangentVector` pair) and once on stacks of STACK of them (arrays
+over one leading axis), and prints the median over REPEATS rounds of
+the time per call in microseconds.  `distance` takes single
 points only, so its stacked column reads `-`.  Inputs come from a fixed
 seed; the timings are taken here, outside any report.
 
@@ -14,7 +14,7 @@ inputs too, its rounds alternating with this tree's so that both meet
 the same load on the host, and each row also gives that package's
 times and the ratio of this tree's time to its.
 
-    python3 scripts/kernel_timings.py --dims 1 4 16 --stack 200 --repeats 7
+    python3 scripts/kernel_timings.py --dims 1 4 16
     python3 scripts/kernel_timings.py --against ../parent-checkout
 """
 
@@ -28,6 +28,9 @@ from pathlib import Path
 import numpy as np
 
 ROUND_SECONDS = 0.01
+REPEATS = 41
+STACK = 200
+SEED = 0
 MODULES = ("algebra", "geometry", "isometries")
 
 
@@ -57,12 +60,12 @@ def round_count(fn):
     return max(1, int(ROUND_SECONDS / max(time.perf_counter() - start, 1e-7)))
 
 
-def per_call_us(fns, repeats):
-    """Median over rounds of the mean time of one call, in microseconds,
-    for each of `fns`; their rounds alternate."""
+def per_call_us(fns):
+    """Median over REPEATS rounds of the mean time of one call, in
+    microseconds, for each of `fns`; their rounds alternate."""
     numbers = [round_count(fn) for fn in fns]
     rounds = [[] for _ in fns]
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for fn, number, spans in zip(fns, numbers, rounds):
             start = time.perf_counter()
             for _ in range(number):
@@ -71,18 +74,18 @@ def per_call_us(fns, repeats):
     return [1e6 * statistics.median(spans) for spans in rounds]
 
 
-def draw(dim, stack, rng):
+def draw(dim, rng):
     """Raw arrays: two point sets, two operator stacks, transport bases
     and tangent parts."""
     def cgauss(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def points():
-        W = cgauss((stack, dim))
-        return (rng.uniform(0.0, 0.85, stack) / np.linalg.norm(W, axis=-1))[:, None] * W
+        W = cgauss((STACK, dim))
+        return (rng.uniform(0.0, 0.85, STACK) / np.linalg.norm(W, axis=-1))[:, None] * W
 
-    return (points(), points(), cgauss((stack, dim + 1, dim + 1)), cgauss((stack, dim + 1, dim + 1)),
-            points(), cgauss((stack, dim)), cgauss((stack, dim)))
+    return (points(), points(), cgauss((STACK, dim + 1, dim + 1)), cgauss((STACK, dim + 1, dim + 1)),
+            points(), cgauss((STACK, dim)), cgauss((STACK, dim)))
 
 
 def cases(mods, arrays):
@@ -112,27 +115,24 @@ def cases(mods, arrays):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 4, 16])
-    ap.add_argument("--stack", type=int, default=200)
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--against", help="a checkout whose src/ package is timed alongside")
     args = ap.parse_args()
 
     packages = [load_package(Path(__file__).resolve().parent.parent / "src")]
     if args.against:
         packages.append(load_package(Path(args.against) / "src"))
-    rng = np.random.default_rng(args.seed)
-    print("# median us per call over %d rounds; stacks of %d" % (args.repeats, args.stack))
+    rng = np.random.default_rng(SEED)
+    print("# median us per call over %d rounds; stacks of %d" % (REPEATS, STACK))
     head = "%-22s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
     if args.against:
         head += " %10s %11s %7s %7s" % ("other_1", "other_k", "ratio_1", "ratio_k")
     print(head)
     for dim in args.dims:
-        arrays = draw(dim, args.stack, rng)
+        arrays = draw(dim, rng)
         rows = zip(*(cases(mods, arrays) for mods in packages))
         for row in rows:
-            single = per_call_us([case[1] for case in row], args.repeats)
-            stacked = per_call_us([case[2] for case in row], args.repeats) if row[0][2] else None
+            single = per_call_us([case[1] for case in row])
+            stacked = per_call_us([case[2] for case in row]) if row[0][2] else None
             line = "%-22s %4d %10.2f %11s" % (row[0][0], dim, single[0],
                                             "%.2f" % stacked[0] if stacked else "-")
             if args.against:

@@ -44,6 +44,8 @@ from .geometry import (
     HBAR,
     TangentVector,
     _as_points,
+    _dots,
+    _matvec,
     _result,
     k_factor,
     kahler_form,
@@ -89,7 +91,7 @@ def extended_point(z):
 
 def _form(C, zh):
     """<zhat|C zhat> over the leading axes."""
-    return np.vecdot(zh, np.matvec(C, zh))
+    return _dots(zh, _matvec(C, zh))
 
 
 def evaluate(C, z):
@@ -140,7 +142,8 @@ def holo_differential(C, z):
     C, n, Z = _operands(C, z)
     zh = extended_point(Z)
     k = np.asarray(k_factor(z))[..., None]
-    return k * np.vecmat(zh, C)[..., :n] + (k * k) * _form(C, zh)[..., None] * Z.conj()
+    row = (zh.conj()[..., None, :] @ C)[..., 0, :n]
+    return k * row + (k * k) * _form(C, zh)[..., None] * Z.conj()
 
 
 def gradient(C, z):
@@ -148,7 +151,7 @@ def gradient(C, z):
     array of them for arrays of matrices and points, as in `evaluate`."""
     C, n, Z = _operands(C, z)
     zh = extended_point(Z)
-    czh = np.matvec(C, zh)
+    czh = _matvec(C, zh)
     return czh[..., :n] + czh[..., n, None] * Z
 
 
@@ -178,7 +181,7 @@ def star_pointwise(C, Cp, z):
 
     Arrays of matrices and of points broadcast as in `evaluate` and give
     the complex array of values."""
-    correction = np.vecdot(holo_differential(C, z).conj(), gradient(Cp, z))
+    correction = _dots(holo_differential(C, z).conj(), gradient(Cp, z))
     return _result(evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction)
 
 
@@ -270,7 +273,7 @@ def fit_operator(points, values):
         raise DomainError(f"fitting (n+1)^2 = {d * d} entries needs as many points, got {Z.shape[-2]}")
     zh = extended_point(Z)
     rows = (zh.conj()[..., :, None] * zh[..., None, :]).reshape(Z.shape[:-1] + (d * d,))
-    rhs = b * (1.0 - np.vecdot(Z, Z).real)
+    rhs = b * (1.0 - _dots(Z, Z).real)
     Q, R = np.linalg.qr(rows)
     sol = np.linalg.solve(R, (Q.conj().swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
     fitted = sol.reshape(sol.shape[:-1] + (d, d))

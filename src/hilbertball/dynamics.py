@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _paired_points, _points_result
+from .geometry import BallPoint, _matvec, _paired_points, _points_result
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, mat_exp, op_norm
 
@@ -151,10 +151,10 @@ def schrodinger_evolve(gen, z, t):
         H = gen.H
     else:
         H = _as_complex_matrix(gen, square=True, stack=True)
-        if (op_norm(H - H.conj().swapaxes(-1, -2)) > SELF_ADJOINT_TOL).any():
+        if np.any(op_norm(H - H.conj().swapaxes(-1, -2)) > SELF_ADJOINT_TOL):
             raise DomainError("Hamiltonian must be self-adjoint")
-    Z = _paired_points(H, z, H.shape[-1])
-    moved = np.matvec(mat_exp(-1j * H, t), Z)
+    U = mat_exp(-1j * H, t)
+    moved = _matvec(U, _paired_points(U, z, H.shape[-1]))
     if np.ndim(t):
         return [BallPoint(w) for w in moved]
     return _points_result(moved, isinstance(z, BallPoint))

@@ -182,6 +182,24 @@ def _points_result(w, single):
     return BallPoint(w) if single and w.ndim == 1 else _check_points(w)
 
 
+def _dots(a, b):
+    """<a|b> along the last axis, antilinear in a, over the leading axes.
+
+    Each pair of rows is one BLAS dot.  A single pair of vectors goes to
+    np.vdot, which gives the same bits as that row of the batched matmul
+    without its cost per call.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        return np.vdot(a, b)
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(M, v):
+    """M v over the leading axes of both; a single vector needs no
+    trailing axis, as matmul appends one to a 1-D operand itself."""
+    return M @ v if v.ndim == 1 else (M @ v[..., :, None])[..., 0]
+
+
 def k_factor(z):
     """Conformal factor 1/(1 - ||z||^2), at least 1 on the ball.
 
@@ -189,7 +207,7 @@ def k_factor(z):
     one point outside the ball raises DomainError.
     """
     Z = _vectors(z)
-    return _result(1.0 / (1.0 - np.vecdot(Z, Z).real))
+    return _result(1.0 / (1.0 - _dots(Z, Z).real))
 
 
 def metric(z, s, t):
@@ -199,14 +217,12 @@ def metric(z, s, t):
     vectors whose parts are arrays of the same shape; the result is then
     the complex array of values.
     """
-    Z = _vectors(z)
+    k = k_factor(z)  # checks every point
+    Z = z.vector if isinstance(z, BallPoint) else np.asarray(z, dtype=complex)
     if s.hol.shape != Z.shape or t.hol.shape != Z.shape:
         raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}")
-    k = k_factor(z)
-    # np.vecdot(a, b) is <a|b> along the last axis, antilinear in a
-    term1 = np.vecdot(s.antihol, t.hol) + np.vecdot(t.antihol, s.hol)
-    term2 = (np.vecdot(s.antihol, Z) * np.vecdot(Z, t.hol)
-             + np.vecdot(t.antihol, Z) * np.vecdot(Z, s.hol))
+    term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
+    term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
     return _result(k * term1 + k * k * term2)
 
 
@@ -330,7 +346,7 @@ def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
     if not (np.linalg.norm(U, axis=-1) > 0.0).all():
         raise DomainError("curvature probe needs finite nonzero directions")
     back = isometries.inverse(isometries.transport_from_origin(Z))
-    pushed = np.matvec(isometries.mobius_differential(back, Z), U)
+    pushed = _matvec(isometries.mobius_differential(back, Z), U)
     direction = pushed / np.linalg.norm(pushed, axis=-1)[..., None]
 
     # lambda(w) at the stencil's five chart points, one row per probe

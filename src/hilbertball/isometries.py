@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _paired_points, _points_result, _vectors
+from .geometry import BallPoint, _dots, _matvec, _paired_points, _points_result, _vectors
 from .numerics import RealLinearMap, _as_complex_matrix, mat_exp, op_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
@@ -175,7 +175,7 @@ def check_block_conditions(T, tol=MEMBERSHIP_TOL):
 def _moved(M, n, Z):
     """T zhat = (A z + x, <y|z> + a) over the leading axes, with the
     denominator <y|z> + a checked for degeneracy."""
-    W = np.matvec(M[..., :, :n], Z) + M[..., :, n]
+    W = _matvec(M[..., :, :n], Z) + M[..., :, n]
     if np.count_nonzero(np.abs(W[..., n]) < DEGENERATE_DENOMINATOR):
         raise DomainError("degenerate Moebius denominator")
     return W
@@ -216,7 +216,7 @@ def transport_from_origin(u):
     """
     U = _vectors(u)
     n = U.shape[-1]
-    m = 1.0 / np.sqrt(1.0 - np.vecdot(U, U).real)
+    m = 1.0 / np.sqrt(1.0 - _dots(U, U).real)
     Uc = U.conj()
     T = np.empty(U.shape[:-1] + (n + 1, n + 1), dtype=complex)
     T[..., :n, :n] = np.eye(n) + (m * m / (m + 1.0))[..., None, None] * (U[..., :, None] * Uc[..., None, :])

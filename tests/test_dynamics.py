@@ -249,6 +249,17 @@ def test_time_array_flows_reject_bad_times(rng, t):
         schrodinger_evolve(hamiltonian(rng, 3), z, t)
 
 
+def test_time_array_flows_reject_unpaired_points(rng):
+    # the points' leading axes pair with the times, so 4 points need 4 times
+    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(4)])
+    times = np.array([0.0, 0.5, 1.0])
+    for gen, flow in batched_flows(rng):
+        raw = gen.H if isinstance(gen, HamiltonianGenerator) else gen.matrix
+        for g in (gen, raw):
+            with pytest.raises(DomainError):
+                flow(g, Z, times)
+
+
 def test_stacked_flows_equal_scalar_calls(rng):
     Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(5)])
     X = np.array([lie_element(rng, 3).matrix for _ in range(5)])

@@ -439,7 +439,7 @@ def test_stacked_geometry_kernels_equal_scalar_calls(rng):
     single = [metric(p, TangentVector(u, v), TangentVector(w, u))
               for p, u, v, w in zip(points, U, V, W)]
     assert rows_close(metric(Z, s, t), single)
-    # a single point is probed as a stack of one: the same arithmetic
+    # one probe body over leading axes: each single probe is its row, bit for bit
     probes = sectional_curvature_probe(Z, U)
     assert same_bytes(probes, [sectional_curvature_probe(p, u) for p, u in zip(points, U)])
     assert np.abs(probes + 2.0).max() <= 1e-6

@@ -6,8 +6,11 @@ dimension, once on single objects (`BallPoint`, `ExtendedOperator`,
 one `TangentVector` pair) and once on stacks of STACK of them (arrays
 over one leading axis), and prints the median over REPEATS rounds of
 the time per call in microseconds.  `distance` takes single
-points only, so its stacked column reads `-`.  Inputs come from a fixed
-seed; the timings are taken here, outside any report.
+points only, so its stacked column reads `-`.  Then come the
+`trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
+an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
+STEPS steps from one point (stacked column `-`).  Inputs come from a
+fixed seed; the timings are taken here, outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
@@ -30,26 +33,31 @@ import numpy as np
 ROUND_SECONDS = 0.01
 REPEATS = 41
 STACK = 200
+STEPS = 1000
 SEED = 0
-MODULES = ("algebra", "geometry", "isometries")
+MODULES = ("algebra", "dynamics", "geometry", "isometries")
 
 
-def load_package(src):
-    """The modules of the hilbertball package under `src`, imported apart
-    from any copy already loaded."""
-    def owned():
-        return {k: sys.modules.pop(k) for k in list(sys.modules)
-                if k == "hilbertball" or k.startswith("hilbertball.")}
+def owned():
+    """Take every hilbertball module out of sys.modules and return them."""
+    return {k: sys.modules.pop(k) for k in list(sys.modules)
+            if k == "hilbertball" or k.startswith("hilbertball.")}
 
+
+def load_package(src, modules=MODULES):
+    """The named modules of the hilbertball package under `src`, imported
+    apart from any copy already loaded, and all of that package's
+    sys.modules entries, which code that imports lazily needs in place
+    while it runs."""
     held = owned()
     sys.path.insert(0, str(src))
     try:
-        mods = {name: importlib.import_module("hilbertball." + name) for name in MODULES}
+        mods = {name: importlib.import_module("hilbertball." + name) for name in modules}
     finally:
         sys.path.remove(str(src))
-        owned()
+        entries = owned()
         sys.modules.update(held)
-    return mods
+    return mods, entries
 
 
 def round_count(fn):
@@ -90,7 +98,7 @@ def draw(dim, rng):
 
 def cases(mods, arrays):
     """(kernel, single call, stacked call or None) on one package."""
-    algebra, geometry, isometries = (mods[name] for name in MODULES)
+    algebra, geometry, isometries = (mods[name] for name in ("algebra", "geometry", "isometries"))
     Z, W, C, Cp, bases, hol, antihol = arrays
     T = isometries.transport_from_origin(bases)
     S = geometry.TangentVector(hol, antihol)
@@ -112,15 +120,50 @@ def cases(mods, arrays):
     )
 
 
+def draw_flows(rng):
+    """Raw inputs of the trajectory rows: an exponential-flow generator
+    of norm 0.5 at dim 8 with its start point, and a Hamiltonian of norm
+    2 at dim 16 with its start point."""
+    def cgauss(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def start(dim, radius):
+        w = cgauss(dim)
+        return radius * w / np.linalg.norm(w)
+
+    G = cgauss((8, 8))
+    u = cgauss(8)
+    X = np.zeros((9, 9), dtype=complex)
+    X[:8, :8], X[:8, 8], X[8, :8], X[8, 8] = G - G.conj().T, u, u.conj(), 0.5j
+    G = cgauss((16, 16))
+    H = G + G.conj().T
+    return (0.5 / np.linalg.norm(X, 2) * X, start(8, 0.6),
+            2.0 / np.linalg.norm(H, 2) * H, start(16, 0.8))
+
+
+def flow_cases(mods, arrays):
+    """(row, dim, one STEPS-step trajectory) on one package."""
+    dynamics, geometry, isometries = (mods[name] for name in ("dynamics", "geometry", "isometries"))
+    X, zx, H, zh = arrays
+    disc = dynamics.DiscGenerator(0.3, 0.8 + 0.2j)
+    gen, ham = isometries.ExtendedOperator(X), dynamics.HamiltonianGenerator(H)
+    z1, zx, zh = geometry.BallPoint([0.5]), geometry.BallPoint(zx), geometry.BallPoint(zh)
+    return (
+        ("trajectory_disc", 1, lambda: dynamics.trajectory(disc, z1, STEPS * 0.002, 0.002)),
+        ("trajectory_exp", 8, lambda: dynamics.trajectory(gen, zx, STEPS * 0.005, 0.005)),
+        ("trajectory_schrodinger", 16, lambda: dynamics.trajectory(ham, zh, STEPS * 0.01, 0.01)),
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 4, 16])
     ap.add_argument("--against", help="a checkout whose src/ package is timed alongside")
     args = ap.parse_args()
 
-    packages = [load_package(Path(__file__).resolve().parent.parent / "src")]
+    packages = [load_package(Path(__file__).resolve().parent.parent / "src")[0]]
     if args.against:
-        packages.append(load_package(Path(args.against) / "src"))
+        packages.append(load_package(Path(args.against) / "src")[0])
     rng = np.random.default_rng(SEED)
     print("# median us per call over %d rounds; stacks of %d" % (REPEATS, STACK))
     head = "%-22s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
@@ -140,6 +183,13 @@ def main():
                     single[1], "%.2f" % stacked[1] if stacked else "-", single[0] / single[1],
                     "%.2f" % (stacked[0] / stacked[1]) if stacked else "-")
             print(line)
+    rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED))) for mods in packages))
+    for row in rows:
+        spans = per_call_us([case[2] for case in row])
+        line = "%-22s %4d %10.2f %11s" % (row[0][0], row[0][1], spans[0], "-")
+        if args.against:
+            line += " %10.2f %11s %7.2f %7s" % (spans[1], "-", spans[0] / spans[1], "-")
+        print(line)
 
 
 if __name__ == "__main__":

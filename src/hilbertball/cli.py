@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import algebra, dynamics, geometry, serialize, verify
 from .errors import DomainError, ParseError
 from .isometries import ExtendedOperator
@@ -70,15 +72,15 @@ def cmd_evolve(args):
     z0 = _load_point(args.state)
     t_max = _parse_float(args.t_max, "--t-max")
     dt = _parse_float(args.dt, "--dt")
-    samples = dynamics.trajectory(gen, z0, t_max, dt)
-    text = serialize.trajectory_csv(samples)
+    times, points = dynamics.trajectory(gen, z0, t_max, dt)
+    text = serialize.trajectory_csv(times, points)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)
         _emit(
             {
-                "samples": len(samples),
-                "max_norm": max(p.norm() for _, p in samples),
+                "samples": len(times),
+                "max_norm": float(np.linalg.norm(points, axis=-1).max()),
                 "out": args.out,
             }
         )

@@ -20,26 +20,38 @@ integrates an ODE.
 
 `evolve_exp` and `schrodinger_evolve` take a single generator and point,
 arrays of them over any leading axes (see `geometry`), or one generator
-and point with a 1-D array of times, which gives a list of points from
-one batched exponential.
+and point with a 1-D array of times, which gives the array of points,
+one per time, from one batched exponential.  `disc_evolve_closed` takes
+a scalar or a 1-D array of times the same way.  A trajectory is the
+pair of arrays (times, points): disc flows are one closed-form call
+over all times, and the other flows exponentiate only their first
+TIME_BLOCK times and move that block along the grid by the group law
+exp((s + t)X) = exp(sX) exp(tX), one exponential per later block.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _matvec, _paired_points, _points_result
+from .geometry import (
+    BOUNDARY_MARGIN,
+    BallPoint,
+    _check_points,
+    _matvec,
+    _paired_points,
+    _points_result,
+)
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, mat_exp, op_norm
 
 TAN_POLE_GUARD = 1e-8
 GENERATOR_TOL = 1e-10
 SELF_ADJOINT_TOL = 1e-12
-# Times a trajectory exponentiates together: long enough to amortize the
-# per-call overhead, short enough that the stack of matrices stays small.
+# Times a trajectory exponentiates together, and the length of the block
+# it then shifts along its grid: long enough to amortize the per-call
+# overhead, short enough that the stack of matrices stays small.
 TIME_BLOCK = 64
 
 
@@ -94,57 +106,65 @@ class HamiltonianGenerator:
 
 
 def disc_evolve_closed(g, z, t):
-    """Closed-form disc flow; |z| < 1 is preserved in every regime."""
+    """Closed-form disc flow; |z| < 1 is preserved in every regime.
+
+    t is a scalar, which gives a complex, or a 1-D array of times, which
+    gives the array of z(t_i) from one pass of the same formula.  A
+    scalar goes through it as an array of one time, so it meets the
+    same numpy loops and its result has the bits of that entry of any
+    array.  Times within TAN_POLE_GUARD of a tangent pole go through one
+    batched `evolve_exp` instead.
+    """
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"disc point with |z| = {abs(z):.17g} is not interior")
-    if t == 0.0:
-        return z
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DomainError(f"time must be a scalar or a 1-D array, got ndim {times.ndim}")
+    t = times.reshape(-1)
     if g.b == 0:
-        return cmath.exp(2j * g.a * t) * z
-    al = alpha(g)
-    if al > 0.0:
-        s = math.sqrt(al)
-        th = math.tanh(s * t)
-        num = (s + 1j * g.a * th) * z + g.b * th
-        den = np.conj(g.b) * th * z + s - 1j * g.a * th
-    elif al < 0.0:
-        s = math.sqrt(-al)
-        if abs(math.cos(s * t)) < TAN_POLE_GUARD:
-            # the printed quotient degenerates at the tangent pole; the
-            # underlying Moebius map does not
-            return evolve_exp(g.extended(), BallPoint([z]), t).vector[0]
-        th = math.tan(s * t)
-        num = (s + 1j * g.a * th) * z + g.b * th
-        den = np.conj(g.b) * th * z + s - 1j * g.a * th
+        w = np.exp(2j * g.a * t) * z
     else:
-        num = (1.0 + 1j * g.a * t) * z + g.b * t
-        den = np.conj(g.b) * t * z + 1.0 - 1j * g.a * t
-    return complex(num / den)
+        al = alpha(g)
+        # th = t, s = 1 is the parabolic map from exp(tX) = I + tX
+        s = math.sqrt(abs(al)) if al else 1.0
+        st = s * t
+        th = (np.tanh(st) if al > 0.0 else np.tan(st) if al < 0.0 else t).astype(complex)
+        # [(s + ia th) z + b th] / [conj(b) th z + s - ia th] written as
+        # z + th r / (s + q th), which is z itself at t = 0
+        b = complex(g.b)
+        r = b + 2j * g.a * z - b.conjugate() * z * z
+        w = z + th * r / (s + (b.conjugate() * z - 1j * g.a) * th)
+        if al < 0.0:
+            # the printed quotient degenerates at the tangent poles; the
+            # underlying Moebius map does not
+            poles = np.abs(np.cos(st)) < TAN_POLE_GUARD
+            if poles.any():
+                w[poles] = evolve_exp(g.extended(), np.array([z]), t[poles])[:, 0]
+    return w if times.ndim else w.item()
 
 
 def evolve_exp(X, z, t):
     """phi_{exp(tX)}(z) for any group generator in any dimension.
 
-    A 1-D array of times gives a list of points, one per time, from one
-    batched `mat_exp` and one stacked `mobius_apply`.  Arrays of
-    generator matrices and of points with a scalar t give the array of
-    phi_{exp(t X_i)}(z_i) over their leading axes; one matrix off the
-    Lie algebra raises DomainError.
+    A 1-D array of k times gives the (k, n) array of points, one per
+    time, from one batched `mat_exp` and one stacked `mobius_apply`.
+    Arrays of generator matrices and of points with a scalar t give the
+    array of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
+    off the Lie algebra raises DomainError.
     """
     if not np.all(lie_algebra_check(X, GENERATOR_TOL)):
         raise DomainError("generator leaves the isometry Lie algebra")
-    moved = mobius_apply(mat_exp(_matrices(X)[0], t), z)
-    return [BallPoint(w) for w in moved] if np.ndim(t) else moved
+    return mobius_apply(mat_exp(_matrices(X)[0], t), z)
 
 
 def schrodinger_evolve(gen, z, t):
     """Norm-preserving quantum flow z(t) = exp(-iHt) z.
 
-    A 1-D array of times gives a list of points, one per time, from one
-    batched `mat_exp`.  Arrays of self-adjoint matrices H_i and of
-    points with a scalar t give the array of exp(-i H_i t) z_i over
-    their leading axes; one matrix that is not self-adjoint, or one
+    A 1-D array of k times gives the (k, n) array of points, one per
+    time, from one batched `mat_exp`.  Arrays of self-adjoint matrices
+    H_i and of points with a scalar t give the array of exp(-i H_i t) z_i
+    over their leading axes; one matrix that is not self-adjoint, or one
     point outside the ball, raises DomainError.
     """
     if isinstance(gen, HamiltonianGenerator):
@@ -155,39 +175,52 @@ def schrodinger_evolve(gen, z, t):
             raise DomainError("Hamiltonian must be self-adjoint")
     U = mat_exp(-1j * H, t)
     moved = _matvec(U, _paired_points(U, z, H.shape[-1]))
-    if np.ndim(t):
-        return [BallPoint(w) for w in moved]
     return _points_result(moved, isinstance(z, BallPoint))
 
 
 def trajectory(generator, z0, t_max, dt):
     """Samples of the exact flow at t = 0, dt, 2dt, ... up to t_max.
 
-    Returns a list of (t, BallPoint).  t_max must cover at least one
-    step, so the shortest output has two samples.  Disc flows are
-    evaluated per step in closed form; the other generators go through
-    `evolve_exp` or `schrodinger_evolve` TIME_BLOCK times at a time, so
-    one block of matrices is alive at once.
+    Returns `times`, the (N,) array i * dt, and `points`, the (N, n)
+    array of z(t_i).  t_max must cover at least one step, so the
+    shortest output has two samples.  Disc flows are one call of the
+    closed form over all times.  The other generators use the group law
+    phi_{exp((s+t)X)} = phi_{exp(sX)} o phi_{exp(tX)}: the first
+    TIME_BLOCK samples come from one batched `evolve_exp` or
+    `schrodinger_evolve`, and each later block is that block moved by
+    the one exponential of its first time, so later samples differ from
+    the per-step exponentials by roundoff.  The point array is checked
+    once at the end, and a disc sample that rounds out of the ball
+    raises DomainError naming the first such sample, its time and its
+    norm; the other flows check each block as they make it.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if t_max < dt - 1e-15:
         raise DomainError("t_max must be at least dt")
     steps = int(math.floor(t_max / dt + 1e-9))
-    times = [i * dt for i in range(steps + 1)]
+    times = np.arange(steps + 1) * dt
 
     if isinstance(generator, DiscGenerator):
         if z0.dim != 1:
             raise DomainError("disc generators act on the one-dimensional ball")
-        points = [BallPoint([disc_evolve_closed(generator, z0.vector[0], t)]) for t in times]
-        return list(zip(times, points))
-    if isinstance(generator, HamiltonianGenerator):
-        flow = schrodinger_evolve
-    elif isinstance(generator, ExtendedOperator):
-        flow = evolve_exp
+        points = disc_evolve_closed(generator, z0.vector[0], times)[:, None]
     else:
-        raise DomainError(f"unsupported generator type {type(generator).__name__}")
-    points = []
-    for start in range(0, len(times), TIME_BLOCK):
-        points += flow(generator, z0, np.array(times[start:start + TIME_BLOCK]))
-    return list(zip(times, points))
+        if isinstance(generator, HamiltonianGenerator):
+            flow = schrodinger_evolve
+        elif isinstance(generator, ExtendedOperator):
+            flow = evolve_exp
+        else:
+            raise DomainError(f"unsupported generator type {type(generator).__name__}")
+        base = flow(generator, z0, times[:TIME_BLOCK])
+        points = np.concatenate(
+            [base] + [flow(generator, base[:len(times) - start], times[start])
+                      for start in range(TIME_BLOCK, len(times), TIME_BLOCK)]
+        )
+    try:
+        return times, _check_points(points)
+    except DomainError:
+        norms = np.linalg.norm(points, axis=-1)
+        i = int(np.argmax(~(norms < 1.0 - BOUNDARY_MARGIN)))
+        raise DomainError(f"sample {i} (t = {float(times[i])!r}): point with norm "
+                          f"{norms[i]:.17g} is outside the open ball") from None

@@ -114,23 +114,28 @@ def save_matrix(path, M):
         fp.write("\n")
 
 
-def trajectory_csv(samples):
-    """CSV text for a list of (t, BallPoint), header t,re_z1,im_z1,...
+def trajectory_csv(times, points):
+    """CSV text for a trajectory, header t,re_z1,im_z1,...
 
-    Each row is one %.17g format over the row's floats; adding 0.0
-    turns -0.0 into 0.0, as `format_float` does.
+    `times` is the (N,) array of sample times and `points` the (N, n)
+    array of points, as `dynamics.trajectory` returns them.  Each row is
+    one %.17g format over the row's floats; adding 0.0 turns -0.0 into
+    0.0, as `format_float` does.
     """
-    if not samples:
+    times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=complex)
+    if times.ndim != 1 or points.shape[:1] != times.shape or points.ndim != 2:
+        raise ParseError(f"trajectory needs (N,) times and (N, n) points, got "
+                         f"{times.shape} and {points.shape}")
+    if not times.size:
         raise ParseError("trajectory must contain at least one sample")
-    dim = samples[0][1].dim
+    dim = points.shape[1]
     header = ["t"]
     for i in range(1, dim + 1):
         header += [f"re_z{i}", f"im_z{i}"]
-    rows = np.empty((len(samples), 2 * dim + 1))
-    rows[:, 0] = [t for t, _ in samples]
-    Z = np.stack([point.vector for _, point in samples])
-    rows[:, 1::2] = Z.real
-    rows[:, 2::2] = Z.imag
+    rows = np.empty((times.size, 2 * dim + 1))
+    rows[:, 0] = times
+    rows[:, 1::2] = points.real
+    rows[:, 2::2] = points.imag
     rows += 0.0
     fmt = ",".join(["%.17g"] * rows.shape[1])
     lines = [",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]

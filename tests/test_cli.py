@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hilbertball import cli, geometry, isometries, serialize, verify
+from hilbertball import cli, dynamics, geometry, isometries, serialize, verify
 from hilbertball.geometry import BallPoint
 
 from conftest import cgauss
@@ -111,6 +112,58 @@ def test_evolve_exp_and_bad_generator(tmp_path, capsys):
     )
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def csv_points(text):
+    """Row count and the (rows, n) complex points of a trajectory CSV."""
+    rows = np.array([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]])
+    return len(rows), rows[:, 1::2] + 1j * rows[:, 2::2]
+
+
+@pytest.mark.parametrize("mode", ["disc", "schrodinger", "exp"])
+def test_evolve_summary_matches_csv(tmp_path, capsys, mode):
+    rng = np.random.default_rng(5)
+    dest = tmp_path / "traj.csv"
+    if mode == "disc":
+        zf = write_vector(tmp_path / "z.json", [0.4 - 0.3j])
+        flags = ["--a", "0.3", "--b-re", "0.8", "--b-im", "0.2"]
+    elif mode == "schrodinger":
+        G = cgauss(rng, (4, 4))
+        zf = write_vector(tmp_path / "z.json", [0.3, 0.2j, -0.1, 0.4])
+        flags = ["--hamiltonian", write_matrix(tmp_path / "h.json", 0.5 * (G + G.conj().T))]
+    else:
+        zf = write_vector(tmp_path / "z.json", [0.2, 0.1 - 0.3j])
+        flags = ["--generator", write_matrix(tmp_path / "x.json", 0.2 * lie_matrix(rng, 2))]
+    argv = ["evolve", mode, "--state", zf, "--t-max", "3", "--dt", "0.01", *flags]
+    assert cli.main(argv + ["--out", str(dest)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    count, Z = csv_points(dest.read_text())
+    assert doc["samples"] == count == 301
+    assert doc["max_norm"] == np.linalg.norm(Z, axis=-1).max()
+    # the same trajectory on stdout
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == dest.read_text()
+
+
+def test_evolve_rim_exit_names_the_first_sample(tmp_path, capsys):
+    # the README disc example at t = 40: its exact orbit reaches the rim
+    # faster than a float z can follow, so it exits 3 at the first
+    # sample whose norm rounds past BallPoint's margin
+    zf = write_vector(tmp_path / "z.json", [0.5])
+    rc = cli.main(["evolve", "disc", "--state", zf, "--a", "0.3", "--b-re", "0.8",
+                   "--b-im", "0.2", "--t-max", "40", "--dt", "0.1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: sample (\d+) \(t = (\S+)\): point with norm (\S+) "
+                         r"is outside the open ball\n", err)
+    assert found, err
+    index, t, norm = int(found[1]), float(found[2]), found[3]
+    assert index == 177 and t == 177 * 0.1 and found[2] == "17.7"
+    g = dynamics.DiscGenerator(0.3, 0.8 + 0.2j)
+    orbit = dynamics.disc_evolve_closed(g, 0.5, np.arange(index + 1) * 0.1)
+    norms = np.linalg.norm(orbit[:, None], axis=-1)
+    assert norm == "%.17g" % norms[index]
+    assert norms[index] >= 1.0 - geometry.BOUNDARY_MARGIN > norms[:index].max()
 
 
 def test_evolve_missing_mode_input(tmp_path, capsys):

@@ -193,20 +193,20 @@ def test_schrodinger_dimension_check(rng):
 
 def test_trajectory_grid_and_interior():
     g = DiscGenerator(0.4, 0.3 + 0.1j)
-    samples = trajectory(g, BallPoint([0.2 + 0.1j]), 1.0, 0.25)
-    assert len(samples) == 5
-    for i, (t, p) in enumerate(samples):
+    times, points = trajectory(g, BallPoint([0.2 + 0.1j]), 1.0, 0.25)
+    assert times.shape == (5,) and points.shape == (5, 1)
+    for i, t in enumerate(times):
         assert t == i * 0.25
-        assert p.norm() < 1.0
-    assert np.allclose(samples[0][1].vector, [0.2 + 0.1j])
+    assert np.all(np.abs(points) < 1.0)
+    assert points[0, 0] == 0.2 + 0.1j
 
 
 def test_trajectory_matches_pointwise_flow():
     g = DiscGenerator(0.9, 0.5j)
     z0 = BallPoint([0.3 - 0.2j])
-    for t, p in trajectory(g, z0, 2.0, 0.5):
+    for t, p in zip(*trajectory(g, z0, 2.0, 0.5)):
         direct = disc_evolve_closed(g, z0.vector[0], t)
-        assert abs(p.vector[0] - direct) < 1e-9
+        assert abs(p[0] - direct) < 1e-9
 
 
 def test_trajectory_dispatches_all_generator_kinds(rng):
@@ -214,9 +214,9 @@ def test_trajectory_dispatches_all_generator_kinds(rng):
     H = 0.5 * (H + H.conj().T)
     z = random_point(rng, 3, 0.5)
     for gen in (HamiltonianGenerator(H), lie_element(rng, 3)):
-        samples = trajectory(gen, z, 0.6, 0.2)
-        assert len(samples) == 4
-        assert all(p.norm() < 1.0 for _, p in samples)
+        times, points = trajectory(gen, z, 0.6, 0.2)
+        assert times.shape == (4,) and points.shape == (4, 3)
+        assert np.all(np.linalg.norm(points, axis=-1) < 1.0)
 
 
 def hamiltonian(rng, dim):
@@ -235,9 +235,9 @@ def test_time_array_flows_equal_scalar_calls(rng):
     for gen, flow in batched_flows(rng):
         for ts in (times, np.array(times)):
             points = flow(gen, z, ts)
-            assert len(points) == len(times)
+            assert points.shape == (len(times), 3)
             for t, p in zip(times, points):
-                assert same_bytes(p.vector, flow(gen, z, t).vector)
+                assert same_bytes(p, flow(gen, z, t).vector)
 
 
 @pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([0.1, np.nan])])
@@ -285,14 +285,71 @@ def test_stacked_flows_reject_bad_generators(rng):
         schrodinger_evolve(H, Z, 1.0)
 
 
-def test_trajectory_equals_per_step_flow(rng):
-    z = random_point(rng, 3, 0.8)
-    for gen, flow in batched_flows(rng):
-        samples = trajectory(gen, z, 1.5, 0.01)
-        assert len(samples) == 151 > 2 * TIME_BLOCK
-        for i, (t, p) in enumerate(samples):
-            assert t == i * 0.01
-            assert same_bytes(p.vector, flow(gen, z, t).vector)
+def flows_of_norm(rng, dim, norm):
+    """(generator, flow, horizon) for both batched flows with operator
+    norm `norm`: the Schroedinger flow runs to t = 40; the exponential
+    flow, whose orbit may run out to the rim, to norm * t = 8 at most."""
+    H = hamiltonian(rng, dim).H
+    X = lie_element(rng, dim).matrix
+    return (
+        (HamiltonianGenerator(norm / op_norm(H) * H), schrodinger_evolve, 40.0),
+        (ExtendedOperator(norm / op_norm(X) * X), evolve_exp, min(40.0, 8.0 / norm)),
+    )
+
+
+def scipy_flow(gen, z, times):
+    """Every sample of the flow from scipy's expm, one matrix per time."""
+    if isinstance(gen, HamiltonianGenerator):
+        return scipy.linalg.expm(-1j * times[:, None, None] * gen.H) @ z.vector
+    E = scipy.linalg.expm(times[:, None, None] * gen.matrix)
+    W = E[:, :, :-1] @ z.vector + E[:, :, -1]
+    return W[:, :-1] / W[:, -1:]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 16])
+@pytest.mark.parametrize("norm", [0.1, 0.5, 2.0])
+def test_trajectory_stays_on_per_step_flow(rng, dim, norm):
+    # later blocks are the first block moved by the group law, so they
+    # leave the per-step exponentials by roundoff; the first block is
+    # the per-step flow itself
+    z = random_point(rng, dim, 0.8)
+    for gen, flow, t_max in flows_of_norm(rng, dim, norm):
+        times, points = trajectory(gen, z, t_max, 0.02)
+        assert len(times) == int(round(t_max / 0.02)) + 1 > 2 * TIME_BLOCK
+        assert all(t == i * 0.02 for i, t in enumerate(times.tolist()))
+        per_step = flow(gen, z, times)
+        assert same_bytes(points[:TIME_BLOCK], per_step[:TIME_BLOCK])
+        assert np.abs(points - per_step).max() < 1e-13
+        assert np.abs(points - scipy_flow(gen, z, times)).max() < 1e-13
+
+
+def test_disc_closed_form_over_times_equals_scalar_calls(rng):
+    # a scalar time goes through the formula as an array of one time, so
+    # every entry of the array call is bit-equal to the scalar call
+    for g in disc_generators():
+        times = [0.0, -0.0, 1e-300, *rng.uniform(-6.0, 6.0, 40).tolist(), *(np.arange(50) * 0.05).tolist()]
+        if alpha(g) < 0.0:
+            pole = math.pi / (2.0 * math.sqrt(-alpha(g)))
+            times += [pole, -pole, 3.0 * pole, pole + 0.5e-8, pole - 0.5e-8, pole + 2e-8]
+        for z in (0.25 - 0.35j, 0.0, 0.93j):
+            w = disc_evolve_closed(g, z, np.array(times))
+            assert w.shape == (len(times),)
+            scalar = [disc_evolve_closed(g, z, t) for t in times]
+            assert all(type(x) is complex for x in scalar)
+            assert same_bytes(w, np.array(scalar))
+            # t = 0 returns z itself in every regime
+            assert w[0] == w[1] == z
+
+
+def test_disc_closed_form_pole_times_take_the_exponential():
+    g = DiscGenerator(1.1, 0.4 - 0.3j)
+    pole = math.pi / (2.0 * math.sqrt(-alpha(g)))
+    times = np.array([pole - 0.5e-8, pole, pole + 0.5e-8, 0.3])
+    z = 0.25 - 0.35j
+    w = disc_evolve_closed(g, z, times)
+    viaexp = evolve_exp(g.extended(), BallPoint([z]), times)[:, 0]
+    assert same_bytes(w[:3], viaexp[:3])
+    assert abs(w[3] - viaexp[3]) < 1e-14
 
 
 def test_trajectory_rejects_non_generator(rng):
@@ -311,3 +368,5 @@ def test_trajectory_validation(rng):
         trajectory(g, z, 0.05, 0.1)  # horizon shorter than one step
     with pytest.raises(DomainError):
         trajectory(g, random_point(rng, 2, 0.5), 1.0, 0.1)  # disc needs dim 1
+    with pytest.raises(DomainError):
+        disc_evolve_closed(g, 0.1, np.zeros((2, 2)))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from hilbertball.errors import ParseError
-from hilbertball.geometry import BallPoint
 from hilbertball.serialize import (
     dumps,
     format_float,
@@ -85,24 +84,30 @@ def test_load_rejects_bad_file(tmp_path):
 
 
 def test_trajectory_csv_golden():
-    samples = [
-        (0.0, BallPoint([0.1 + 0.2j])),
-        (0.5, BallPoint([0.3 - 0.1j])),
-        (1.0, BallPoint([complex(-0.0, -0.0)])),
-    ]
+    times = np.array([0.0, 0.5, 1.0])
+    points = np.array([[0.1 + 0.2j], [0.3 - 0.1j], [complex(-0.0, -0.0)]])
     want = (
         "t,re_z1,im_z1\n"
         "0,0.10000000000000001,0.20000000000000001\n"
         "0.5,0.29999999999999999,-0.10000000000000001\n"
         "1,0,0\n"
     )
-    assert trajectory_csv(samples) == want
+    assert trajectory_csv(times, points) == want
 
 
 def test_trajectory_csv_columns_follow_dimension():
-    samples = [(0.0, BallPoint([0.1 + 0j, 0.2j, 0.0]))]
-    header = trajectory_csv(samples).splitlines()[0]
+    header = trajectory_csv(np.zeros(1), np.array([[0.1 + 0j, 0.2j, 0.0]])).splitlines()[0]
     assert header == "t,re_z1,im_z1,re_z2,im_z2,re_z3,im_z3"
+
+
+@pytest.mark.parametrize("times, points", [
+    (np.zeros(0), np.zeros((0, 1))),
+    (np.zeros(2), np.zeros((3, 1))),
+    (np.zeros(2), np.zeros(2)),
+])
+def test_trajectory_csv_rejects_unpaired_arrays(times, points):
+    with pytest.raises(ParseError):
+        trajectory_csv(times, points)
 
 
 def test_dumps_is_deterministic_and_plain_json():

@@ -9,8 +9,11 @@ the time per call in microseconds.  `distance` takes single
 points only, so its stacked column reads `-`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
-STEPS steps from one point (stacked column `-`).  Inputs come from a
-fixed seed; the timings are taken here, outside any report.
+STEPS steps from one point (stacked column `-`), and the `norm_b` and
+`norm_s` rows, the estimators behind `norm --which b|s`, on one
+operator at dim NORM_DIM with their default samples (stacked column
+`-`).  Inputs come from a fixed seed; the timings are taken here,
+outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
@@ -34,6 +37,7 @@ ROUND_SECONDS = 0.01
 REPEATS = 41
 STACK = 200
 STEPS = 1000
+NORM_DIM = 4
 SEED = 0
 MODULES = ("algebra", "dynamics", "geometry", "isometries")
 
@@ -155,6 +159,23 @@ def flow_cases(mods, arrays):
     )
 
 
+def draw_operator(rng):
+    """The operator of the norm rows: complex Gaussian entries, the
+    norm_estimators workload's unclustered draw."""
+    shape = (NORM_DIM + 1, NORM_DIM + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def norm_cases(mods, C):
+    """(row, dim, one estimator call) on one package."""
+    algebra, isometries = mods["algebra"], mods["isometries"]
+    op = isometries.ExtendedOperator(C)
+    return (
+        ("norm_b", NORM_DIM, lambda: algebra.norm_b(op)),
+        ("norm_s", NORM_DIM, lambda: algebra.norm_s(op)),
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 4, 16])
@@ -183,7 +204,8 @@ def main():
                     single[1], "%.2f" % stacked[1] if stacked else "-", single[0] / single[1],
                     "%.2f" % (stacked[0] / stacked[1]) if stacked else "-")
             print(line)
-    rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED))) for mods in packages))
+    rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
+                 + norm_cases(mods, draw_operator(np.random.default_rng(SEED))) for mods in packages))
     for row in rows:
         spans = per_call_us([case[2] for case in row])
         line = "%-22s %4d %10.2f %11s" % (row[0][0], row[0][1], spans[0], "-")

@@ -25,7 +25,11 @@ shifted chain conj(f) * h * f has operator C* eps I eps C = C*C, so
 `norm_d` reads the chain where `norm_s` reads the quotient, at the same
 argmax.  Every estimator screens and refines on the reduced quotient and
 re-evaluates its argmax once through the function-level star chain; the
-two routes are required to agree.
+two routes are required to agree.  Along one real coordinate of z, or
+lambda, xi moves on a line, where the quotient squared is a ratio of two
+real quadratics; the refinement's golden-section search reads that
+ratio in plain floats, and each step it takes is confirmed by the
+literal quotient.
 
 `evaluate`, its derivatives and both star products take arrays of
 operators and of points over any leading axes as well as single
@@ -354,49 +358,69 @@ def _sobol_candidates(dim, samples, seed, with_lambda):
     return Z, lams
 
 
-def _refine(scalar_fn, zvec, lam, best_val):
-    """Coordinate-wise golden-section ascent around the best candidate."""
+def _line_quotient(matrix, xi, k, unit):
+    """The reduced quotient ||M xi'|| / ||xi'|| on the real line
+    xi' = xi_b + x d, d = unit e_k, where xi_b is xi without the part of
+    its entry k along the complex unit `unit`: a plain-float function of x.
+
+    Since d is orthogonal to xi_b in the real inner product, the quotient
+    is sqrt((a0 + a1 x + a2 x^2) / (b0 + x^2)) with a0 = ||M xi_b||^2,
+    a1 = 2 Re<M xi_b|M d>, a2 = ||M d||^2 and b0 = ||xi_b||^2.  Like
+    `invariant_supremand` it is 0 where ||xi'|| < 1e-10, and it is 0
+    where the numerator rounds to zero or below.
+    """
+    xb = xi.copy()
+    xb[k] -= unit * (unit.conjugate() * xb[k]).real
+    mb, md = matrix @ xb, unit * matrix[:, k]
+    a0, a1 = float(np.vdot(mb, mb).real), 2.0 * float(np.vdot(mb, md).real)
+    a2, b0 = float(np.vdot(md, md).real), float(np.vdot(xb, xb).real)
+
+    def quotient(x):
+        den = b0 + x * x
+        num = a0 + x * (a1 + a2 * x)
+        return math.sqrt(num / den) if den >= 1e-20 and num > 0.0 else 0.0
+
+    return quotient
+
+
+def _refine(scalar_fn, zvec, lam, best_val, matrix):
+    """Coordinate-wise golden-section ascent around the best candidate.
+
+    Each step moves one real coordinate of z, or lambda, and so moves
+    xi = (-z, lambda), or (z, 1) on the cone, along a line, where the
+    quotient ||C xi|| / ||xi|| is the quotient of two real quadratics in
+    that coordinate (`_line_quotient`, C being `matrix`).  Golden-section
+    maximises it in plain floats; the step is taken only if `scalar_fn`,
+    the literal reduced quotient, beats the current value there, so the
+    value returned is `best_val` or `scalar_fn` at the point returned.
+    """
     n = zvec.size
     coords = np.concatenate([zvec.real, zvec.imag])
     cur_lam = lam
+    sign = 1.0 if lam is None else -1.0
     ncoords = 2 * n + (1 if lam is not None else 0)
-
-    def current_value():
-        return scalar_fn(coords[:n] + 1j * coords[n:], cur_lam)
 
     val = best_val
     for step in range(REFINE_STEPS):
         c = step % ncoords
+        xi = np.append(sign * (coords[:n] + 1j * coords[n:]), 1.0 if lam is None else cur_lam)
         if c < 2 * n:
             rest = float(np.sum(coords[:2 * n] ** 2) - coords[c] ** 2)
             half = math.sqrt(max(MAX_RADIUS ** 2 - rest, 0.0))
-
-            def f(x, _c=c):
-                old = coords[_c]
-                coords[_c] = x
-                v = current_value()
-                coords[_c] = old
-                return v
-
-            x, fx = golden_max(f, -half, half, GOLDEN_ITERS)
-            if fx > val:
-                coords[c] = x
-                val = fx
+            k, unit, lo, hi = c % n, sign * (1j if c >= n else 1.0), -half, half
         else:
-            hi = min(max(4.0 * cur_lam, 10.0), LAMBDA_CAP)
-
-            def f(x):
-                nonlocal cur_lam
-                old = cur_lam
-                cur_lam = x
-                v = current_value()
-                cur_lam = old
-                return v
-
-            x, fx = golden_max(f, 0.0, hi, GOLDEN_ITERS)
-            if fx > val:
-                cur_lam = x
-                val = fx
+            k, unit, lo, hi = n, 1.0, 0.0, min(max(4.0 * cur_lam, 10.0), LAMBDA_CAP)
+        x, fx = golden_max(_line_quotient(matrix, xi, k, unit), lo, hi, GOLDEN_ITERS)
+        if fx <= val:
+            continue
+        moved, moved_lam = coords.copy(), cur_lam
+        if c < 2 * n:
+            moved[c] = x
+        else:
+            moved_lam = x
+        literal = scalar_fn(moved[:n] + 1j * moved[n:], moved_lam)
+        if literal > val:
+            coords, cur_lam, val = moved, moved_lam, literal
     return coords[:n] + 1j * coords[n:], cur_lam, val
 
 
@@ -415,7 +439,7 @@ def _search(C, samples, seed, with_lambda, restarts, reduced, chain):
     zbest, lbest, val = None, None, -1.0
     for i in np.argsort(-vals, kind="stable")[:restarts]:
         lam = float(lams[i]) if with_lambda else None
-        zc, lc, vc = _refine(reduced, Z[i].copy(), lam, float(vals[i]))
+        zc, lc, vc = _refine(reduced, Z[i].copy(), lam, float(vals[i]), C.matrix)
         if vc > val:
             zbest, lbest, val = zc, lc, vc
     chain_val = chain(zbest, lbest)

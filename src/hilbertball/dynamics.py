@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
-    BOUNDARY_MARGIN,
     BallPoint,
     _check_points,
     _matvec,
@@ -189,10 +188,10 @@ def trajectory(generator, z0, t_max, dt):
     TIME_BLOCK samples come from one batched `evolve_exp` or
     `schrodinger_evolve`, and each later block is that block moved by
     the one exponential of its first time, so later samples differ from
-    the per-step exponentials by roundoff.  The point array is checked
-    once at the end, and a disc sample that rounds out of the ball
-    raises DomainError naming the first such sample, its time and its
-    norm; the other flows check each block as they make it.
+    the per-step exponentials by roundoff.  Disc points are checked as
+    one array, the other flows' block by block as they are made; a
+    sample that rounds out of the ball raises DomainError naming the
+    first such sample, its time and its norm.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -204,23 +203,26 @@ def trajectory(generator, z0, t_max, dt):
     if isinstance(generator, DiscGenerator):
         if z0.dim != 1:
             raise DomainError("disc generators act on the one-dimensional ball")
-        points = disc_evolve_closed(generator, z0.vector[0], times)[:, None]
+        flow = None
+    elif isinstance(generator, HamiltonianGenerator):
+        flow = schrodinger_evolve
+    elif isinstance(generator, ExtendedOperator):
+        flow = evolve_exp
     else:
-        if isinstance(generator, HamiltonianGenerator):
-            flow = schrodinger_evolve
-        elif isinstance(generator, ExtendedOperator):
-            flow = evolve_exp
-        else:
-            raise DomainError(f"unsupported generator type {type(generator).__name__}")
-        base = flow(generator, z0, times[:TIME_BLOCK])
-        points = np.concatenate(
-            [base] + [flow(generator, base[:len(times) - start], times[start])
-                      for start in range(TIME_BLOCK, len(times), TIME_BLOCK)]
-        )
+        raise DomainError(f"unsupported generator type {type(generator).__name__}")
+    start = 0
     try:
-        return times, _check_points(points)
-    except DomainError:
-        norms = np.linalg.norm(points, axis=-1)
-        i = int(np.argmax(~(norms < 1.0 - BOUNDARY_MARGIN)))
-        raise DomainError(f"sample {i} (t = {float(times[i])!r}): point with norm "
-                          f"{norms[i]:.17g} is outside the open ball") from None
+        if flow is None:
+            points = _check_points(disc_evolve_closed(generator, z0.vector[0], times)[:, None])
+        else:
+            blocks = [flow(generator, z0, times[:TIME_BLOCK])]
+            for start in range(TIME_BLOCK, len(times), TIME_BLOCK):
+                blocks.append(flow(generator, blocks[0][:len(times) - start], times[start]))
+            points = np.concatenate(blocks)
+    except DomainError as err:
+        # a point check names the row of the first bad point of its array
+        if not hasattr(err, "row"):
+            raise
+        i = start + err.row
+        raise DomainError(f"sample {i} (t = {float(times[i])!r}): {err}") from None
+    return times, points

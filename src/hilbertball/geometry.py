@@ -63,18 +63,29 @@ NORM_MATCH_TOL = 1e-10
 
 def _check_points(z):
     """z, a complex vector or an array of points along its last axis,
-    once every point is finite with norm below 1 - BOUNDARY_MARGIN; a
-    single bad point raises DomainError for the whole array."""
+    once every point is finite with norm below 1 - BOUNDARY_MARGIN.  A
+    single bad point raises DomainError for the whole array; the error's
+    `row` is the index of the first bad point over the flattened leading
+    axes, and the norm in its message is that point's."""
     if not np.isfinite(z).all():
-        raise DomainError("point has non-finite entries")
+        err = DomainError("point has non-finite entries")
+        err.row = int(np.argmax(~np.isfinite(z).all(axis=-1))) if z.ndim > 1 else 0
+        raise err
+    limit = 1.0 - BOUNDARY_MARGIN
     if z.ndim == 1:
-        worst = np.linalg.norm(z)
+        norm = np.linalg.norm(z)
+        if norm < limit:
+            return z
+        row = 0
     else:
         norms = np.linalg.norm(z, axis=-1)
-        worst = norms.max() if norms.size else 0.0
-    if worst >= 1.0 - BOUNDARY_MARGIN:
-        raise DomainError(f"point with norm {worst:.17g} is outside the open ball")
-    return z
+        if norms.size == 0 or norms.max() < limit:
+            return z
+        row = int(np.argmax(norms >= limit))
+        norm = norms.flat[row]
+    err = DomainError(f"point with norm {norm:.17g} is outside the open ball")
+    err.row = row
+    raise err
 
 
 def _as_points(z):

@@ -6,6 +6,7 @@ import pytest
 from hilbertball import algebra
 from hilbertball.algebra import (
     KahlerFunction,
+    cone_supremand,
     dispersion,
     evaluate,
     evaluate_blocks,
@@ -22,6 +23,7 @@ from hilbertball.algebra import (
     norm_d,
     norm_d_estimate,
     norm_s,
+    norm_s_estimate,
     poisson_bracket,
     second_degree_defect,
     star_operator,
@@ -248,6 +250,67 @@ def test_norm_b_estimate_reports_argmax(rng):
     again = invariant_supremand(C, est.argmax_z, est.argmax_lambda)
     assert abs(again - est.value) < 1e-12
     assert est.samples == 512
+
+
+def test_norm_s_estimate_reports_argmax(rng):
+    C = random_operator(rng, 2)
+    est = norm_s_estimate(C, samples=512, seed=7)
+    # the cone counterpart: the reduced quotient at the reported argmax
+    # reproduces the value
+    assert abs(cone_supremand(C, est.argmax_z) - est.value) < 1e-12
+    assert est.argmax_lambda is None and est.samples == 512
+
+
+@pytest.mark.parametrize("radius, lam", [(0.5, 0.7), (1.0 - 1e-6, 2.0), (0.9, 1e6), (1.0 - 1e-6, 1e8)],
+                         ids=["inside", "rim", "large-lambda", "rim-lambda-cap"])
+def test_line_quotient_equals_reduced_quotient(rng, radius, lam):
+    # a refine step maximises the quotient of two real quadratics in one
+    # coordinate; along every coordinate line it is the literal reduced
+    # quotient: real and imaginary parts of z, and lambda for norm_b
+    n = 4
+    for _ in range(3):
+        C = random_operator(rng, n)
+        g = cgauss(rng, n)
+        z = radius * g / np.linalg.norm(g)
+        invariant = lambda zv, lm: invariant_supremand(C, zv, lm)
+        cone = lambda zv, _: cone_supremand(C, zv)
+        # xi = (-z, lambda) for the invariant norm, (z, 1) on the cone
+        for literal, sign, last in ((invariant, -1.0, lam), (cone, 1.0, 1.0)):
+            xi = np.append(sign * z, last)
+            for k in range(n):
+                for unit in (1.0, 1j):
+                    f = algebra._line_quotient(C.matrix, xi, k, sign * unit)
+                    for x in np.linspace(-1.0, 1.0, 9):
+                        moved = z.copy()
+                        moved[k] = x + 1j * z[k].imag if unit == 1.0 else z[k].real + 1j * x
+                        want = literal(moved, lam)
+                        assert abs(f(x) - want) <= 1e-12 * (1.0 + want)
+        f = algebra._line_quotient(C.matrix, np.append(-z, lam), n, 1.0)
+        for x in np.linspace(0.0, 4.0 * lam, 9):
+            want = invariant(z, x)
+            assert abs(f(x) - want) <= 1e-12 * (1.0 + want)
+
+
+def test_norm_b_reads_the_literal_quotient_at_most_once_per_step(rng, monkeypatch):
+    # golden-section runs on the line quotient; the literal supremand
+    # only confirms a step, and a refine never returns less than it got
+    calls, gains = [], []
+    supremand, refine = algebra.invariant_supremand, algebra._refine
+
+    def counted(C, zvec, lam):
+        calls.append(1)
+        return supremand(C, zvec, lam)
+
+    def checked(*args):
+        result = refine(*args)
+        gains.append(result[2] >= args[3])
+        return result
+
+    monkeypatch.setattr(algebra, "invariant_supremand", counted)
+    monkeypatch.setattr(algebra, "_refine", checked)
+    norm_b_estimate(random_operator(rng, 3), samples=2048, seed=1)
+    assert 0 < len(calls) <= algebra.REFINE_RESTARTS * algebra.REFINE_STEPS
+    assert gains == [True] * algebra.REFINE_RESTARTS
 
 
 def test_supremand_routes_agree(rng):

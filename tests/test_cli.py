@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hilbertball import cli, dynamics, geometry, isometries, serialize, verify
+from hilbertball import cli, dynamics, geometry, isometries, numerics, serialize, verify
 from hilbertball.geometry import BallPoint
 
 from conftest import cgauss
@@ -164,6 +164,30 @@ def test_evolve_rim_exit_names_the_first_sample(tmp_path, capsys):
     norms = np.linalg.norm(orbit[:, None], axis=-1)
     assert norm == "%.17g" % norms[index]
     assert norms[index] >= 1.0 - geometry.BOUNDARY_MARGIN > norms[:index].max()
+
+
+def test_evolve_exp_rim_exit_names_the_first_sample(tmp_path, capsys):
+    # a hyperbolic exp flow leaves the ball in a block moved by the group
+    # law; the error names that block's first bad sample like a disc
+    # orbit's
+    zf = write_vector(tmp_path / "z.json", [0.1])
+    gf = write_matrix(tmp_path / "x.json", [[0.0, 2.0], [2.0, 0.0]])
+    rc = cli.main(["evolve", "exp", "--state", zf, "--generator", gf,
+                   "--t-max", "40", "--dt", "0.02"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: sample (\d+) \(t = (\S+)\): point with norm (\S+) "
+                         r"is outside the open ball\n", err)
+    assert found, err
+    index, norm = int(found[1]), float(found[3])
+    assert index >= dynamics.TIME_BLOCK and found[2] == repr(index * 0.02)
+    assert found[3] == "%.17g" % norm and norm >= 1.0 - geometry.BOUNDARY_MARGIN
+    X = isometries.ExtendedOperator(np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex))
+    # every earlier sample is inside, and the named one is on the flow
+    _, points = dynamics.trajectory(X, BallPoint([0.1]), (index - 1) * 0.02, 0.02)
+    assert len(points) == index
+    w = numerics.mat_exp(X.matrix, index * 0.02) @ np.array([0.1, 1.0])
+    assert abs(norm - abs(w[0] / w[1])) < 1e-12
 
 
 def test_evolve_missing_mode_input(tmp_path, capsys):

@@ -363,6 +363,23 @@ def test_tangent_vector_structure():
 
 
 @pytest.mark.parametrize("bad", ["rim", "nan"])
+def test_point_check_names_the_first_bad_row(rng, bad):
+    Z = cgauss(rng, (3, 4, 2)) * 0.1
+    Z[1, 2] = [0.8, 0.7] if bad == "rim" else [0.1, np.nan]
+    Z[2, 0] = [1.5, 0.0]
+    # rows [1, 2] and [2, 0] are bad, 6 and 8 over the flattened leading
+    # axes; the error names the first, not the one of largest norm
+    with pytest.raises(DomainError) as caught:
+        k_factor(Z)
+    assert caught.value.row == 6
+    if bad == "rim":
+        assert str(caught.value) == ("point with norm %.17g is outside the open ball"
+                                     % np.linalg.norm([0.8, 0.7]))
+    else:
+        assert str(caught.value) == "point has non-finite entries"
+
+
+@pytest.mark.parametrize("bad", ["rim", "nan"])
 def test_stack_kernels_reject_one_bad_row(rng, bad):
     n = 3
     Z = np.array([random_point(rng, n, 0.8).vector for _ in range(16)])

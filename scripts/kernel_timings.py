@@ -10,10 +10,10 @@ points only, so its stacked column reads `-`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
 STEPS steps from one point (stacked column `-`), and the `norm_b` and
-`norm_s` rows, the estimators behind `norm --which b|s`, on one
-operator at dim NORM_DIM with their default samples (stacked column
-`-`).  Inputs come from a fixed seed; the timings are taken here,
-outside any report.
+`norm_s` rows, the norms behind `norm --which b|s` (the exact invariant
+norm, and the cone search at its default samples), on one operator at
+dim NORM_DIM (stacked column `-`).  Inputs come from a fixed seed; the
+timings are taken here, outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet

@@ -116,8 +116,9 @@ def cmd_norm(args):
     C = ExtendedOperator(serialize.load_matrix(args.operator))
     samples = _parse_int(args.samples, "--samples")
     seed = _parse_int(args.seed, "--seed")
+    # b is exact: it takes no samples or seed, which are still validated
     if args.which == "b":
-        est = algebra.norm_b(C, samples=samples, seed=seed)
+        est = algebra.norm_b(C)
         oracle = op_norm(C.matrix)
         gap = (oracle - est) / oracle if oracle > 0.0 else 0.0
         _emit({"which": "b", "estimate": est, "oracle_op_norm": oracle, "gap": gap})
@@ -183,7 +184,7 @@ def build_parser():
     s.add_argument("--out", help="write the product operator here")
     s.set_defaults(func=cmd_star)
 
-    n = sub.add_parser("norm", help="sampled norm estimate for an operator")
+    n = sub.add_parser("norm", help="invariant norm (b, exact) or sampled cone norm (s, d)")
     n.add_argument("operator")
     n.add_argument("--which", choices=["b", "s", "d"], default="b")
     n.add_argument("--samples", default="2048")

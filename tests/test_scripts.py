@@ -1,0 +1,34 @@
+"""Smoke test of the experiment scripts, in-process and without running
+their `main`: each imports, and the library calls that
+`kernel_timings.py` times run once, so a script that calls a deleted or
+re-signatured library function fails here."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hilbertball import algebra, isometries
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def scripts_path(monkeypatch):
+    # verify_timings imports kernel_timings as a sibling module
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
+def test_script_imports(scripts_path, name):
+    assert callable(importlib.import_module(name).main)
+
+
+def test_kernel_timings_norm_cases_run(scripts_path):
+    kernel_timings = importlib.import_module("kernel_timings")
+    C = kernel_timings.draw_operator(np.random.default_rng(0))
+    assert C.shape == (5, 5)
+    cases = kernel_timings.norm_cases({"algebra": algebra, "isometries": isometries}, C)
+    for _, _, call in cases:
+        assert call() > 0.0

@@ -12,22 +12,32 @@ an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
 STEPS steps from one point (stacked column `-`), and the `norm_b` and
 `norm_s` rows, the norms behind `norm --which b|s` (the exact invariant
 norm, and the cone search at its default samples), on one operator at
-dim NORM_DIM (stacked column `-`).  Inputs come from a fixed seed; the
-timings are taken here, outside any report.
+dim NORM_DIM (stacked column `-`).  The `cli norm b` row times one
+in-process `cli.main(["norm", FILE, "--which", "b"])` call on that
+operator, stdout captured, and the `import hilbertball.cli` row is the
+median wall time of IMPORT_RUNS fresh interpreters that import the CLI,
+start-up included.  Inputs come from a fixed seed; the timings are taken
+here, outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
 the same load on the host, and each row also gives that package's
-times and the ratio of this tree's time to its.
+times and the ratio of this tree's time to its; the fresh interpreters
+of the import row alternate between the two trees too.
 
     python3 scripts/kernel_timings.py --dims 1 4 16
     python3 scripts/kernel_timings.py --against ../parent-checkout
 """
 
 import argparse
+import contextlib
 import importlib
+import io
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,8 +48,9 @@ REPEATS = 41
 STACK = 200
 STEPS = 1000
 NORM_DIM = 4
+IMPORT_RUNS = 5
 SEED = 0
-MODULES = ("algebra", "dynamics", "geometry", "isometries")
+MODULES = ("algebra", "cli", "dynamics", "geometry", "isometries", "serialize")
 
 
 def owned():
@@ -176,15 +187,43 @@ def norm_cases(mods, C):
     )
 
 
+def cli_cases(mods, operator_file):
+    """(row, dim, one in-process `hilbertball norm` call) on one package,
+    its stdout captured."""
+    cli = mods["cli"]
+
+    def norm_b():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(["norm", operator_file, "--which", "b"])
+
+    return (("cli norm b", NORM_DIM, norm_b),)
+
+
+def import_us(srcs):
+    """Median over IMPORT_RUNS of the wall time, in microseconds, of a
+    fresh interpreter that imports hilbertball.cli from each of `srcs`;
+    the interpreters alternate between them."""
+    spans = [[] for _ in srcs]
+    for _ in range(IMPORT_RUNS):
+        for src, runs in zip(srcs, spans):
+            path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import hilbertball.cli"], check=True,
+                           env=dict(os.environ, PYTHONPATH=path))
+            runs.append(time.perf_counter() - start)
+    return [1e6 * statistics.median(runs) for runs in spans]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 4, 16])
     ap.add_argument("--against", help="a checkout whose src/ package is timed alongside")
     args = ap.parse_args()
 
-    packages = [load_package(Path(__file__).resolve().parent.parent / "src")[0]]
+    srcs = [Path(__file__).resolve().parent.parent / "src"]
     if args.against:
-        packages.append(load_package(Path(args.against) / "src")[0])
+        srcs.append(Path(args.against) / "src")
+    packages = [load_package(src)[0] for src in srcs]
     rng = np.random.default_rng(SEED)
     print("# median us per call over %d rounds; stacks of %d" % (REPEATS, STACK))
     head = "%-22s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
@@ -204,11 +243,16 @@ def main():
                     single[1], "%.2f" % stacked[1] if stacked else "-", single[0] / single[1],
                     "%.2f" % (stacked[0] / stacked[1]) if stacked else "-")
             print(line)
-    rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
-                 + norm_cases(mods, draw_operator(np.random.default_rng(SEED))) for mods in packages))
-    for row in rows:
-        spans = per_call_us([case[2] for case in row])
-        line = "%-22s %4d %10.2f %11s" % (row[0][0], row[0][1], spans[0], "-")
+    C = draw_operator(np.random.default_rng(SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        operator_file = os.path.join(tmp, "operator.json")
+        packages[0]["serialize"].save_matrix(operator_file, C)
+        rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
+                     + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods in packages))
+        timed = [(row[0][0], row[0][1], per_call_us([case[2] for case in row])) for row in rows]
+    timed.append(("import hilbertball.cli", "-", import_us(srcs)))
+    for name, dim, spans in timed:
+        line = "%-22s %4s %10.2f %11s" % (name, dim, spans[0], "-")
         if args.against:
             line += " %10.2f %11s %7.2f %7s" % (spans[1], "-", spans[0] / spans[1], "-")
         print(line)

@@ -385,24 +385,33 @@ def _refine(scalar_fn, zvec, lam, best_val, matrix):
     `scalar_fn` at the point returned.  `lam` is returned as given: the
     cone has no lambda, and the (z, lam, val) shape is what perfbench's
     tracer reads.
+
+    The ascent ends early once 2n steps in a row are rejected: every
+    coordinate has then been tried from the current point, and each
+    later step would repeat one of those evaluations on identical
+    inputs, so the result is bit-identical to running all REFINE_STEPS.
     """
     n = zvec.size
     coords = np.concatenate([zvec.real, zvec.imag])
     val = best_val
+    rejected = 0
     for step in range(REFINE_STEPS):
+        if rejected == 2 * n:
+            break
         c = step % (2 * n)
         xi = np.append(coords[:n] + 1j * coords[n:], 1.0)
         rest = float(np.sum(coords ** 2) - coords[c] ** 2)
         half = math.sqrt(max(MAX_RADIUS ** 2 - rest, 0.0))
         x, fx = golden_max(_line_quotient(matrix, xi, c % n, 1j if c >= n else 1.0),
                            -half, half, GOLDEN_ITERS)
+        rejected += 1
         if fx <= val:
             continue
         moved = coords.copy()
         moved[c] = x
         literal = scalar_fn(moved[:n] + 1j * moved[n:])
         if literal > val:
-            coords, val = moved, literal
+            coords, val, rejected = moved, literal, 0
     return coords[:n] + 1j * coords[n:], lam, val
 
 

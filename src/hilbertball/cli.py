@@ -9,6 +9,7 @@ input, 3 domain violation.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -117,6 +118,10 @@ def cmd_norm(args):
     samples = _parse_int(args.samples, "--samples")
     seed = _parse_int(args.seed, "--seed")
     # b is exact: it takes no samples or seed, which are still validated
+    if samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {seed}")
     if args.which == "b":
         est = algebra.norm_b(C)
         oracle = op_norm(C.matrix)
@@ -151,7 +156,11 @@ def cmd_verify(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    `main` call; callers must not mutate it.  Each `parse_args` call
+    returns a fresh namespace, so calls share no state."""
     p = argparse.ArgumentParser(
         prog="hilbertball",
         description="Hyperbolic-ball state space: distances, flows, the "

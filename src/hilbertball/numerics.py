@@ -5,14 +5,16 @@ dozen entries.  The operator norm comes from LAPACK's SVD; the matrix
 exponential (Taylor series with scaling and squaring) and the
 golden-section search are small deterministic routines written out
 here.  All functions are pure.
+
+Only numpy loads with this module.  scipy is imported inside the two
+sampling helpers, `sobol_unit` and `gaussian_directions`, which only the
+cone-norm search calls, so no other command pays for its import.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import DomainError
 
@@ -223,6 +225,8 @@ def sobol_unit(samples, dim, seed):
     """`samples` points of the scrambled Sobol sequence in [0,1)^dim."""
     if samples < 1:
         raise DomainError("samples must be at least 1")
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(1, math.ceil(math.log2(samples)))
     pts = sampler.random_base2(m)
@@ -231,6 +235,8 @@ def sobol_unit(samples, dim, seed):
 
 def gaussian_directions(u):
     """Map uniform variates to standard normals through the inverse CDF."""
+    from scipy.special import ndtri
+
     clipped = np.clip(u, 1e-12, 1.0 - 1e-12)
     return ndtri(clipped)
 

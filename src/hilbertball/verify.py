@@ -53,6 +53,8 @@ class VerifyConfig:
             raise DomainError(f"dim must lie in [1, 16], got {self.dim}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not self.tol_scale > 0.0:
             raise DomainError("tolerance scale must be positive")
 

@@ -335,6 +335,45 @@ def test_norm_s_reads_the_literal_quotient_at_most_once_per_step(rng, monkeypatc
     assert gains == [True]
 
 
+def _count_golden_max(monkeypatch):
+    calls = []
+    golden_max = algebra.golden_max
+
+    def counted(*args):
+        calls.append(1)
+        return golden_max(*args)
+
+    monkeypatch.setattr(algebra, "golden_max", counted)
+    return calls
+
+
+def test_refine_stops_at_its_fixed_point(monkeypatch):
+    # from its own output every coordinate step is rejected, so the
+    # refine stops after one sweep of the 2n real coordinates and
+    # returns its input bit for bit; at this seed the first ascent
+    # settles before REFINE_STEPS
+    n = 3
+    rng = np.random.default_rng(1)
+    C = random_operator(rng, n)
+    g = cgauss(rng, n)
+    z0 = 0.5 * g / np.linalg.norm(g)
+    fn = lambda zv: cone_supremand(C, zv)
+    calls = _count_golden_max(monkeypatch)
+    z, _, val = algebra._refine(fn, z0, None, fn(z0), C.matrix)
+    assert len(calls) < algebra.REFINE_STEPS
+    calls.clear()
+    z2, lam, val2 = algebra._refine(fn, z, None, val, C.matrix)
+    assert len(calls) == 2 * n
+    assert same_bytes(z2, z) and same_bytes([val2], [val]) and lam is None
+
+
+def test_norm_s_refine_ends_early_once_settled(monkeypatch):
+    # at this seed the ascent settles after 11 of its REFINE_STEPS steps
+    calls = _count_golden_max(monkeypatch)
+    norm_s_estimate(random_operator(np.random.default_rng(2), 3), samples=2048, seed=1)
+    assert 0 < len(calls) < algebra.REFINE_STEPS
+
+
 def test_supremand_routes_agree(rng):
     worst = 0.0
     for _ in range(25):

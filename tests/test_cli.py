@@ -241,6 +241,39 @@ def test_norm_bad_samples_exits_2(tmp_path, capsys):
     assert cli.main(["norm", cf, "--samples", "many"]) == 2
 
 
+OUT_OF_RANGE = [("verify", "--seed", "-1")] + [
+    (which, flag, value) for which in "bsd" for flag, value in (("--seed", "-1"), ("--samples", "0"))
+]
+
+
+@pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE,
+                         ids=["-".join(case) for case in OUT_OF_RANGE])
+def test_out_of_range_seed_or_samples_exits_3(tmp_path, capsys, command, flag, value):
+    if command == "verify":
+        argv = ["verify", "geometry", "--dim", "2", "--trials", "2"]
+    else:
+        argv = ["norm", write_matrix(tmp_path / "c.json", np.eye(3, dtype=complex)),
+                "--which", command]
+    assert cli.main(argv + [flag, value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cf = write_matrix(tmp_path / "c.json", np.eye(3, dtype=complex))
+    assert cli.main(["norm", cf, "--which", "s", "--samples", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["which"] == "s"
+    assert cli.main(["norm", cf]) == 0
+    assert json.loads(capsys.readouterr().out)["which"] == "b"
+    dest = tmp_path / "report.json"
+    args = ["verify", "geometry", "--dim", "2", "--trials", "4"]
+    assert cli.main(args + ["--out", str(dest)]) == 0
+    dest.write_text("kept")
+    assert cli.main(args) == 0
+    assert dest.read_text() == "kept"
+
+
 def test_verify_reports_are_byte_identical(capsys):
     args = ["verify", "geometry", "--dim", "2", "--trials", "10", "--seed", "5"]
     assert cli.main(args) == 0

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
+from hilbertball import numerics
 from hilbertball.errors import DomainError
 from hilbertball.numerics import (
     RealLinearMap,
@@ -250,6 +254,26 @@ def test_sobol_unit_deterministic():
     assert np.array_equal(a, b)
     assert a.shape == (64, 5)
     assert np.all((a >= 0.0) & (a < 1.0))
+
+
+LAZY_SCIPY_PROBE = """
+import sys
+import hilbertball.cli
+from hilbertball import numerics
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(numerics.sobol_unit(4, 3, 0).shape, "scipy.stats" in sys.modules)
+"""
+
+
+def test_package_import_loads_no_scipy_until_the_sampler_runs():
+    # a fresh interpreter, on the path that put this package in reach
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", LAZY_SCIPY_PROBE], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "(4, 3) True"]
 
 
 def test_golden_max_unimodal():

@@ -1,7 +1,8 @@
 """Smoke test of the experiment scripts, in-process and without running
 their `main`: each imports, and the library calls that
 `kernel_timings.py` times run once, so a script that calls a deleted or
-re-signatured library function fails here."""
+re-signatured library function fails here.  The fresh interpreters of
+the import row are not started."""
 
 import importlib
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilbertball import algebra, isometries
+from hilbertball import algebra, cli, isometries, serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,3 +33,12 @@ def test_kernel_timings_norm_cases_run(scripts_path):
     cases = kernel_timings.norm_cases({"algebra": algebra, "isometries": isometries}, C)
     for _, _, call in cases:
         assert call() > 0.0
+
+
+def test_kernel_timings_cli_case_runs(scripts_path, tmp_path, capsys):
+    kernel_timings = importlib.import_module("kernel_timings")
+    path = str(tmp_path / "c.json")
+    serialize.save_matrix(path, kernel_timings.draw_operator(np.random.default_rng(0)))
+    (_, _, call), = kernel_timings.cli_cases({"cli": cli}, path)
+    assert call() == 0
+    assert capsys.readouterr().out == ""

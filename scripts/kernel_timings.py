@@ -1,12 +1,13 @@
 """Median per-call time of the layer kernels, on single objects and stacks.
 
 Times `evaluate`, `star_operator`, `star_pointwise`, `mobius_apply`,
-`transport_from_origin`, `k_factor`, `metric` and `distance` at each
-dimension, once on single objects (`BallPoint`, `ExtendedOperator`,
-one `TangentVector` pair) and once on stacks of STACK of them (arrays
+`transport_from_origin`, `k_factor`, `metric`, `distance`, the
+`BallPoint` constructor and `mat_exp` at each dimension, once on single
+objects (`BallPoint`, `ExtendedOperator`, one `TangentVector` pair, one
+(dim+1) x (dim+1) matrix) and once on stacks of STACK of them (arrays
 over one leading axis), and prints the median over REPEATS rounds of
-the time per call in microseconds.  `distance` takes single
-points only, so its stacked column reads `-`.  Then come the
+the time per call in microseconds.  `distance` and `BallPoint` take
+single points only, so their stacked column reads `-`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
 STEPS steps from one point (stacked column `-`), and the `norm_b` and
@@ -50,7 +51,7 @@ STEPS = 1000
 NORM_DIM = 4
 IMPORT_RUNS = 5
 SEED = 0
-MODULES = ("algebra", "cli", "dynamics", "geometry", "isometries", "serialize")
+MODULES = ("algebra", "cli", "dynamics", "geometry", "isometries", "numerics", "serialize")
 
 
 def owned():
@@ -113,7 +114,8 @@ def draw(dim, rng):
 
 def cases(mods, arrays):
     """(kernel, single call, stacked call or None) on one package."""
-    algebra, geometry, isometries = (mods[name] for name in ("algebra", "geometry", "isometries"))
+    algebra, geometry, isometries, numerics = (
+        mods[name] for name in ("algebra", "geometry", "isometries", "numerics"))
     Z, W, C, Cp, bases, hol, antihol = arrays
     T = isometries.transport_from_origin(bases)
     S = geometry.TangentVector(hol, antihol)
@@ -132,6 +134,8 @@ def cases(mods, arrays):
         ("k_factor", lambda: geometry.k_factor(z), lambda: geometry.k_factor(Z)),
         ("metric", lambda: geometry.metric(z, s, s), lambda: geometry.metric(Z, S, S)),
         ("distance", lambda: geometry.distance(z, w), None),
+        ("BallPoint", lambda: geometry.BallPoint(Z[0]), None),
+        ("mat_exp", lambda: numerics.mat_exp(C[0]), lambda: numerics.mat_exp(C)),
     )
 
 

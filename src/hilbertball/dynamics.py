@@ -15,18 +15,21 @@ alpha = |b|^2 - a^2:
 
 In any dimension a self-adjoint H drives the norm-preserving flow
 z(t) = exp(-iHt) z, which is the quantum evolution this geometry
-reproduces.  Trajectories always sample these exact flows; nothing here
-integrates an ODE.
+reproduces.  H is unitarily diagonalizable, so the flow is read off one
+eigendecomposition H = V diag(lambda) V* as V (e^{-i lambda t} * V* z)
+with no matrix exponential.  Trajectories always sample these exact
+flows; nothing here integrates an ODE.
 
 `evolve_exp` and `schrodinger_evolve` take a single generator and point,
 arrays of them over any leading axes (see `geometry`), or one generator
 and point with a 1-D array of times, which gives the array of points,
-one per time, from one batched exponential.  `disc_evolve_closed` takes
-a scalar or a 1-D array of times the same way.  A trajectory is the
-pair of arrays (times, points): disc flows are one closed-form call
-over all times, and the other flows exponentiate only their first
-TIME_BLOCK times and move that block along the grid by the group law
-exp((s + t)X) = exp(sX) exp(tX), one exponential per later block.
+one per time, from one batched exponential or one eigendecomposition.
+`disc_evolve_closed` takes a scalar or a 1-D array of times the same
+way.  A trajectory is the pair of arrays (times, points): disc and
+Schroedinger flows are one call over all times, and exponential flows
+exponentiate only their first TIME_BLOCK times and move that block
+along the grid by the group law exp((s + t)X) = exp(sX) exp(tX), one
+exponential per later block.
 """
 
 import math
@@ -43,7 +46,7 @@ from .geometry import (
     _points_result,
 )
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
-from .numerics import _as_complex_matrix, mat_exp, op_norm
+from .numerics import _as_complex_matrix, _as_times, mat_exp, op_norm
 
 TAN_POLE_GUARD = 1e-8
 GENERATOR_TOL = 1e-10
@@ -154,17 +157,26 @@ def evolve_exp(X, z, t):
     """
     if not np.all(lie_algebra_check(X, GENERATOR_TOL)):
         raise DomainError("generator leaves the isometry Lie algebra")
+    return _exp_flow(X, z, t)
+
+
+def _exp_flow(X, z, t):
+    """`evolve_exp` for a generator it has already checked."""
     return mobius_apply(mat_exp(_matrices(X)[0], t), z)
 
 
 def schrodinger_evolve(gen, z, t):
     """Norm-preserving quantum flow z(t) = exp(-iHt) z.
 
-    A 1-D array of k times gives the (k, n) array of points, one per
-    time, from one batched `mat_exp`.  Arrays of self-adjoint matrices
-    H_i and of points with a scalar t give the array of exp(-i H_i t) z_i
-    over their leading axes; one matrix that is not self-adjoint, or one
-    point outside the ball, raises DomainError.
+    H is diagonalized once by `eigh`, H = V diag(lambda) V*, and the
+    flow is read off as V (e^{-i lambda t} * V* z): the spectral theorem
+    in place of a matrix exponential.  A 1-D array of k times gives the
+    (k, n) array of points, one per time, from that one decomposition.
+    Arrays of self-adjoint matrices H_i and of points with a scalar t
+    give the array of exp(-i H_i t) z_i over their leading axes; one
+    matrix that is not self-adjoint, or one point outside the ball,
+    raises DomainError.  Each point of a time array has the bits of the
+    call at that scalar time.
     """
     if isinstance(gen, HamiltonianGenerator):
         H = gen.H
@@ -172,8 +184,15 @@ def schrodinger_evolve(gen, z, t):
         H = _as_complex_matrix(gen, square=True, stack=True)
         if np.any(op_norm(H - H.conj().swapaxes(-1, -2)) > SELF_ADJOINT_TOL):
             raise DomainError("Hamiltonian must be self-adjoint")
-    U = mat_exp(-1j * H, t)
-    moved = _matvec(U, _paired_points(U, z, H.shape[-1]))
+    times = _as_times(t)
+    if H.ndim > 2 and times.ndim:
+        raise DomainError("a stack of Hamiltonians takes one scalar time")
+    # the points pair with the times, or with the stack of Hamiltonians
+    Z = _paired_points(times.shape or H.shape[:-2], z, H.shape[-1])
+    lam, V = np.linalg.eigh(H)
+    coeffs = _matvec(V.conj().swapaxes(-1, -2), Z)
+    phases = np.exp(-1j * (times[..., None] * lam))
+    moved = _matvec(V, phases * coeffs)
     return _points_result(moved, isinstance(z, BallPoint))
 
 
@@ -183,15 +202,17 @@ def trajectory(generator, z0, t_max, dt):
     Returns `times`, the (N,) array i * dt, and `points`, the (N, n)
     array of z(t_i).  t_max must cover at least one step, so the
     shortest output has two samples.  Disc flows are one call of the
-    closed form over all times.  The other generators use the group law
-    phi_{exp((s+t)X)} = phi_{exp(sX)} o phi_{exp(tX)}: the first
-    TIME_BLOCK samples come from one batched `evolve_exp` or
-    `schrodinger_evolve`, and each later block is that block moved by
-    the one exponential of its first time, so later samples differ from
-    the per-step exponentials by roundoff.  Disc points are checked as
-    one array, the other flows' block by block as they are made; a
-    sample that rounds out of the ball raises DomainError naming the
-    first such sample, its time and its norm.
+    closed form over all times, and Schroedinger flows one
+    `schrodinger_evolve` call over all times, so each of their samples
+    is the per-step flow bit for bit.  Exponential flows use the group
+    law phi_{exp((s+t)X)} = phi_{exp(sX)} o phi_{exp(tX)}: the first
+    TIME_BLOCK samples come from one batched `evolve_exp`, which checks
+    the generator once, and each later block is that block moved by the
+    one exponential of its first time, so later samples differ from the
+    per-step exponentials by roundoff.
+    Their points are checked block by block as they are made, the other
+    flows' as one array; a sample that rounds out of the ball raises
+    DomainError naming the first such sample, its time and its norm.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -200,25 +221,21 @@ def trajectory(generator, z0, t_max, dt):
     steps = int(math.floor(t_max / dt + 1e-9))
     times = np.arange(steps + 1) * dt
 
-    if isinstance(generator, DiscGenerator):
-        if z0.dim != 1:
-            raise DomainError("disc generators act on the one-dimensional ball")
-        flow = None
-    elif isinstance(generator, HamiltonianGenerator):
-        flow = schrodinger_evolve
-    elif isinstance(generator, ExtendedOperator):
-        flow = evolve_exp
-    else:
-        raise DomainError(f"unsupported generator type {type(generator).__name__}")
     start = 0
     try:
-        if flow is None:
+        if isinstance(generator, DiscGenerator):
+            if z0.dim != 1:
+                raise DomainError("disc generators act on the one-dimensional ball")
             points = _check_points(disc_evolve_closed(generator, z0.vector[0], times)[:, None])
-        else:
-            blocks = [flow(generator, z0, times[:TIME_BLOCK])]
+        elif isinstance(generator, HamiltonianGenerator):
+            points = schrodinger_evolve(generator, z0, times)
+        elif isinstance(generator, ExtendedOperator):
+            blocks = [evolve_exp(generator, z0, times[:TIME_BLOCK])]
             for start in range(TIME_BLOCK, len(times), TIME_BLOCK):
-                blocks.append(flow(generator, blocks[0][:len(times) - start], times[start]))
+                blocks.append(_exp_flow(generator, blocks[0][:len(times) - start], times[start]))
             points = np.concatenate(blocks)
+        else:
+            raise DomainError(f"unsupported generator type {type(generator).__name__}")
     except DomainError as err:
         # a point check names the row of the first bad point of its array
         if not hasattr(err, "row"):

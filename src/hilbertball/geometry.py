@@ -25,7 +25,8 @@ The distance between interior points is
 equivalently tanh d(u,v) = s/m.  The identity
 m^2 - s^2 = (1 - ||u||^2)(1 - ||v||^2) keeps m - s strictly positive on
 the open ball, and `distance` evaluates m - s through it so that nothing
-cancels near the rim.  The radicand of s is evaluated as a sum of
+cancels near the rim.  The rim gaps 1 - ||z||^2 it needs are stored on
+each point: `BallPoint.gap`, computed once when the point is made.  The radicand of s is evaluated as a sum of
 non-negative terms in w = u - v (see `_distance_parts`), so nothing
 cancels for nearby points either.  m and s are invariant under the Moebius
 transport group as well as under unitary and antiunitary maps, which is
@@ -46,13 +47,15 @@ and the other helpers that take `BallPoint`s only are the exceptions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 
 BOUNDARY_MARGIN = 1e-12
+_LIMIT_SQ = (1.0 - BOUNDARY_MARGIN) ** 2
+_EPS = float(np.finfo(float).eps)
 # Constant holomorphic sectional curvature of the ball, and the scale
 # constant tied to it by c = 2/hbar.
 CURVATURE = -2.0
@@ -98,17 +101,34 @@ def _as_points(z):
 
 @dataclass(frozen=True, eq=False)
 class BallPoint:
-    """An interior point of the unit ball, ||z|| < 1."""
+    """An interior point of the unit ball, ||z|| < 1.
+
+    `vector` is a read-only copy of the input, so the point cannot change
+    after it is checked, and `gap` is its rim gap 1 - ||z||^2, taken as
+    1 - <z|z> once here.  The squared norm that gives the gap also
+    decides the check: a point whose <z|z> lies clearly inside the
+    margin needs nothing more, and any other goes through the same check
+    as an array of points, with the same verdict, message and `row`.
+    """
 
     vector: np.ndarray
+    gap: float = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex)
+        v = np.array(self.vector, dtype=complex)
         if v.ndim != 1:
             if v.ndim:
                 raise DomainError(f"a point is a vector, got ndim {v.ndim}")
             v = v.reshape(1)
-        object.__setattr__(self, "vector", _check_points(v))
+        sq = float(np.vdot(v, v).real)
+        # <z|z> and the norm the array check takes differ by a few
+        # roundings per entry, so below this bound both accept; NaN,
+        # inf and overflow fail the comparison and take the full check
+        if not sq < _LIMIT_SQ * (1.0 - 4.0 * (v.size + 2) * _EPS):
+            _check_points(v)
+        v.flags.writeable = False
+        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "gap", 1.0 - sq)
 
     @property
     def dim(self):
@@ -170,13 +190,13 @@ def _vectors(z):
     return z.vector if isinstance(z, BallPoint) else _as_points(z)
 
 
-def _paired_points(M, z, n):
+def _paired_points(lead, z, n):
     """z as validated points of dimension n whose leading axes broadcast
-    against those of the array of matrices M."""
+    against the leading axes `lead` of an array of matrices."""
     Z = _vectors(z)
     if Z.shape[-1] != n:
         raise DomainError("operator and point dimensions differ")
-    lead, zlead = M.shape[:-2], Z.shape[:-1]
+    zlead = Z.shape[:-1]
     if lead != zlead and not all(a == b or 1 in (a, b) for a, b in zip(lead[::-1], zlead[::-1])):
         raise DomainError(f"leading axes {lead} and {zlead} do not broadcast")
     return Z
@@ -267,7 +287,7 @@ def connection(z, X, Y):
 
 
 def _distance_parts(u, v):
-    """m, s and the rim gaps 1 - ||u||^2, 1 - ||v||^2.
+    """m, s and the stored rim gaps 1 - ||u||^2, 1 - ||v||^2.
 
     s^2 is summed as (1/2)[(du + dv)||w||^2 + |<u|w>|^2 + |<v|w>|^2] with
     w = u - v: every term is non-negative, so nothing cancels for nearby
@@ -276,7 +296,7 @@ def _distance_parts(u, v):
     w = u.vector - v.vector
     c = complex(np.vdot(u.vector, v.vector))
     m = abs(1.0 - c)
-    du, dv = 1.0 - u.norm_sq(), 1.0 - v.norm_sq()
+    du, dv = u.gap, v.gap
     s_sq = (du + dv) * float(np.real(np.vdot(w, w))) + (
         abs(np.vdot(u.vector, w)) ** 2 + abs(np.vdot(v.vector, w)) ** 2
     )

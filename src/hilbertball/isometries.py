@@ -117,7 +117,7 @@ def _operands(T, z):
     """Validated matrices, n, and validated points of dimension n whose
     leading axes broadcast against the matrices'."""
     M, n = _matrices(T)
-    return M, n, _paired_points(M, z, n)
+    return M, n, _paired_points(M.shape[:-2], z, n)
 
 
 def epsilon_matrix(dim):

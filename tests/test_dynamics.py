@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hilbertball import dynamics
 from hilbertball.dynamics import (
     TIME_BLOCK,
     DiscGenerator,
@@ -17,7 +18,7 @@ from hilbertball.dynamics import (
 )
 from hilbertball.errors import DomainError
 from hilbertball.geometry import BallPoint, distance, origin
-from hilbertball.isometries import ExtendedOperator, lie_defect
+from hilbertball.isometries import ExtendedOperator, lie_algebra_check, lie_defect
 from hilbertball.numerics import op_norm
 
 from conftest import cgauss, random_point, same_bytes
@@ -309,18 +310,47 @@ def scipy_flow(gen, z, times):
 @pytest.mark.parametrize("dim", [1, 3, 8, 16])
 @pytest.mark.parametrize("norm", [0.1, 0.5, 2.0])
 def test_trajectory_stays_on_per_step_flow(rng, dim, norm):
-    # later blocks are the first block moved by the group law, so they
-    # leave the per-step exponentials by roundoff; the first block is
-    # the per-step flow itself
+    # a Schroedinger trajectory is one spectral call over all times, so
+    # every sample is the per-step flow; an exponential flow's later
+    # blocks are its first block moved by the group law, so they leave
+    # the per-step exponentials by roundoff
     z = random_point(rng, dim, 0.8)
     for gen, flow, t_max in flows_of_norm(rng, dim, norm):
         times, points = trajectory(gen, z, t_max, 0.02)
         assert len(times) == int(round(t_max / 0.02)) + 1 > 2 * TIME_BLOCK
         assert all(t == i * 0.02 for i, t in enumerate(times.tolist()))
         per_step = flow(gen, z, times)
-        assert same_bytes(points[:TIME_BLOCK], per_step[:TIME_BLOCK])
+        exact = len(times) if flow is schrodinger_evolve else TIME_BLOCK
+        assert same_bytes(points[:exact], per_step[:exact])
         assert np.abs(points - per_step).max() < 1e-13
         assert np.abs(points - scipy_flow(gen, z, times)).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+@pytest.mark.parametrize("norm", [0.1, 1.0, 2.0])
+def test_spectral_schrodinger_matches_the_exponential_route(rng, dim, norm):
+    # exp(-iHt) from one eigendecomposition against the Moebius flow of
+    # the extended generator, which goes through mat_exp, up to t = 40
+    H = hamiltonian(rng, dim).H
+    gen = HamiltonianGenerator(norm / op_norm(H) * H, a=0.3)
+    z = random_point(rng, dim, 0.8)
+    times = np.linspace(0.0, 40.0, 161)
+    got = schrodinger_evolve(gen, z, times)
+    assert np.abs(got - evolve_exp(gen.extended(), z, times)).max() < 1e-13
+    assert np.abs(np.linalg.norm(got, axis=-1) - z.norm()).max() < 1e-14
+
+
+def test_exp_trajectory_checks_its_generator_once(rng, monkeypatch):
+    calls = []
+
+    def counted(X, tol):
+        calls.append(X)
+        return lie_algebra_check(X, tol)
+
+    monkeypatch.setattr(dynamics, "lie_algebra_check", counted)
+    X = lie_element(rng, 3)
+    times, points = trajectory(0.5 / op_norm(X.matrix) * X, random_point(rng, 3, 0.5), 5.0, 0.005)
+    assert points.shape == (1001, 3) and len(calls) == 1
 
 
 def test_disc_closed_form_over_times_equals_scalar_calls(rng):

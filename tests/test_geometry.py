@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hilbertball import algebra, dynamics, isometries
+from hilbertball import algebra, dynamics, geometry, isometries
 from hilbertball.errors import DomainError
 from hilbertball.geometry import (
     BallPoint,
@@ -351,6 +351,75 @@ def test_ball_point_validation():
         BallPoint(np.array([0.8 + 0.8j]))
     p = BallPoint([0.1, 0.2])  # lists coerce
     assert p.dim == 2 and p.vector.dtype == complex
+
+
+MARGIN_NORM = 1.0 - geometry.BOUNDARY_MARGIN
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("entries, message", [
+    ([0.1, np.nan], "point has non-finite entries"),
+    ([complex(0.0, np.inf), 0.2], "point has non-finite entries"),
+    ([1e200, 0.0], "point with norm inf is outside the open ball"),
+    ([MARGIN_NORM, 0.0], "point with norm %.17g is outside the open ball" % MARGIN_NORM),
+    ([0.6, 0.8j], "point with norm 1 is outside the open ball"),
+])
+def test_ball_point_rejections_keep_their_messages(entries, message):
+    with pytest.raises(DomainError) as caught:
+        BallPoint(np.array(entries, dtype=complex))
+    assert str(caught.value) == message and caught.value.row == 0
+
+
+def test_ball_point_accepts_exactly_what_the_norm_check_accepts(rng):
+    # points within a few ulps of the margin: the verdict is the one
+    # np.linalg.norm gives, though the rim gap comes from <z|z>
+    for dim in (1, 2, 4, 16, 33):
+        for _ in range(400):
+            w = cgauss(rng, dim)
+            v = MARGIN_NORM * (1.0 + 1.1e-16 * rng.integers(-40, 40)) * w / np.linalg.norm(w)
+            inside = bool(np.linalg.norm(v) < MARGIN_NORM)
+            try:
+                p = BallPoint(v)
+            except DomainError:
+                assert not inside
+            else:
+                assert inside and p.gap.hex() == (1.0 - float(np.vdot(v, v).real)).hex()
+
+
+def test_ball_point_holds_a_read_only_copy():
+    a = np.array([0.3 + 0.1j, -0.2j])
+    p = BallPoint(a)
+    a[0] = 5.0
+    assert p.vector[0] == 0.3 + 0.1j and p.gap == 1.0 - p.norm_sq()
+    with pytest.raises(ValueError):
+        p.vector[0] = 5.0
+    q = BallPoint(p.vector)
+    assert q.vector is not p.vector and q.gap == p.gap
+
+
+def distance_from_norms(u, v):
+    """`distance` with the rim gaps taken from norm_sq() on each call, as
+    it was before points stored them."""
+    w = u.vector - v.vector
+    m = abs(1.0 - complex(np.vdot(u.vector, v.vector)))
+    du, dv = 1.0 - u.norm_sq(), 1.0 - v.norm_sq()
+    s = math.sqrt(0.5 * ((du + dv) * float(np.real(np.vdot(w, w)))
+                         + (abs(np.vdot(u.vector, w)) ** 2 + abs(np.vdot(v.vector, w)) ** 2)))
+    return 0.5 * math.log1p(2.0 * s / (du * dv / (m + s)))
+
+
+def test_distance_with_stored_gaps_is_bit_equal_to_recomputed_norms(rng):
+    for dim in (1, 4, 16):
+        for k in range(100):
+            if k % 2:
+                # rim pairs, 1 - ||z|| down to just inside the margin
+                gu, gv = 10.0 ** rng.uniform(-11.99, -1.0, 2)
+                pu, pv = cgauss(rng, dim), cgauss(rng, dim)
+                u = BallPoint((1.0 - gu) * pu / np.linalg.norm(pu))
+                v = BallPoint((1.0 - gv) * pv / np.linalg.norm(pv))
+            else:
+                u, v = random_point(rng, dim), random_point(rng, dim)
+            assert distance(u, v).hex() == distance_from_norms(u, v).hex()
 
 
 def test_tangent_vector_structure():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilbertball import algebra, cli, isometries, serialize
+from hilbertball import algebra, cli, geometry, isometries, numerics, serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -24,6 +24,15 @@ def scripts_path(monkeypatch):
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
 def test_script_imports(scripts_path, name):
     assert callable(importlib.import_module(name).main)
+
+
+def test_kernel_timings_layer_cases_run(scripts_path):
+    kernel_timings = importlib.import_module("kernel_timings")
+    mods = {"algebra": algebra, "geometry": geometry, "isometries": isometries, "numerics": numerics}
+    for _, single, stacked in kernel_timings.cases(mods, kernel_timings.draw(2, np.random.default_rng(0))):
+        single()
+        if stacked is not None:
+            stacked()
 
 
 def test_kernel_timings_norm_cases_run(scripts_path):

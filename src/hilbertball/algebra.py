@@ -199,7 +199,10 @@ def star_operator(C, Cp):
 
 
 def self_adjoint_defect(C):
-    return op_norm(C.matrix - C.matrix.conj().T)
+    """||C - C*|| for an operator or a square matrix; the array of them
+    for a stack of matrices over leading axes."""
+    M, _ = _matrices(C)
+    return op_norm(M - M.conj().swapaxes(-1, -2))
 
 
 def dispersion(C, z):
@@ -486,6 +489,18 @@ def norm_d(C, samples=2048, seed=0):
     return norm_d_estimate(C, samples, seed).value
 
 
+def _unit_and_projection(dim, vector):
+    """The unit vector along `vector` (e_0 by default) and the rank-one
+    projection onto it, the shared data of the two witnesses below."""
+    if vector is None:
+        v = np.zeros(dim, dtype=complex)
+        v[0] = 1.0
+    else:
+        v = np.asarray(vector, dtype=complex)
+        v = v / np.linalg.norm(v)
+    return v, np.outer(v, np.conj(v))
+
+
 def submultiplicativity_witnesses(dim, vector=None, alternative_slot=False):
     """A rank-one pair whose product breaks the Banach inequality for the
     cone-restricted norm by a factor sqrt(2).
@@ -495,13 +510,7 @@ def submultiplicativity_witnesses(dim, vector=None, alternative_slot=False):
     it, conjugated, to the lower-left slot instead, and that variant
     witnesses the same failure).
     """
-    if vector is None:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-    else:
-        v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
-    E = np.outer(v, np.conj(v))
+    v, E = _unit_and_projection(dim, vector)
     first = ExtendedOperator.from_blocks(E, np.zeros(dim), np.zeros(dim), 0.0)
     if alternative_slot:
         second = ExtendedOperator.from_blocks(np.zeros((dim, dim)), np.zeros(dim), v, 0.0)
@@ -513,11 +522,5 @@ def submultiplicativity_witnesses(dim, vector=None, alternative_slot=False):
 def involution_failure_operator(dim, vector=None):
     """The rank-one operator with A-block E and lower-left conj(v): its
     plain square has norm 2 while its eps-twisted square is zero."""
-    if vector is None:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-    else:
-        v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
-    E = np.outer(v, np.conj(v))
+    v, E = _unit_and_projection(dim, vector)
     return ExtendedOperator.from_blocks(E, np.zeros(dim), v, 0.0)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import SELF_ADJOINT_TOL, self_adjoint_defect
 from .errors import DomainError
 from .geometry import (
     BallPoint,
@@ -46,11 +47,9 @@ from .geometry import (
     _points_result,
 )
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
-from .numerics import _as_complex_matrix, _as_times, mat_exp, op_norm
+from .numerics import _as_complex_matrix, _as_times, mat_exp
 
 TAN_POLE_GUARD = 1e-8
-GENERATOR_TOL = 1e-10
-SELF_ADJOINT_TOL = 1e-12
 # Times a trajectory exponentiates together, and the length of the block
 # it then shifts along its grid: long enough to amortize the per-call
 # overhead, short enough that the stack of matrices stays small.
@@ -89,7 +88,7 @@ class HamiltonianGenerator:
         H = np.asarray(self.H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DomainError("Hamiltonian must be square")
-        if op_norm(H - H.conj().T) > SELF_ADJOINT_TOL:
+        if self_adjoint_defect(H) > SELF_ADJOINT_TOL:
             raise DomainError("Hamiltonian must be self-adjoint")
         object.__setattr__(self, "H", H)
 
@@ -120,9 +119,7 @@ def disc_evolve_closed(g, z, t):
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"disc point with |z| = {abs(z):.17g} is not interior")
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise DomainError(f"time must be a scalar or a 1-D array, got ndim {times.ndim}")
+    times = _as_times(np.asarray(t, dtype=float))
     t = times.reshape(-1)
     if g.b == 0:
         w = np.exp(2j * g.a * t) * z
@@ -155,7 +152,7 @@ def evolve_exp(X, z, t):
     array of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
     off the Lie algebra raises DomainError.
     """
-    if not np.all(lie_algebra_check(X, GENERATOR_TOL)):
+    if not np.all(lie_algebra_check(X)):
         raise DomainError("generator leaves the isometry Lie algebra")
     return _exp_flow(X, z, t)
 
@@ -182,7 +179,7 @@ def schrodinger_evolve(gen, z, t):
         H = gen.H
     else:
         H = _as_complex_matrix(gen, square=True, stack=True)
-        if np.any(op_norm(H - H.conj().swapaxes(-1, -2)) > SELF_ADJOINT_TOL):
+        if np.any(self_adjoint_defect(H) > SELF_ADJOINT_TOL):
             raise DomainError("Hamiltonian must be self-adjoint")
     times = _as_times(t)
     if H.ndim > 2 and times.ndim:
@@ -218,7 +215,12 @@ def trajectory(generator, z0, t_max, dt):
         raise DomainError("dt must be positive")
     if t_max < dt - 1e-15:
         raise DomainError("t_max must be at least dt")
-    steps = int(math.floor(t_max / dt + 1e-9))
+    # NaN times pass both checks above; NaN or an overflowing quotient
+    # would reach the integer conversion
+    span = t_max / dt
+    if not math.isfinite(span):
+        raise DomainError(f"t_max / dt must be a finite step count, got {t_max!r} / {dt!r}")
+    steps = int(math.floor(span + 1e-9))
     times = np.arange(steps + 1) * dt
 
     start = 0

@@ -13,7 +13,9 @@ dimension g((u,ubar),(u,ubar)) = 2|u|^2/(1-|z|^2)^2.  Two normalization
 conventions therefore coexist and both are pinned by exact anchors:
 
 * lengths and the distance use the hermitian line element
-  k||du||^2 + k^2|<z|du>|^2, which makes tanh d(u,0) = ||u|| hold exactly;
+  k||du||^2 + k^2|<z|du>|^2, the metric at ((du, 0), (0, du bar)),
+  which makes tanh d(u,0) = ||u|| hold exactly; `hermitian_energy`
+  evaluates it over leading axes like the other kernels;
 * the curvature probe uses the doubled (real tangent) evaluation, which
   is what gives the constant holomorphic sectional curvature -2.
 
@@ -166,16 +168,6 @@ class TangentVector:
         object.__setattr__(self, "antihol", v)
 
     @classmethod
-    def holomorphic(cls, u):
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        return cls(u, np.zeros_like(u))
-
-    @classmethod
-    def antiholomorphic(cls, v):
-        v = np.atleast_1d(np.asarray(v, dtype=complex))
-        return cls(np.zeros_like(v), v)
-
-    @classmethod
     def real(cls, u):
         """Embed a real tangent direction u as the pair (u, ubar)."""
         return cls(u, u)
@@ -265,12 +257,13 @@ def kahler_form(z, s, t):
 def hermitian_energy(z, u):
     """k||u||^2 + k^2 |<z|u>|^2: the line element used for lengths.
 
-    Equal to metric(z, (u,0), (0,ubar)) and to half the real-tangent
-    evaluation metric(z, (u,ubar), (u,ubar)).
+    Evaluated as Re metric(z, (u,0), (0,ubar)), which also equals half
+    the real-tangent evaluation metric(z, (u,ubar), (u,ubar)).  Arrays
+    of points and of directions of one shape give the array of values.
     """
     u = np.asarray(u, dtype=complex)
-    k = k_factor(z)
-    return float(k * np.real(np.vdot(u, u)) + k * k * abs(np.vdot(z.vector, u)) ** 2)
+    zero = np.zeros_like(u)
+    return metric(z, TangentVector(u, zero), TangentVector(zero, u)).real
 
 
 def connection(z, X, Y):
@@ -347,12 +340,7 @@ def curve_length(samples):
     dt = 1.0 / (n - 1)
     mids = 0.5 * (Z[1:] + Z[:-1])
     vels = (Z[1:] - Z[:-1]) / dt
-    mid_nsq = np.sum(np.abs(mids) ** 2, axis=1)
-    k = 1.0 / (1.0 - mid_nsq)
-    vel_nsq = np.sum(np.abs(vels) ** 2, axis=1)
-    inner = np.abs(np.sum(np.conj(mids) * vels, axis=1)) ** 2
-    energy = k * vel_nsq + k * k * inner
-    return float(np.sum(np.sqrt(np.maximum(energy, 0.0))) * dt)
+    return float(np.sum(np.sqrt(hermitian_energy(mids, vels))) * dt)
 
 
 def sectional_curvature_probe(z, u, step=1e-4, base=0.25):

@@ -143,18 +143,6 @@ def _scaled_exp(M, squarings):
     return R
 
 
-def ball_sample(rng, dim, max_norm):
-    """One point of C^dim with uniform direction and radius uniform on
-    [0, max_norm], drawn from an existing Generator."""
-    while True:
-        w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        nw = np.linalg.norm(w)
-        if nw > 0:
-            break
-    r = rng.uniform(0.0, max_norm)
-    return (r / nw) * w
-
-
 def realify(z):
     """C^n -> R^2n, stacking real parts over imaginary parts.  The standard
     real inner product of two realifications equals Re<u|v>."""
@@ -192,10 +180,6 @@ class RealLinearMap:
 
     def complement(self):
         return RealLinearMap(np.eye(self.matrix.shape[0]) - self.matrix)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(2 * dim))
 
 
 def real_projection(basis):

@@ -6,12 +6,14 @@ from a generator seeded by (seed, property index), measures a defect per
 trial, and reduces the defects through `_worst`, a max that keeps NaN;
 it passes when the worst defect stays within its tolerance times the
 configured scale, so a NaN defect fails.  Properties draw their trials
-up front as arrays and pass them to the library's kernels, which take
-any leading axes.  The exceptions loop: the distance properties measure
-one pair at a time through `geometry.distance`, which takes single
-points only, the projection identity builds each projection through the
-one-basis `numerics.real_projection`, and the twist witness is a single
-fixed operator.  Reports are plain dicts with a fixed field order and no
+up front as arrays from the stacked generators and pass them to the
+library's kernels, which take any leading axes; only mirrors, each built
+from its own basis, are drawn one at a time.  The exceptions loop: the
+distance properties measure one pair at a time through
+`geometry.distance`, which takes single points only, the projection
+identity builds each projection through the one-basis
+`numerics.real_projection`, and the twist witness is a single fixed
+operator.  Reports are plain dicts with a fixed field order and no
 timestamps, so a fixed seed reproduces the output byte for byte.
 
 All library calls go through module attributes (geometry.metric and
@@ -79,33 +81,6 @@ def _cgauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _point(rng, dim, max_norm=SAMPLE_NORM):
-    return geometry.BallPoint(numerics.ball_sample(rng, dim, max_norm))
-
-
-def _lie_element(rng, dim):
-    """A random generator X with X*eps + eps X = 0, scaled to unit size so
-    that exp(tX) stays well conditioned for |t| up to a few."""
-    G = _cgauss(rng, (dim, dim))
-    B = G - G.conj().T
-    u = _cgauss(rng, dim)
-    c = float(rng.standard_normal())
-    X = isometries.ExtendedOperator.from_blocks(B, u, u, 1j * c)
-    scale = numerics.op_norm(X.matrix)
-    if scale > 1.0:
-        X = (1.0 / scale) * X
-    return X
-
-
-def _member(rng, dim):
-    """A random group element: a one-parameter flow sample, every other
-    time composed with a transport."""
-    T = isometries.exp_element(_lie_element(rng, dim), float(rng.uniform(-1.5, 1.5)))
-    if rng.uniform() < 0.5:
-        T = isometries.transport_from_origin(_point(rng, dim)) @ T
-    return T
-
-
 def _mirror(rng, dim):
     """A random mirror that is an isometry of the distance: either the
     reflection through a complex subspace (a unitary), or through the
@@ -124,10 +99,8 @@ def _mirror(rng, dim):
     return isometries.MirrorTransformation.from_basis(basis)
 
 
-# Stacked generators for the batched properties: `count` draws at once,
-# each distributed as its scalar counterpart above, returned as arrays
-# (points along the last axis, matrices along the last two).  The scalar
-# generators stay for the distance properties and for the tests.
+# Stacked generators: `count` draws at once, returned as arrays (points
+# along the last axis, matrices along the last two).
 
 def _points(rng, dim, shape, max_norm=SAMPLE_NORM):
     """An array of points of C^dim of the given leading shape."""
@@ -144,6 +117,8 @@ def _operators(rng, dim, count):
 
 
 def _lie_elements(rng, dim, count):
+    """Random generators X with X*eps + eps X = 0, scaled to at most unit
+    size so that exp(tX) stays well conditioned for |t| up to a few."""
     G = _cgauss(rng, (count, dim, dim))
     u = _cgauss(rng, (count, dim))
     c = rng.standard_normal(count)
@@ -156,6 +131,8 @@ def _lie_elements(rng, dim, count):
 
 
 def _members(rng, dim, count):
+    """Random group elements: one-parameter flow samples, about every
+    other one composed with a transport."""
     X = _lie_elements(rng, dim, count)
     t = rng.uniform(-1.5, 1.5, size=count)
     T = numerics.mat_exp(t[:, None, None] * X)
@@ -244,35 +221,28 @@ def _p_metric_j_invariance(cfg, rng):
 
 
 def _p_distance_symmetry(cfg, rng):
-    defects = []
-    for _ in range(cfg.trials):
-        u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-        defects.append(abs(geometry.distance(u, v) - geometry.distance(v, u)))
-    return cfg.trials, _worst(defects)
+    U, V = _points(rng, cfg.dim, cfg.trials), _points(rng, cfg.dim, cfg.trials)
+    return cfg.trials, _worst(_distance_defects(U, V, V, U))
 
 
 def _p_triangle_inequality(cfg, rng):
-    gaps = []
-    for _ in range(cfg.trials):
-        u, v, w = (_point(rng, cfg.dim) for _ in range(3))
-        gaps.append(geometry.distance(u, w) - geometry.distance(u, v) - geometry.distance(v, w))
+    U, V, W = (map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials)) for _ in range(3))
+    gaps = [geometry.distance(u, w) - geometry.distance(u, v) - geometry.distance(v, w)
+            for u, v, w in zip(U, V, W)]
     return cfg.trials, _worst(np.maximum(0.0, gaps))
 
 
 def _p_radial_distance_identity(cfg, rng):
     o = geometry.origin(cfg.dim)
-    defects = []
-    for _ in range(cfg.trials):
-        u = _point(rng, cfg.dim)
-        defects.append(abs(math.tanh(geometry.distance(u, o)) - u.norm()))
+    defects = [abs(math.tanh(geometry.distance(u, o)) - u.norm())
+               for u in map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials))]
     return cfg.trials, _worst(defects)
 
 
 def _p_distance_formula_agreement(cfg, rng):
-    defects = []
-    for _ in range(cfg.trials):
-        u, v = _point(rng, cfg.dim), _point(rng, cfg.dim)
-        defects.append(abs(math.tanh(geometry.distance(u, v)) - geometry.tanh_distance(u, v)))
+    U, V = (map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials)) for _ in range(2))
+    defects = [abs(math.tanh(geometry.distance(u, v)) - geometry.tanh_distance(u, v))
+               for u, v in zip(U, V)]
     return cfg.trials, _worst(defects)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from hilbertball import algebra, dynamics, geometry, isometries, numerics
 from hilbertball.geometry import BallPoint, origin
-from hilbertball.verify import _cgauss, _lie_element, _member, _mirror, _point
+from hilbertball.verify import _cgauss, _members, _mirror, _points
 
 from conftest import CRITERION_LINES
 
@@ -57,8 +57,8 @@ def test_distance_anchors():
     radial = 0.0
     agree = 0.0
     for _ in range(200):
-        u = _point(rng, 4)
-        v = _point(rng, 4)
+        u = BallPoint(_points(rng, 4, ()))
+        v = BallPoint(_points(rng, 4, ()))
         radial = max(radial, abs(math.tanh(geometry.distance(u, origin(4))) - u.norm()))
         agree = max(
             agree,
@@ -66,8 +66,8 @@ def test_distance_anchors():
         )
     quad = 0.0
     for _ in range(10):
-        u = _point(rng, 4, max_norm=0.6)
-        v = _point(rng, 4, max_norm=0.6)
+        u = BallPoint(_points(rng, 4, (), 0.6))
+        v = BallPoint(_points(rng, 4, (), 0.6))
         quad = max(quad, abs(geometry.distance(u, v) - _quadrature_distance(u, v)))
     ok = radial <= 1e-12 and agree <= 1e-12 and quad <= 1e-6
     _report(1, "distance anchors", ok,
@@ -82,11 +82,11 @@ def test_isometry_invariance():
     mob = 0.0
     mir = 0.0
     for i in range(200):
-        u = _point(rng, 4)
-        v = _point(rng, 4)
+        u = BallPoint(_points(rng, 4, ()))
+        v = BallPoint(_points(rng, 4, ()))
         d = geometry.distance(u, v)
         if i % 2 == 0:
-            T = _member(rng, 4)
+            T = isometries.ExtendedOperator(_members(rng, 4, 1)[0])
             d2 = geometry.distance(isometries.mobius_apply(T, u),
                                    isometries.mobius_apply(T, v))
             mob = max(mob, abs(d2 - d))
@@ -110,15 +110,16 @@ def test_membership_routes_agree():
     for i in range(1000):
         kind = i % 5
         if kind == 0:
-            T = _member(rng, 4)
+            T = isometries.ExtendedOperator(_members(rng, 4, 1)[0])
         elif kind == 1:
-            T = isometries.transport_from_origin(_point(rng, 4))
+            T = isometries.transport_from_origin(BallPoint(_points(rng, 4, ())))
         elif kind == 2:
-            T = (1.0 + deltas[i % 3]) * _member(rng, 4)
+            T = (1.0 + deltas[i % 3]) * isometries.ExtendedOperator(_members(rng, 4, 1)[0])
         elif kind == 3:
             T = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
         else:
-            T = isometries.epsilon_operator(4) if i % 2 else _member(rng, 4)
+            T = (isometries.epsilon_operator(4) if i % 2
+                 else isometries.ExtendedOperator(_members(rng, 4, 1)[0]))
         a = bool(isometries.is_inhomogeneous_unitary(T, tol=1e-8))
         b = bool(isometries.check_block_conditions(T, tol=1e-8))
         if a != b:
@@ -139,7 +140,7 @@ def test_star_homomorphism_and_associativity():
     for _ in range(200):
         C = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
         Cp = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
-        z = _point(rng, 4, max_norm=0.8)
+        z = BallPoint(_points(rng, 4, (), 0.8))
         got = algebra.star_pointwise(C, Cp, z)
         want = algebra.evaluate(algebra.star_operator(C, Cp), z)
         hom = max(hom, abs(got - want))
@@ -165,7 +166,7 @@ def test_commutator_matches_poisson_bracket():
     for _ in range(200):
         C = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
         Cp = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
-        z = _point(rng, 4, max_norm=0.8)
+        z = BallPoint(_points(rng, 4, (), 0.8))
         comm = algebra.star_pointwise(C, Cp, z) - algebra.star_pointwise(Cp, C, z)
         worst = max(worst, abs(comm + 1j * algebra.poisson_bracket(C, Cp, z)))
     ok = worst < 1e-8
@@ -228,7 +229,7 @@ def test_curvature_constant():
     rng = np.random.default_rng(109)
     worst = 0.0
     for _ in range(50):
-        z = _point(rng, 4, max_norm=0.6)
+        z = BallPoint(_points(rng, 4, (), 0.6))
         u = _cgauss(rng, 4)
         worst = max(worst, abs(geometry.sectional_curvature_probe(z, u) + 2.0))
     ok = worst <= 1e-3
@@ -297,7 +298,7 @@ def test_inner_product_recovered_from_distances():
     rng = np.random.default_rng(111)
     worst = 0.0
     for _ in range(200):
-        u = _point(rng, 4)
+        u = BallPoint(_points(rng, 4, ()))
         e = _cgauss(rng, 4)
         v = BallPoint(u.norm() * e / np.linalg.norm(e))
         got = geometry.recover_inner_product(u, v)
@@ -315,7 +316,7 @@ def test_uncertainty_lower_bound():
     for _ in range(200):
         C = _self_adjoint(rng, 4)
         Cp = _self_adjoint(rng, 4)
-        z = _point(rng, 4, max_norm=0.8)
+        z = BallPoint(_points(rng, 4, (), 0.8))
         product = algebra.dispersion(C, z) * algebra.dispersion(Cp, z)
         bound = 0.5 * abs(algebra.poisson_bracket(C, Cp, z))
         margin = min(margin, product - bound)
@@ -331,7 +332,7 @@ def test_second_degree_certificate():
     worst = 0.0
     for _ in range(10):
         C = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
-        z = _point(rng, 4, max_norm=0.6)
+        z = BallPoint(_points(rng, 4, (), 0.6))
         worst = max(worst, algebra.kahler_condition_check(C, z))
 
     def quartic(vec):

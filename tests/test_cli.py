@@ -259,6 +259,17 @@ def test_out_of_range_seed_or_samples_exits_3(tmp_path, capsys, command, flag, v
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("t_max,dt", [("nan", "0.1"), ("inf", "0.1"), ("1.0", "nan"),
+                                      ("1e300", "1e-300")])
+def test_evolve_non_finite_step_counts_exit_3(tmp_path, capsys, t_max, dt):
+    zf = write_vector(tmp_path / "z.json", [0.2 + 0.1j])
+    argv = ["evolve", "disc", "--state", zf, "--t-max", t_max, "--dt", dt,
+            "--a", "0.4", "--b-re", "0.3"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     cf = write_matrix(tmp_path / "c.json", np.eye(3, dtype=complex))

@@ -241,13 +241,17 @@ def test_time_array_flows_equal_scalar_calls(rng):
                 assert same_bytes(p, flow(gen, z, t).vector)
 
 
-@pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([0.1, np.nan])])
+@pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([0.1, np.nan]), np.nan, np.inf])
 def test_time_array_flows_reject_bad_times(rng, t):
     z = random_point(rng, 3, 0.8)
     with pytest.raises(DomainError):
         evolve_exp(lie_element(rng, 3), z, t)
     with pytest.raises(DomainError):
         schrodinger_evolve(hamiltonian(rng, 3), z, t)
+    # and the closed disc form, in every regime
+    for g in disc_generators():
+        with pytest.raises(DomainError):
+            disc_evolve_closed(g, 0.3, t)
 
 
 def test_time_array_flows_reject_unpaired_points(rng):
@@ -343,9 +347,9 @@ def test_spectral_schrodinger_matches_the_exponential_route(rng, dim, norm):
 def test_exp_trajectory_checks_its_generator_once(rng, monkeypatch):
     calls = []
 
-    def counted(X, tol):
+    def counted(X, *tol):
         calls.append(X)
-        return lie_algebra_check(X, tol)
+        return lie_algebra_check(X, *tol)
 
     monkeypatch.setattr(dynamics, "lie_algebra_check", counted)
     X = lie_element(rng, 3)

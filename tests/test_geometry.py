@@ -135,7 +135,13 @@ def test_hermitian_energy_is_half_real_evaluation(rng):
     z = random_point(rng, 3)
     u = cgauss(rng, 3)
     doubled = metric(z, TangentVector.real(u), TangentVector.real(u))
+    assert isinstance(hermitian_energy(z, u), float)
     assert abs(hermitian_energy(z, u) - 0.5 * doubled.real) < 1e-12
+    # an array of points and directions gives the single calls row by row
+    Z = np.array([random_point(rng, 3).vector for _ in range(6)])
+    U = cgauss(rng, Z.shape)
+    singles = [hermitian_energy(BallPoint(w), v) for w, v in zip(Z, U)]
+    assert rows_close(hermitian_energy(Z, U), singles)
 
 
 def test_hermitian_energy_dim1_poincare():

@@ -1,13 +1,17 @@
 """Median per-call time of the layer kernels, on single objects and stacks.
 
 Times `evaluate`, `star_operator`, `star_pointwise`, `mobius_apply`,
-`transport_from_origin`, `k_factor`, `metric`, `distance`, the
-`BallPoint` constructor and `mat_exp` at each dimension, once on single
-objects (`BallPoint`, `ExtendedOperator`, one `TangentVector` pair, one
-(dim+1) x (dim+1) matrix) and once on stacks of STACK of them (arrays
-over one leading axis), and prints the median over REPEATS rounds of
-the time per call in microseconds.  `distance` and `BallPoint` take
-single points only, so their stacked column reads `-`.  Then come the
+`mirror_apply`, `transport_from_origin`, `k_factor`, `metric`,
+`distance`, the `BallPoint` constructor and `mat_exp` at each
+dimension, and `disc_evolve_closed`, which acts on the disc, at
+dimension 1 when 1 is among the dimensions.  Each is timed once on
+single objects (`BallPoint`, `ExtendedOperator`, one mirror, one
+`TangentVector` pair, one (dim+1) x (dim+1) matrix, one disc generator
+with one point and one time) and once on stacks of STACK of them (arrays
+over one leading axis), and the script prints the median over REPEATS
+rounds of the time per call in microseconds.  Of these, `distance` and
+the `BallPoint` constructor take single points only, so their stacked
+column reads `-`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
 STEPS steps from one point (stacked column `-`), and the `norm_b` and
@@ -24,7 +28,10 @@ With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
 the same load on the host, and each row also gives that package's
 times and the ratio of this tree's time to its; the fresh interpreters
-of the import row alternate between the two trees too.
+of the import row alternate between the two trees too.  That package
+must take the same stacks: one whose `mirror_apply` or
+`disc_evolve_closed` takes single objects only cannot run their
+stacked calls.
 
     python3 scripts/kernel_timings.py --dims 1 4 16
     python3 scripts/kernel_timings.py --against ../parent-checkout
@@ -99,8 +106,9 @@ def per_call_us(fns):
 
 
 def draw(dim, rng):
-    """Raw arrays: two point sets, two operator stacks, transport bases
-    and tangent parts."""
+    """Raw arrays: two point sets, two operator stacks, transport bases,
+    tangent parts, totally real mirror frames (unitary matrices) and
+    disc generators (a, b) with their times."""
     def cgauss(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -109,26 +117,34 @@ def draw(dim, rng):
         return (rng.uniform(0.0, 0.85, STACK) / np.linalg.norm(W, axis=-1))[:, None] * W
 
     return (points(), points(), cgauss((STACK, dim + 1, dim + 1)), cgauss((STACK, dim + 1, dim + 1)),
-            points(), cgauss((STACK, dim)), cgauss((STACK, dim)))
+            points(), cgauss((STACK, dim)), cgauss((STACK, dim)), np.linalg.qr(cgauss((STACK, dim, dim)))[0],
+            (rng.standard_normal(STACK), cgauss(STACK), rng.uniform(-2.0, 2.0, STACK)))
 
 
 def cases(mods, arrays):
     """(kernel, single call, stacked call or None) on one package."""
-    algebra, geometry, isometries, numerics = (
-        mods[name] for name in ("algebra", "geometry", "isometries", "numerics"))
-    Z, W, C, Cp, bases, hol, antihol = arrays
+    algebra, dynamics, geometry, isometries, numerics = (
+        mods[name] for name in ("algebra", "dynamics", "geometry", "isometries", "numerics"))
+    Z, W, C, Cp, bases, hol, antihol, frames, (a, b, times) = arrays
     T = isometries.transport_from_origin(bases)
     S = geometry.TangentVector(hol, antihol)
+    F = isometries.MirrorTransformation.from_basis(frames)
     z, w = geometry.BallPoint(Z[0]), geometry.BallPoint(W[0])
     c, cp = isometries.ExtendedOperator(C[0]), isometries.ExtendedOperator(Cp[0])
     t = isometries.ExtendedOperator(T[0])
     s = geometry.TangentVector(hol[0], antihol[0])
+    f = isometries.MirrorTransformation.from_basis(list(frames[0].T))
+    disc = () if Z.shape[-1] != 1 else (
+        ("disc_evolve_closed",
+         lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a[0], b[0]), Z[0, 0], times[0]),
+         lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a, b), Z[:, 0], times)),)
     return (
         ("evaluate", lambda: algebra.evaluate(c, z), lambda: algebra.evaluate(C, Z)),
         ("star_operator", lambda: algebra.star_operator(c, cp), lambda: algebra.star_operator(C, Cp)),
         ("star_pointwise", lambda: algebra.star_pointwise(c, cp, z),
          lambda: algebra.star_pointwise(C, Cp, Z)),
         ("mobius_apply", lambda: isometries.mobius_apply(t, z), lambda: isometries.mobius_apply(T, Z)),
+        ("mirror_apply", lambda: isometries.mirror_apply(f, z), lambda: isometries.mirror_apply(F, Z)),
         ("transport_from_origin", lambda: isometries.transport_from_origin(z),
          lambda: isometries.transport_from_origin(Z)),
         ("k_factor", lambda: geometry.k_factor(z), lambda: geometry.k_factor(Z)),
@@ -136,7 +152,7 @@ def cases(mods, arrays):
         ("distance", lambda: geometry.distance(z, w), None),
         ("BallPoint", lambda: geometry.BallPoint(Z[0]), None),
         ("mat_exp", lambda: numerics.mat_exp(C[0]), lambda: numerics.mat_exp(C)),
-    )
+    ) + disc
 
 
 def draw_flows(rng):

@@ -24,8 +24,9 @@ flows; nothing here integrates an ODE.
 arrays of them over any leading axes (see `geometry`), or one generator
 and point with a 1-D array of times, which gives the array of points,
 one per time, from one batched exponential or one eigendecomposition.
-`disc_evolve_closed` takes a scalar or a 1-D array of times the same
-way.  A trajectory is the pair of arrays (times, points): disc and
+`disc_evolve_closed` broadcasts the a and b of its generators, its disc
+points and its times elementwise, the times being a scalar or a 1-D
+array.  A trajectory is the pair of arrays (times, points): disc and
 Schroedinger flows are one call over all times, and exponential flows
 exponentiate only their first TIME_BLOCK times and move that block
 along the grid by the group law exp((s + t)X) = exp(sX) exp(tX), one
@@ -45,6 +46,7 @@ from .geometry import (
     _matvec,
     _paired_points,
     _points_result,
+    _result,
 )
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, _as_times, mat_exp
@@ -58,23 +60,34 @@ TIME_BLOCK = 64
 
 @dataclass(frozen=True)
 class DiscGenerator:
-    """Flow generator on the one-dimensional ball (the disc)."""
+    """Flow generator on the one-dimensional ball (the disc).  a and b
+    may be arrays whose shapes broadcast, for a stack of generators."""
 
     a: float
     b: complex
 
     def matrix(self):
-        return np.array(
-            [[1j * self.a, self.b], [np.conj(self.b), -1j * self.a]], dtype=complex
-        )
+        """[[ia, b], [conj(b), -ia]]; the (..., 2, 2) stack for arrays a, b."""
+        a, b = np.broadcast_arrays(np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=complex))
+        return np.stack([np.stack([1j * a, b], axis=-1), np.stack([b.conj(), -1j * a], axis=-1)], axis=-2)
 
     def extended(self):
         return ExtendedOperator(self.matrix())
 
 
 def alpha(g):
-    """Discriminant |b|^2 - a^2 separating the three flow regimes."""
-    return abs(g.b) ** 2 - g.a ** 2
+    """Discriminant |b|^2 - a^2 separating the three flow regimes; the
+    array of them for arrays a and b."""
+    return np.abs(np.asarray(g.b, dtype=complex)) ** 2 - np.asarray(g.a, dtype=float) ** 2
+
+
+def _hamiltonian(H, stack=False):
+    """H as a validated self-adjoint matrix, or with `stack` an array of
+    them over leading axes; DomainError otherwise."""
+    H = _as_complex_matrix(H, square=True, stack=stack)
+    if np.any(self_adjoint_defect(H) > SELF_ADJOINT_TOL):
+        raise DomainError("Hamiltonian must be self-adjoint")
+    return H
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +98,7 @@ class HamiltonianGenerator:
     a: float = 0.0
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=complex)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise DomainError("Hamiltonian must be square")
-        if self_adjoint_defect(H) > SELF_ADJOINT_TOL:
-            raise DomainError("Hamiltonian must be self-adjoint")
-        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "H", _hamiltonian(self.H))
 
     @property
     def dim(self):
@@ -109,38 +117,50 @@ class HamiltonianGenerator:
 def disc_evolve_closed(g, z, t):
     """Closed-form disc flow; |z| < 1 is preserved in every regime.
 
-    t is a scalar, which gives a complex, or a 1-D array of times, which
-    gives the array of z(t_i) from one pass of the same formula.  A
-    scalar goes through it as an array of one time, so it meets the
-    same numpy loops and its result has the bits of that entry of any
-    array.  Times within TAN_POLE_GUARD of a tangent pole go through one
-    batched `evolve_exp` instead.
+    The generator's a and b, the point z and the time t broadcast
+    elementwise, t being a scalar or a 1-D array of times: scalars give a
+    complex, arrays the array of flowed points over the broadcast shape,
+    from one pass of the same formula with the regime picked entry by
+    entry.  A scalar goes through it as an array of one entry, since
+    numpy's scalar arithmetic rounds apart from its array loops, so its
+    result has the bits of that entry of any array.  Every z passes the
+    check `BallPoint` makes.  Entries within TAN_POLE_GUARD of a tangent
+    pole go through one batched `evolve_exp` instead.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"disc point with |z| = {abs(z):.17g} is not interior")
     times = _as_times(np.asarray(t, dtype=float))
-    t = times.reshape(-1)
-    if g.b == 0:
-        w = np.exp(2j * g.a * t) * z
-    else:
-        al = alpha(g)
-        # th = t, s = 1 is the parabolic map from exp(tX) = I + tX
-        s = math.sqrt(abs(al)) if al else 1.0
-        st = s * t
-        th = (np.tanh(st) if al > 0.0 else np.tan(st) if al < 0.0 else t).astype(complex)
-        # [(s + ia th) z + b th] / [conj(b) th z + s - ia th] written as
-        # z + th r / (s + q th), which is z itself at t = 0
-        b = complex(g.b)
-        r = b + 2j * g.a * z - b.conjugate() * z * z
-        w = z + th * r / (s + (b.conjugate() * z - 1j * g.a) * th)
-        if al < 0.0:
-            # the printed quotient degenerates at the tangent poles; the
-            # underlying Moebius map does not
-            poles = np.abs(np.cos(st)) < TAN_POLE_GUARD
-            if poles.any():
-                w[poles] = evolve_exp(g.extended(), np.array([z]), t[poles])[:, 0]
-    return w if times.ndim else w.item()
+    z = _check_points(np.asarray(z, dtype=complex)[..., None])[..., 0]
+    a, b = np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex)
+    try:
+        shape = np.broadcast_shapes(a.shape, b.shape, z.shape, times.shape)
+    except ValueError:
+        raise DomainError(f"generator shapes {a.shape} and {b.shape}, points {z.shape} "
+                          f"and times {times.shape} do not broadcast") from None
+    a, b, z, times = np.atleast_1d(a, b, z, times)
+    al = alpha(DiscGenerator(a, b))
+    rot = b == 0
+    ell = (al < 0.0) & ~rot
+    # th = t, s = 1 is the parabolic map from exp(tX) = I + tX; each
+    # regime's function is evaluated on its own entries only
+    s = np.where(al == 0.0, 1.0, np.sqrt(np.abs(al)))
+    st = s * times
+    th = np.where(al == 0.0, times, 0.0)
+    np.tanh(st, out=th, where=al > 0.0)
+    np.tan(st, out=th, where=ell)
+    # [(s + ia th) z + b th] / [conj(b) th z + s - ia th] written as
+    # z + th r / (s + q th), which is z itself at t = 0
+    r = b + 2j * a * z - b.conj() * z * z
+    w = z + th * r / (s + (b.conj() * z - 1j * a) * th)
+    if rot.any():
+        w = np.where(rot, np.exp(2j * a * times) * z, w)
+    if ell.any():
+        # the printed quotient degenerates at the tangent poles; the
+        # underlying Moebius map does not
+        poles = np.broadcast_to(ell & (np.abs(np.cos(st)) < TAN_POLE_GUARD), w.shape)
+        if poles.any():
+            a, b, z, t = (np.broadcast_to(x, w.shape)[poles] for x in (a, b, z, times))
+            X = t[:, None, None] * DiscGenerator(a, b).matrix()
+            w[poles] = evolve_exp(X, z[:, None], 1.0)[:, 0]
+    return _result(w.reshape(shape))
 
 
 def evolve_exp(X, z, t):
@@ -175,12 +195,7 @@ def schrodinger_evolve(gen, z, t):
     raises DomainError.  Each point of a time array has the bits of the
     call at that scalar time.
     """
-    if isinstance(gen, HamiltonianGenerator):
-        H = gen.H
-    else:
-        H = _as_complex_matrix(gen, square=True, stack=True)
-        if np.any(self_adjoint_defect(H) > SELF_ADJOINT_TOL):
-            raise DomainError("Hamiltonian must be self-adjoint")
+    H = gen.H if isinstance(gen, HamiltonianGenerator) else _hamiltonian(gen, stack=True)
     times = _as_times(t)
     if H.ndim > 2 and times.ndim:
         raise DomainError("a stack of Hamiltonians takes one scalar time")

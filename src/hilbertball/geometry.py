@@ -44,8 +44,10 @@ leading axes.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
 and the result wrapped on exit, so a single point gives a `BallPoint`,
 an operator an `ExtendedOperator` and a scalar a Python float or
 complex.  Every point of an array passes the check `BallPoint` makes,
-and one bad point raises DomainError for the whole array.  `distance`
-and the other helpers that take `BallPoint`s only are the exceptions.
+and one bad point raises DomainError for the whole array.  `distance`,
+`tanh_distance` and the other helpers that take `BallPoint`s only, and
+`dynamics.trajectory`, are the exceptions; `disc_evolve_closed`, whose
+points are complex numbers, broadcasts them elementwise instead.
 """
 
 import math

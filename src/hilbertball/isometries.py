@@ -15,11 +15,13 @@ where y y* is the rank-one outer product (so y = 0 is handled exactly).
 Members act on the ball by phi_T(z) = (A z + x)/(<y|z> + a), and these
 maps preserve the metric and the distance.  Mirror maps E_W - E_Wperp
 for a real subspace W are the other family of isometries; they are
-real-linear but not complex-linear.
+real-linear but not complex-linear, so a mirror is the complex pair
+(A, B) of w = A z + B conj(z).
 
-`mobius_apply`, `mobius_differential`, `transport_from_origin` and the
-membership checks take arrays over any leading axes as well as single
-objects, with one formula body for both (see `geometry`).
+`mobius_apply`, `mobius_differential`, `transport_from_origin`,
+`mirror_apply` and the membership checks take arrays over any leading
+axes as well as single objects, with one formula body for both (see
+`geometry`).
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _dots, _matvec, _paired_points, _points_result, _vectors
-from .numerics import RealLinearMap, _as_complex_matrix, mat_exp, op_norm, real_projection
+from .numerics import _as_complex_matrix, mat_exp, op_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -140,7 +142,8 @@ class MembershipCheck:
     defect: float
 
     def __bool__(self):
-        return self.ok
+        # a stack of several verdicts raises numpy's ambiguity error
+        return bool(self.ok)
 
 
 def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
@@ -237,26 +240,37 @@ def inverse(T):
 
 @dataclass(frozen=True, eq=False)
 class MirrorTransformation:
-    """The real-linear isometry E_W - E_Wperp for a real subspace W."""
+    """The real-linear isometry E_W - E_Wperp for a real subspace W,
+    stored as one map, the reflection 2 E_W - I, by the pair (A, B) of
+    w = A z + B conj(z); stacks of A and B make a stack of mirrors."""
 
-    projection: RealLinearMap
-    complement_projection: RealLinearMap
+    A: np.ndarray
+    B: np.ndarray
 
     @classmethod
     def from_basis(cls, basis):
-        p = real_projection(basis)
-        return cls(p, p.complement())
+        """The mirror through the real span of `basis`: a sequence of
+        real-orthonormal vectors, or an (..., n, k) stack of frames, which
+        gives the stack of mirrors (see `real_projection`)."""
+        A, B = real_projection(basis)
+        return cls(2.0 * A - np.eye(A.shape[-1]), 2.0 * B)
 
     @classmethod
     def conjugation(cls, dim):
         """The mirror fixing all real points: entrywise conjugation."""
-        basis = [np.eye(dim)[j].astype(complex) for j in range(dim)]
-        return cls.from_basis(basis)
+        return cls.from_basis(np.eye(dim, dtype=complex))
 
 
 def mirror_apply(F, z):
-    w = F.projection.apply(z.vector) - F.complement_projection.apply(z.vector)
-    return BallPoint(w)
+    """The image A z + B conj(z) of z under the mirror F.
+
+    Arrays of points (last axis) and stacks of mirrors give the array of
+    images over their broadcast leading axes; a BallPoint under one
+    mirror gives a BallPoint.  One point or image outside the ball
+    raises DomainError.
+    """
+    Z = _paired_points(F.A.shape[:-2], z, F.A.shape[-1])
+    return _points_result(_matvec(F.A, Z) + _matvec(F.B, Z.conj()), isinstance(z, BallPoint))
 
 
 def lie_defect(X):

@@ -5,7 +5,9 @@ dozen entries.  The operator norm comes from LAPACK's SVD; the matrix
 exponential (scaling and squaring around a degree-18 Taylor polynomial,
 summed by Paterson-Stockmeyer in 7 matrix products) and the
 golden-section search are small deterministic routines written out
-here.  All functions are pure.
+here.  A real-linear map of C^n, such as a projection onto a real
+subspace, is the complex pair (A, B) of w = A z + B conj(z), which stacks
+over leading axes like the other kernels.  All functions are pure.
 
 Only numpy loads with this module.  scipy is imported inside the two
 sampling helpers, `sobol_unit` and `gaussian_directions`, which only the
@@ -13,7 +15,6 @@ cone-norm search calls, so no other command pays for its import.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,60 +144,25 @@ def _scaled_exp(M, squarings):
     return R
 
 
-def realify(z):
-    """C^n -> R^2n, stacking real parts over imaginary parts.  The standard
-    real inner product of two realifications equals Re<u|v>."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
-
-
-def unrealify(x):
-    x = np.asarray(x, dtype=float)
-    n = x.size // 2
-    return x[:n] + 1j * x[n:]
-
-
-@dataclass(frozen=True, eq=False)
-class RealLinearMap:
-    """A real-linear (not necessarily complex-linear) map of C^n, stored as
-    its 2n x 2n matrix on the realification.  Needed because projections
-    onto real subspaces and mirror maps do not commute with i."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise DomainError(f"real-linear map needs a square even-sized matrix, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        """Complex dimension of the underlying space."""
-        return self.matrix.shape[0] // 2
-
-    def apply(self, z):
-        return unrealify(self.matrix @ realify(z))
-
-    def complement(self):
-        return RealLinearMap(np.eye(self.matrix.shape[0]) - self.matrix)
-
-
 def real_projection(basis):
-    """Orthogonal projection (w.r.t. Re<.|.>) onto the real span of `basis`.
+    """Orthogonal projection (w.r.t. Re<.|.>) onto the real span of `basis`,
+    as the pair (A, B) = (V V*/2, V V^T/2) of z -> A z + B conj(z).
 
-    The basis must be orthonormal in the real inner product; the Gram
-    defect is reported on rejection.
+    `basis` is a sequence of vectors of C^n, or an (..., n, k) array whose
+    columns are the frame V, which gives the stacks of A and B over the
+    leading axes.  Each frame must be orthonormal in the real inner
+    product, Re(V* V) = I; the worst Gram defect is reported on rejection.
     """
-    vs = [realify(b) for b in basis]
-    if not vs:
-        raise DomainError("empty basis")
-    V = np.stack(vs, axis=1)
-    G = V.T @ V
-    defect = float(np.max(np.abs(G - np.eye(G.shape[0]))))
-    if defect > GRAM_TOL:
+    V = np.asarray(basis, dtype=complex)
+    if not isinstance(basis, np.ndarray):
+        V = V.T
+    if V.ndim < 2 or V.shape[-1] == 0:
+        raise DomainError(f"a basis needs at least one vector, got shape {V.shape}")
+    Vh = V.conj().swapaxes(-1, -2)
+    defect = float(np.max(np.abs((Vh @ V).real - np.eye(V.shape[-1])), initial=0.0))
+    if not defect <= GRAM_TOL:
         raise DomainError(f"basis is not real-orthonormal (Gram defect {defect:.3e})")
-    return RealLinearMap(V @ V.T)
+    return 0.5 * (V @ Vh), 0.5 * (V @ V.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

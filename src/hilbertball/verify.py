@@ -7,14 +7,12 @@ trial, and reduces the defects through `_worst`, a max that keeps NaN;
 it passes when the worst defect stays within its tolerance times the
 configured scale, so a NaN defect fails.  Properties draw their trials
 up front as arrays from the stacked generators and pass them to the
-library's kernels, which take any leading axes; only mirrors, each built
-from its own basis, are drawn one at a time.  The exceptions loop: the
-distance properties measure one pair at a time through
-`geometry.distance`, which takes single points only, the projection
-identity builds each projection through the one-basis
-`numerics.real_projection`, and the twist witness is a single fixed
-operator.  Reports are plain dicts with a fixed field order and no
-timestamps, so a fixed seed reproduces the output byte for byte.
+library's kernels, which take any leading axes.  The exceptions loop:
+the distance properties measure one pair at a time through
+`geometry.distance`, which takes single points only, and the twist
+witness is a single fixed operator.  Reports are plain dicts with a
+fixed field order and no timestamps, so a fixed seed reproduces the
+output byte for byte.
 
 All library calls go through module attributes (geometry.metric and
 friends) rather than imported names; the self-test in the CLI suite
@@ -81,24 +79,6 @@ def _cgauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _mirror(rng, dim):
-    """A random mirror that is an isometry of the distance: either the
-    reflection through a complex subspace (a unitary), or through the
-    totally real span of a unitary frame (an antiunitary conjugation).
-    Reflections through other real subspaces preserve norms and the real
-    part of the inner product but not the distance itself."""
-    Q, _ = np.linalg.qr(_cgauss(rng, (dim, dim)))
-    if rng.uniform() < 0.5:
-        k = int(rng.integers(1, dim + 1))
-        basis = []
-        for j in range(k):
-            basis.append(Q[:, j])
-            basis.append(1j * Q[:, j])
-    else:
-        basis = [Q[:, j] for j in range(dim)]
-    return isometries.MirrorTransformation.from_basis(basis)
-
-
 # Stacked generators: `count` draws at once, returned as arrays (points
 # along the last axis, matrices along the last two).
 
@@ -110,6 +90,26 @@ def _points(rng, dim, shape, max_norm=SAMPLE_NORM):
     nw = np.linalg.norm(W, axis=-1)
     # a zero Gaussian draw (probability zero) lands on the origin
     return (r / np.where(nw > 0.0, nw, 1.0))[..., None] * W
+
+
+def _mirrors(rng, dim, count):
+    """`count` random mirrors that are isometries of the distance, as one
+    stack: each reflects either through a complex subspace (a unitary),
+    or through the totally real span of a unitary frame (an antiunitary
+    conjugation).  Reflections through other real subspaces preserve
+    norms and the real part of the inner product but not the distance
+    itself.  A complex k-subspace has the real frame (Q_k, i Q_k) of
+    width 2k; the frames of one width go through one call."""
+    Q, _ = np.linalg.qr(_cgauss(rng, (count, dim, dim)))
+    # k = 0 marks a totally real span, the frame Q itself
+    ks = np.where(rng.uniform(size=count) < 0.5, rng.integers(1, dim + 1, size=count), 0)
+    A, B = np.empty((2, count, dim, dim), dtype=complex)
+    for k in np.unique(ks).tolist():
+        rows = ks == k
+        frames = np.concatenate([Q[rows, :, :k], 1j * Q[rows, :, :k]], axis=-1) if k else Q[rows]
+        F = isometries.MirrorTransformation.from_basis(frames)
+        A[rows], B[rows] = F.A, F.B
+    return isometries.MirrorTransformation(A, B)
 
 
 def _operators(rng, dim, count):
@@ -192,17 +192,27 @@ def _p_exp_additivity(cfg, rng):
 
 
 def _p_projection_complement_identity(cfg, rng):
-    """Subspace dimensions are drawn first; the frames of one dimension k
-    come from one stacked QR."""
-    ks = rng.integers(1, 2 * cfg.dim + 1, size=cfg.trials)
-    eye = np.eye(2 * cfg.dim)
-    sums = []
+    """A complete real-orthonormal frame of R^2n, split after column k:
+    the projections onto its first k and its other 2n - k columns must
+    add up to the identity (I, 0), and the first must fix its own
+    columns and annihilate the others.  Completeness alone cannot see a
+    wrong conjugate-linear half B, since the A halves add up to
+    V V*/2 = I for every complete frame V; the action on the frame can.
+    Split points are drawn first; the frames of one split come from one
+    stacked QR."""
+    n = cfg.dim
+    ks = rng.integers(1, 2 * n, size=cfg.trials)
+    defects = []
     for k in np.unique(ks).tolist():
-        Q, _ = np.linalg.qr(rng.standard_normal((int(np.count_nonzero(ks == k)), 2 * cfg.dim, k)))
-        for frame in Q:
-            P = numerics.real_projection([numerics.unrealify(q) for q in frame.T])
-            sums.append(P.matrix + P.complement().matrix - eye)
-    return cfg.trials, _worst(numerics.op_norm(np.array(sums)))
+        Q, _ = np.linalg.qr(rng.standard_normal((int(np.count_nonzero(ks == k)), 2 * n, 2 * n)))
+        V = Q[:, :n] + 1j * Q[:, n:]
+        A, B = numerics.real_projection(V[..., :k])
+        Ac, Bc = numerics.real_projection(V[..., k:])
+        image = A @ V + B @ V.conj()
+        defects += [numerics.op_norm(A + Ac - np.eye(n)) + numerics.op_norm(B + Bc),
+                    np.linalg.norm(image[..., :k] - V[..., :k], axis=-2),
+                    np.linalg.norm(image[..., k:], axis=-2)]
+    return cfg.trials, _worst(*defects)
 
 
 def _p_metric_positivity(cfg, rng):
@@ -285,13 +295,12 @@ def _p_isometry_distance_invariance(cfg, rng):
     mirror."""
     U, V = _points(rng, cfg.dim, cfg.trials), _points(rng, cfg.dim, cfg.trials)
     T = _members(rng, cfg.dim, len(U[0::2]))
+    F = _mirrors(rng, cfg.dim, len(U[1::2]))
     SU, SV = np.empty_like(U), np.empty_like(V)
     SU[0::2] = isometries.mobius_apply(T, U[0::2])
     SV[0::2] = isometries.mobius_apply(T, V[0::2])
-    for i in range(1, cfg.trials, 2):
-        F = _mirror(rng, cfg.dim)
-        SU[i] = isometries.mirror_apply(F, geometry.BallPoint(U[i])).vector
-        SV[i] = isometries.mirror_apply(F, geometry.BallPoint(V[i])).vector
+    SU[1::2] = isometries.mirror_apply(F, U[1::2])
+    SV[1::2] = isometries.mirror_apply(F, V[1::2])
     return cfg.trials, _worst(_distance_defects(U, V, SU, SV))
 
 
@@ -404,15 +413,9 @@ def _p_flow_distance_invariance(cfg, rng):
     # keep the boost bounded so near-rim roundoff cannot eat into the
     # 1e-9 agreement being measured
     b = b / np.maximum(1.0, np.abs(b))
-    gens = [dynamics.DiscGenerator(a, bk) for a, bk in
-            zip(rng.standard_normal(t[2].size).tolist(), b.tolist())]
-
-    def disc_flow(W):
-        flowed = [dynamics.disc_evolve_closed(g, z, tk) for g, z, tk in
-                  zip(gens, W[:, 0].tolist(), t[2].ravel().tolist())]
-        return np.array(flowed, dtype=complex).reshape(W.shape)
-
-    pairs.append((U, V, disc_flow(U), disc_flow(V)))
+    g = dynamics.DiscGenerator(rng.standard_normal(t[2].size), b)
+    pairs.append((U, V, dynamics.disc_evolve_closed(g, U[:, 0], t[2].ravel())[:, None],
+                  dynamics.disc_evolve_closed(g, V[:, 0], t[2].ravel())[:, None]))
     return cfg.trials, _worst(*(_distance_defects(*pair) for pair in pairs))
 
 
@@ -437,11 +440,9 @@ def _p_disc_closed_form_agreement(cfg, rng):
     b = np.abs(a) * ratio * phase
     Z = _points(rng, 1, cfg.trials)
     t = rng.uniform(-2.0, 2.0, size=cfg.trials)
-    gens = [dynamics.DiscGenerator(ak, bk) for ak, bk in zip(a.tolist(), b.tolist())]
-    closed = np.array([dynamics.disc_evolve_closed(g, z, tk) for g, z, tk in
-                       zip(gens, Z[:, 0].tolist(), t.tolist())], dtype=complex)
-    X = t[:, None, None] * np.array([g.matrix() for g in gens]).reshape(-1, 2, 2)
-    viaexp = dynamics.evolve_exp(X, Z, 1.0)[:, 0]
+    g = dynamics.DiscGenerator(a, b)
+    closed = dynamics.disc_evolve_closed(g, Z[:, 0], t)
+    viaexp = dynamics.evolve_exp(t[:, None, None] * g.matrix(), Z, 1.0)[:, 0]
     return cfg.trials, _worst(np.abs(closed - viaexp))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from hilbertball import algebra, dynamics, geometry, isometries, numerics
 from hilbertball.geometry import BallPoint, origin
-from hilbertball.verify import _cgauss, _members, _mirror, _points
+from hilbertball.verify import _cgauss, _members, _mirrors, _points
 
 from conftest import CRITERION_LINES
 
@@ -91,9 +91,9 @@ def test_isometry_invariance():
                                    isometries.mobius_apply(T, v))
             mob = max(mob, abs(d2 - d))
         else:
-            F = _mirror(rng, 4)
-            d2 = geometry.distance(isometries.mirror_apply(F, u),
-                                   isometries.mirror_apply(F, v))
+            F = _mirrors(rng, 4, 1)
+            d2 = geometry.distance(BallPoint(isometries.mirror_apply(F, u)[0]),
+                                   BallPoint(isometries.mirror_apply(F, v)[0]))
             mir = max(mir, abs(d2 - d))
     ok = mob < 1e-9 and mir < 1e-9
     _report(2, "isometry invariance", ok,

@@ -377,3 +377,22 @@ def test_verify_flags_broken_stacked_mobius(monkeypatch, capsys):
     assert "isometry_distance_invariance" in captured.err
     report = json.loads(captured.out)
     assert "isometry_distance_invariance" in report["failed_properties"]
+
+
+def test_verify_flags_projection_without_conjugate_half(monkeypatch, capsys):
+    # dropping the conjugate-linear half B of every projection keeps the
+    # two halves of a complete frame adding up to I, since their A halves
+    # do so on their own; the projection's action on its frame fails
+    true_projection = numerics.real_projection
+
+    def linear_half(basis):
+        A, B = true_projection(basis)
+        return A, np.zeros_like(B)
+
+    monkeypatch.setattr("hilbertball.numerics.real_projection", linear_half)
+    rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "projection_complement_identity" in captured.err
+    report = json.loads(captured.out)
+    assert report["failed_properties"] == ["projection_complement_identity"]

@@ -112,8 +112,14 @@ def test_disc_flow_keeps_disc(rng):
 
 
 def test_disc_rejects_boundary():
-    with pytest.raises(DomainError):
-        disc_evolve_closed(DiscGenerator(0.5, 0.1), 1.0 + 0j, 0.3)
+    # the ball's own rule: 1 - 1e-13 is inside the unit disc but past
+    # BallPoint's margin, and both raise the same error
+    for z in (1.0 + 0j, 1.0 - 1e-13):
+        with pytest.raises(DomainError) as disc:
+            disc_evolve_closed(DiscGenerator(0.5, 0.1), z, 0.3)
+        with pytest.raises(DomainError) as ball:
+            BallPoint([z])
+        assert str(disc.value) == str(ball.value)
 
 
 def test_generators_sit_in_lie_algebra(rng):
@@ -182,6 +188,8 @@ def test_hamiltonian_generator_validation(rng):
         HamiltonianGenerator(cgauss(rng, (3, 3)))  # not self-adjoint
     with pytest.raises(DomainError):
         HamiltonianGenerator(np.zeros((2, 3)))  # not square
+    with pytest.raises(DomainError, match="non-finite"):
+        HamiltonianGenerator(np.full((2, 2), np.nan))
 
 
 def test_schrodinger_dimension_check(rng):
@@ -384,6 +392,31 @@ def test_disc_closed_form_pole_times_take_the_exponential():
     viaexp = evolve_exp(g.extended(), BallPoint([z]), times)[:, 0]
     assert same_bytes(w[:3], viaexp[:3])
     assert abs(w[3] - viaexp[3]) < 1e-14
+
+
+def test_stacked_disc_flows_equal_scalar_calls(rng):
+    # every regime and a pole time in one stack: each entry has the bits
+    # of its scalar call, and a, b, z and t broadcast against each other
+    gens = disc_generators() + [DiscGenerator(0.0, 0.0)]
+    a = np.array([g.a for g in gens] * 3)
+    b = np.array([g.b for g in gens] * 3)
+    z = 0.85 * np.sqrt(rng.uniform(size=a.size)) * np.exp(2j * math.pi * rng.uniform(size=a.size))
+    t = rng.uniform(-3.0, 3.0, size=a.size)
+    t[1] = math.pi / (2.0 * math.sqrt(-alpha(gens[1])))
+    stack = DiscGenerator(a, b)
+    w = disc_evolve_closed(stack, z, t)
+    scalar = [disc_evolve_closed(DiscGenerator(*ab), *zt) for ab, zt in
+              zip(zip(a.tolist(), b.tolist()), zip(z.tolist(), t.tolist()))]
+    assert same_bytes(w, np.array(scalar))
+    assert same_bytes(stack.matrix(), np.array([DiscGenerator(*ab).matrix() for ab in zip(a, b)]))
+    # one generator over many points and one time, and many over one point
+    assert same_bytes(disc_evolve_closed(gens[0], z, t[0]),
+                      np.array([disc_evolve_closed(gens[0], zk, t[0]) for zk in z.tolist()]))
+    assert disc_evolve_closed(stack, 0.3, 1.0).shape == a.shape
+    with pytest.raises(DomainError, match="do not broadcast"):
+        disc_evolve_closed(stack, z[:4], 1.0)
+    with pytest.raises(DomainError, match="outside the open ball"):
+        disc_evolve_closed(stack, np.where(np.arange(a.size) == 5, 1.0, z), t)
 
 
 def test_trajectory_rejects_non_generator(rng):

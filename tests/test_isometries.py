@@ -277,6 +277,33 @@ def test_mixed_subspace_mirror_is_not_an_isometry():
     assert abs(d1 - d0) > 1e-4
 
 
+def test_stacked_mirrors_equal_single_mirrors(rng):
+    Q, _ = np.linalg.qr(cgauss(rng, (6, 3, 3)))
+    frames = np.concatenate([Q[..., :1], 1j * Q[..., :1]], axis=-1)
+    F = MirrorTransformation.from_basis(frames)
+    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
+    images = mirror_apply(F, Z)
+    assert images.shape == (6, 3)
+    for frame, z, w in zip(frames, Z, images):
+        single = MirrorTransformation.from_basis(list(frame.T))
+        image = mirror_apply(single, BallPoint(z))
+        assert isinstance(image, BallPoint) and same_bytes(image.vector, w)
+    # one point under the stack, and the stack over another leading axis
+    assert same_bytes(mirror_apply(F, BallPoint(Z[0])), mirror_apply(F, np.broadcast_to(Z[0], Z.shape)))
+    assert same_bytes(mirror_apply(F, np.stack([Z, Z]))[1], images)
+    with pytest.raises(DomainError):
+        mirror_apply(F, Z[:4])
+
+
+def test_membership_check_truth_value(rng):
+    T = np.array([group_member(rng, 3).matrix for _ in range(2)])
+    assert bool(is_inhomogeneous_unitary(ExtendedOperator(T[0]))) is True
+    assert bool(is_inhomogeneous_unitary(ExtendedOperator(2.0 * T[0]))) is False
+    assert bool(is_inhomogeneous_unitary(T[:1])) is True
+    with pytest.raises(ValueError, match="ambiguous"):
+        bool(is_inhomogeneous_unitary(T))
+
+
 def test_stacked_kernels_equal_scalar_calls(rng):
     T = np.array([group_member(rng, 3).matrix for _ in range(6)])
     T[1] *= 1.001  # off the group, but the same Moebius map

@@ -11,15 +11,12 @@ from hypothesis import given, settings
 from hilbertball import numerics
 from hilbertball.errors import DomainError
 from hilbertball.numerics import (
-    RealLinearMap,
     gaussian_directions,
     golden_max,
     mat_exp,
     op_norm,
     real_projection,
-    realify,
     sobol_unit,
-    unrealify,
     wirtinger_first,
     wirtinger_second,
 )
@@ -211,37 +208,57 @@ def test_mat_exp_inverse_property(M):
     assert op_norm(prod - np.eye(3)) < 1e-9 * max(1.0, op_norm(M)) ** 2
 
 
-def test_realify_roundtrip(rng):
-    v = cgauss(rng, 6)
-    w = realify(v)
-    assert w.dtype == float and w.shape == (12,)
-    assert np.array_equal(unrealify(w), v)
-    # realification is an isometry of norms
-    assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-14
+def realified(z):
+    """C^n -> R^2n, real parts over imaginary parts, along the last axis."""
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+def apply(pair, z):
+    """A z + B conj(z) for a pair (A, B) and vectors along the last axis."""
+    A, B = pair
+    return (A @ z[..., None] + B @ z.conj()[..., None])[..., 0]
 
 
 def test_real_projection_idempotent(rng):
-    Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    basis = [unrealify(Q[:, j]) for j in range(3)]
-    P = real_projection(basis)
-    M = P.matrix
-    assert np.allclose(M @ M, M, atol=1e-13)
-    assert np.allclose(M, M.T, atol=1e-13)
-    comp = P.complement()
-    assert np.allclose(M + comp.matrix, np.eye(8), atol=1e-14)
+    # complete real-orthonormal frames of R^8 as complex 4 x 8 frames:
+    # column j realifies to column j of a real orthogonal matrix
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 8, 8)))
+    V = Q[:, :4] + 1j * Q[:, 4:]
+    P = real_projection(V[..., :3])
+    Z = cgauss(rng, (5, 4))
+    PZ = apply(P, Z)
+    assert np.allclose(apply(P, PZ), PZ, atol=1e-14)
+    # self-adjoint in the real inner product Re<u|v>
+    W = cgauss(rng, (5, 4))
+    lhs = np.sum(PZ.conj() * W, axis=-1).real
+    rhs = np.sum(Z.conj() * apply(P, W), axis=-1).real
+    assert np.allclose(lhs, rhs, atol=1e-14)
+    # with the projection onto the other columns it is the identity (I, 0)
+    (A, B), (Ac, Bc) = P, real_projection(V[..., 3:])
+    assert op_norm(A + Ac - np.eye(4)).max() < 1e-14 and op_norm(B + Bc).max() < 1e-14
+    # a stack of frames gives the stack of single projections, and a
+    # sequence of vectors is the frame of its columns
+    for k, frame in enumerate(V[..., :3]):
+        single = real_projection(list(frame.T))
+        assert same_bytes(single[0], A[k]) and same_bytes(single[1], B[k])
 
 
 def test_real_projection_rejects_skew_basis():
     e1 = np.array([1.0 + 0j, 0.0])
     with pytest.raises(DomainError):
         real_projection([e1, 0.9 * e1])
+    # a NaN Gram defect is no pass
+    with pytest.raises(DomainError, match="Gram defect nan"):
+        real_projection([np.array([np.nan, 0j])])
 
 
 def test_real_linear_map_apply(rng):
-    A = rng.standard_normal((6, 6))
-    F = RealLinearMap(A)
-    z = cgauss(rng, 3)
-    assert np.allclose(realify(F.apply(z)), A @ realify(z))
+    # the pair (A, B) of a projection acts as the realified projection
+    # Q Q^T of its real frame Q does on R^6
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+    P = real_projection(Q[:3] + 1j * Q[3:])
+    Z = cgauss(rng, (4, 3))
+    assert np.allclose(realified(apply(P, Z)), realified(Z) @ (Q @ Q.T), atol=1e-14)
 
 
 def test_wirtinger_first_on_polynomial():

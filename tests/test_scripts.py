@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilbertball import algebra, cli, geometry, isometries, numerics, serialize
+from hilbertball import algebra, cli, dynamics, geometry, isometries, numerics, serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -28,11 +28,16 @@ def test_script_imports(scripts_path, name):
 
 def test_kernel_timings_layer_cases_run(scripts_path):
     kernel_timings = importlib.import_module("kernel_timings")
-    mods = {"algebra": algebra, "geometry": geometry, "isometries": isometries, "numerics": numerics}
-    for _, single, stacked in kernel_timings.cases(mods, kernel_timings.draw(2, np.random.default_rng(0))):
-        single()
-        if stacked is not None:
-            stacked()
+    mods = {"algebra": algebra, "dynamics": dynamics, "geometry": geometry, "isometries": isometries,
+            "numerics": numerics}
+    for dim in (1, 2):
+        rows = kernel_timings.cases(mods, kernel_timings.draw(dim, np.random.default_rng(0)))
+        # the disc row comes only at dim 1
+        assert ("disc_evolve_closed" in [row[0] for row in rows]) == (dim == 1)
+        for _, single, stacked in rows:
+            single()
+            if stacked is not None:
+                stacked()
 
 
 def test_kernel_timings_norm_cases_run(scripts_path):

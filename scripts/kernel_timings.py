@@ -2,8 +2,8 @@
 
 Times `evaluate`, `star_operator`, `star_pointwise`, `mobius_apply`,
 `mirror_apply`, `transport_from_origin`, `k_factor`, `metric`,
-`distance`, the `BallPoint` constructor and `mat_exp` at each
-dimension, and `disc_evolve_closed`, which acts on the disc, at
+`distance`, the `BallPoint` constructor, `mat_exp`, `op_norm` and
+`is_inhomogeneous_unitary` (on group members) at each dimension, and `disc_evolve_closed`, which acts on the disc, at
 dimension 1 when 1 is among the dimensions.  Each is timed once on
 single objects (`BallPoint`, `ExtendedOperator`, one mirror, one
 `TangentVector` pair, one (dim+1) x (dim+1) matrix, one disc generator
@@ -152,6 +152,9 @@ def cases(mods, arrays):
         ("distance", lambda: geometry.distance(z, w), None),
         ("BallPoint", lambda: geometry.BallPoint(Z[0]), None),
         ("mat_exp", lambda: numerics.mat_exp(C[0]), lambda: numerics.mat_exp(C)),
+        ("op_norm", lambda: numerics.op_norm(C[0]), lambda: numerics.op_norm(C)),
+        ("is_inhomogeneous_unitary", lambda: isometries.is_inhomogeneous_unitary(t),
+         lambda: isometries.is_inhomogeneous_unitary(T)),
     ) + disc
 
 
@@ -246,7 +249,7 @@ def main():
     packages = [load_package(src)[0] for src in srcs]
     rng = np.random.default_rng(SEED)
     print("# median us per call over %d rounds; stacks of %d" % (REPEATS, STACK))
-    head = "%-22s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
+    head = "%-24s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
     if args.against:
         head += " %10s %11s %7s %7s" % ("other_1", "other_k", "ratio_1", "ratio_k")
     print(head)
@@ -256,7 +259,7 @@ def main():
         for row in rows:
             single = per_call_us([case[1] for case in row])
             stacked = per_call_us([case[2] for case in row]) if row[0][2] else None
-            line = "%-22s %4d %10.2f %11s" % (row[0][0], dim, single[0],
+            line = "%-24s %4d %10.2f %11s" % (row[0][0], dim, single[0],
                                             "%.2f" % stacked[0] if stacked else "-")
             if args.against:
                 line += " %10.2f %11s %7.2f %7s" % (
@@ -272,7 +275,7 @@ def main():
         timed = [(row[0][0], row[0][1], per_call_us([case[2] for case in row])) for row in rows]
     timed.append(("import hilbertball.cli", "-", import_us(srcs)))
     for name, dim, spans in timed:
-        line = "%-22s %4s %10.2f %11s" % (name, dim, spans[0], "-")
+        line = "%-24s %4s %10.2f %11s" % (name, dim, spans[0], "-")
         if args.against:
             line += " %10.2f %11s %7.2f %7s" % (spans[1], "-", spans[0] / spans[1], "-")
         print(line)

@@ -60,13 +60,14 @@ from .isometries import ExtendedOperator, _matrices, _operands, epsilon_matrix, 
 from .numerics import (
     gaussian_directions,
     golden_max,
-    op_norm,
+    hermitian_norm,
     sobol_unit,
     wirtinger_second,
 )
 
 # Coefficient 2/c of the derivative term in the product, at curvature -2.
 STAR_COEFFICIENT = -1.0
+# relative to max(1, ||C||), see `is_self_adjoint`
 SELF_ADJOINT_TOL = 1e-12
 
 MAX_RADIUS = 1.0 - 1e-6
@@ -200,16 +201,27 @@ def star_operator(C, Cp):
 
 def self_adjoint_defect(C):
     """||C - C*|| for an operator or a square matrix; the array of them
-    for a stack of matrices over leading axes."""
+    for a stack of matrices over leading axes.  It is read as the norm
+    of i(C - C*), which is exactly Hermitian in floating point."""
     M, _ = _matrices(C)
-    return op_norm(M - M.conj().swapaxes(-1, -2))
+    return hermitian_norm(1j * (M - M.conj().swapaxes(-1, -2)))
+
+
+def is_self_adjoint(C):
+    """Whether ||C - C*|| <= SELF_ADJOINT_TOL max(1, ||C||), an array of
+    verdicts for a stack.  ||C|| is read as the norm of the Hermitian
+    part (C + C*)/2, so the tolerance scales with the matrix and not
+    with its defect."""
+    M, _ = _matrices(C)
+    size = hermitian_norm(0.5 * (M + M.conj().swapaxes(-1, -2)))
+    return self_adjoint_defect(M) <= SELF_ADJOINT_TOL * np.maximum(1.0, size)
 
 
 def dispersion(C, z):
     """Dispersion sqrt(g(Idf, Idf)/2) of the observable f_C at z.
 
     Only defined for self-adjoint C (real-valued functions)."""
-    if self_adjoint_defect(C) > SELF_ADJOINT_TOL:
+    if not is_self_adjoint(C):
         raise DomainError("dispersion needs a self-adjoint operator")
     field = hamiltonian_field(C, z)
     val = 0.5 * abs(HBAR) * metric(z, field, field).real

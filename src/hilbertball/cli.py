@@ -124,6 +124,7 @@ def cmd_norm(args):
         raise DomainError(f"--seed must be non-negative, got {seed}")
     if args.which == "b":
         est = algebra.norm_b(C)
+        # norm_b reads its own SVD; op_norm reads a Gram matrix's eigvalsh
         oracle = op_norm(C.matrix)
         gap = (oracle - est) / oracle if oracle > 0.0 else 0.0
         _emit({"which": "b", "estimate": est, "oracle_op_norm": oracle, "gap": gap})

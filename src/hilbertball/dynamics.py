@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SELF_ADJOINT_TOL, self_adjoint_defect
+from .algebra import is_self_adjoint
 from .errors import DomainError
 from .geometry import (
     BallPoint,
@@ -83,9 +83,10 @@ def alpha(g):
 
 def _hamiltonian(H, stack=False):
     """H as a validated self-adjoint matrix, or with `stack` an array of
-    them over leading axes; DomainError otherwise."""
+    them over leading axes; DomainError otherwise.  The tolerance on
+    ||H - H*|| scales with max(1, ||H||) (`algebra.is_self_adjoint`)."""
     H = _as_complex_matrix(H, square=True, stack=stack)
-    if np.any(self_adjoint_defect(H) > SELF_ADJOINT_TOL):
+    if not np.all(is_self_adjoint(H)):
         raise DomainError("Hamiltonian must be self-adjoint")
     return H
 

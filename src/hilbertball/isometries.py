@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _dots, _matvec, _paired_points, _points_result, _vectors
-from .numerics import _as_complex_matrix, mat_exp, op_norm, real_projection
+from .numerics import _as_complex_matrix, hermitian_norm, mat_exp, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -150,21 +150,25 @@ def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
     """Whether T* eps T = eps holds within tol, with the defect reported.
 
     T is an ExtendedOperator, or a (k, n+1, n+1) stack of matrices, for
-    which the verdicts and defects are arrays.
+    which the verdicts and defects are arrays.  The residual T* eps T -
+    eps is Hermitian for every T, so its norm is its largest |eigenvalue|
+    (`hermitian_norm`).
     """
     M, n = _matrices(T)
     eps = epsilon_matrix(n)
-    defect = op_norm(M.conj().swapaxes(-1, -2) @ eps @ M - eps)
+    # T* eps scales the columns of T* by +-1, which is exact
+    defect = hermitian_norm((M.conj().swapaxes(-1, -2) * eps.diagonal().real) @ M - eps)
     return MembershipCheck(defect <= tol, defect)
 
 
 def block_condition_defect(T):
     """Largest residual of the three block identities; the array of them
-    for a (k, n+1, n+1) stack of matrices."""
+    for a (k, n+1, n+1) stack of matrices.  The first, A*A - y y* - I,
+    is Hermitian and read by `hermitian_norm`."""
     M, n = _matrices(T)
     # the bottom row stores conj(y)
     A, x, yc, a = M[..., :n, :n], M[..., :n, n], M[..., n, :n], M[..., n, n]
-    r1 = op_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
+    r1 = hermitian_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
     r2 = np.abs(np.sum(x.real ** 2 + x.imag ** 2, axis=-1) - np.abs(a) ** 2 + 1.0)
     r3 = np.linalg.norm((A.conj().swapaxes(-1, -2) @ x[..., None])[..., 0] - a[..., None] * yc.conj(), axis=-1)
     defect = np.maximum(np.maximum(r1, r2), r3)
@@ -275,10 +279,12 @@ def mirror_apply(F, z):
 
 def lie_defect(X):
     """Residual of the infinitesimal group condition X* eps + eps X = 0;
-    the array of them for a (k, n+1, n+1) stack of matrices."""
+    the array of them for a (k, n+1, n+1) stack of matrices.  The
+    residual is Hermitian for every X and read by `hermitian_norm`."""
     M, n = _matrices(X)
-    eps = epsilon_matrix(n)
-    return op_norm(M.conj().swapaxes(-1, -2) @ eps + eps @ M)
+    # eps = diag(sign): both products are exact sign flips
+    sign = epsilon_matrix(n).diagonal().real
+    return hermitian_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M)
 
 
 def lie_algebra_check(X, tol=MEMBERSHIP_TOL):

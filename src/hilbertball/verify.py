@@ -144,7 +144,7 @@ def _members(rng, dim, count):
 def _self_adjoints(rng, dim, count, max_norm=2.0):
     G = _cgauss(rng, (count, dim, dim))
     H = 0.5 * (G + G.conj().swapaxes(-1, -2))
-    scale = numerics.op_norm(H)
+    scale = numerics.hermitian_norm(H)
     return H * np.where(scale > max_norm, max_norm / scale, 1.0)[:, None, None]
 
 

@@ -21,6 +21,21 @@ def cgauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def haar_unitary(rng, n):
+    Q, R = np.linalg.qr(cgauss(rng, (n, n)))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
+
+
+def spectral_hermitian(rng, dim, size):
+    """Q diag(lambda) Q* with Q Haar-unitary and max |lambda| = size:
+    self-adjoint in exact arithmetic, off it in floating point by a
+    roundoff in proportion to size."""
+    lam = rng.uniform(-1.0, 1.0, dim)
+    Q = haar_unitary(rng, dim)
+    return (Q * (size / np.abs(lam).max() * lam)) @ Q.conj().T
+
+
 def same_bytes(a, b):
     """Equal shapes and bit-for-bit equal entries."""
     a, b = np.asarray(a), np.asarray(b)

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from hilbertball import cli, dynamics, geometry, isometries, numerics, serialize, verify
+from hilbertball import algebra, cli, dynamics, geometry, isometries, numerics, serialize, verify
 from hilbertball.geometry import BallPoint
 
-from conftest import cgauss
+from conftest import cgauss, spectral_hermitian
 
 
 def write_vector(path, v):
@@ -88,6 +88,24 @@ def test_evolve_schrodinger(tmp_path, capsys):
     H = np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
     hf = write_matrix(tmp_path / "h.json", H)
     zf = write_vector(tmp_path / "z.json", [0.3, 0.1j])
+    rc = cli.main(
+        ["evolve", "schrodinger", "--state", zf, "--hamiltonian", hf,
+         "--t-max", "0.4", "--dt", "0.2"]
+    )
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_evolve_schrodinger_large_hamiltonian_from_json(tmp_path, capsys):
+    # a self-adjoint H of norm 1e4 whose roundoff defect exceeds the
+    # absolute 1e-12; the JSON round trip keeps its bits
+    rng = np.random.default_rng(7)
+    H = spectral_hermitian(rng, 4, 1e4)
+    while algebra.self_adjoint_defect(H) <= algebra.SELF_ADJOINT_TOL:
+        H = spectral_hermitian(rng, 4, 1e4)
+    hf = write_matrix(tmp_path / "h.json", H)
+    assert np.array_equal(serialize.load_matrix(hf), H)
+    zf = write_vector(tmp_path / "z.json", [0.3, 0.1j, 0.2, -0.1])
     rc = cli.main(
         ["evolve", "schrodinger", "--state", zf, "--hamiltonian", hf,
          "--t-max", "0.4", "--dt", "0.2"]

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from hilbertball import dynamics
+from hilbertball.algebra import SELF_ADJOINT_TOL, dispersion, is_self_adjoint, self_adjoint_defect
 from hilbertball.dynamics import (
     TIME_BLOCK,
     DiscGenerator,
@@ -21,7 +22,7 @@ from hilbertball.geometry import BallPoint, distance, origin
 from hilbertball.isometries import ExtendedOperator, lie_algebra_check, lie_defect
 from hilbertball.numerics import op_norm
 
-from conftest import cgauss, random_point, same_bytes
+from conftest import cgauss, random_point, same_bytes, spectral_hermitian
 
 
 def lie_element(rng, dim):
@@ -190,6 +191,38 @@ def test_hamiltonian_generator_validation(rng):
         HamiltonianGenerator(np.zeros((2, 3)))  # not square
     with pytest.raises(DomainError, match="non-finite"):
         HamiltonianGenerator(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("size", [1e4, 1e6])
+def test_large_self_adjoint_hamiltonians_are_accepted(size):
+    # the roundoff of Q diag(lambda) Q* grows with ||H||: at 1e4 most of
+    # these draws are off by more than the absolute 1e-12, which rejected
+    # them before the tolerance scaled with max(1, ||H||)
+    rng = np.random.default_rng(7)
+    H = np.array([spectral_hermitian(rng, 4, size) for _ in range(20)])
+    assert np.count_nonzero(self_adjoint_defect(H) > SELF_ADJOINT_TOL) >= 10
+    assert is_self_adjoint(H).all()
+    for Hi in H:
+        assert np.array_equal(HamiltonianGenerator(Hi).H, Hi)
+    z = random_point(rng, 4, 0.8)
+    assert schrodinger_evolve(H, np.broadcast_to(z.vector, (20, 4)), 0.1).shape == (20, 4)
+    assert dispersion(ExtendedOperator(H[0]), random_point(rng, 3)) >= 0.0
+
+
+@pytest.mark.parametrize("size", [1.0, 1e4, 1e6])
+def test_hamiltonian_off_self_adjoint_by_relative_1e6_is_rejected(size):
+    rng = np.random.default_rng(7)
+    H = spectral_hermitian(rng, 4, size)
+    G = cgauss(rng, (4, 4))
+    K = G - G.conj().T
+    off = H + 1e-6 * size / op_norm(K) * K
+    assert not is_self_adjoint(off)
+    with pytest.raises(DomainError, match="self-adjoint"):
+        HamiltonianGenerator(off)
+    with pytest.raises(DomainError, match="self-adjoint"):
+        schrodinger_evolve(np.stack([H, off]), np.zeros((2, 4)), 0.1)
+    with pytest.raises(DomainError, match="self-adjoint"):
+        dispersion(ExtendedOperator(off), random_point(rng, 3))
 
 
 def test_schrodinger_dimension_check(rng):

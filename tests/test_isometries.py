@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hilbertball.algebra import self_adjoint_defect
 from hilbertball.errors import DomainError
 from hilbertball.geometry import BallPoint, distance, origin
 from hilbertball.isometries import (
@@ -350,3 +351,59 @@ def test_stacked_transport_inverse_differential_equal_scalar_calls(rng):
         transport_from_origin(Z[0, 0])
     with pytest.raises(DomainError):
         mobius_differential(M, W[:-1])
+
+
+# ---------------------------------------------------------------------
+# The Hermitian defects read max|eigenvalue| of their residual through
+# hermitian_norm; op_norm reads the same residual through a Gram matrix.
+# The two routes must agree on the zero set, near it and far from it.
+# ---------------------------------------------------------------------
+
+def _block_residual_norm(T):
+    n = T.shape[-1] - 1
+    A, x, yc, a = T[..., :n, :n], T[..., :n, n], T[..., n, :n], T[..., n, n]
+    y = yc.conj()
+    r1 = op_norm(A.conj().swapaxes(-1, -2) @ A - y[..., :, None] * y.conj()[..., None, :] - np.eye(n))
+    r2 = np.abs(np.linalg.norm(x, axis=-1) ** 2 - np.abs(a) ** 2 + 1.0)
+    r3 = np.linalg.norm(np.einsum("...ji,...j->...i", A.conj(), x) - a[..., None] * y, axis=-1)
+    return np.maximum(np.maximum(r1, r2), r3)
+
+
+def _draws(rng, dim, exact, count=40):
+    """Exact zeros of a defect, the same pushed off by relative 1e-5,
+    1e-3 and 0.3, and Gaussian garbage over six orders of magnitude."""
+    delta = np.array((1e-5, 1e-3, 0.3))[np.arange(count) % 3][:, None, None]
+    garbage = cgauss(rng, (count, dim + 1, dim + 1)) * (10.0 ** rng.uniform(-3.0, 3.0, count))[:, None, None]
+    return exact, (1.0 + delta) * exact, exact + delta * cgauss(rng, exact.shape), garbage
+
+
+def _hermitian_part(G):
+    return 0.5 * (G + G.conj().swapaxes(-1, -2))
+
+
+EPS4 = epsilon_matrix(3)
+ROUTES = {
+    "membership": (lambda T: is_inhomogeneous_unitary(T).defect,
+                   lambda T: op_norm(T.conj().swapaxes(-1, -2) @ EPS4 @ T - EPS4)),
+    "blocks": (block_condition_defect, _block_residual_norm),
+    "lie": (lie_defect, lambda X: op_norm(X.conj().swapaxes(-1, -2) @ EPS4 + EPS4 @ X)),
+    "self_adjoint": (self_adjoint_defect, lambda C: op_norm(C - C.conj().swapaxes(-1, -2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_hermitian_defects_equal_op_norm_of_their_residuals(rng, name):
+    defect, residual_norm = ROUTES[name]
+    members = np.array([group_member(rng, 3).matrix for _ in range(40)])
+    exact = {
+        "membership": members,
+        "blocks": members,
+        "lie": np.array([lie_element(rng, 3).matrix for _ in range(40)]),
+        "self_adjoint": _hermitian_part(cgauss(rng, (40, 4, 4))),
+    }[name]
+    for M in _draws(rng, 3, exact):
+        got, want = defect(M), residual_norm(M)
+        assert got.shape == (40,)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want))
+        # single matrices take the same route
+        assert abs(defect(M[7]) - want[7]) <= 1e-13 * max(1.0, want[7])

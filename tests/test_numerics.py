@@ -13,6 +13,7 @@ from hilbertball.errors import DomainError
 from hilbertball.numerics import (
     gaussian_directions,
     golden_max,
+    hermitian_norm,
     mat_exp,
     op_norm,
     real_projection,
@@ -24,22 +25,17 @@ from hilbertball.numerics import (
 from hilbertball.dynamics import TIME_BLOCK
 from hilbertball.verify import _points
 
-from conftest import cgauss, complex_matrices, same_bytes
+from conftest import cgauss, complex_matrices, haar_unitary, same_bytes
 
 
 # ---------------------------------------------------------------------
 # oracles: matrices assembled from a known singular value decomposition
-# U diag(sigma) V* (op_norm itself is LAPACK's SVD, so comparing against
-# np.linalg.svd would check nothing), and the matrix exponential from
-# scipy (Pade with balancing, a genuinely different algorithm than the
-# Taylor scaling-squaring used by the library).
+# U diag(sigma) V*, and LAPACK's SVD through np.linalg.svd, which op_norm
+# does not use (it reads the top eigenvalue of a Gram matrix), and the
+# matrix exponential from scipy (Pade with balancing, a genuinely
+# different algorithm than the Taylor scaling-squaring used by the
+# library).
 # ---------------------------------------------------------------------
-
-def haar_unitary(rng, n):
-    Q, R = np.linalg.qr(cgauss(rng, (n, n)))
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
-
 
 def with_singular_values(rng, sigma, n, m):
     """An n x m matrix whose singular values are exactly `sigma` (up to
@@ -174,6 +170,57 @@ def test_op_norm_stack_equals_scalar_calls(rng):
     for M, nrm in zip(stack, norms.tolist()):
         assert abs(nrm - op_norm(M)) <= 4e-16 * nrm
     assert op_norm(np.zeros((3, 0, 2))).tolist() == [0.0, 0.0, 0.0]
+
+
+def svd_norms(M):
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("shape", [(60, 5, 5), (40, 3, 7), (40, 7, 3), (30, 1, 6), (30, 6, 1), (20, 17, 17)])
+def test_op_norm_stack_matches_numpy_svd(rng, shape):
+    # tall, wide and square stacks over twelve orders of magnitude, every
+    # other matrix with its top two singular values a relative 1e-9 apart
+    M = cgauss(rng, shape) * (10.0 ** rng.uniform(-6.0, 6.0, shape[0]))[:, None, None]
+    U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
+    if sigma.shape[-1] > 1:
+        sigma[::2, 1] = sigma[::2, 0] * (1.0 - 1e-9)
+        M = (U * sigma[:, None, :]) @ Vh
+    want = svd_norms(M)
+    assert np.max(np.abs(op_norm(M) - want) / want) <= 1e-14
+
+
+def test_op_norm_extreme_scales(rng):
+    # the Gram matrix of M itself would overflow at 1e200 and underflow
+    # at 1e-200; a zero matrix in the stack has norm 0
+    M = cgauss(rng, (20, 4, 6))
+    want = svd_norms(M)
+    for scale in (1e200, 1e-200):
+        got = op_norm(scale * M)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got / scale - want) / want) <= 1e-13
+        assert abs(op_norm(scale * M[3]) / scale - want[3]) <= 1e-13 * want[3]
+    mixed = np.stack([1e200 * M[0], np.zeros((4, 6)), 1e-200 * M[1], M[2]])
+    got = op_norm(mixed)
+    assert np.isfinite(got).all() and got[1] == 0.0
+    ref = np.array([1e200 * want[0], 0.0, 1e-200 * want[1], want[2]])
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+def test_hermitian_norm_matches_numpy_svd(rng):
+    G = cgauss(rng, (50, 5, 5)) * (10.0 ** rng.uniform(-6.0, 6.0, 50))[:, None, None]
+    H = G + G.conj().swapaxes(-1, -2)
+    want = svd_norms(H)
+    got = hermitian_norm(H)
+    assert got.shape == (50,)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    # the norm is the larger of -lambda_min and lambda_max
+    assert hermitian_norm(np.diag([-3.0, 1.0, 2.0])) == 3.0
+    assert hermitian_norm(np.diag([-1.0, 0.5, 2.0])) == 2.0
+    assert isinstance(hermitian_norm(H[0]), float)
+    assert hermitian_norm(np.zeros((0, 0))) == 0.0
+    assert hermitian_norm(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+    with pytest.raises(DomainError):
+        hermitian_norm(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 @pytest.mark.parametrize("bad", ["nan_entry", "times_with_stack", "four_axes"])

@@ -32,8 +32,10 @@ def test_kernel_timings_layer_cases_run(scripts_path):
             "numerics": numerics}
     for dim in (1, 2):
         rows = kernel_timings.cases(mods, kernel_timings.draw(dim, np.random.default_rng(0)))
+        names = [row[0] for row in rows]
+        assert {"op_norm", "is_inhomogeneous_unitary"} <= set(names)
         # the disc row comes only at dim 1
-        assert ("disc_evolve_closed" in [row[0] for row in rows]) == (dim == 1)
+        assert ("disc_evolve_closed" in names) == (dim == 1)
         for _, single, stacked in rows:
             single()
             if stacked is not None:

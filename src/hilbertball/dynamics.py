@@ -1,17 +1,19 @@
 """One-parameter groups of ball isometries.
 
 Disc generators are the 2x2 matrices X = [[ia, b], [conj(b), -ia]] with
-a real and b complex; they satisfy X^2 = (|b|^2 - a^2) I, which is what
-collapses exp(tX) to a closed form in every regime of
-alpha = |b|^2 - a^2:
+a real and b complex; they satisfy X^2 = alpha I, alpha = |b|^2 - a^2,
+which collapses the exponential to exp(tX) = C I + S X with, for
+s = sqrt(|alpha|),
 
-    alpha > 0:  z(t) = [(s + ia th) z + b th] / [conj(b) th z + s - ia th],
-                s = sqrt(alpha), th = tanh(s t);
-    alpha < 0:  the same with tan and sqrt(-alpha), falling back to the
-                exponential route near the tangent poles;
-    alpha = 0:  the parabolic map [(1 + iat) z + bt] / [conj(b) t z + 1 - iat]
-                from exp(tX) = I + tX;
-    b = 0:      the rotation z(t) = e^{2iat} z, exactly.
+    alpha < 0:  (C, S) = (cos st, sin(st) / s);
+    alpha = 0:  (C, S) = (1, t);
+    alpha > 0:  (C, S) = (1, tanh(st) / s), which is (cosh st, sinh(st) / s)
+                divided by cosh st, a factor the quotient below cancels,
+                so nothing overflows;
+
+and the flow is the quotient z(t) = [(C + iaS) z + bS] / [conj(b) S z + C - iaS],
+whose denominator has no zero on the disc at any time.  A rotation
+(b = 0) is the case alpha = -a^2, and a = b = 0 the parabolic one.
 
 In any dimension a self-adjoint H drives the norm-preserving flow
 z(t) = exp(-iHt) z, which is the quantum evolution this geometry
@@ -51,7 +53,6 @@ from .geometry import (
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, _as_times, mat_exp
 
-TAN_POLE_GUARD = 1e-8
 # Times a trajectory exponentiates together, and the length of the block
 # it then shifts along its grid: long enough to amortize the per-call
 # overhead, short enough that the stack of matrices stays small.
@@ -125,8 +126,7 @@ def disc_evolve_closed(g, z, t):
     entry.  A scalar goes through it as an array of one entry, since
     numpy's scalar arithmetic rounds apart from its array loops, so its
     result has the bits of that entry of any array.  Every z passes the
-    check `BallPoint` makes.  Entries within TAN_POLE_GUARD of a tangent
-    pole go through one batched `evolve_exp` instead.
+    check `BallPoint` makes.
     """
     times = _as_times(np.asarray(t, dtype=float))
     z = _check_points(np.asarray(z, dtype=complex)[..., None])[..., 0]
@@ -138,29 +138,18 @@ def disc_evolve_closed(g, z, t):
                           f"and times {times.shape} do not broadcast") from None
     a, b, z, times = np.atleast_1d(a, b, z, times)
     al = alpha(DiscGenerator(a, b))
-    rot = b == 0
-    ell = (al < 0.0) & ~rot
-    # th = t, s = 1 is the parabolic map from exp(tX) = I + tX; each
-    # regime's function is evaluated on its own entries only
-    s = np.where(al == 0.0, 1.0, np.sqrt(np.abs(al)))
+    # each regime's (C, S) is evaluated on its own entries only
+    s = np.sqrt(np.abs(al))
     st = s * times
-    th = np.where(al == 0.0, times, 0.0)
-    np.tanh(st, out=th, where=al > 0.0)
-    np.tan(st, out=th, where=ell)
-    # [(s + ia th) z + b th] / [conj(b) th z + s - ia th] written as
-    # z + th r / (s + q th), which is z itself at t = 0
-    r = b + 2j * a * z - b.conj() * z * z
-    w = z + th * r / (s + (b.conj() * z - 1j * a) * th)
-    if rot.any():
-        w = np.where(rot, np.exp(2j * a * times) * z, w)
-    if ell.any():
-        # the printed quotient degenerates at the tangent poles; the
-        # underlying Moebius map does not
-        poles = np.broadcast_to(ell & (np.abs(np.cos(st)) < TAN_POLE_GUARD), w.shape)
-        if poles.any():
-            a, b, z, t = (np.broadcast_to(x, w.shape)[poles] for x in (a, b, z, times))
-            X = t[:, None, None] * DiscGenerator(a, b).matrix()
-            w[poles] = evolve_exp(X, z[:, None], 1.0)[:, 0]
+    C = np.ones_like(st)
+    S = np.where(al == 0.0, times, 0.0)
+    np.cos(st, out=C, where=al < 0.0)
+    np.sin(st, out=S, where=al < 0.0)
+    np.tanh(st, out=S, where=al > 0.0)
+    np.divide(S, s, out=S, where=al != 0.0)
+    # [(C + iaS) z + bS] / [conj(b) S z + C - iaS] grouped by C and S,
+    # whose coefficients need no time
+    w = (C * z + S * (1j * a * z + b)) / (C + S * (b.conj() * z - 1j * a))
     return _result(w.reshape(shape))
 
 
@@ -229,14 +218,14 @@ def trajectory(generator, z0, t_max, dt):
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    if t_max < dt - 1e-15:
-        raise DomainError("t_max must be at least dt")
-    # NaN times pass both checks above; NaN or an overflowing quotient
+    # NaN times pass the check above; NaN or an overflowing quotient
     # would reach the integer conversion
     span = t_max / dt
     if not math.isfinite(span):
         raise DomainError(f"t_max / dt must be a finite step count, got {t_max!r} / {dt!r}")
     steps = int(math.floor(span + 1e-9))
+    if steps < 1:
+        raise DomainError("t_max must be at least dt")
     times = np.arange(steps + 1) * dt
 
     start = 0

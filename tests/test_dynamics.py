@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -80,17 +81,6 @@ def test_alpha_signs():
     assert alpha(DiscGenerator(0.3, 0.8 + 0.2j)) > 0.0
     assert alpha(DiscGenerator(1.1, 0.4 - 0.3j)) < 0.0
     assert alpha(DiscGenerator(1.0, 1.0j)) == 0.0
-
-
-def test_tangent_pole_fallback():
-    g = DiscGenerator(1.0, 0.1)
-    s = math.sqrt(-alpha(g))
-    t_pole = math.pi / (2.0 * s)
-    z = 0.2 + 0.1j
-    closed = disc_evolve_closed(g, z, t_pole)
-    viaexp = evolve_exp(g.extended(), BallPoint([z]), t_pole).vector[0]
-    assert abs(closed - viaexp) < 1e-9
-    assert abs(closed) < 1.0
 
 
 def test_disc_flow_group_law(rng):
@@ -416,15 +406,34 @@ def test_disc_closed_form_over_times_equals_scalar_calls(rng):
             assert w[0] == w[1] == z
 
 
-def test_disc_closed_form_pole_times_take_the_exponential():
-    g = DiscGenerator(1.1, 0.4 - 0.3j)
-    pole = math.pi / (2.0 * math.sqrt(-alpha(g)))
-    times = np.array([pole - 0.5e-8, pole, pole + 0.5e-8, 0.3])
-    z = 0.25 - 0.35j
-    w = disc_evolve_closed(g, z, times)
-    viaexp = evolve_exp(g.extended(), BallPoint([z]), times)[:, 0]
-    assert same_bytes(w[:3], viaexp[:3])
-    assert abs(w[3] - viaexp[3]) < 1e-14
+def mpmath_disc_flow(g, z, t):
+    """phi_{exp(tX)}(z) from a 50-digit `mpmath.expm` of t X, a route
+    that shares nothing with the (C, S) quotient."""
+    with mpmath.workdps(50):
+        ia, b = mpmath.mpc(0, g.a), mpmath.mpc(g.b.real, g.b.imag)
+        E = mpmath.expm(mpmath.mpf(t) * mpmath.matrix([[ia, b], [mpmath.conj(b), -ia]]))
+        w = mpmath.mpc(z.real, z.imag)
+        return complex((E[0, 0] * w + E[0, 1]) / (E[1, 0] * w + E[1, 1]))
+
+
+def test_disc_closed_form_matches_mpmath(rng):
+    # the five generator kinds at random times, and the elliptic ones
+    # within 1e-9 relative of the tangent poles (pi/2 + k pi)/s, where a
+    # quotient divided through by cos(st) would blow up
+    gens = disc_generators() + [DiscGenerator(0.0, 0.0), DiscGenerator(1.0, 0.1)]
+    worst = 0.0
+    for g in gens:
+        times = rng.uniform(-5.0, 5.0, 30).tolist()
+        if alpha(g) < 0.0:
+            s = math.sqrt(-alpha(g))
+            for k in range(-2, 3):
+                pole = (math.pi / 2.0 + k * math.pi) / s
+                times += [pole * (1.0 + d) for d in (0.0, 1e-9, -1e-9, *rng.uniform(-1e-9, 1e-9, 3))]
+        z = 0.9 * np.sqrt(rng.uniform(size=len(times))) * np.exp(2j * math.pi * rng.uniform(size=len(times)))
+        w = disc_evolve_closed(g, z, np.array(times))
+        exact = [mpmath_disc_flow(g, zk, tk) for zk, tk in zip(z.tolist(), times)]
+        worst = max(worst, float(np.max(np.abs(w - np.array(exact)))))
+    assert worst < 1e-14
 
 
 def test_stacked_disc_flows_equal_scalar_calls(rng):
@@ -466,6 +475,10 @@ def test_trajectory_validation(rng):
         trajectory(g, z, 1.0, 0.0)
     with pytest.raises(DomainError):
         trajectory(g, z, 0.05, 0.1)  # horizon shorter than one step
+    with pytest.raises(DomainError, match="at least dt"):
+        trajectory(g, z, 0.5e-20, 1e-20)  # the step count is relative to dt
+    assert trajectory(g, z, 1e-20, 1e-20)[1].shape == (2, 1)
+    assert trajectory(g, z, 0.1, 0.1)[1].shape == (2, 1)
     with pytest.raises(DomainError):
         trajectory(g, random_point(rng, 2, 0.5), 1.0, 0.1)  # disc needs dim 1
     with pytest.raises(DomainError):

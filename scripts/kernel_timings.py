@@ -2,9 +2,12 @@
 
 Times `evaluate`, `star_operator`, `star_pointwise`, `mobius_apply`,
 `mirror_apply`, `transport_from_origin`, `k_factor`, `metric`,
-`distance`, the `BallPoint` constructor, `mat_exp`, `op_norm` and
-`is_inhomogeneous_unitary` (on group members) at each dimension, and `disc_evolve_closed`, which acts on the disc, at
-dimension 1 when 1 is among the dimensions.  Each is timed once on
+`distance`, the `BallPoint` constructor, `mat_exp`, `op_norm`, the
+membership checks `is_inhomogeneous_unitary` and `check_block_conditions`
+(on group members), `lie_algebra_check` (on Lie elements) and
+`is_self_adjoint` (on Hermitian matrices) at each dimension, and
+`disc_evolve_closed`, which acts on the disc, at dimension 1 when 1 is
+among the dimensions.  Each is timed once on
 single objects (`BallPoint`, `ExtendedOperator`, one mirror, one
 `TangentVector` pair, one (dim+1) x (dim+1) matrix, one disc generator
 with one point and one time) and once on stacks of STACK of them (arrays
@@ -134,6 +137,10 @@ def cases(mods, arrays):
     t = isometries.ExtendedOperator(T[0])
     s = geometry.TangentVector(hol[0], antihol[0])
     f = isometries.MirrorTransformation.from_basis(list(frames[0].T))
+    # eps A is in the Lie algebra for every anti-Hermitian A
+    X = isometries.epsilon_matrix(Z.shape[-1]) @ (C - C.conj().swapaxes(-1, -2))
+    H = C + C.conj().swapaxes(-1, -2)
+    x, h = isometries.ExtendedOperator(X[0]), isometries.ExtendedOperator(H[0])
     disc = () if Z.shape[-1] != 1 else (
         ("disc_evolve_closed",
          lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a[0], b[0]), Z[0, 0], times[0]),
@@ -155,6 +162,10 @@ def cases(mods, arrays):
         ("op_norm", lambda: numerics.op_norm(C[0]), lambda: numerics.op_norm(C)),
         ("is_inhomogeneous_unitary", lambda: isometries.is_inhomogeneous_unitary(t),
          lambda: isometries.is_inhomogeneous_unitary(T)),
+        ("check_block_conditions", lambda: isometries.check_block_conditions(t),
+         lambda: isometries.check_block_conditions(T)),
+        ("lie_algebra_check", lambda: isometries.lie_algebra_check(x), lambda: isometries.lie_algebra_check(X)),
+        ("is_self_adjoint", lambda: algebra.is_self_adjoint(h), lambda: algebra.is_self_adjoint(H)),
     ) + disc
 
 

@@ -56,7 +56,7 @@ from .geometry import (
     kahler_form,
     metric,
 )
-from .isometries import ExtendedOperator, _matrices, _operands, epsilon_matrix, epsilon_operator
+from .isometries import ExtendedOperator, _matrices, _operands, _verdict, epsilon_matrix, epsilon_operator
 from .numerics import (
     gaussian_directions,
     golden_max,
@@ -67,7 +67,7 @@ from .numerics import (
 
 # Coefficient 2/c of the derivative term in the product, at curvature -2.
 STAR_COEFFICIENT = -1.0
-# relative to max(1, ||C||), see `is_self_adjoint`
+# on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
 
 MAX_RADIUS = 1.0 - 1e-6
@@ -199,22 +199,12 @@ def star_operator(C, Cp):
     return ExtendedOperator(P) if single and P.ndim == 2 else P
 
 
-def self_adjoint_defect(C):
-    """||C - C*|| for an operator or a square matrix; the array of them
-    for a stack of matrices over leading axes.  It is read as the norm
-    of i(C - C*), which is exactly Hermitian in floating point."""
-    M, _ = _matrices(C)
-    return hermitian_norm(1j * (M - M.conj().swapaxes(-1, -2)))
-
-
 def is_self_adjoint(C):
-    """Whether ||C - C*|| <= SELF_ADJOINT_TOL max(1, ||C||), an array of
-    verdicts for a stack.  ||C|| is read as the norm of the Hermitian
-    part (C + C*)/2, so the tolerance scales with the matrix and not
-    with its defect."""
+    """Whether ||C - C*|| <= max(SELF_ADJOINT_TOL, 1024 eps rho(C)), by the
+    rule of the group checks (`isometries._verdict`); ||C - C*|| is read as
+    the norm of i(C - C*), which is exactly Hermitian in floating point."""
     M, _ = _matrices(C)
-    size = hermitian_norm(0.5 * (M + M.conj().swapaxes(-1, -2)))
-    return self_adjoint_defect(M) <= SELF_ADJOINT_TOL * np.maximum(1.0, size)
+    return _verdict(hermitian_norm(1j * (M - M.conj().swapaxes(-1, -2))), M, 1, SELF_ADJOINT_TOL)
 
 
 def dispersion(C, z):

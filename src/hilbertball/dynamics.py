@@ -83,11 +83,10 @@ def alpha(g):
 
 
 def _hamiltonian(H, stack=False):
-    """H as a validated self-adjoint matrix, or with `stack` an array of
-    them over leading axes; DomainError otherwise.  The tolerance on
-    ||H - H*|| scales with max(1, ||H||) (`algebra.is_self_adjoint`)."""
+    """H as a validated self-adjoint matrix (`algebra.is_self_adjoint`), or
+    with `stack` an array of them over leading axes; DomainError otherwise."""
     H = _as_complex_matrix(H, square=True, stack=stack)
-    if not np.all(is_self_adjoint(H)):
+    if not np.all(is_self_adjoint(H).ok):
         raise DomainError("Hamiltonian must be self-adjoint")
     return H
 
@@ -162,7 +161,7 @@ def evolve_exp(X, z, t):
     array of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
     off the Lie algebra raises DomainError.
     """
-    if not np.all(lie_algebra_check(X)):
+    if not np.all(lie_algebra_check(X).ok):
         raise DomainError("generator leaves the isometry Lie algebra")
     return _exp_flow(X, z, t)
 

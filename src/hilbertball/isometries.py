@@ -18,6 +18,12 @@ for a real subspace W are the other family of isometries; they are
 real-linear but not complex-linear, so a mirror is the complex pair
 (A, B) of w = A z + B conj(z).
 
+Membership in the group, in its Lie algebra (X* eps + eps X = 0) and,
+in `algebra`, among self-adjoint operators follows one rule (`_verdict`):
+the norm of a residual of degree k in M passes within max(tol, 1024 eps
+rho(M)^k), the tolerance or the rounding of forming it, for the RMS
+singular value rho(M) = ||M||_F / sqrt(d); rho is 1 at unitaries.
+
 `mobius_apply`, `mobius_differential`, `transport_from_origin`,
 `mirror_apply` and the membership checks take arrays over any leading
 axes as well as single objects, with one formula body for both (see
@@ -135,8 +141,7 @@ def epsilon_operator(dim):
 
 @dataclass(frozen=True)
 class MembershipCheck:
-    """Boolean verdict plus the measured defect (arrays of them, one per
-    matrix, for a stack)."""
+    """Verdict and measured defect; arrays of them for a stack."""
 
     ok: bool
     defect: float
@@ -146,37 +151,41 @@ class MembershipCheck:
         return bool(self.ok)
 
 
-def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
-    """Whether T* eps T = eps holds within tol, with the defect reported.
+def _verdict(residual, M, k, tol):
+    """MembershipCheck(residual <= max(tol, 1024 eps rho(M)^k), residual): a
+    bool and a float for one matrix, arrays for a stack.  rho(M) is formed
+    only past tol, summed over |M|/s for s >= max|entry| so that no square
+    overflows."""
+    ok = residual <= tol
+    if not np.all(ok):
+        A = np.abs(M)
+        s = np.maximum(A.max(axis=(-2, -1)), np.finfo(float).tiny)
+        rho = s * np.sqrt(np.square(A / s[..., None, None]).sum(axis=(-2, -1)) / M.shape[-1])
+        ok = residual <= np.maximum(tol, 1024 * np.finfo(float).eps * rho ** k)
+    return MembershipCheck(bool(ok), float(residual)) if np.ndim(residual) == 0 else MembershipCheck(ok, residual)
 
-    T is an ExtendedOperator, or a (k, n+1, n+1) stack of matrices, for
-    which the verdicts and defects are arrays.  The residual T* eps T -
-    eps is Hermitian for every T, so its norm is its largest |eigenvalue|
-    (`hermitian_norm`).
-    """
+
+def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
+    """Whether T* eps T = eps holds within tol (`_verdict`, k = 2), for an
+    ExtendedOperator or a stack of (n+1) x (n+1) matrices; the residual is
+    Hermitian for every T and read by `hermitian_norm`."""
     M, n = _matrices(T)
     eps = epsilon_matrix(n)
     # T* eps scales the columns of T* by +-1, which is exact
-    defect = hermitian_norm((M.conj().swapaxes(-1, -2) * eps.diagonal().real) @ M - eps)
-    return MembershipCheck(defect <= tol, defect)
+    residual = hermitian_norm((M.conj().swapaxes(-1, -2) * eps.diagonal().real) @ M - eps)
+    return _verdict(residual, M, 2, tol)
 
 
-def block_condition_defect(T):
-    """Largest residual of the three block identities; the array of them
-    for a (k, n+1, n+1) stack of matrices.  The first, A*A - y y* - I,
-    is Hermitian and read by `hermitian_norm`."""
+def check_block_conditions(T, tol=MEMBERSHIP_TOL):
+    """`is_inhomogeneous_unitary` through the three block identities, on the
+    largest residual; A*A - y y* - I is Hermitian, read by `hermitian_norm`."""
     M, n = _matrices(T)
     # the bottom row stores conj(y)
     A, x, yc, a = M[..., :n, :n], M[..., :n, n], M[..., n, :n], M[..., n, n]
     r1 = hermitian_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
     r2 = np.abs(np.sum(x.real ** 2 + x.imag ** 2, axis=-1) - np.abs(a) ** 2 + 1.0)
     r3 = np.linalg.norm((A.conj().swapaxes(-1, -2) @ x[..., None])[..., 0] - a[..., None] * yc.conj(), axis=-1)
-    defect = np.maximum(np.maximum(r1, r2), r3)
-    return float(defect) if M.ndim == 2 else defect
-
-
-def check_block_conditions(T, tol=MEMBERSHIP_TOL):
-    return block_condition_defect(T) <= tol
+    return _verdict(np.maximum(np.maximum(r1, r2), r3), M, 2, tol)
 
 
 def _moved(M, n, Z):
@@ -277,20 +286,13 @@ def mirror_apply(F, z):
     return _points_result(_matvec(F.A, Z) + _matvec(F.B, Z.conj()), isinstance(z, BallPoint))
 
 
-def lie_defect(X):
-    """Residual of the infinitesimal group condition X* eps + eps X = 0;
-    the array of them for a (k, n+1, n+1) stack of matrices.  The
-    residual is Hermitian for every X and read by `hermitian_norm`."""
+def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
+    """Whether X* eps + eps X = 0 (exp(tX) in the group for all real t) holds
+    within tol (`_verdict`, k = 1); the residual is read by `hermitian_norm`."""
     M, n = _matrices(X)
     # eps = diag(sign): both products are exact sign flips
     sign = epsilon_matrix(n).diagonal().real
-    return hermitian_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M)
-
-
-def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
-    """True when exp(tX) stays in the group for all real t (an array of
-    verdicts for a stack)."""
-    return lie_defect(X) <= tol
+    return _verdict(hermitian_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M), M, 1, tol)
 
 
 def exp_element(X, t=1.0):

@@ -62,7 +62,11 @@ def op_norm(M):
     if M.size == 0:
         return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
     s = np.abs(M).max(axis=(-2, -1))
-    N = M / np.where(s > 0.0, s, 1.0)[..., None, None]
+    # M/s as (2^-e M)(1/f) for s = f 2^e: 2^-e scales exactly and 1/f
+    # cannot overflow as 1/s does for a subnormal s; else the bits of M(1/s)
+    f, e = np.frexp(s)
+    N = np.ldexp(np.ascontiguousarray(M).view(float), -e[..., None, None])
+    N = (N * (1.0 / np.where(s > 0.0, f, 1.0))[..., None, None]).view(complex)
     Nh = N.conj().swapaxes(-1, -2)
     G = Nh @ N if M.shape[-1] <= M.shape[-2] else N @ Nh
     norm = s * np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0))

@@ -285,9 +285,58 @@ def _p_membership_equivalence(cfg, rng):
     disagreements = 0
     for T in stacks:
         direct = isometries.is_inhomogeneous_unitary(T, MEMBERSHIP_DECISION_TOL).ok
-        blocks = isometries.check_block_conditions(T, MEMBERSHIP_DECISION_TOL)
+        blocks = isometries.check_block_conditions(T, MEMBERSHIP_DECISION_TOL).ok
         disagreements += int(np.count_nonzero(direct != blocks))
     return trials, float(disagreements)
+
+
+def _eps_of(M):
+    return isometries.epsilon_matrix(M.shape[-1] - 1)
+
+
+def _block_residual(T):
+    """Largest norm of the three block identities of T* eps T = eps."""
+    n = T.shape[-1] - 1
+    A, x, y, a = T[..., :n, :n], T[..., :n, n], T[..., n, :n].conj(), T[..., n, n]
+    Ah = A.conj().swapaxes(-1, -2)
+    r1 = numerics.op_norm(Ah @ A - y[..., :, None] * y.conj()[..., None, :] - np.eye(n))
+    r2 = np.abs(np.linalg.norm(x, axis=-1) ** 2 - np.abs(a) ** 2 + 1.0)
+    r3 = np.linalg.norm((Ah @ x[..., None])[..., 0] - a[..., None] * y, axis=-1)
+    return np.maximum(np.maximum(r1, r2), r3)
+
+
+# name: (check, draws of exact members of its set, norm of its residual
+# built explicitly and read by `op_norm`)
+_MEMBERSHIP_ROUTES = {
+    "membership": (isometries.is_inhomogeneous_unitary, _members,
+                   lambda T: numerics.op_norm(T.conj().swapaxes(-1, -2) @ _eps_of(T) @ T - _eps_of(T))),
+    "blocks": (isometries.check_block_conditions, _members, _block_residual),
+    "lie": (isometries.lie_algebra_check, _lie_elements,
+            lambda X: numerics.op_norm(X.conj().swapaxes(-1, -2) @ _eps_of(X) + _eps_of(X) @ X)),
+    "self_adjoint": (algebra.is_self_adjoint, lambda rng, dim, count: _self_adjoints(rng, dim + 1, count),
+                     lambda C: numerics.op_norm(C - C.conj().swapaxes(-1, -2))),
+}
+
+
+def _p_membership_defect_agreement(cfg, rng):
+    """Each check's defect against `op_norm` of its residual built
+    explicitly, within 1e-12 max(1, defect): forming a residual of size
+    rho^k rounds it by about eps rho^k.  Trials cycle through the four
+    checks; each check's draws cycle through its members plus 1e-5, 1e-3
+    and 0.3 times a Gaussian matrix, and Gaussian garbage over six orders
+    of magnitude.  The checks read their Hermitian residuals through
+    `hermitian_norm`, so one that under-reports fails here."""
+    n = cfg.dim
+    defects = []
+    for k, (check, members, residual) in enumerate(_MEMBERSHIP_ROUTES.values()):
+        count = len(range(k, cfg.trials, 4))
+        M, G = members(rng, n, count), _cgauss(rng, (count, n + 1, n + 1))
+        kind = (np.arange(count) % 4)[:, None, None]
+        garbage = (10.0 ** rng.uniform(-3.0, 3.0, count))[:, None, None] * G
+        M = np.where(kind == 3, garbage, M + np.array((1e-5, 1e-3, 0.3, 0.0))[kind] * G)
+        want = residual(M)
+        defects.append(np.abs(check(M).defect - want) / np.maximum(1.0, want))
+    return cfg.trials, _worst(*defects)
 
 
 def _p_isometry_distance_invariance(cfg, rng):
@@ -507,6 +556,8 @@ PROPERTIES = (
     ("dynamics", "disc_closed_form_agreement", 1e-9, _p_disc_closed_form_agreement),
     ("dynamics", "quantum_flow_radius", 1e-12, _p_quantum_flow_radius),
     ("dynamics", "observable_pullback", 1e-9, _p_observable_pullback),
+    # appended, so that no other property's stream (seed, index) moves
+    ("geometry", "membership_defect_agreement", 1e-12, _p_membership_defect_agreement),
 )
 
 

@@ -101,7 +101,7 @@ def test_evolve_schrodinger_large_hamiltonian_from_json(tmp_path, capsys):
     # absolute 1e-12; the JSON round trip keeps its bits
     rng = np.random.default_rng(7)
     H = spectral_hermitian(rng, 4, 1e4)
-    while algebra.self_adjoint_defect(H) <= algebra.SELF_ADJOINT_TOL:
+    while numerics.op_norm(H - H.conj().T) <= algebra.SELF_ADJOINT_TOL:
         H = spectral_hermitian(rng, 4, 1e4)
     hf = write_matrix(tmp_path / "h.json", H)
     assert np.array_equal(serialize.load_matrix(hf), H)
@@ -414,3 +414,21 @@ def test_verify_flags_projection_without_conjugate_half(monkeypatch, capsys):
     assert "projection_complement_identity" in captured.err
     report = json.loads(captured.out)
     assert report["failed_properties"] == ["projection_complement_identity"]
+
+
+def test_verify_flags_under_reporting_hermitian_norm(monkeypatch, capsys):
+    # lambda_max alone drops -lambda_min from the norm of every Hermitian
+    # residual; the checks on members still pass, and only the property
+    # that reads their defects against op_norm of the residuals can fail
+    def top_eigenvalue(H):
+        top = np.linalg.eigvalsh(H)[..., -1]
+        return float(top) if np.ndim(H) == 2 else top
+
+    monkeypatch.setattr("hilbertball.isometries.hermitian_norm", top_eigenvalue)
+    monkeypatch.setattr("hilbertball.algebra.hermitian_norm", top_eigenvalue)
+    rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "membership_defect_agreement" in captured.err
+    report = json.loads(captured.out)
+    assert report["failed_properties"] == ["membership_defect_agreement"]

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from hilbertball.algebra import self_adjoint_defect
+from hilbertball import verify
+from hilbertball.algebra import SELF_ADJOINT_TOL, is_self_adjoint
+from hilbertball.dynamics import HamiltonianGenerator, evolve_exp
 from hilbertball.errors import DomainError
 from hilbertball.geometry import BallPoint, distance, origin
 from hilbertball.isometries import (
     ExtendedOperator,
+    MEMBERSHIP_TOL,
     MirrorTransformation,
-    block_condition_defect,
     check_block_conditions,
     epsilon_matrix,
     epsilon_operator,
@@ -15,7 +17,6 @@ from hilbertball.isometries import (
     inverse,
     is_inhomogeneous_unitary,
     lie_algebra_check,
-    lie_defect,
     mirror_apply,
     mobius_apply,
     mobius_differential,
@@ -23,7 +24,7 @@ from hilbertball.isometries import (
 )
 from hilbertball.numerics import op_norm
 
-from conftest import cgauss, random_point, rows_close, same_bytes
+from conftest import cgauss, random_point, rows_close, same_bytes, spectral_hermitian
 
 
 def lie_element(rng, dim):
@@ -99,7 +100,7 @@ def test_epsilon_blocks():
 def test_members_satisfy_block_conditions(rng):
     for _ in range(30):
         T = group_member(rng, 3)
-        assert block_condition_defect(T) < 1e-9
+        assert check_block_conditions(T).defect < 1e-9
         assert check_block_conditions(T)
         assert is_inhomogeneous_unitary(T)
 
@@ -144,7 +145,7 @@ def test_action_preserves_ball_and_distance(rng):
 def test_lie_elements_have_zero_defect(rng):
     for _ in range(20):
         X = lie_element(rng, 3)
-        assert lie_defect(X) < 1e-13
+        assert lie_algebra_check(X).defect < 1e-13
         assert lie_algebra_check(X)
 
 
@@ -312,20 +313,18 @@ def test_stacked_kernels_equal_scalar_calls(rng):
     X[2, 0, 0] += 0.5  # off the Lie algebra
     Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
     images = mobius_apply(T, Z)
-    check = is_inhomogeneous_unitary(T)
-    blocks = block_condition_defect(T)
-    lie = lie_defect(X)
-    assert images.shape == (6, 3) and check.ok.tolist().count(False) == 1
+    checks = {is_inhomogeneous_unitary: T, check_block_conditions: T, lie_algebra_check: X}
+    stacked = {check: check(M) for check, M in checks.items()}
+    assert images.shape == (6, 3) and stacked[is_inhomogeneous_unitary].ok.tolist().count(False) == 1
+    assert stacked[lie_algebra_check].ok.tolist().count(False) == 1
     for i in range(6):
-        Ti, Xi = ExtendedOperator(T[i]), ExtendedOperator(X[i])
+        Ti = ExtendedOperator(T[i])
         assert np.abs(images[i] - mobius_apply(Ti, BallPoint(Z[i])).vector).max() < 1e-15
-        single = is_inhomogeneous_unitary(Ti)
-        assert check.ok[i] == single.ok
-        assert abs(check.defect[i] - single.defect) <= 1e-15 * max(1.0, single.defect)
-        assert abs(blocks[i] - block_condition_defect(Ti)) <= 1e-15 * max(1.0, blocks[i])
-        assert check_block_conditions(T)[i] == check_block_conditions(Ti)
-        assert abs(lie[i] - lie_defect(Xi)) <= 1e-15 * max(1.0, lie[i])
-        assert lie_algebra_check(X)[i] == lie_algebra_check(Xi)
+        for check, M in checks.items():
+            single = check(ExtendedOperator(M[i]))
+            assert isinstance(single.ok, bool) and isinstance(single.defect, float)
+            assert stacked[check].ok[i] == single.ok
+            assert abs(stacked[check].defect[i] - single.defect) <= 1e-15 * max(1.0, single.defect)
 
 
 def test_stacked_transport_inverse_differential_equal_scalar_calls(rng):
@@ -354,19 +353,22 @@ def test_stacked_transport_inverse_differential_equal_scalar_calls(rng):
 
 
 # ---------------------------------------------------------------------
-# The Hermitian defects read max|eigenvalue| of their residual through
-# hermitian_norm; op_norm reads the same residual through a Gram matrix.
-# The two routes must agree on the zero set, near it and far from it.
+# Every check reads max|eigenvalue| of its Hermitian residual through
+# hermitian_norm; op_norm reads the same residual, built explicitly by
+# `verify`, through a Gram matrix.  The two routes must agree on the zero
+# set, near it and far from it.  A verdict allows the tolerance, or the
+# rounding 1024 eps rho^k where that is larger, for rho = ||M||_F/sqrt(d)
+# and k the residual's degree in M.
 # ---------------------------------------------------------------------
 
-def _block_residual_norm(T):
-    n = T.shape[-1] - 1
-    A, x, yc, a = T[..., :n, :n], T[..., :n, n], T[..., n, :n], T[..., n, n]
-    y = yc.conj()
-    r1 = op_norm(A.conj().swapaxes(-1, -2) @ A - y[..., :, None] * y.conj()[..., None, :] - np.eye(n))
-    r2 = np.abs(np.linalg.norm(x, axis=-1) ** 2 - np.abs(a) ** 2 + 1.0)
-    r3 = np.linalg.norm(np.einsum("...ji,...j->...i", A.conj(), x) - a[..., None] * y, axis=-1)
-    return np.maximum(np.maximum(r1, r2), r3)
+ROUTES = verify._MEMBERSHIP_ROUTES
+DEGREE = {"membership": 2, "blocks": 2, "lie": 1, "self_adjoint": 1}
+TOL = {"membership": MEMBERSHIP_TOL, "blocks": MEMBERSHIP_TOL, "lie": MEMBERSHIP_TOL, "self_adjoint": SELF_ADJOINT_TOL}
+EPS4 = epsilon_matrix(3)
+
+
+def _rho(M):
+    return np.linalg.norm(M, axis=(-2, -1)) / np.sqrt(M.shape[-1])
 
 
 def _draws(rng, dim, exact, count=40):
@@ -381,29 +383,138 @@ def _hermitian_part(G):
     return 0.5 * (G + G.conj().swapaxes(-1, -2))
 
 
-EPS4 = epsilon_matrix(3)
-ROUTES = {
-    "membership": (lambda T: is_inhomogeneous_unitary(T).defect,
-                   lambda T: op_norm(T.conj().swapaxes(-1, -2) @ EPS4 @ T - EPS4)),
-    "blocks": (block_condition_defect, _block_residual_norm),
-    "lie": (lie_defect, lambda X: op_norm(X.conj().swapaxes(-1, -2) @ EPS4 + EPS4 @ X)),
-    "self_adjoint": (self_adjoint_defect, lambda C: op_norm(C - C.conj().swapaxes(-1, -2))),
-}
-
-
 @pytest.mark.parametrize("name", sorted(ROUTES))
 def test_hermitian_defects_equal_op_norm_of_their_residuals(rng, name):
-    defect, residual_norm = ROUTES[name]
-    members = np.array([group_member(rng, 3).matrix for _ in range(40)])
-    exact = {
-        "membership": members,
-        "blocks": members,
-        "lie": np.array([lie_element(rng, 3).matrix for _ in range(40)]),
-        "self_adjoint": _hermitian_part(cgauss(rng, (40, 4, 4))),
-    }[name]
-    for M in _draws(rng, 3, exact):
-        got, want = defect(M), residual_norm(M)
+    check, members, residual_norm = ROUTES[name]
+    for M in _draws(rng, 3, members(rng, 3, 40)):
+        got, want = check(M).defect, residual_norm(M)
         assert got.shape == (40,)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want))
         # single matrices take the same route
-        assert abs(defect(M[7]) - want[7]) <= 1e-13 * max(1.0, want[7])
+        assert abs(check(M[7]).defect - want[7]) <= 1e-13 * max(1.0, want[7])
+
+
+def _unit_size_draws(rng, name, count=12):
+    """Inputs with rho <= 1, and for self-adjointness ||C|| <= 1: the
+    identity, I + U for a unitary U, and near-members whose residual sits
+    at a tenth or ten times the tolerance."""
+    tol = TOL[name]
+    eye = np.eye(4, dtype=complex)
+    unitary = np.zeros((count, 4, 4), dtype=complex)
+    unitary[:, 3, 3] = 1.0
+    unitary[:, :3, :3] = np.linalg.qr(cgauss(rng, (count, 3, 3)))[0]
+    r = np.where(np.arange(count) % 2, 10.0, 0.1)[:, None, None] * tol
+    if name in ("membership", "blocks"):
+        # (1 - c) T moves T* eps T by (2c - c^2) eps
+        near = (1.0 - r / 2.0) * unitary
+    else:
+        base = np.array([lie_element(rng, 3).matrix for _ in range(count)]) if name == "lie" \
+            else _hermitian_part(cgauss(rng, (count, 4, 4)))
+        base = 0.5 * base / op_norm(base)[:, None, None]
+        # eps K for Hermitian K has the Lie residual 2K; K anti-Hermitian
+        # has the self-adjointness residual 2K
+        K = _hermitian_part(cgauss(rng, (count, 4, 4)))
+        K = EPS4 @ K if name == "lie" else 1j * K
+        near = base + r * K / (2.0 * op_norm(K)[:, None, None])
+    return np.concatenate([eye[None], unitary, near])
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_verdicts_at_unit_size_are_the_absolute_ones(rng, name):
+    # where rho <= 1 the rounding allowance 1024 eps rho^k is below the
+    # tolerance, so every verdict is the one the absolute tolerance gave
+    check, _, residual_norm = ROUTES[name]
+    tol = TOL[name]
+    M = _unit_size_draws(rng, name)
+    assert np.all(_rho(M) <= 1.0 + 1e-15)
+    want = residual_norm(M)
+    got = check(M)
+    assert np.all(np.abs(got.defect - want) <= 1e-13 * np.maximum(1.0, want))
+    assert got.ok.tolist() == (want <= tol).tolist()
+    for i in range(len(M)):
+        assert check(M[i]).ok == bool(want[i] <= tol)
+    # both verdicts occur among the near-members
+    assert got.ok[-2:].tolist() == [True, False]
+
+
+def _sized_member(rng, name, size):
+    """An exact zero of the check's residual with rho^k = size: a
+    transport with rho^2 = size for the group, a conjugated Lie element
+    or a Q diag(lambda) Q* with rho = size for the linear sets."""
+    if name in ("membership", "blocks"):
+        # the transport with boost m has the singular values m +- sqrt(m^2 - 1)
+        # and n - 1 ones, so rho^2 = (4 m^2 + n - 3)/(n + 1) = m^2 at n = 3
+        u = cgauss(rng, 3)
+        return transport_from_origin(np.sqrt(1.0 - 1.0 / size) * u / np.linalg.norm(u))
+    if name == "lie":
+        T = group_member(rng, 3).matrix
+        X = T @ lie_element(rng, 3).matrix @ inverse(T)
+    else:
+        X = spectral_hermitian(rng, 4, 1.0)
+    return size / _rho(X) * X
+
+
+@pytest.mark.parametrize("size", [1.0, 1e4, 1e6])
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_residual_of_relative_1e6_fails_at_every_size(rng, name, size):
+    check, _, residual_norm = ROUTES[name]
+    k = DEGREE[name]
+    M = _sized_member(rng, name, size)
+    assert abs(_rho(M) ** k / size - 1.0) < 1e-9
+    assert check(M)
+    if k == 2:
+        # (1 + c) T moves T* eps T by ((1 + c)^2 - 1) eps
+        off = np.sqrt(1.0 + 1e-6 * size) * M
+    else:
+        K = _hermitian_part(cgauss(rng, (4, 4)))
+        K = EPS4 @ K / 2.0 if name == "lie" else 1j * K
+        off = M + 1e-6 * size * K / residual_norm(K)
+    assert residual_norm(off) >= 0.99e-6 * size
+    verdict = check(off)
+    assert not verdict and verdict.defect >= 0.99e-6 * size
+
+
+def test_large_valid_inputs_pass_every_check():
+    # each was rejected while the tolerances were absolute
+    rng = np.random.default_rng(3)
+    product = np.linalg.multi_dot(list(verify._members(rng, 4, 64)))
+    near_rim = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    transport = transport_from_origin((1.0 - 1e-8) * near_rim / np.linalg.norm(near_rim))
+    eps = epsilon_matrix(4)
+    for T in (product, transport):
+        assert op_norm(T.conj().T @ eps @ T - eps) > 10.0 * MEMBERSHIP_TOL
+        assert is_inhomogeneous_unitary(T) and check_block_conditions(T)
+    S = verify._members(rng, 4, 1)[0]
+    Y = S @ verify._lie_elements(rng, 4, 1)[0] @ inverse(S)
+    Y *= 1.2e6 / op_norm(Y)
+    assert op_norm(Y.conj().T @ eps + eps @ Y) > MEMBERSHIP_TOL
+    assert lie_algebra_check(Y)
+
+
+@pytest.mark.parametrize("size", [2e10, 1e12])
+def test_eps_isotropic_matrices_fail_the_group_checks(size):
+    # T* eps T = 0 leaves the residual's constant -eps, of norm 1, which
+    # stays above the rounding allowance 1024 eps rho^2 up to rho^2 ~ 4e12
+    flat = np.sqrt(size / 2.0) * np.ones((2, 2), dtype=complex)
+    v = np.zeros(4, dtype=complex)
+    v[[0, 3]] = 1.0
+    w = cgauss(np.random.default_rng(5), 4)
+    rank_one = np.sqrt(2.0 * size) * np.outer(v, w.conj() / np.linalg.norm(w))
+    for T in (flat, rank_one):
+        assert abs(_rho(T) ** 2 / size - 1.0) < 1e-12
+        for check in (is_inhomogeneous_unitary, check_block_conditions):
+            for tol in (MEMBERSHIP_TOL, verify.MEMBERSHIP_DECISION_TOL):
+                verdict = check(T, tol)
+                assert not verdict and abs(verdict.defect - 1.0) < 1e-3
+
+
+def test_huge_non_members_fail_the_linear_checks(rng):
+    # rho is summed over M/max|entry|, so it stays finite where the sum
+    # of squares of M itself overflows and would pass any residual
+    G = cgauss(rng, (4, 4))
+    for scale in (1e160, 1e300):
+        assert not lie_algebra_check(scale * G) and not is_self_adjoint(scale * G)
+        with pytest.raises(DomainError):
+            HamiltonianGenerator(scale * G)
+        with pytest.raises(DomainError):
+            evolve_exp(scale * G, origin(3), 1.0)

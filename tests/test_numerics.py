@@ -204,6 +204,15 @@ def test_op_norm_extreme_scales(rng):
     assert np.isfinite(got).all() and got[1] == 0.0
     ref = np.array([1e200 * want[0], 0.0, 1e-200 * want[1], want[2]])
     assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    # a subnormal largest entry s, whose 1/s overflows: alone, in a
+    # stack, and as a dense matrix, whose norm is the SVD's of its exact
+    # rescaling by 2^1060, rounded to the subnormal grid of spacing 2^-1074
+    tiny = np.diag([0.0, 0.0, 2.225e-313j])
+    assert op_norm(tiny) == 2.225e-313
+    assert op_norm(np.stack([tiny, np.eye(3)])).tolist() == [2.225e-313, 1.0]
+    sub = np.ldexp(M[4].real, -1060) + 1j * np.ldexp(M[4].imag, -1060)
+    exact = svd_norms((np.ldexp(sub.real, 1060) + 1j * np.ldexp(sub.imag, 1060))[None])[0]
+    assert abs(op_norm(sub) - np.ldexp(exact, -1060)) <= np.ldexp(1.0, -1074)
 
 
 def test_hermitian_norm_matches_numpy_svd(rng):

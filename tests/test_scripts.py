@@ -33,7 +33,8 @@ def test_kernel_timings_layer_cases_run(scripts_path):
     for dim in (1, 2):
         rows = kernel_timings.cases(mods, kernel_timings.draw(dim, np.random.default_rng(0)))
         names = [row[0] for row in rows]
-        assert {"op_norm", "is_inhomogeneous_unitary"} <= set(names)
+        assert {"op_norm", "is_inhomogeneous_unitary", "check_block_conditions", "lie_algebra_check",
+                "is_self_adjoint"} <= set(names)
         # the disc row comes only at dim 1
         assert ("disc_evolve_closed" in names) == (dim == 1)
         for _, single, stacked in rows:

@@ -17,7 +17,9 @@ the `BallPoint` constructor take single points only, so their stacked
 column reads `-`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
-STEPS steps from one point (stacked column `-`), and the `norm_b` and
+STEPS steps from one point (stacked column `-`), the `trajectory_csv`
+rows, the CSV text `evolve` writes for STEPS + 1 samples at each of
+CSV_DIMS (stacked column `-`), and the `norm_b` and
 `norm_s` rows, the norms behind `norm --which b|s` (the exact invariant
 norm, and the cone search at its default samples), on one operator at
 dim NORM_DIM (stacked column `-`).  The `cli norm b` row times one
@@ -59,6 +61,7 @@ REPEATS = 41
 STACK = 200
 STEPS = 1000
 NORM_DIM = 4
+CSV_DIMS = (1, 8, 16)
 IMPORT_RUNS = 5
 SEED = 0
 MODULES = ("algebra", "cli", "dynamics", "geometry", "isometries", "numerics", "serialize")
@@ -204,6 +207,25 @@ def flow_cases(mods, arrays):
     )
 
 
+def draw_csv(rng):
+    """Raw inputs of the trajectory_csv rows: STEPS + 1 sample times, and
+    as many points in the ball at each of CSV_DIMS."""
+    times = np.arange(STEPS + 1) * 0.002
+    samples = []
+    for dim in CSV_DIMS:
+        W = rng.standard_normal((STEPS + 1, dim)) + 1j * rng.standard_normal((STEPS + 1, dim))
+        samples.append((times, (rng.uniform(0.0, 0.85, STEPS + 1) / np.linalg.norm(W, axis=-1))[:, None] * W))
+    return samples
+
+
+def csv_cases(mods, samples):
+    """(row, dim, one trajectory CSV text) on one package."""
+    serialize = mods["serialize"]
+    return tuple(("trajectory_csv", points.shape[1],
+                  lambda times=times, points=points: serialize.trajectory_csv(times, points))
+                 for times, points in samples)
+
+
 def draw_operator(rng):
     """The operator of the norm rows: complex Gaussian entries, the
     norm_estimators workload's unclustered draw."""
@@ -282,6 +304,7 @@ def main():
         operator_file = os.path.join(tmp, "operator.json")
         packages[0]["serialize"].save_matrix(operator_file, C)
         rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
+                     + csv_cases(mods, draw_csv(np.random.default_rng(SEED)))
                      + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods in packages))
         timed = [(row[0][0], row[0][1], per_call_us([case[2] for case in row])) for row in rows]
     timed.append(("import hilbertball.cli", "-", import_us(srcs)))

@@ -136,9 +136,14 @@ def disc_evolve_closed(g, z, t):
         raise DomainError(f"generator shapes {a.shape} and {b.shape}, points {z.shape} "
                           f"and times {times.shape} do not broadcast") from None
     a, b, z, times = np.atleast_1d(a, b, z, times)
-    al = alpha(DiscGenerator(a, b))
+    # alpha and s = sqrt|alpha| from a and b scaled by 2^-e, e the exponent
+    # of max(|a|, |b|): the scaling is exact, so alpha keeps its sign and s
+    # its bits, and neither square overflows or underflows on the way
+    abs_b = np.abs(b)
+    e = np.frexp(np.maximum(np.abs(a), abs_b))[1]
+    al = np.ldexp(abs_b, -e) ** 2 - np.ldexp(a, -e) ** 2
     # each regime's (C, S) is evaluated on its own entries only
-    s = np.sqrt(np.abs(al))
+    s = np.ldexp(np.sqrt(np.abs(al)), e)
     st = s * times
     C = np.ones_like(st)
     S = np.where(al == 0.0, times, 0.0)

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DomainError
 
 # Convergence / validation thresholds.
-EXP_SCALE_LIMIT = 0.5
 EXP_TAYLOR_TERMS = 18
 # 1/k!, the coefficients of the truncated Taylor series
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(EXP_TAYLOR_TERMS + 1))
@@ -97,11 +96,12 @@ def mat_exp(X, t=1.0):
     truncated series is accurate to well below double roundoff, then the
     result is squared back up.  A scalar t gives one matrix.  A 1-D array
     of times gives the (k, n, n) stack of exp(t_i X): each time gets the
-    halvings count a scalar call would, and the times that share a count
-    are expanded and squared together as one stack, so every slice equals
-    the scalar call's result bit for bit.  A (k, n, n) stack of
-    generators with a scalar t gives the stack of exp(t X_i) the same way;
-    a caller with one time per generator scales the stack first.
+    halvings count a scalar call would, is halved that many times, and
+    the stack is summed in one Taylor pass; round r of squaring takes the
+    matrices whose count is at least r.  So every slice equals the scalar
+    call's result bit for bit.  A (k, n, n)
+    stack of generators with a scalar t gives the stack of exp(t X_i) the
+    same way; a caller with one time per generator scales the stack first.
     """
     X = _as_complex_matrix(X, square=True, stack=True)
     times = _as_times(t)
@@ -109,15 +109,34 @@ def mat_exp(X, t=1.0):
         raise DomainError(f"expected a matrix or a (k, n, n) stack, got array of ndim {X.ndim}")
     if X.ndim == 3 and times.ndim:
         raise DomainError("a stack of generators takes one scalar time")
-    if X.ndim == 2 and times.ndim == 0:
-        M = t * X
-        return _scaled_exp(M, _halvings(float(np.linalg.norm(M, np.inf))))
-    M = t * X if X.ndim == 3 else times[:, None, None] * X
-    counts = np.array([_halvings(x) for x in np.linalg.norm(M, np.inf, axis=(1, 2)).tolist()])
+    single = X.ndim == 2 and times.ndim == 0
+    M = t * X if times.ndim == 0 else times[:, None, None] * X
+    if single:
+        M = M[None]
+    # the halvings count is the smallest s >= 0 with nrm / 2^s <= 1/2: for
+    # nrm = f 2^e, f in [1/2, 1), that is e when f = 1/2 and e + 1
+    # otherwise, clipped at 0 (frexp gives f = e = 0 for nrm = 0)
+    f, e = np.frexp(np.linalg.norm(M, np.inf, axis=(1, 2)))
+    counts = np.maximum(e + (f > 0.5), 0)
+    if single:
+        sizes = [1] * int(counts[0])
+    else:
+        # most halvings first, so the matrices still being halved or
+        # squared at round r are the leading sizes[r - 1] of the stack,
+        # the number whose count is at least r
+        order = np.argsort(-counts, kind="stable")
+        sizes = np.cumsum(np.bincount(counts)[:0:-1])[::-1].tolist()
+        M = M[order]
+    for size in sizes:
+        M[:size] /= 2.0
+    R, done = _taylor(M), []
+    for size in sizes:
+        done.append(R[size:])
+        R = R[:size] @ R[:size]
+    if single:
+        return R[0]
     out = np.empty_like(M)
-    for squarings in np.unique(counts).tolist():
-        group = counts == squarings
-        out[group] = _scaled_exp(M[group], squarings)
+    out[order] = np.concatenate([R] + done[::-1])
     return out
 
 
@@ -132,30 +151,16 @@ def _as_times(t):
     return times
 
 
-def _halvings(nrm):
-    """How many times a matrix of infinity norm nrm is halved to reach
-    EXP_SCALE_LIMIT."""
-    squarings = 0
-    while nrm > EXP_SCALE_LIMIT:
-        nrm /= 2.0
-        squarings += 1
-    return squarings
+def _taylor(M):
+    """The degree-EXP_TAYLOR_TERMS Taylor polynomial sum_k M^k / k! of a
+    stack of matrices, summed by Paterson-Stockmeyer.
 
-
-def _scaled_exp(M, squarings):
-    """exp(M) for a matrix, or a stack of matrices, that the caller has
-    found to need `squarings` halvings: halve, sum the Taylor polynomial
-    by Paterson-Stockmeyer, square back up.
-
-    The polynomial sum_k M^k / k! of degree EXP_TAYLOR_TERMS is split
-    into chunks B_j = sum_{i<4} c_{4j+i} M^i in the powers M, M^2, M^3,
-    and the chunks are combined by Horner's rule in M^4:
-    B_0 + M^4 (B_1 + M^4 (B_2 + ...)).  That takes 7 matrix products
-    where Horner's rule in M takes 18.  Each chunk is summed from its
-    highest power down, which keeps the roundoff of Horner's rule.
+    The polynomial is split into chunks B_j = sum_{i<4} c_{4j+i} M^i in
+    the powers M, M^2, M^3, and the chunks are combined by Horner's rule
+    in M^4: B_0 + M^4 (B_1 + M^4 (B_2 + ...)).  That takes 7 matrix
+    products where Horner's rule in M takes 18.  Each chunk is summed from
+    its highest power down, which keeps the roundoff of Horner's rule.
     """
-    for _ in range(squarings):
-        M = M / 2.0
     M2 = M @ M
     powers = (None, M, M2, M2 @ M)
     M4 = M2 @ M2
@@ -171,8 +176,6 @@ def _scaled_exp(M, squarings):
     R = chunk(EXP_TAYLOR_TERMS // 4)
     for j in range(EXP_TAYLOR_TERMS // 4 - 1, -1, -1):
         R = chunk(j) + M4 @ R
-    for _ in range(squarings):
-        R = R @ R
     return R
 
 

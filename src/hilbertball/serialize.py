@@ -118,9 +118,10 @@ def trajectory_csv(times, points):
     """CSV text for a trajectory, header t,re_z1,im_z1,...
 
     `times` is the (N,) array of sample times and `points` the (N, n)
-    array of points, as `dynamics.trajectory` returns them.  Each row is
-    one %.17g format over the row's floats; adding 0.0 turns -0.0 into
-    0.0, as `format_float` does.
+    array of points, as `dynamics.trajectory` returns them.  The body is
+    one % format, the row's %.17g fields repeated N times, over all the
+    floats at once; adding 0.0 turns -0.0 into 0.0, as `format_float`
+    does.
     """
     times, points = np.asarray(times, dtype=float), np.asarray(points, dtype=complex)
     if times.ndim != 1 or points.shape[:1] != times.shape or points.ndim != 2:
@@ -137,9 +138,8 @@ def trajectory_csv(times, points):
     rows[:, 1::2] = points.real
     rows[:, 2::2] = points.imag
     rows += 0.0
-    fmt = ",".join(["%.17g"] * rows.shape[1])
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows.tolist()]
-    return "\n".join(lines) + "\n"
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row_fmt * times.size) % tuple(rows.ravel().tolist())
 
 
 def dumps(obj):

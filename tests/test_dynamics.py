@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -434,6 +435,40 @@ def test_disc_closed_form_matches_mpmath(rng):
         exact = [mpmath_disc_flow(g, zk, tk) for zk, tk in zip(z.tolist(), times)]
         worst = max(worst, float(np.max(np.abs(w - np.array(exact)))))
     assert worst < 1e-14
+
+
+@pytest.mark.parametrize("a, b, t", [
+    (0.1, 1e200, 1e-200),
+    (1e200, 3e199 - 2e199j, 1e-200),
+    (-1e200, 1e200j, 2e-200),
+    (0.0, 1e-200, 1e200),
+    (1e-200, 2e-200j, 1e200),
+    (3e-170, 1e-170, -1e170),
+])
+def test_disc_flow_of_extreme_generators_matches_mpmath(a, b, t):
+    # |b|^2 - a^2 overflows or underflows in doubles although t X is of
+    # order one, in each regime
+    g = DiscGenerator(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = disc_evolve_closed(g, 0.3 - 0.2j, t)
+    exact = mpmath_disc_flow(g, 0.3 - 0.2j, t)
+    assert abs(w - exact) < 1e-15
+    assert abs(w - (0.3 - 0.2j)) > 0.1
+
+
+def test_disc_flow_depends_on_t_x_alone(rng):
+    # (2^k a, 2^k b) at time 2^-k t has the bits of (a, b) at t: the
+    # discriminant's scaling by a power of two is exact, at any k
+    gens = disc_generators() + [DiscGenerator(0.0, 0.0)]
+    a = np.array([g.a for g in gens])
+    b = np.array([g.b for g in gens])
+    z = 0.85 * np.sqrt(rng.uniform(size=a.size)) * np.exp(2j * math.pi * rng.uniform(size=a.size))
+    t = rng.uniform(-3.0, 3.0, size=a.size)
+    w = disc_evolve_closed(DiscGenerator(a, b), z, t)
+    for k in (-600, -90, -1, 1, 7, 600):
+        scaled = DiscGenerator(np.ldexp(a, k), b * 2.0 ** k)
+        assert same_bytes(disc_evolve_closed(scaled, z, np.ldexp(t, -k)), w)
 
 
 def test_stacked_disc_flows_equal_scalar_calls(rng):

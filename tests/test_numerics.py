@@ -148,19 +148,50 @@ def test_mat_exp_batch_equals_scalar_calls(rng, n):
         assert same_bytes(E, mat_exp(X, t))
 
 
+def _dyadic(n, k):
+    """An n x n matrix of infinity norm exactly 0.5 2^k."""
+    D = np.zeros((n, n), dtype=complex)
+    D[0, 0], D[0, -1], D[-1, 0] = 0.125, -0.375j, 0.25
+    if n == 1:
+        D[0, 0] = 0.5
+    return D * 2.0 ** k
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_mat_exp_stack_equals_scalar_calls(rng, n):
     # unsorted generators with the zero matrix, spanning halving counts 0
-    # to 10, at a positive and a negative time
+    # to 10, with norms exactly 0.5 2^k on the halving boundary, at a
+    # positive and a negative time
     scales = np.concatenate([[0.0], rng.uniform(0.0, 0.4, 5), rng.uniform(1.0, 400.0, 10)])
-    rng.shuffle(scales)
     X = cgauss(rng, (scales.size, n, n))
     X *= (scales / np.linalg.norm(X, np.inf, axis=(1, 2)))[:, None, None]
-    for t in (1.0, -0.7):
+    X = np.concatenate([X, [_dyadic(n, k) for k in range(-2, 9)], np.zeros((1, n, n))])
+    rng.shuffle(X)
+    assert all(np.linalg.norm(_dyadic(n, k), np.inf) == 0.5 * 2.0 ** k for k in range(-2, 9))
+    for t in (1.0, -0.7, 2.0):
         stack = mat_exp(X, t)
         assert stack.shape == X.shape
         for Xi, E in zip(X, stack):
             assert same_bytes(E, mat_exp(Xi, t))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mat_exp_halves_to_norm_at_most_one_half(n):
+    # the halvings count is the smallest s >= 0 with norm / 2^s <= 0.5, on
+    # and either side of the boundary norms 0.5 2^k and at the zero matrix
+    cases = [np.zeros((n, n), dtype=complex)]
+    for k in range(-3, 9):
+        D = _dyadic(n, k)
+        cases += [D, D * (1.0 + 2.0 ** -52), D * (1.0 - 2.0 ** -53)]
+    for D in cases:
+        nrm, count = float(np.linalg.norm(D, np.inf)), 0
+        while nrm > 0.5:
+            nrm, count = nrm / 2.0, count + 1
+        E = numerics._taylor(D / 2.0 ** count)
+        for _ in range(count):
+            E = E @ E
+        assert same_bytes(mat_exp(D), E)
+        assert same_bytes(mat_exp(D, np.array([1.0, 1.0]))[1], E)
 
 
 def test_op_norm_stack_equals_scalar_calls(rng):

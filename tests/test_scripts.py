@@ -43,6 +43,17 @@ def test_kernel_timings_layer_cases_run(scripts_path):
                 stacked()
 
 
+def test_kernel_timings_csv_cases_run(scripts_path):
+    kernel_timings = importlib.import_module("kernel_timings")
+    cases = kernel_timings.csv_cases({"serialize": serialize},
+                                     kernel_timings.draw_csv(np.random.default_rng(0)))
+    assert [(name, dim) for name, dim, _ in cases] == [("trajectory_csv", d) for d in (1, 8, 16)]
+    for _, dim, call in cases:
+        lines = call().splitlines()
+        assert len(lines) == kernel_timings.STEPS + 2
+        assert lines[1].count(",") == 2 * dim
+
+
 def test_kernel_timings_norm_cases_run(scripts_path):
     kernel_timings = importlib.import_module("kernel_timings")
     C = kernel_timings.draw_operator(np.random.default_rng(0))

@@ -95,6 +95,30 @@ def test_trajectory_csv_golden():
     assert trajectory_csv(times, points) == want
 
 
+def per_row_csv(times, points):
+    """The CSV text written one row and one %.17g field at a time."""
+    dim = points.shape[1]
+    lines = ["t," + ",".join(f"re_z{i},im_z{i}" for i in range(1, dim + 1))]
+    for t, row in zip(times.tolist(), points.tolist()):
+        fields = [t] + [x for z in row for x in (z.real, z.imag)]
+        lines.append(",".join("%.17g" % (x + 0.0) for x in fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("samples", [1, 1001])
+@pytest.mark.parametrize("dim", [1, 8, 16])
+def test_trajectory_csv_equals_per_row_formatting(rng, samples, dim):
+    special = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1e300, -1e300, 1e-300, -1e-300,
+                        3.0, -42.0, 2.0 ** 53, 1e16, 0.1, -1.0 / 3.0])
+    times = np.cumsum(rng.uniform(0.0, 0.01, samples))
+    times[0] = -0.0
+    points = (rng.standard_normal((samples, dim)) * 10.0 ** rng.uniform(-300, 300, (samples, dim))
+              + 1j * rng.standard_normal((samples, dim)))
+    flat = points.reshape(-1)
+    flat[:special.size] = special[:flat.size] + 1j * special[::-1][:flat.size]
+    assert trajectory_csv(times, points) == per_row_csv(times, points)
+
+
 def test_trajectory_csv_columns_follow_dimension():
     header = trajectory_csv(np.zeros(1), np.array([[0.1 + 0j, 0.2j, 0.0]])).splitlines()[0]
     assert header == "t,re_z1,im_z1,re_z2,im_z2,re_z3,im_z3"

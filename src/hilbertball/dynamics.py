@@ -31,8 +31,8 @@ points and its times elementwise, the times being a scalar or a 1-D
 array.  A trajectory is the pair of arrays (times, points): disc and
 Schroedinger flows are one call over all times, and exponential flows
 exponentiate only their first TIME_BLOCK times and move that block
-along the grid by the group law exp((s + t)X) = exp(sX) exp(tX), one
-exponential per later block.
+along the grid by the group law exp((s + t)X) = exp(sX) exp(tX), with
+one exponential per later block, all from one stacked `mat_exp`.
 """
 
 import math
@@ -77,9 +77,22 @@ class DiscGenerator:
 
 
 def alpha(g):
-    """Discriminant |b|^2 - a^2 separating the three flow regimes; the
-    array of them for arrays a and b."""
-    return np.abs(np.asarray(g.b, dtype=complex)) ** 2 - np.asarray(g.a, dtype=float) ** 2
+    """Discriminant |b|^2 - a^2 separating the three flow regimes, the
+    array of them for arrays a and b; +-inf past the largest float."""
+    al, e = _scaled_discriminant(np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex))
+    with np.errstate(over="ignore"):
+        return np.ldexp(al, 2 * e)
+
+
+def _scaled_discriminant(a, b):
+    """(alpha 2^-2e, e), e the exponent of max(|a|, |b|), from a and b
+    scaled by 2^-e, which is exact: no square overflows or underflows,
+    and alpha keeps its sign.  DomainError for a non-finite a or b."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("disc generator has non-finite a or b")
+    abs_b = np.abs(b)
+    e = np.frexp(np.maximum(np.abs(a), abs_b))[1]
+    return np.ldexp(abs_b, -e) ** 2 - np.ldexp(a, -e) ** 2, e
 
 
 def _hamiltonian(H, stack=False):
@@ -136,12 +149,7 @@ def disc_evolve_closed(g, z, t):
         raise DomainError(f"generator shapes {a.shape} and {b.shape}, points {z.shape} "
                           f"and times {times.shape} do not broadcast") from None
     a, b, z, times = np.atleast_1d(a, b, z, times)
-    # alpha and s = sqrt|alpha| from a and b scaled by 2^-e, e the exponent
-    # of max(|a|, |b|): the scaling is exact, so alpha keeps its sign and s
-    # its bits, and neither square overflows or underflows on the way
-    abs_b = np.abs(b)
-    e = np.frexp(np.maximum(np.abs(a), abs_b))[1]
-    al = np.ldexp(abs_b, -e) ** 2 - np.ldexp(a, -e) ** 2
+    al, e = _scaled_discriminant(a, b)
     # each regime's (C, S) is evaluated on its own entries only
     s = np.ldexp(np.sqrt(np.abs(al)), e)
     st = s * times
@@ -168,11 +176,6 @@ def evolve_exp(X, z, t):
     """
     if not np.all(lie_algebra_check(X).ok):
         raise DomainError("generator leaves the isometry Lie algebra")
-    return _exp_flow(X, z, t)
-
-
-def _exp_flow(X, z, t):
-    """`evolve_exp` for a generator it has already checked."""
     return mobius_apply(mat_exp(_matrices(X)[0], t), z)
 
 
@@ -214,8 +217,8 @@ def trajectory(generator, z0, t_max, dt):
     law phi_{exp((s+t)X)} = phi_{exp(sX)} o phi_{exp(tX)}: the first
     TIME_BLOCK samples come from one batched `evolve_exp`, which checks
     the generator once, and each later block is that block moved by the
-    one exponential of its first time, so later samples differ from the
-    per-step exponentials by roundoff.
+    exponential of its first time, all from one stacked `mat_exp`, so
+    later samples differ from the per-step exponentials by roundoff.
     Their points are checked block by block as they are made, the other
     flows' as one array; a sample that rounds out of the ball raises
     DomainError naming the first such sample, its time and its norm.
@@ -242,8 +245,12 @@ def trajectory(generator, z0, t_max, dt):
             points = schrodinger_evolve(generator, z0, times)
         elif isinstance(generator, ExtendedOperator):
             blocks = [evolve_exp(generator, z0, times[:TIME_BLOCK])]
-            for start in range(TIME_BLOCK, len(times), TIME_BLOCK):
-                blocks.append(_exp_flow(generator, blocks[0][:len(times) - start], times[start]))
+            # a hyperbolic orbit leaves the ball (st ~ 14) and the loop
+            # raises long before its far shifts overflow (st ~ 710)
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifts = mat_exp(generator.matrix, times[TIME_BLOCK::TIME_BLOCK])
+            for start, shift in zip(range(TIME_BLOCK, len(times), TIME_BLOCK), shifts):
+                blocks.append(mobius_apply(shift, blocks[0][:len(times) - start]))
             points = np.concatenate(blocks)
         else:
             raise DomainError(f"unsupported generator type {type(generator).__name__}")

@@ -94,14 +94,14 @@ def mat_exp(X, t=1.0):
 
     t X is halved until its infinity norm is at most 0.5, where the
     truncated series is accurate to well below double roundoff, then the
-    result is squared back up.  A scalar t gives one matrix.  A 1-D array
-    of times gives the (k, n, n) stack of exp(t_i X): each time gets the
-    halvings count a scalar call would, is halved that many times, and
-    the stack is summed in one Taylor pass; round r of squaring takes the
-    matrices whose count is at least r.  So every slice equals the scalar
-    call's result bit for bit.  A (k, n, n)
-    stack of generators with a scalar t gives the stack of exp(t X_i) the
-    same way; a caller with one time per generator scales the stack first.
+    result is squared back up.  A 1-D array of times gives the (k, n, n)
+    stack of exp(t_i X), a (k, n, n) stack of generators with a scalar t
+    the stack of exp(t X_i) (a caller with one time per generator scales
+    the stack first), and one matrix at a scalar time is a stack of one.
+    Each matrix gets its own halvings count and is halved that many
+    times, the stack is summed in one Taylor pass, and round r of
+    squaring takes the matrices whose count is at least r, so every
+    slice equals the single call's result bit for bit.
     """
     X = _as_complex_matrix(X, square=True, stack=True)
     times = _as_times(t)
@@ -109,35 +109,27 @@ def mat_exp(X, t=1.0):
         raise DomainError(f"expected a matrix or a (k, n, n) stack, got array of ndim {X.ndim}")
     if X.ndim == 3 and times.ndim:
         raise DomainError("a stack of generators takes one scalar time")
-    single = X.ndim == 2 and times.ndim == 0
-    M = t * X if times.ndim == 0 else times[:, None, None] * X
-    if single:
-        M = M[None]
+    M = times.reshape(-1, 1, 1) * X
     # the halvings count is the smallest s >= 0 with nrm / 2^s <= 1/2: for
     # nrm = f 2^e, f in [1/2, 1), that is e when f = 1/2 and e + 1
     # otherwise, clipped at 0 (frexp gives f = e = 0 for nrm = 0)
     f, e = np.frexp(np.linalg.norm(M, np.inf, axis=(1, 2)))
     counts = np.maximum(e + (f > 0.5), 0)
-    if single:
-        sizes = [1] * int(counts[0])
-    else:
-        # most halvings first, so the matrices still being halved or
-        # squared at round r are the leading sizes[r - 1] of the stack,
-        # the number whose count is at least r
-        order = np.argsort(-counts, kind="stable")
-        sizes = np.cumsum(np.bincount(counts)[:0:-1])[::-1].tolist()
-        M = M[order]
+    # most halvings first, so the matrices still being halved or squared
+    # at round r are the leading sizes[r - 1] of the stack, the number
+    # whose count is at least r
+    order = np.argsort(-counts, kind="stable")
+    sizes = np.cumsum(np.bincount(counts)[:0:-1])[::-1].tolist()
+    M = M[order]
     for size in sizes:
         M[:size] /= 2.0
     R, done = _taylor(M), []
     for size in sizes:
         done.append(R[size:])
         R = R[:size] @ R[:size]
-    if single:
-        return R[0]
     out = np.empty_like(M)
     out[order] = np.concatenate([R] + done[::-1])
-    return out
+    return out[0] if X.ndim == 2 and times.ndim == 0 else out
 
 
 def _as_times(t):

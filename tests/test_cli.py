@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ def test_evolve_exp_rim_exit_names_the_first_sample(tmp_path, capsys):
     assert len(points) == index
     w = numerics.mat_exp(X.matrix, index * 0.02) @ np.array([0.1, 1.0])
     assert abs(norm - abs(w[0] / w[1])) < 1e-12
+
+
+@pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--a", "inf"), ("--b-re", "nan"),
+                                         ("--b-im", "inf")])
+def test_evolve_non_finite_disc_generator_exits_3(tmp_path, capsys, flag, value):
+    zf = write_vector(tmp_path / "z.json", [0.5])
+    argv = ["evolve", "disc", "--state", zf, "--a", "0.3", "--b-re", "0.8",
+            "--t-max", "1", "--dt", "0.1", flag, value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: disc generator has non-finite a or b\n"
 
 
 def test_evolve_missing_mode_input(tmp_path, capsys):

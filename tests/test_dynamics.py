@@ -21,8 +21,8 @@ from hilbertball.dynamics import (
 )
 from hilbertball.errors import DomainError
 from hilbertball.geometry import BallPoint, distance, origin
-from hilbertball.isometries import ExtendedOperator, lie_algebra_check
-from hilbertball.numerics import op_norm
+from hilbertball.isometries import ExtendedOperator, lie_algebra_check, mobius_apply
+from hilbertball.numerics import mat_exp, op_norm
 
 from conftest import cgauss, random_point, same_bytes, spectral_hermitian
 
@@ -82,6 +82,37 @@ def test_alpha_signs():
     assert alpha(DiscGenerator(0.3, 0.8 + 0.2j)) > 0.0
     assert alpha(DiscGenerator(1.1, 0.4 - 0.3j)) < 0.0
     assert alpha(DiscGenerator(1.0, 1.0j)) == 0.0
+
+
+def test_alpha_never_reads_nan(rng):
+    # the plain |b|^2 - a^2 reads NaN when both squares overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert alpha(DiscGenerator(1e200, 1e200j)) == 0.0
+        assert alpha(DiscGenerator(1e200, 2e200j)) == math.inf
+        assert alpha(DiscGenerator(2e200, -1e200)) == -math.inf
+        # ordinary generators, alone and as arrays, keep the plain bits
+        a = rng.uniform(-3.0, 3.0, 200)
+        b = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+        assert same_bytes(alpha(DiscGenerator(a, b)), np.abs(b) ** 2 - a ** 2)
+        for g in disc_generators():
+            assert alpha(g) == abs(g.b) ** 2 - g.a ** 2
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 0.8), (math.inf, 0.8), (0.3, complex(0.8, math.nan)),
+                                  (0.3, complex(-math.inf, 0.2)), (np.array([0.3, math.nan]), 0.8)])
+def test_non_finite_disc_generators_are_rejected(a, b):
+    # a stack of generators is rejected for one bad entry; a trajectory
+    # takes a single generator
+    g = DiscGenerator(a, b)
+    calls = [lambda: disc_evolve_closed(g, 0.5, 0.0), lambda: alpha(g)]
+    if np.ndim(a) == 0:
+        calls.append(lambda: trajectory(g, BallPoint([0.5]), 1.0, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="disc generator has non-finite a or b"):
+                call()
 
 
 def test_disc_flow_group_law(rng):
@@ -387,6 +418,34 @@ def test_exp_trajectory_checks_its_generator_once(rng, monkeypatch):
     X = lie_element(rng, 3)
     times, points = trajectory(0.5 / op_norm(X.matrix) * X, random_point(rng, 3, 0.5), 5.0, 0.005)
     assert points.shape == (1001, 3) and len(calls) == 1
+
+
+@pytest.mark.parametrize("samples", [2, 64, 65, 128, 129, 1001])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_exp_trajectory_equals_block_by_block_shifts(rng, dim, samples):
+    # all later block shifts come from one stacked mat_exp; the reference
+    # makes one scalar mat_exp per block and moves the first block by it
+    X = lie_element(rng, dim)
+    X = 0.5 / op_norm(X.matrix) * X
+    z = random_point(rng, dim, 0.6)
+    times, points = trajectory(X, z, (samples - 1) * 0.01, 0.01)
+    assert len(times) == samples
+    head = evolve_exp(X, z, times[:TIME_BLOCK])
+    blocks = [head]
+    for start in range(TIME_BLOCK, samples, TIME_BLOCK):
+        blocks.append(mobius_apply(mat_exp(X.matrix, times[start]), head[:samples - start]))
+    assert same_bytes(points, np.concatenate(blocks))
+
+
+def test_exp_trajectory_raises_before_its_shifts_overflow():
+    # a boost leaves the ball near t = 14, far before exp(tX) overflows
+    # near t = 710; the far shifts of the stack are never used
+    X = ExtendedOperator(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^sample 141 \(t = 14\.100000000000001\): point with "
+                                              r"norm \S+ is outside the open ball$"):
+            trajectory(X, BallPoint([0.1, 0.2]), 800.0, 0.1)
 
 
 def test_disc_closed_form_over_times_equals_scalar_calls(rng):

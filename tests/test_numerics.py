@@ -173,6 +173,10 @@ def test_mat_exp_stack_equals_scalar_calls(rng, n):
         assert stack.shape == X.shape
         for Xi, E in zip(X, stack):
             assert same_bytes(E, mat_exp(Xi, t))
+        # a single matrix is a stack of one
+        for k in range(-2, 9):
+            D = _dyadic(n, k)
+            assert same_bytes(mat_exp(D, t), mat_exp(D[None], t)[0])
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -26,19 +26,24 @@ dim NORM_DIM (stacked column `-`).  The `cli norm b` row times one
 in-process `cli.main(["norm", FILE, "--which", "b"])` call on that
 operator, stdout captured, and the `import hilbertball.cli` row is the
 median wall time of IMPORT_RUNS fresh interpreters that import the CLI,
-start-up included.  Inputs come from a fixed seed; the timings are taken
-here, outside any report.
+start-up included.  Each dimension ends with one row per property of
+`hilbertball.verify`: the median over VERIFY_ROUNDS rounds of the time
+of one `run_property` call at that dimension, `--trials` trials and
+seed SEED (stacked column `-`); the verdict is the report's, not this
+table's.  verify takes dims 1..16 only, so a larger dimension has no
+such rows.  Inputs come from a fixed seed; the timings are taken here,
+outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
 the same load on the host, and each row also gives that package's
 times and the ratio of this tree's time to its; the fresh interpreters
-of the import row alternate between the two trees too.  That package
-must take the same stacks: one whose `mirror_apply` or
-`disc_evolve_closed` takes single objects only cannot run their
-stacked calls.
+of the import row alternate between the two trees too.  A verify
+property that package lacks reads `-` there.  That package must take
+the same stacks: one whose `mirror_apply` or `disc_evolve_closed` takes
+single objects only cannot run their stacked calls.
 
-    python3 scripts/kernel_timings.py --dims 1 4 16
+    python3 scripts/kernel_timings.py --dims 1 4 16 --trials 200
     python3 scripts/kernel_timings.py --against ../parent-checkout
 """
 
@@ -63,8 +68,9 @@ STEPS = 1000
 NORM_DIM = 4
 CSV_DIMS = (1, 8, 16)
 IMPORT_RUNS = 5
+VERIFY_ROUNDS = 5
 SEED = 0
-MODULES = ("algebra", "cli", "dynamics", "geometry", "isometries", "numerics", "serialize")
+MODULES = ("algebra", "cli", "dynamics", "geometry", "isometries", "numerics", "serialize", "verify")
 
 
 def owned():
@@ -73,15 +79,15 @@ def owned():
             if k == "hilbertball" or k.startswith("hilbertball.")}
 
 
-def load_package(src, modules=MODULES):
-    """The named modules of the hilbertball package under `src`, imported
+def load_package(src):
+    """The MODULES of the hilbertball package under `src`, imported
     apart from any copy already loaded, and all of that package's
     sys.modules entries, which code that imports lazily needs in place
     while it runs."""
     held = owned()
     sys.path.insert(0, str(src))
     try:
-        mods = {name: importlib.import_module("hilbertball." + name) for name in modules}
+        mods = {name: importlib.import_module("hilbertball." + name) for name in MODULES}
     finally:
         sys.path.remove(str(src))
         entries = owned()
@@ -97,12 +103,12 @@ def round_count(fn):
     return max(1, int(ROUND_SECONDS / max(time.perf_counter() - start, 1e-7)))
 
 
-def per_call_us(fns):
-    """Median over REPEATS rounds of the mean time of one call, in
+def per_call_us(fns, repeats=REPEATS):
+    """Median over `repeats` rounds of the mean time of one call, in
     microseconds, for each of `fns`; their rounds alternate."""
     numbers = [round_count(fn) for fn in fns]
     rounds = [[] for _ in fns]
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         for fn, number, spans in zip(fns, numbers, rounds):
             start = time.perf_counter()
             for _ in range(number):
@@ -255,6 +261,35 @@ def cli_cases(mods, operator_file):
     return (("cli norm b", NORM_DIM, norm_b),)
 
 
+def in_place(entries, fn):
+    """`fn`, called with `entries`, its package's sys.modules entries, in
+    place of any others of those names, for the modules it imports
+    lazily."""
+    def call():
+        held = {name: sys.modules.get(name) for name in entries}
+        sys.modules.update(entries)
+        try:
+            return fn()
+        finally:
+            sys.modules.update(held)
+            for name in [name for name, module in held.items() if module is None]:
+                del sys.modules[name]
+
+    return call
+
+
+def verify_cases(package, dim, trials):
+    """{property: one `run_property` call} on one package, at dim and
+    trials; its modules stand in sys.modules during each call, since
+    `geometry.sectional_curvature_probe` imports `isometries` lazily.
+    DomainError for a dim or trial count verify rejects."""
+    mods, entries = package
+    verify = mods["verify"]
+    cfg = verify.VerifyConfig(dim, trials, seed=SEED)
+    return {name: in_place(entries, lambda index=index: verify.run_property(index, cfg))
+            for index, (_, name, _, _) in enumerate(verify.PROPERTIES)}
+
+
 def import_us(srcs):
     """Median over IMPORT_RUNS of the wall time, in microseconds, of a
     fresh interpreter that imports hilbertball.cli from each of `srcs`;
@@ -270,49 +305,62 @@ def import_us(srcs):
     return [1e6 * statistics.median(runs) for runs in spans]
 
 
+def row(name, dim, single, stacked=(None, None)):
+    """One table line: this tree's time per call on single objects and on
+    stacks, then with --against (a second time in `single`) the other
+    tree's and the ratios.  A time that is None reads `-`."""
+    cells = [single[0], stacked[0]]
+    if len(single) > 1:
+        cells += [single[1], stacked[1]] + [None if None in pair else pair[0] / pair[1]
+                                            for pair in (single, stacked)]
+    return "%-30s %4s" % (name, dim) + "".join(" %*s" % (width, "-" if x is None else "%.2f" % x)
+                                              for width, x in zip((10, 11, 10, 11, 7, 7), cells))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 4, 16])
+    ap.add_argument("--trials", type=int, default=200, help="trials of each verify property")
     ap.add_argument("--against", help="a checkout whose src/ package is timed alongside")
     args = ap.parse_args()
 
     srcs = [Path(__file__).resolve().parent.parent / "src"]
     if args.against:
         srcs.append(Path(args.against) / "src")
-    packages = [load_package(src)[0] for src in srcs]
+    packages = [load_package(src) for src in srcs]
     rng = np.random.default_rng(SEED)
-    print("# median us per call over %d rounds; stacks of %d" % (REPEATS, STACK))
-    head = "%-24s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
+    print("# median us per call over %d rounds; stacks of %d; verify rows over %d rounds at %d trials"
+          % (REPEATS, STACK, VERIFY_ROUNDS, args.trials))
+    head = "%-30s %4s %10s %11s" % ("kernel", "dim", "single_us", "stacked_us")
     if args.against:
         head += " %10s %11s %7s %7s" % ("other_1", "other_k", "ratio_1", "ratio_k")
     print(head)
     for dim in args.dims:
         arrays = draw(dim, rng)
-        rows = zip(*(cases(mods, arrays) for mods in packages))
-        for row in rows:
-            single = per_call_us([case[1] for case in row])
-            stacked = per_call_us([case[2] for case in row]) if row[0][2] else None
-            line = "%-24s %4d %10.2f %11s" % (row[0][0], dim, single[0],
-                                            "%.2f" % stacked[0] if stacked else "-")
-            if args.against:
-                line += " %10.2f %11s %7.2f %7s" % (
-                    single[1], "%.2f" % stacked[1] if stacked else "-", single[0] / single[1],
-                    "%.2f" % (stacked[0] / stacked[1]) if stacked else "-")
-            print(line)
+        for cases_row in zip(*(cases(mods, arrays) for mods, _ in packages)):
+            single = per_call_us([case[1] for case in cases_row])
+            stacked = per_call_us([case[2] for case in cases_row]) if cases_row[0][2] else [None] * 2
+            print(row(cases_row[0][0], dim, single, stacked))
+        try:
+            tables = [verify_cases(package, dim, args.trials) for package in packages]
+        except ValueError as err:
+            print("# no verify rows at dim %d: %s" % (dim, err))
+            continue
+        for name, call in tables[0].items():
+            spans = per_call_us([call] + [table[name] for table in tables[1:] if name in table], VERIFY_ROUNDS)
+            print(row(name, dim, spans + [None] * (len(packages) - len(spans))))
     C = draw_operator(np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:
         operator_file = os.path.join(tmp, "operator.json")
-        packages[0]["serialize"].save_matrix(operator_file, C)
+        packages[0][0]["serialize"].save_matrix(operator_file, C)
         rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
                      + csv_cases(mods, draw_csv(np.random.default_rng(SEED)))
-                     + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods in packages))
-        timed = [(row[0][0], row[0][1], per_call_us([case[2] for case in row])) for row in rows]
+                     + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods, _ in packages))
+        timed = [(cases_row[0][0], cases_row[0][1], per_call_us([case[2] for case in cases_row]))
+                 for cases_row in rows]
     timed.append(("import hilbertball.cli", "-", import_us(srcs)))
     for name, dim, spans in timed:
-        line = "%-24s %4s %10.2f %11s" % (name, dim, spans[0], "-")
-        if args.against:
-            line += " %10.2f %11s %7.2f %7s" % (spans[1], "-", spans[0] / spans[1], "-")
-        print(line)
+        print(row(name, dim, spans))
 
 
 if __name__ == "__main__":

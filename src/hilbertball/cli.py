@@ -214,8 +214,31 @@ def build_parser():
     return p
 
 
+def _attach_negative_numbers(argv):
+    """argv with each negative number written onto the long flag before
+    it, `--a -1e-3` as `--a=-1e-3`: argparse reads only plain decimals such
+    as -0.5 as values, and takes -1e-3 or -inf for an unknown option."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if arg.startswith("-") and flag.startswith("--") and flag != "--" and "=" not in flag \
+                and _is_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

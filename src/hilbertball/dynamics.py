@@ -129,7 +129,10 @@ class HamiltonianGenerator:
 
 
 def disc_evolve_closed(g, z, t):
-    """Closed-form disc flow; |z| < 1 is preserved in every regime.
+    """Closed-form disc flow.  The exact flow keeps |z| < 1 in every
+    regime, but the float result can round onto the rim: the hyperbolic
+    orbit of (0.3, 0.8+0.2i) from 0.5 has |w| = 1.0 at t = 40, which
+    `trajectory` rejects as outside the ball.
 
     The generator's a and b, the point z and the time t broadcast
     elementwise, t being a scalar or a 1-D array of times: scalars give a
@@ -172,11 +175,16 @@ def evolve_exp(X, z, t):
     time, from one batched `mat_exp` and one stacked `mobius_apply`.
     Arrays of generator matrices and of points with a scalar t give the
     array of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
-    off the Lie algebra raises DomainError.
+    off the Lie algebra, or one exp(tX) past the float range, raises
+    DomainError.
     """
     if not np.all(lie_algebra_check(X).ok):
         raise DomainError("generator leaves the isometry Lie algebra")
-    return mobius_apply(mat_exp(_matrices(X)[0], t), z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = mat_exp(_matrices(X)[0], t)
+    if not np.isfinite(E).all():
+        raise DomainError("exp(tX) overflowed the float range")
+    return mobius_apply(E, z)
 
 
 def schrodinger_evolve(gen, z, t):

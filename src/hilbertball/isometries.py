@@ -190,10 +190,18 @@ def check_block_conditions(T, tol=MEMBERSHIP_TOL):
 
 def _moved(M, n, Z):
     """T zhat = (A z + x, <y|z> + a) over the leading axes, with the
-    denominator <y|z> + a checked for degeneracy."""
+    denominator <y|z> + a checked for degeneracy: below
+    DEGENERATE_DENOMINATOR times the largest entry of T's bottom row (y, a),
+    or times 1 where that entry is larger.  phi_T depends on T only up to
+    scale, so a scaled-down member passes as the member does.  The row is
+    read only past the absolute threshold, which a group member never
+    trips on a point of the ball: its |<y|z> + a| exceeds 1 - ||z||."""
     W = _matvec(M[..., :, :n], Z) + M[..., :, n]
-    if np.count_nonzero(np.abs(W[..., n]) < DEGENERATE_DENOMINATOR):
-        raise DomainError("degenerate Moebius denominator")
+    den = np.abs(W[..., n])
+    if np.count_nonzero(den < DEGENERATE_DENOMINATOR):
+        scale = np.clip(np.abs(M[..., n, :]).max(axis=-1), np.finfo(float).tiny, 1.0)
+        if np.count_nonzero(den < DEGENERATE_DENOMINATOR * scale):
+            raise DomainError("degenerate Moebius denominator")
     return W
 
 

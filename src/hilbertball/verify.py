@@ -21,7 +21,7 @@ watch the right property fail.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,6 +61,9 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class PropertyResult:
+    """One property's verdict; its fields, in this order, are the
+    property's entry in a report."""
+
     name: str
     suite: str
     trials: int
@@ -600,18 +603,7 @@ def run_suite(suite="all", config=None):
         "trials": cfg.trials,
         "seed": cfg.seed,
         "tol_scale": cfg.tol_scale,
-        "properties": [
-            {
-                "name": r.name,
-                "suite": r.suite,
-                "trials": r.trials,
-                "max_defect": r.max_defect,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "error": r.error,
-            }
-            for r in results
-        ],
+        "properties": [asdict(r) for r in results],
         "failed_properties": failed,
         "passed": not failed,
     }

@@ -222,6 +222,20 @@ def test_evolve_non_finite_disc_generator_exits_3(tmp_path, capsys, flag, value)
     assert captured.out == "" and captured.err == "error: disc generator has non-finite a or b\n"
 
 
+@pytest.mark.parametrize("flags, code", [(["--a", "-1e-3"], 0), (["--b-re", "-2e-1"], 0),
+                                         (["--t-max", "-1e2"], 3), (["--a=-1e-3"], 0)])
+def test_evolve_takes_negative_numbers_in_exponent_form(tmp_path, capsys, flags, code):
+    # argparse alone reads only plain decimals such as -0.5 as values
+    zf = write_vector(tmp_path / "z.json", [0.5])
+    argv = ["evolve", "disc", "--state", zf, "--t-max", "0.2", "--dt", "0.1"]
+    assert cli.main(argv + flags) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_evolve_missing_mode_input(tmp_path, capsys):
     zf = write_vector(tmp_path / "z.json", [0.2])
     rc = cli.main(["evolve", "schrodinger", "--state", zf, "--t-max", "1", "--dt", "0.5"])

@@ -134,6 +134,13 @@ def test_disc_flow_keeps_disc(rng):
             assert abs(disc_evolve_closed(g, z, float(rng.uniform(-4, 4)))) < 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="the exact orbit nears the rim like e^{-2st}, faster than a "
+                   "float w can follow: the README disc example at t = 40, FOUND in CHANGES.md")
+def test_hyperbolic_disc_flow_stays_inside_at_t_40():
+    w = disc_evolve_closed(DiscGenerator(0.3, 0.8 + 0.2j), 0.5, 40.0)
+    assert 1.0 - abs(w) ** 2 > 0.0
+
+
 def test_disc_rejects_boundary():
     # the ball's own rule: 1 - 1e-13 is inside the unit disc but past
     # BallPoint's margin, and both raise the same error
@@ -159,6 +166,17 @@ def test_evolve_exp_rejects_non_generator(rng):
     bad = ExtendedOperator.from_blocks(G + G.conj().T, cgauss(rng, 3), cgauss(rng, 3), 1.0)
     with pytest.raises(DomainError):
         evolve_exp(bad, random_point(rng, 3), 0.5)
+
+
+def test_evolve_exp_past_the_float_range_raises_one_domain_error():
+    # the boost's exp(800 X) overflows in mat_exp's squaring
+    X = ExtendedOperator(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed the float range$"):
+            evolve_exp(X, np.array([0.1, 0.2]), 800.0)
+        with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed"):
+            evolve_exp(X, np.array([0.1, 0.2]), np.array([0.5, 800.0]))
 
 
 def test_exp_flow_preserves_distance(rng):

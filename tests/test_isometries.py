@@ -140,6 +140,27 @@ def test_action_preserves_ball_and_distance(rng):
         assert abs(distance(su, sv) - distance(u, v)) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-15, 1e-100])
+def test_scaled_member_acts_as_the_member(scale):
+    # phi_T depends on T only up to scale, so the degeneracy threshold
+    # shrinks with T's bottom row
+    T = verify._members(np.random.default_rng(0), 2, 1)[0]
+    z = np.array([0.3, 0.1j])
+    assert rows_close(mobius_apply(scale * T, z), mobius_apply(T, z), 1e-15)
+    assert rows_close(mobius_differential(scale * T, z), mobius_differential(T, z), 1e-15)
+
+
+def test_degenerate_denominators_raise_at_any_scale():
+    # <y|z> + a vanishes for y = (1, 0), a = 0 at z = 0; so does every
+    # entry of the zero matrix's bottom row
+    T = np.eye(3, dtype=complex)
+    T[2, 0], T[2, 2] = 1.0, 0.0
+    for M in (T, 1e-15 * T, np.zeros((3, 3), dtype=complex)):
+        for kernel in (mobius_apply, mobius_differential):
+            with pytest.raises(DomainError, match="degenerate Moebius denominator"):
+                kernel(M, np.zeros(2))
+
+
 # infinitesimal elements ----------------------------------------------
 
 def test_lie_elements_have_zero_defect(rng):

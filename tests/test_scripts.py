@@ -5,19 +5,19 @@ re-signatured library function fails here.  The fresh interpreters of
 the import row are not started."""
 
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hilbertball import algebra, cli, dynamics, geometry, isometries, numerics, serialize
+from hilbertball import algebra, cli, dynamics, geometry, isometries, numerics, serialize, verify
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture
 def scripts_path(monkeypatch):
-    # verify_timings imports kernel_timings as a sibling module
     monkeypatch.syspath_prepend(str(SCRIPTS))
 
 
@@ -70,3 +70,31 @@ def test_kernel_timings_cli_case_runs(scripts_path, tmp_path, capsys):
     (_, _, call), = kernel_timings.cli_cases({"cli": cli}, path)
     assert call() == 0
     assert capsys.readouterr().out == ""
+
+
+def test_kernel_timings_verify_cases_run(scripts_path):
+    # a second copy of the package, as --against loads one, with its
+    # modules in sys.modules during each call only
+    kernel_timings = importlib.import_module("kernel_timings")
+
+    def loaded():
+        return {name: module for name, module in sys.modules.items() if name.split(".")[0] == "hilbertball"}
+
+    before = loaded()
+    package = kernel_timings.load_package(SCRIPTS.parent / "src")
+    assert package[0]["verify"] is not verify
+    calls = kernel_timings.verify_cases(package, 1, 2)
+    assert list(calls) == [name for _, name, _, _ in verify.PROPERTIES]
+    for name, call in calls.items():
+        assert call().name == name
+    assert loaded() == before
+    with pytest.raises(ValueError, match="dim must lie in"):
+        kernel_timings.verify_cases(package, 17, 2)
+
+
+def test_kernel_timings_rows_read_dash_for_missing_times(scripts_path):
+    row = importlib.import_module("kernel_timings").row
+    assert row("p", 1, [2.0]).split() == ["p", "1", "2.00", "-"]
+    assert row("p", 1, [2.0, None]).split() == ["p", "1", "2.00", "-", "-", "-", "-", "-"]
+    assert row("k", 4, [3.0, 1.5], [8.0, 2.0]).split() == [
+        "k", "4", "3.00", "8.00", "1.50", "2.00", "2.00", "4.00"]

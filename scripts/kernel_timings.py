@@ -145,7 +145,7 @@ def cases(mods, arrays):
     c, cp = isometries.ExtendedOperator(C[0]), isometries.ExtendedOperator(Cp[0])
     t = isometries.ExtendedOperator(T[0])
     s = geometry.TangentVector(hol[0], antihol[0])
-    f = isometries.MirrorTransformation.from_basis(list(frames[0].T))
+    f = isometries.MirrorTransformation.from_basis(frames[0])
     # eps A is in the Lie algebra for every anti-Hermitian A
     X = isometries.epsilon_matrix(Z.shape[-1]) @ (C - C.conj().swapaxes(-1, -2))
     H = C + C.conj().swapaxes(-1, -2)

@@ -102,11 +102,16 @@ def evaluate(C, z):
     C may also be an array of (n+1) x (n+1) matrices and z an array of
     points along its last axis; their leading axes broadcast as numpy's
     do, and the result is the complex array of values.  One point
-    outside the ball raises DomainError.
+    outside the ball, or one value past the float range, raises
+    DomainError.
     """
     C, _, Z = _operands(C, z)
     zh = extended_point(Z)
-    return _result(k_factor(z) * _form(C, zh))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = k_factor(z) * _form(C, zh)
+    if not np.isfinite(value).all():
+        raise DomainError("f_C overflowed the float range")
+    return _result(value)
 
 
 def evaluate_blocks(C, z):
@@ -234,15 +239,14 @@ def second_degree_defect(fn, zvec, h, directions):
     return worst
 
 
-def kahler_condition_check(C, z, h=1e-4):
+def kahler_condition_check(C, z):
     """Defect of the degree-(1,1) property of (1 - ||z||^2) f_C.
 
     The rescaled function is exactly a + <y|z> + <z|x> + <z|Az>, so both
     pure second derivatives vanish identically and the finite-difference
-    defect is pure roundoff noise (~1e-8 at the default step).
+    defect, taken with step 1e-4 along FD_DIRECTIONS fixed directions, is
+    pure roundoff noise (~1e-8).
     """
-    if not 1e-5 <= h <= 1e-2:
-        raise DomainError(f"step must lie in [1e-5, 1e-2], got {h}")
     n = z.dim
     rng = np.random.default_rng(0xD1F)
     dirs = []
@@ -254,23 +258,22 @@ def kahler_condition_check(C, z, h=1e-4):
         p = BallPoint(vec)
         return evaluate(C, p) * (1.0 - p.norm_sq())
 
-    return second_degree_defect(rescaled, z.vector, h, dirs)
+    return second_degree_defect(rescaled, z.vector, 1e-4, dirs)
 
 
 def fit_operator(points, values):
     """Least-squares recovery of C from samples of f_C.
 
-    Each sample contributes one linear equation
+    `points` is a (..., P, n) array of P points per fit and `values` the
+    (..., P) array of f_C at them; the result is the (..., n+1, n+1)
+    array of the fitted matrices, one per leading index.  Each sample
+    contributes one linear equation
     (1 - ||z||^2) f(z) = sum_jk conj(zhat_j) C_jk zhat_k in the (n+1)^2
     entries of C, so at least (n+1)^2 points are needed; fewer raise
     DomainError.  Generic points determine C once there are enough of
-    them, and the system is solved through its QR factorization.  A list
-    of points gives an ExtendedOperator.  A (..., P, n) array of points
-    with a (..., P) array of values fits one operator per leading index
-    and gives the (..., n+1, n+1) array of their matrices.
+    them, and the system is solved through its QR factorization.
     """
-    stacked = isinstance(points, np.ndarray)
-    Z = _as_points(points) if stacked else np.array([p.vector for p in points], dtype=complex)
+    Z = _as_points(points)
     b = np.asarray(values, dtype=complex)
     d = Z.shape[-1] + 1
     if Z.ndim < 2 or b.shape != Z.shape[:-1]:
@@ -282,8 +285,7 @@ def fit_operator(points, values):
     rhs = b * (1.0 - _dots(Z, Z).real)
     Q, R = np.linalg.qr(rows)
     sol = np.linalg.solve(R, (Q.conj().swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
-    fitted = sol.reshape(sol.shape[:-1] + (d, d))
-    return fitted if stacked else ExtendedOperator(fitted)
+    return sol.reshape(sol.shape[:-1] + (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -491,38 +493,30 @@ def norm_d(C, samples=2048, seed=0):
     return norm_d_estimate(C, samples, seed).value
 
 
-def _unit_and_projection(dim, vector):
-    """The unit vector along `vector` (e_0 by default) and the rank-one
-    projection onto it, the shared data of the two witnesses below."""
-    if vector is None:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-    else:
-        v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
-    return v, np.outer(v, np.conj(v))
+def _unit_and_projection(dim):
+    """e_0 of C^dim and the rank-one projection onto it, the shared data
+    of the two witnesses below."""
+    E = np.zeros((dim, dim), dtype=complex)
+    E[0, 0] = 1.0
+    return E[0], E
 
 
-def submultiplicativity_witnesses(dim, vector=None, alternative_slot=False):
+def submultiplicativity_witnesses(dim):
     """A rank-one pair whose product breaks the Banach inequality for the
     cone-restricted norm by a factor sqrt(2).
 
-    The first operator has the projection onto `vector` as its A block;
-    the second holds the vector in the upper-right slot (the flag moves
-    it, conjugated, to the lower-left slot instead, and that variant
-    witnesses the same failure).
+    The first operator has the projection onto e_0 as its A block; the
+    second holds e_0 in the upper-right slot.
     """
-    v, E = _unit_and_projection(dim, vector)
+    v, E = _unit_and_projection(dim)
     first = ExtendedOperator.from_blocks(E, np.zeros(dim), np.zeros(dim), 0.0)
-    if alternative_slot:
-        second = ExtendedOperator.from_blocks(np.zeros((dim, dim)), np.zeros(dim), v, 0.0)
-    else:
-        second = ExtendedOperator.from_blocks(np.zeros((dim, dim)), v, np.zeros(dim), 0.0)
+    second = ExtendedOperator.from_blocks(np.zeros((dim, dim)), v, np.zeros(dim), 0.0)
     return first, second
 
 
-def involution_failure_operator(dim, vector=None):
-    """The rank-one operator with A-block E and lower-left conj(v): its
-    plain square has norm 2 while its eps-twisted square is zero."""
-    v, E = _unit_and_projection(dim, vector)
+def involution_failure_operator(dim):
+    """The rank-one operator with A-block E, the projection onto e_0, and
+    lower-left e_0: its plain square has norm 2 while its eps-twisted
+    square is zero."""
+    v, E = _unit_and_projection(dim)
     return ExtendedOperator.from_blocks(E, np.zeros(dim), v, 0.0)

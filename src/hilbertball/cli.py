@@ -140,7 +140,6 @@ def cmd_verify(args):
         dim=_parse_int(args.dim, "--dim"),
         trials=_parse_int(args.trials, "--trials"),
         seed=_parse_int(args.seed, "--seed"),
-        tol_scale=_parse_float(args.tol, "--tol"),
     )
     report = verify.run_suite(args.suite, cfg)
     text = serialize.dumps(report)
@@ -208,7 +207,6 @@ def build_parser():
     v.add_argument("--dim", default="4")
     v.add_argument("--trials", default="200")
     v.add_argument("--seed", default="0")
-    v.add_argument("--tol", default="1", help="multiplier on every property tolerance")
     v.add_argument("--out", help="also write the report here")
     v.set_defaults(func=cmd_verify)
     return p

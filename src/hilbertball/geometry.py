@@ -345,7 +345,7 @@ def curve_length(samples):
     return float(np.sum(np.sqrt(hermitian_energy(mids, vels))) * dt)
 
 
-def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
+def sectional_curvature_probe(z, u, step=1e-4):
     """Numerical Gaussian curvature of the holomorphic section through z
     along the direction u; returns a value near the constant -2.
 
@@ -353,7 +353,8 @@ def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
     forward, and the induced metric coefficient lambda(w) on the complex
     line through 0 is evaluated with the real-tangent (doubled) metric.
     The curvature is -(1/(2 lambda)) Laplacian(log lambda), with the
-    Laplacian taken by the 5-point stencil at an interior chart point.
+    Laplacian taken by the 5-point stencil of spacing `step` at the chart
+    point w = 1/4 of that line.
 
     Arrays of points and of directions of one shape give the array of
     curvatures over their leading axes.
@@ -372,7 +373,7 @@ def sectional_curvature_probe(z, u, step=1e-4, base=0.25):
 
     # lambda(w) at the stencil's five chart points, one row per probe
     h = step
-    w = complex(base, 0.0) + np.array([0.0, h, -h, 1j * h, -1j * h])
+    w = 0.25 + np.array([0.0, h, -h, 1j * h, -1j * h])
     D = np.broadcast_to(direction, (5,) + direction.shape)
     s = TangentVector.real(D)
     lam = metric(w.reshape((5,) + (1,) * direction.ndim) * D, s, s).real

@@ -221,11 +221,13 @@ def mobius_apply(T, z):
 
 def mobius_differential(T, z):
     """Complex Jacobian of phi_T at z, as an n x n matrix; the array of
-    Jacobians over the leading axes of arrays of matrices and points."""
+    Jacobians over the leading axes of arrays of matrices and points.
+    Each factor of the rank-one term is divided by the denominator on its
+    own, so that a tiny or huge member forms no square of it."""
     M, n, Z = _operands(T, z)
     W = _moved(M, n, Z)
     den = W[..., n, None, None]
-    return M[..., :n, :n] / den - W[..., :n, None] * M[..., n, None, :n] / (den * den)
+    return M[..., :n, :n] / den - (W[..., :n, None] / den) * (M[..., n, None, :n] / den)
 
 
 def transport_from_origin(u):
@@ -270,9 +272,9 @@ class MirrorTransformation:
 
     @classmethod
     def from_basis(cls, basis):
-        """The mirror through the real span of `basis`: a sequence of
-        real-orthonormal vectors, or an (..., n, k) stack of frames, which
-        gives the stack of mirrors (see `real_projection`)."""
+        """The mirror through the real span of the columns of `basis`, an
+        (..., n, k) array of real-orthonormal frames; leading axes give
+        the stack of mirrors (see `real_projection`)."""
         A, B = real_projection(basis)
         return cls(2.0 * A - np.eye(A.shape[-1]), 2.0 * B)
 

@@ -175,14 +175,12 @@ def real_projection(basis):
     """Orthogonal projection (w.r.t. Re<.|.>) onto the real span of `basis`,
     as the pair (A, B) = (V V*/2, V V^T/2) of z -> A z + B conj(z).
 
-    `basis` is a sequence of vectors of C^n, or an (..., n, k) array whose
-    columns are the frame V, which gives the stacks of A and B over the
-    leading axes.  Each frame must be orthonormal in the real inner
-    product, Re(V* V) = I; the worst Gram defect is reported on rejection.
+    `basis` is an (..., n, k) array whose k columns are the frame V of
+    C^n; leading axes give the stacks of A and B.  Each frame must be
+    orthonormal in the real inner product, Re(V* V) = I; the worst Gram
+    defect is reported on rejection.
     """
     V = np.asarray(basis, dtype=complex)
-    if not isinstance(basis, np.ndarray):
-        V = V.T
     if V.ndim < 2 or V.shape[-1] == 0:
         raise DomainError(f"a basis needs at least one vector, got shape {V.shape}")
     Vh = V.conj().swapaxes(-1, -2)

@@ -4,10 +4,10 @@ Every module contributes its invariants as named properties grouped into
 three suites (geometry, algebra, dynamics).  A property draws its trials
 from a generator seeded by (seed, property index), measures a defect per
 trial, and reduces the defects through `_worst`, a max that keeps NaN;
-it passes when the worst defect stays within its tolerance times the
-configured scale, so a NaN defect fails.  Properties draw their trials
-up front as arrays from the stacked generators and pass them to the
-library's kernels, which take any leading axes.  The exceptions loop:
+it passes when the worst defect stays within its fixed tolerance, so a
+NaN defect fails.  Properties draw their trials up front as arrays from
+the stacked generators and pass them to the library's kernels, which
+take any leading axes.  The exceptions loop:
 the distance properties measure one pair at a time through
 `geometry.distance`, which takes single points only, and the twist
 witness is a single fixed operator.  Reports are plain dicts with a
@@ -46,7 +46,6 @@ class VerifyConfig:
     dim: int = 4
     trials: int = 200
     seed: int = 0
-    tol_scale: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.dim <= 16:
@@ -55,8 +54,6 @@ class VerifyConfig:
             raise DomainError("trials must be at least 1")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
-        if not self.tol_scale > 0.0:
-            raise DomainError("tolerance scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -577,8 +574,7 @@ def run_property(index, cfg):
         # properties still get checked, and the exception says why
         trials, max_defect = cfg.trials, math.inf
         error = f"{type(exc).__name__}: {exc}"
-    tol = tolerance * cfg.tol_scale
-    return PropertyResult(name, suite, trials, max_defect, tol, max_defect <= tol, error)
+    return PropertyResult(name, suite, trials, max_defect, tolerance, max_defect <= tolerance, error)
 
 
 def run_suite(suite="all", config=None):
@@ -602,7 +598,6 @@ def run_suite(suite="all", config=None):
         "dim": cfg.dim,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "tol_scale": cfg.tol_scale,
         "properties": [asdict(r) for r in results],
         "failed_properties": failed,
         "passed": not failed,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hilbertball.geometry import BallPoint
+from hilbertball.geometry import BallPoint, hermitian_energy
+from hilbertball.isometries import ExtendedOperator, inverse, mobius_apply, transport_from_origin
+from hilbertball.numerics import op_norm
 
 # The acceptance gate's `criterion NN PASS/FAIL` lines.  They are printed
 # in the terminal summary because output written during a test is
@@ -56,6 +58,35 @@ def random_point(rng, dim, max_norm=0.9):
     # radius ~ uniform volume element, pushed toward the rim a little
     r = max_norm * rng.uniform() ** (1.0 / (2 * dim))
     return BallPoint(r * g)
+
+
+def lie_element(rng, dim):
+    """A random generator X of the group, X* eps + eps X = 0, scaled to
+    at most unit operator norm."""
+    G = cgauss(rng, (dim, dim))
+    B = G - G.conj().T
+    u = cgauss(rng, dim)
+    X = ExtendedOperator.from_blocks(B, u, u, 1j * float(rng.standard_normal()))
+    n = op_norm(X.matrix)
+    return (1.0 / n) * X if n > 1.0 else X
+
+
+def quadrature_distance(u, v, panels=2048):
+    """Oracle for the distance of two BallPoints: transport u to the
+    origin, then integrate the line element along the radial segment to
+    the image w of v, by the composite midpoint rule plus one Richardson
+    step.  The quadrature is written out here so that the closed-form
+    distance is checked against the metric itself, not against another
+    formula; each rule's midpoints go through one stacked
+    `hermitian_energy` call."""
+    w = mobius_apply(inverse(transport_from_origin(u)), v).vector
+
+    def arc(m):
+        t = (np.arange(m) + 0.5) / m
+        W = np.broadcast_to(w, (m, w.size))
+        return float(np.sum(np.sqrt(hermitian_energy(t[:, None] * W, W)))) / m
+
+    return (4.0 * arc(panels) - arc(panels // 2)) / 3.0
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from hilbertball import algebra, dynamics, geometry, isometries, numerics
 from hilbertball.geometry import BallPoint, origin
 from hilbertball.verify import _cgauss, _members, _mirrors, _points
 
-from conftest import CRITERION_LINES
+from conftest import CRITERION_LINES, quadrature_distance
 
 
 def _report(num, label, ok, detail):
@@ -32,22 +32,6 @@ def _self_adjoint(rng, dim):
     # an extended operator, unlike verify's n x n Hamiltonian
     G = _cgauss(rng, (dim + 1, dim + 1))
     return isometries.ExtendedOperator(0.5 * (G + G.conj().T))
-
-
-def _quadrature_distance(u, v, panels=2048):
-    """Transport u to the origin, then integrate the line element along
-    the radial segment to the image of v (midpoint rule plus one
-    Richardson step).  Checks the closed form against the metric itself."""
-    T = isometries.inverse(isometries.transport_from_origin(u))
-    w = isometries.mobius_apply(T, v).vector
-
-    def arc(m):
-        total = 0.0
-        for t in (np.arange(m) + 0.5) / m:
-            total += math.sqrt(geometry.hermitian_energy(BallPoint(t * w), w))
-        return total / m
-
-    return (4.0 * arc(panels) - arc(panels // 2)) / 3.0
 
 
 # 1 -------------------------------------------------------------------
@@ -68,7 +52,7 @@ def test_distance_anchors():
     for _ in range(10):
         u = BallPoint(_points(rng, 4, (), 0.6))
         v = BallPoint(_points(rng, 4, (), 0.6))
-        quad = max(quad, abs(geometry.distance(u, v) - _quadrature_distance(u, v)))
+        quad = max(quad, abs(geometry.distance(u, v) - quadrature_distance(u, v)))
     ok = radial <= 1e-12 and agree <= 1e-12 and quad <= 1e-6
     _report(1, "distance anchors", ok,
             "radial %.2e (tol 1e-12), log/tanh %.2e (tol 1e-12), quadrature %.2e (tol 1e-6)"

@@ -363,6 +363,14 @@ def test_verify_rejects_bad_configuration(capsys):
         cli.main(["verify", "nonsense"])
 
 
+def test_verify_has_no_tolerance_flag(capsys):
+    # every property is held to its own fixed tolerance
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--dim", "2", "--trials", "5", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
+
 def test_verify_flags_broken_metric(monkeypatch, capsys):
     # a bilinear stand-in loses the J-invariance the true pairing has;
     # the suite must fail and say which property broke.  It takes single

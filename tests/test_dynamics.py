@@ -20,20 +20,11 @@ from hilbertball.dynamics import (
     trajectory,
 )
 from hilbertball.errors import DomainError
-from hilbertball.geometry import BallPoint, distance, origin
+from hilbertball.geometry import BallPoint, distance
 from hilbertball.isometries import ExtendedOperator, lie_algebra_check, mobius_apply
 from hilbertball.numerics import mat_exp, op_norm
 
-from conftest import cgauss, random_point, same_bytes, spectral_hermitian
-
-
-def lie_element(rng, dim):
-    G = cgauss(rng, (dim, dim))
-    B = G - G.conj().T
-    u = cgauss(rng, dim)
-    X = ExtendedOperator.from_blocks(B, u, u, 1j * float(rng.standard_normal()))
-    n = op_norm(X.matrix)
-    return (1.0 / n) * X if n > 1.0 else X
+from conftest import cgauss, lie_element, random_point, same_bytes, spectral_hermitian
 
 
 # ---------------------------------------------------------------------

@@ -24,30 +24,11 @@ from hilbertball.geometry import (
     tanh_distance,
 )
 
-from conftest import ball_vectors, cgauss, random_point, rows_close, same_bytes
+from conftest import ball_vectors, cgauss, quadrature_distance, random_point, rows_close, same_bytes
 
 
-# ---------------------------------------------------------------------
-# oracle: move u to the origin with the transport group, then integrate
-# the line element along the radial segment to the image of v.  The
-# quadrature (composite midpoint plus one Richardson step) is written
-# out here so the closed-form distance is checked against the metric
-# itself, not against another formula.
-# ---------------------------------------------------------------------
-
-def quadrature_distance(u, v, panels=2048):
-    T = isometries.inverse(isometries.transport_from_origin(u))
-    w = isometries.mobius_apply(T, v).vector
-
-    def arc(m):
-        total = 0.0
-        ts = (np.arange(m) + 0.5) / m
-        for t in ts:
-            total += math.sqrt(hermitian_energy(BallPoint(t * w), w))
-        return total / m
-
-    return (4.0 * arc(panels) - arc(panels // 2)) / 3.0
-
+# oracle: the closed-form distance against the quadrature of the line
+# element (conftest.quadrature_distance)
 
 def test_distance_matches_metric_quadrature(rng):
     worst = 0.0

@@ -327,20 +327,20 @@ def test_real_projection_idempotent(rng):
     # with the projection onto the other columns it is the identity (I, 0)
     (A, B), (Ac, Bc) = P, real_projection(V[..., 3:])
     assert op_norm(A + Ac - np.eye(4)).max() < 1e-14 and op_norm(B + Bc).max() < 1e-14
-    # a stack of frames gives the stack of single projections, and a
-    # sequence of vectors is the frame of its columns
+    # a stack of frames gives the stack of single projections, and nested
+    # lists are read as the array they make, columns and all
     for k, frame in enumerate(V[..., :3]):
-        single = real_projection(list(frame.T))
-        assert same_bytes(single[0], A[k]) and same_bytes(single[1], B[k])
+        for single in (real_projection(frame), real_projection(frame.tolist())):
+            assert same_bytes(single[0], A[k]) and same_bytes(single[1], B[k])
 
 
 def test_real_projection_rejects_skew_basis():
     e1 = np.array([1.0 + 0j, 0.0])
     with pytest.raises(DomainError):
-        real_projection([e1, 0.9 * e1])
+        real_projection(np.stack([e1, 0.9 * e1], axis=-1))
     # a NaN Gram defect is no pass
     with pytest.raises(DomainError, match="Gram defect nan"):
-        real_projection([np.array([np.nan, 0j])])
+        real_projection(np.array([[np.nan], [0j]]))
 
 
 def test_real_linear_map_apply(rng):

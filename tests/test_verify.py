@@ -22,8 +22,6 @@ def test_config_validation():
         VerifyConfig(dim=17)
     with pytest.raises(DomainError):
         VerifyConfig(trials=0)
-    with pytest.raises(DomainError):
-        VerifyConfig(tol_scale=0.0)
 
 
 def test_registry_covers_all_suites():
@@ -54,9 +52,12 @@ def test_suite_filter_and_report_shape():
         run_suite("nope", cfg)
 
 
-def test_tiny_tolerance_forces_failures():
-    cfg = VerifyConfig(dim=2, trials=5, seed=0, tol_scale=1e-30)
-    report = run_suite("algebra", cfg)
+def test_tiny_tolerance_forces_failures(monkeypatch):
+    import hilbertball.verify as verify_module
+
+    tiny = tuple((suite, name, 1e-30 * tol, runner) for suite, name, tol, runner in PROPERTIES)
+    monkeypatch.setattr(verify_module, "PROPERTIES", tiny)
+    report = run_suite("algebra", VerifyConfig(dim=2, trials=5, seed=0))
     assert report["passed"] is False
     assert len(report["failed_properties"]) > 0
     assert report["failed_properties"] == sorted(report["failed_properties"])

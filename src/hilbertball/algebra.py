@@ -34,9 +34,11 @@ the two routes are required to agree.
 
 `evaluate`, its derivatives and both star products take arrays of
 operators and of points over any leading axes as well as single
-objects, with one formula body for both (see `geometry`).
+objects, with one formula body for both (see `geometry`).  The kernels
+marked `@_finite` raise one DomainError for a value past the float range.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -91,11 +93,25 @@ def extended_point(z):
     return zh
 
 
+def _finite(kernel):
+    """`kernel` raising one DomainError, and no numpy warning, when a value
+    of its result is not finite; finite results keep their bits."""
+    @functools.wraps(kernel)
+    def guarded(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = kernel(*args)
+        if not np.isfinite(value).all():
+            raise DomainError(f"f_C overflowed the float range in {kernel.__name__}")
+        return value
+    return guarded
+
+
 def _form(C, zh):
     """<zhat|C zhat> over the leading axes."""
     return _dots(zh, _matvec(C, zh))
 
 
+@_finite
 def evaluate(C, z):
     """f_C(z) through the compact form k_z <zhat|C zhat>.
 
@@ -106,20 +122,15 @@ def evaluate(C, z):
     DomainError.
     """
     C, _, Z = _operands(C, z)
-    zh = extended_point(Z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = k_factor(z) * _form(C, zh)
-    if not np.isfinite(value).all():
-        raise DomainError("f_C overflowed the float range")
-    return _result(value)
+    return _result(k_factor(z) * _form(C, extended_point(Z)))
 
 
+@_finite
 def evaluate_blocks(C, z):
     """f_C(z) through the expanded block formula
     (a + <y|z> + <z|x> + <z|Az>) k_z; agrees with `evaluate` to roundoff."""
     zv = z.vector
-    val = C.a + np.vdot(C.y, zv) + np.vdot(zv, C.x) + np.vdot(zv, C.A @ zv)
-    return complex(val * k_factor(z))
+    return complex((C.a + np.vdot(C.y, zv) + np.vdot(zv, C.x) + np.vdot(zv, C.A @ zv)) * k_factor(z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +149,7 @@ class KahlerFunction:
         return KahlerFunction(star_operator(self.operator, other.operator))
 
 
+@_finite
 def holo_differential(C, z):
     """Components w of the holomorphic differential of f_C at z.
 
@@ -178,11 +190,13 @@ def hamiltonian_field(C, z):
     return TangentVector(symplectic_gradient(C, z), symplectic_gradient(C.adjoint(), z))
 
 
+@_finite
 def poisson_bracket(C, Cp, z):
     """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields."""
     return kahler_form(z, hamiltonian_field(C, z), hamiltonian_field(Cp, z))
 
 
+@_finite
 def star_pointwise(C, Cp, z):
     """(f_C * f_C')(z) = f_C(z) f_C'(z) - (df_C)(grad f_C').
 
@@ -212,6 +226,7 @@ def is_self_adjoint(C):
     return _verdict(hermitian_norm(1j * (M - M.conj().swapaxes(-1, -2))), M, 1, SELF_ADJOINT_TOL)
 
 
+@_finite
 def dispersion(C, z):
     """Dispersion sqrt(g(Idf, Idf)/2) of the observable f_C at z.
 

@@ -142,13 +142,7 @@ def cmd_verify(args):
         seed=_parse_int(args.seed, "--seed"),
     )
     report = verify.run_suite(args.suite, cfg)
-    text = serialize.dumps(report)
-    sys.stdout.write(text)
-    sys.stdout.write("\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-            fp.write("\n")
+    _emit(report)
     if not report["passed"]:
         names = ", ".join(report["failed_properties"])
         print(f"verification failed: {names}", file=sys.stderr)
@@ -207,7 +201,6 @@ def build_parser():
     v.add_argument("--dim", default="4")
     v.add_argument("--trials", default="200")
     v.add_argument("--seed", default="0")
-    v.add_argument("--out", help="also write the report here")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -2,13 +2,14 @@
 
 Every module contributes its invariants as named properties grouped into
 three suites (geometry, algebra, dynamics).  A property draws its trials
-from a generator seeded by (seed, property index), measures a defect per
-trial, and reduces the defects through `_worst`, a max that keeps NaN;
-it passes when the worst defect stays within its fixed tolerance, so a
-NaN defect fails.  Properties draw their trials up front as arrays from
-the stacked generators and pass them to the library's kernels, which
-take any leading axes.  The exceptions loop:
-the distance properties measure one pair at a time through
+from a generator seeded by (seed, property index) and returns its
+defects as one array whose first axis is its trials, in draw order, with
+a trial's several defects on a trailing axis.  `run_property` alone
+reduces it: the trial count is its length, and the property passes when
+its max, which keeps NaN, stays within the fixed tolerance.  Properties
+draw their trials up front as arrays from the stacked generators and
+pass them to the library's kernels, which take any leading axes.  The
+exceptions loop: the distance properties measure one pair at a time through
 `geometry.distance`, which takes single points only, and the twist
 witness is a single fixed operator.  Reports are plain dicts with a
 fixed field order and no timestamps, so a fixed seed reproduces the
@@ -151,15 +152,8 @@ def _self_adjoints(rng, dim, count, max_norm=2.0):
 def _distance_defects(U, V, SU, SV):
     """|d(su, sv) - d(u, v)| row by row over arrays of points."""
     P = geometry.BallPoint
-    return [abs(geometry.distance(P(su), P(sv)) - geometry.distance(P(u), P(v)))
-            for u, v, su, sv in zip(U, V, SU, SV)]
-
-
-def _worst(*defects):
-    """Largest entry over one or more arrays of defects, 0 when they are
-    empty.  A NaN entry gives NaN, which fails the property: numpy's max
-    propagates it, where Python's max(worst, nan) would drop it."""
-    return float(np.max([np.max(d, initial=0.0) for d in defects], initial=0.0))
+    return np.array([abs(geometry.distance(P(su), P(sv)) - geometry.distance(P(u), P(v)))
+                     for u, v, su, sv in zip(U, V, SU, SV)])
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +162,27 @@ def _worst(*defects):
 
 def _p_op_norm_square_identity(cfg, rng):
     """Trials cycle through sizes 2..9, drawn and checked size by size."""
-    defects = []
+    defects = np.empty(cfg.trials)
     for d in range(2, 10):
-        M = _cgauss(rng, (len(range(d - 2, cfg.trials, 8)), d, d))
+        M = _cgauss(rng, (len(defects[d - 2::8]), d, d))
         lhs = numerics.op_norm(M.conj().swapaxes(-1, -2) @ M)
         rhs = numerics.op_norm(M) ** 2
-        defects.append(np.abs(lhs - rhs) / np.maximum(1.0, rhs))
-    return cfg.trials, _worst(*defects)
+        defects[d - 2::8] = np.abs(lhs - rhs) / np.maximum(1.0, rhs)
+    return defects
 
 
 def _p_exp_additivity(cfg, rng):
     sizes = rng.integers(2, 7, size=cfg.trials)
     times = rng.uniform(-1.5, 1.5, size=(cfg.trials, 2))
-    defects = []
+    defects = np.empty(cfg.trials)
     for d in np.unique(sizes).tolist():
         picked = sizes == d
         X = _cgauss(rng, (int(picked.sum()), d, d)) / (2.0 * math.sqrt(d))
         s, t = times[picked, 0, None, None], times[picked, 1, None, None]
         lhs = numerics.mat_exp((s + t) * X)
         rhs = numerics.mat_exp(s * X) @ numerics.mat_exp(t * X)
-        defects.append(numerics.op_norm(lhs - rhs))
-    return cfg.trials, _worst(*defects)
+        defects[picked] = numerics.op_norm(lhs - rhs)
+    return defects
 
 
 def _p_projection_complement_identity(cfg, rng):
@@ -199,26 +193,27 @@ def _p_projection_complement_identity(cfg, rng):
     wrong conjugate-linear half B, since the A halves add up to
     V V*/2 = I for every complete frame V; the action on the frame can.
     Split points are drawn first; the frames of one split come from one
-    stacked QR."""
+    stacked QR.  A trial's defects are the completeness defect and the
+    2n column errors."""
     n = cfg.dim
     ks = rng.integers(1, 2 * n, size=cfg.trials)
-    defects = []
+    defects = np.empty((cfg.trials, 2 * n + 1))
     for k in np.unique(ks).tolist():
         Q, _ = np.linalg.qr(rng.standard_normal((int(np.count_nonzero(ks == k)), 2 * n, 2 * n)))
         V = Q[:, :n] + 1j * Q[:, n:]
         A, B = numerics.real_projection(V[..., :k])
         Ac, Bc = numerics.real_projection(V[..., k:])
         image = A @ V + B @ V.conj()
-        defects += [numerics.op_norm(A + Ac - np.eye(n)) + numerics.op_norm(B + Bc),
-                    np.linalg.norm(image[..., :k] - V[..., :k], axis=-2),
-                    np.linalg.norm(image[..., k:], axis=-2)]
-    return cfg.trials, _worst(*defects)
+        defects[ks == k] = np.c_[numerics.op_norm(A + Ac - np.eye(n)) + numerics.op_norm(B + Bc),
+                                 np.linalg.norm(image[..., :k] - V[..., :k], axis=-2),
+                                 np.linalg.norm(image[..., k:], axis=-2)]
+    return defects
 
 
 def _p_metric_positivity(cfg, rng):
     Z = _points(rng, cfg.dim, cfg.trials)
     s = geometry.TangentVector.real(_cgauss(rng, Z.shape))
-    return cfg.trials, _worst(-geometry.metric(Z, s, s).real)
+    return -geometry.metric(Z, s, s).real
 
 
 def _p_metric_j_invariance(cfg, rng):
@@ -227,50 +222,48 @@ def _p_metric_j_invariance(cfg, rng):
     s, t = (geometry.TangentVector(_cgauss(rng, Z.shape), _cgauss(rng, Z.shape)) for _ in range(2))
     lhs = geometry.metric(Z, s.apply_J(), t.apply_J())
     rhs = geometry.metric(Z, s, t)
-    return trials, _worst(np.abs(lhs - rhs))
+    return np.abs(lhs - rhs)
 
 
 def _p_distance_symmetry(cfg, rng):
     U, V = _points(rng, cfg.dim, cfg.trials), _points(rng, cfg.dim, cfg.trials)
-    return cfg.trials, _worst(_distance_defects(U, V, V, U))
+    return _distance_defects(U, V, V, U)
 
 
 def _p_triangle_inequality(cfg, rng):
     U, V, W = (map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials)) for _ in range(3))
     gaps = [geometry.distance(u, w) - geometry.distance(u, v) - geometry.distance(v, w)
             for u, v, w in zip(U, V, W)]
-    return cfg.trials, _worst(np.maximum(0.0, gaps))
+    return np.maximum(0.0, gaps)
 
 
 def _p_radial_distance_identity(cfg, rng):
     o = geometry.origin(cfg.dim)
-    defects = [abs(math.tanh(geometry.distance(u, o)) - u.norm())
-               for u in map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials))]
-    return cfg.trials, _worst(defects)
+    return np.array([abs(math.tanh(geometry.distance(u, o)) - u.norm())
+                     for u in map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials))])
 
 
 def _p_distance_formula_agreement(cfg, rng):
     U, V = (map(geometry.BallPoint, _points(rng, cfg.dim, cfg.trials)) for _ in range(2))
-    defects = [abs(math.tanh(geometry.distance(u, v)) - geometry.tanh_distance(u, v))
-               for u, v in zip(U, V)]
-    return cfg.trials, _worst(defects)
+    return np.array([abs(math.tanh(geometry.distance(u, v)) - geometry.tanh_distance(u, v))
+                     for u, v in zip(U, V)])
 
 
 def _p_curvature_constancy(cfg, rng):
     Z = _points(rng, cfg.dim, cfg.trials, max_norm=0.7)
     U = _cgauss(rng, Z.shape)
-    return cfg.trials, _worst(np.abs(geometry.sectional_curvature_probe(Z, U) + 2.0))
+    return np.abs(geometry.sectional_curvature_probe(Z, U) + 2.0)
 
 
 def _p_group_closure(cfg, rng):
     T = _members(rng, cfg.dim, 2 * cfg.trials)
     T = T[: cfg.trials] @ T[cfg.trials:]
-    return cfg.trials, _worst(isometries.is_inhomogeneous_unitary(T).defect)
+    return isometries.is_inhomogeneous_unitary(T).defect
 
 
 def _p_membership_equivalence(cfg, rng):
     """The two membership routes must agree on clean members, scaled-off
-    members, and arbitrary garbage: disagreements are counted."""
+    members, and arbitrary garbage: a disagreement is a defect of 1."""
     trials = max(cfg.trials, PINNED_TRIALS)
     count = [len(range(kind, trials, 4)) for kind in range(4)]
     # scaling a member off the group shifts T*eps T by a guaranteed
@@ -282,12 +275,12 @@ def _p_membership_equivalence(cfg, rng):
         (1.0 + delta)[:, None, None] * _members(rng, cfg.dim, count[2]),
         _operators(rng, cfg.dim, count[3]),
     )
-    disagreements = 0
-    for T in stacks:
+    disagreements = np.empty(trials)
+    for kind, T in enumerate(stacks):
         direct = isometries.is_inhomogeneous_unitary(T, MEMBERSHIP_DECISION_TOL).ok
         blocks = isometries.check_block_conditions(T, MEMBERSHIP_DECISION_TOL).ok
-        disagreements += int(np.count_nonzero(direct != blocks))
-    return trials, float(disagreements)
+        disagreements[kind::4] = direct != blocks
+    return disagreements
 
 
 def _eps_of(M):
@@ -327,16 +320,16 @@ def _p_membership_defect_agreement(cfg, rng):
     of magnitude.  The checks read their Hermitian residuals through
     `hermitian_norm`, so one that under-reports fails here."""
     n = cfg.dim
-    defects = []
+    defects = np.empty(cfg.trials)
     for k, (check, members, residual) in enumerate(_MEMBERSHIP_ROUTES.values()):
-        count = len(range(k, cfg.trials, 4))
+        count = len(defects[k::4])
         M, G = members(rng, n, count), _cgauss(rng, (count, n + 1, n + 1))
         kind = (np.arange(count) % 4)[:, None, None]
         garbage = (10.0 ** rng.uniform(-3.0, 3.0, count))[:, None, None] * G
         M = np.where(kind == 3, garbage, M + np.array((1e-5, 1e-3, 0.3, 0.0))[kind] * G)
         want = residual(M)
-        defects.append(np.abs(check(M).defect - want) / np.maximum(1.0, want))
-    return cfg.trials, _worst(*defects)
+        defects[k::4] = np.abs(check(M).defect - want) / np.maximum(1.0, want)
+    return defects
 
 
 def _p_isometry_distance_invariance(cfg, rng):
@@ -350,13 +343,13 @@ def _p_isometry_distance_invariance(cfg, rng):
     SV[0::2] = isometries.mobius_apply(T, V[0::2])
     SU[1::2] = isometries.mirror_apply(F, U[1::2])
     SV[1::2] = isometries.mirror_apply(F, V[1::2])
-    return cfg.trials, _worst(_distance_defects(U, V, SU, SV))
+    return _distance_defects(U, V, SU, SV)
 
 
 def _p_exponential_membership(cfg, rng):
     X = _lie_elements(rng, cfg.dim, cfg.trials)
-    return cfg.trials, _worst(*(isometries.is_inhomogeneous_unitary(numerics.mat_exp(X, t)).defect
-                                for t in (-2.0, -1.0, 0.5, 1.0, 3.0)))
+    return np.stack([isometries.is_inhomogeneous_unitary(numerics.mat_exp(X, t)).defect
+                     for t in (-2.0, -1.0, 0.5, 1.0, 3.0)], axis=-1)
 
 
 def _p_transport_transitivity(cfg, rng):
@@ -365,7 +358,7 @@ def _p_transport_transitivity(cfg, rng):
         isometries.transport_from_origin(U)
     )
     W = isometries.mobius_apply(T, U)
-    return cfg.trials, _worst(np.linalg.norm(W - V, axis=-1))
+    return np.linalg.norm(W - V, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +379,7 @@ def _p_representation_injectivity(cfg, rng):
         Z = _points(rng, cfg.dim, (count, samples), max_norm=0.9)
         fitted = algebra.fit_operator(Z, algebra.evaluate(C[:, None], Z))
         defects.append(numerics.op_norm(fitted - C) / np.maximum(1.0, numerics.op_norm(C)))
-    return cfg.trials, _worst(*defects)
+    return np.concatenate(defects)
 
 
 def _p_star_homomorphism(cfg, rng):
@@ -394,19 +387,19 @@ def _p_star_homomorphism(cfg, rng):
     Z = _points(rng, cfg.dim, cfg.trials)
     lhs = algebra.star_pointwise(C, Cp, Z)
     rhs = algebra.evaluate(algebra.star_operator(C, Cp), Z)
-    return cfg.trials, _worst(np.abs(lhs - rhs))
+    return np.abs(lhs - rhs)
 
 
 def _p_involution_conjugation(cfg, rng):
     C = _operators(rng, cfg.dim, cfg.trials)
     Z = _points(rng, cfg.dim, cfg.trials)
     defect = np.conj(algebra.evaluate(C, Z)) - algebra.evaluate(C.conj().swapaxes(-1, -2), Z)
-    return cfg.trials, _worst(np.abs(defect))
+    return np.abs(defect)
 
 
 def _p_unit_function(cfg, rng):
     Z = _points(rng, cfg.dim, cfg.trials)
-    return cfg.trials, _worst(np.abs(algebra.evaluate(algebra.unit(cfg.dim).matrix, Z) - 1.0))
+    return np.abs(algebra.evaluate(algebra.unit(cfg.dim).matrix, Z) - 1.0)
 
 
 def _p_star_associativity(cfg, rng):
@@ -415,14 +408,14 @@ def _p_star_associativity(cfg, rng):
     full = algebra.evaluate(algebra.star_operator(algebra.star_operator(C, Cp), Cpp), Z)
     left = algebra.star_pointwise(algebra.star_operator(C, Cp), Cpp, Z)
     right = algebra.star_pointwise(C, algebra.star_operator(Cp, Cpp), Z)
-    return cfg.trials, _worst(np.abs(full - left), np.abs(full - right))
+    return np.stack([np.abs(full - left), np.abs(full - right)], axis=-1)
 
 
 def _p_banach_inequality(cfg, rng):
     C, Cp = _operators(rng, cfg.dim, cfg.trials), _operators(rng, cfg.dim, cfg.trials)
     lhs = numerics.op_norm(algebra.star_operator(C, Cp))
     rhs = numerics.op_norm(C) * numerics.op_norm(Cp)
-    return cfg.trials, _worst(np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs))
+    return np.maximum(0.0, lhs - rhs) / np.maximum(1.0, rhs)
 
 
 def _p_cstar_chain_identity(cfg, rng):
@@ -431,14 +424,14 @@ def _p_cstar_chain_identity(cfg, rng):
     chain = algebra.star_operator(algebra.star_operator(A.conj().swapaxes(-1, -2), ident), A)
     lhs = numerics.op_norm(chain)
     rhs = numerics.op_norm(A) ** 2
-    return cfg.trials, _worst(np.abs(lhs - rhs) / np.maximum(1.0, rhs))
+    return np.abs(lhs - rhs) / np.maximum(1.0, rhs)
 
 
 def _p_involution_twist_witness(cfg, rng):
     A = algebra.involution_failure_operator(cfg.dim)
     plain = numerics.op_norm((A.adjoint() @ A).matrix)
     twisted = numerics.op_norm(algebra.star_operator(A.adjoint(), A).matrix)
-    return 1, _worst(abs(plain - 2.0), twisted)
+    return np.array([[abs(plain - 2.0), twisted]])
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +442,22 @@ def _p_flow_distance_invariance(cfg, rng):
     """Trials cycle through exponential, Schroedinger and disc flows."""
     times = rng.uniform(-2.0, 2.0, size=cfg.trials)
     t = [times[k::3, None, None] for k in range(3)]
-    pairs = []
+    defects = np.empty(cfg.trials)
     U, V = _points(rng, cfg.dim, t[0].size), _points(rng, cfg.dim, t[0].size)
     X = t[0] * _lie_elements(rng, cfg.dim, t[0].size)
-    pairs.append((U, V, dynamics.evolve_exp(X, U, 1.0), dynamics.evolve_exp(X, V, 1.0)))
+    defects[0::3] = _distance_defects(U, V, *(dynamics.evolve_exp(X, W, 1.0) for W in (U, V)))
     U, V = _points(rng, cfg.dim, t[1].size), _points(rng, cfg.dim, t[1].size)
     H = t[1] * _self_adjoints(rng, cfg.dim, t[1].size)
-    pairs.append((U, V, dynamics.schrodinger_evolve(H, U, 1.0),
-                  dynamics.schrodinger_evolve(H, V, 1.0)))
+    defects[1::3] = _distance_defects(U, V, *(dynamics.schrodinger_evolve(H, W, 1.0) for W in (U, V)))
     U, V = _points(rng, 1, t[2].size), _points(rng, 1, t[2].size)
     b = _cgauss(rng, t[2].size)
     # keep the boost bounded so near-rim roundoff cannot eat into the
     # 1e-9 agreement being measured
     b = b / np.maximum(1.0, np.abs(b))
     g = dynamics.DiscGenerator(rng.standard_normal(t[2].size), b)
-    pairs.append((U, V, dynamics.disc_evolve_closed(g, U[:, 0], t[2].ravel())[:, None],
-                  dynamics.disc_evolve_closed(g, V[:, 0], t[2].ravel())[:, None]))
-    return cfg.trials, _worst(*(_distance_defects(*pair) for pair in pairs))
+    defects[2::3] = _distance_defects(
+        U, V, *(dynamics.disc_evolve_closed(g, W[:, 0], t[2].ravel())[:, None] for W in (U, V)))
+    return defects
 
 
 def _p_flow_group_law(cfg, rng):
@@ -475,7 +467,7 @@ def _p_flow_group_law(cfg, rng):
     s, t = times[:, 0, None, None], times[:, 1, None, None]
     once = dynamics.evolve_exp((s + t) * X, Z, 1.0)
     twice = dynamics.evolve_exp(s * X, dynamics.evolve_exp(t * X, Z, 1.0), 1.0)
-    return cfg.trials, _worst(np.linalg.norm(once - twice, axis=-1))
+    return np.linalg.norm(once - twice, axis=-1)
 
 
 def _p_disc_closed_form_agreement(cfg, rng):
@@ -492,7 +484,7 @@ def _p_disc_closed_form_agreement(cfg, rng):
     g = dynamics.DiscGenerator(a, b)
     closed = dynamics.disc_evolve_closed(g, Z[:, 0], t)
     viaexp = dynamics.evolve_exp(t[:, None, None] * g.matrix(), Z, 1.0)[:, 0]
-    return cfg.trials, _worst(np.abs(closed - viaexp))
+    return np.abs(closed - viaexp)
 
 
 def _p_quantum_flow_radius(cfg, rng):
@@ -502,7 +494,7 @@ def _p_quantum_flow_radius(cfg, rng):
     moved = dynamics.schrodinger_evolve(H, Z, 1.0)
     fixed = dynamics.schrodinger_evolve(H, np.zeros_like(Z), 1.0)
     radius = np.abs(np.linalg.norm(moved, axis=-1) - np.linalg.norm(Z, axis=-1))
-    return cfg.trials, _worst(np.linalg.norm(fixed, axis=-1), radius)
+    return np.stack([np.linalg.norm(fixed, axis=-1), radius], axis=-1)
 
 
 def _p_observable_pullback(cfg, rng):
@@ -520,7 +512,7 @@ def _p_observable_pullback(cfg, rng):
     def form(v):
         return np.sum(v.conj() * (C @ v[:, :, None])[:, :, 0], axis=-1)
 
-    return cfg.trials, _worst(np.abs(form(what) - form(tz) / np.abs(den) ** 2))
+    return np.abs(form(what) - form(tz) / np.abs(den) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +558,8 @@ def run_property(index, cfg):
     rng = np.random.default_rng([cfg.seed, index])
     error = None
     try:
-        trials, max_defect = runner(cfg, rng)
-        max_defect = float(max_defect)
+        defects = runner(cfg, rng)
+        trials, max_defect = len(defects), float(np.max(defects, initial=0.0))
     except Exception as exc:
         # a property whose evaluation blows up has certainly failed; an
         # infinite defect keeps the report intact so the other

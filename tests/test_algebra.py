@@ -103,6 +103,34 @@ def test_evaluate_past_the_float_range_raises_one_domain_error():
     assert same_bytes(evaluate(np.stack([C, C]), np.stack([w, 0.5 * w])), singles)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, operators, stacks", [
+    ("evaluate_blocks", 1, False),
+    ("holo_differential", 1, True),
+    ("star_pointwise", 2, True),
+    ("poisson_bracket", 2, False),
+    ("dispersion", 1, False),
+])
+def test_kernel_past_the_float_range_raises_one_domain_error(name, operators, stacks):
+    # the operator and rim point that carry `evaluate` past the float
+    # range; each kernel raises one DomainError and no numpy warning,
+    # for a single point and, where it takes them, inside a stack
+    kernel = getattr(algebra, name)
+    C = np.full((3, 3), 1e300 + 0j)
+    z, w = np.array([1.0 - 1e-8, 0j]), np.array([0.5, 0.25j])
+    cases = [(ExtendedOperator(C), BallPoint(z))] + [(np.stack([C, C]), np.stack([w, z]))] * stacks
+    for op, point in cases:
+        with pytest.raises(DomainError, match="^f_C overflowed the float range in "):
+            kernel(*(op,) * operators, point)
+    # finite results keep their bits
+    ones = np.ones((3, 3), dtype=complex)
+    cases = [(ExtendedOperator(ones), BallPoint(w))]
+    cases += [(np.stack([ones, ones]), np.stack([w, 0.5 * w]))] * stacks
+    for op, point in cases:
+        args = (op,) * operators + (point,)
+        assert same_bytes([kernel(*args)], [kernel.__wrapped__(*args)])
+
+
 def test_star_frozen_value():
     rng = np.random.default_rng(5)
     Ca = ExtendedOperator(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))

@@ -323,8 +323,8 @@ def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["which"] == "s"
     assert cli.main(["norm", cf]) == 0
     assert json.loads(capsys.readouterr().out)["which"] == "b"
-    dest = tmp_path / "report.json"
-    args = ["verify", "geometry", "--dim", "2", "--trials", "4"]
+    dest = tmp_path / "product.json"
+    args = ["star", cf, cf]
     assert cli.main(args + ["--out", str(dest)]) == 0
     dest.write_text("kept")
     assert cli.main(args) == 0
@@ -345,15 +345,6 @@ def test_verify_reports_are_byte_identical(capsys):
     assert names == sorted(names)
 
 
-def test_verify_out_file_matches_stdout(tmp_path, capsys):
-    dest = tmp_path / "report.json"
-    rc = cli.main(
-        ["verify", "dynamics", "--dim", "2", "--trials", "8", "--out", str(dest)]
-    )
-    assert rc == 0
-    assert dest.read_text() == capsys.readouterr().out
-
-
 def test_verify_rejects_bad_configuration(capsys):
     assert cli.main(["verify", "all", "--dim", "0", "--trials", "5"]) == 3
     capsys.readouterr()
@@ -364,11 +355,13 @@ def test_verify_rejects_bad_configuration(capsys):
 
 
 def test_verify_has_no_tolerance_flag(capsys):
-    # every property is held to its own fixed tolerance
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "all", "--dim", "2", "--trials", "5", "--tol", "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    # every property is held to its own fixed tolerance, and the report
+    # goes to stdout only (redirect it to keep a copy)
+    for flag, value in (("--tol", "1"), ("--out", "x")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "all", "--dim", "2", "--trials", "5", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_verify_flags_broken_metric(monkeypatch, capsys):

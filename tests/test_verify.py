@@ -5,12 +5,15 @@ import pytest
 
 from hilbertball.errors import DomainError
 from hilbertball.verify import (
+    PINNED_TRIALS,
     PROPERTIES,
     SUITES,
     VerifyConfig,
     run_property,
     run_suite,
 )
+
+from conftest import same_bytes
 
 
 def test_config_validation():
@@ -111,8 +114,27 @@ def test_nan_distance_fails_every_distance_property(monkeypatch, name):
     assert res.passed is False and math.isnan(res.max_defect)
 
 
+def _defects(name, cfg):
+    """A property's per-trial defects, drawn as `run_property` draws them."""
+    index = _index(name)
+    return PROPERTIES[index][3](cfg, np.random.default_rng([cfg.seed, index]))
+
+
+@pytest.mark.parametrize("name", [entry[1] for entry in PROPERTIES])
+def test_every_property_returns_its_per_trial_defects(name):
+    # one entry per trial along the first axis; `run_property` counts
+    # them and reduces them to the reported max
+    cfg = VerifyConfig(dim=2, trials=10, seed=0)
+    defects = _defects(name, cfg)
+    res = run_property(_index(name), cfg)
+    want = {"metric_j_invariance": PINNED_TRIALS, "membership_equivalence": PINNED_TRIALS,
+            "involution_twist_witness": 1}.get(name, cfg.trials)
+    assert len(defects) == res.trials == want
+    assert same_bytes([np.max(defects, initial=0.0)], [res.max_defect])
+
+
 def test_nan_op_norm_of_one_size_fails_the_square_identity(monkeypatch):
-    # sizes 2..8 stay clean; only the last group of the reduction is NaN
+    # sizes 2..8 stay clean; only size 9, drawn at trials 7 and 15, is NaN
     from hilbertball import numerics
 
     op_norm = numerics.op_norm
@@ -122,5 +144,19 @@ def test_nan_op_norm_of_one_size_fails_the_square_identity(monkeypatch):
         return np.full_like(norms, np.nan) if np.shape(M)[-1] == 9 else norms
 
     monkeypatch.setattr(numerics, "op_norm", nan_at_nine)
-    res = run_property(_index("op_norm_square_identity"), VerifyConfig(dim=2, trials=16))
+    cfg = VerifyConfig(dim=2, trials=16)
+    res = run_property(_index("op_norm_square_identity"), cfg)
     assert res.passed is False and math.isnan(res.max_defect)
+    assert np.flatnonzero(np.isnan(_defects("op_norm_square_identity", cfg))).tolist() == [7, 15]
+
+
+def test_nan_disc_distance_sits_at_the_disc_trials(monkeypatch):
+    # trials cycle through exponential, Schroedinger and disc flows; a
+    # distance that is NaN on disc points only marks trials 2, 5 and 8
+    from hilbertball import geometry
+
+    distance = geometry.distance
+    monkeypatch.setattr(geometry, "distance",
+                        lambda u, v: math.nan if u.vector.size == 1 else distance(u, v))
+    defects = _defects("flow_distance_invariance", VerifyConfig(dim=2, trials=10))
+    assert np.flatnonzero(np.isnan(defects)).tolist() == [2, 5, 8]

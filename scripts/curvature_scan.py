@@ -29,7 +29,7 @@ def worst_defect(dim, step, trials, max_radius, rng):
         radius = max_radius * rng.uniform()
         z = geometry.BallPoint(radius * z / np.linalg.norm(z))
         got = geometry.sectional_curvature_probe(z, direction, step=step)
-        worst = max(worst, abs(got + 2.0))
+        worst = max(worst, abs(got - geometry.CURVATURE))
     return worst
 
 

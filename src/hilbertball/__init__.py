@@ -31,7 +31,6 @@ from .isometries import (
     ExtendedOperator,
     MirrorTransformation,
     epsilon_operator,
-    exp_element,
     inverse,
     is_inhomogeneous_unitary,
     lie_algebra_check,
@@ -41,7 +40,6 @@ from .isometries import (
     transport_from_origin,
 )
 from .algebra import (
-    KahlerFunction,
     dispersion,
     evaluate,
     hamiltonian_field,
@@ -88,7 +86,6 @@ __all__ = [
     "ExtendedOperator",
     "MirrorTransformation",
     "epsilon_operator",
-    "exp_element",
     "inverse",
     "is_inhomogeneous_unitary",
     "lie_algebra_check",
@@ -96,7 +93,6 @@ __all__ = [
     "mobius_apply",
     "mobius_differential",
     "transport_from_origin",
-    "KahlerFunction",
     "dispersion",
     "evaluate",
     "hamiltonian_field",

@@ -11,8 +11,9 @@ and the representation is faithful.  The noncommutative product is
 
 whose operator form is simply C eps C' (so the product of two
 representable functions is representable).  eps itself represents the
-constant function 1 and is the unit.  The deformation coefficient -1 is
-pinned by the ball's curvature -2 through c = 2/hbar.
+constant function 1 and is the unit.  The derivative term carries the
+coefficient `geometry.HBAR` = 2/CURVATURE = -1, pinned by the ball's
+curvature -2 through c = 2/hbar.
 
 Norms: the invariant norm of f_C equals the operator norm of C, and
 `norm_b` reads it off the SVD.  Its supremand at a pair (z, lambda)
@@ -30,12 +31,16 @@ where the quotient squared is a ratio of two real quadratics, and the
 refinement's golden-section search reads that ratio in plain floats,
 each step it takes confirmed by the literal quotient.  Every estimator
 re-evaluates its argmax once through the function-level star chain;
-the two routes are required to agree.
+the two routes are required to agree.  Each estimator reads C scaled
+exactly by a power of two to unit size (`_scaled`), so the norm of 2^k C
+is exactly 2^k times C's at any scale the float range holds.
 
 `evaluate`, its derivatives and both star products take arrays of
 operators and of points over any leading axes as well as single
 objects, with one formula body for both (see `geometry`).  The kernels
-marked `@_finite` raise one DomainError for a value past the float range.
+marked `@_finite` raise one DomainError for a value past the float range;
+a kernel built from others calls their unguarded bodies (`__wrapped__`),
+so one guard runs per public call.
 """
 
 import functools
@@ -67,8 +72,6 @@ from .numerics import (
     wirtinger_second,
 )
 
-# Coefficient 2/c of the derivative term in the product, at curvature -2.
-STAR_COEFFICIENT = -1.0
 # on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
 
@@ -133,22 +136,6 @@ def evaluate_blocks(C, z):
     return complex((C.a + np.vdot(C.y, zv) + np.vdot(zv, C.x) + np.vdot(zv, C.A @ zv)) * k_factor(z))
 
 
-@dataclass(frozen=True, eq=False)
-class KahlerFunction:
-    """Callable wrapper tying an extended operator to its function."""
-
-    operator: ExtendedOperator
-
-    def __call__(self, z):
-        return evaluate(self.operator, z)
-
-    def conj(self):
-        return KahlerFunction(self.operator.adjoint())
-
-    def star(self, other):
-        return KahlerFunction(star_operator(self.operator, other.operator))
-
-
 @_finite
 def holo_differential(C, z):
     """Components w of the holomorphic differential of f_C at z.
@@ -174,11 +161,6 @@ def gradient(C, z):
     return czh[..., :n] + czh[..., n, None] * Z
 
 
-def symplectic_gradient(C, z):
-    """Rotated gradient -i grad f_C (the Hamiltonian direction)."""
-    return -1j * gradient(C, z)
-
-
 def hamiltonian_field(C, z):
     """Complexified Hamiltonian vector field of f_C.
 
@@ -187,7 +169,7 @@ def hamiltonian_field(C, z):
     sgrad f + conj(sgrad f); the general form is the complex-bilinear
     extension in C, which is what makes the bracket below bilinear.
     """
-    return TangentVector(symplectic_gradient(C, z), symplectic_gradient(C.adjoint(), z))
+    return TangentVector(-1j * gradient(C, z), -1j * gradient(C.adjoint(), z))
 
 
 @_finite
@@ -198,12 +180,13 @@ def poisson_bracket(C, Cp, z):
 
 @_finite
 def star_pointwise(C, Cp, z):
-    """(f_C * f_C')(z) = f_C(z) f_C'(z) - (df_C)(grad f_C').
+    """(f_C * f_C')(z) = f_C(z) f_C'(z) + HBAR (df_C)(grad f_C'), HBAR = -1.
 
     Arrays of matrices and of points broadcast as in `evaluate` and give
     the complex array of values."""
-    correction = _dots(holo_differential(C, z).conj(), gradient(Cp, z))
-    return _result(evaluate(C, z) * evaluate(Cp, z) + STAR_COEFFICIENT * correction)
+    correction = _dots(holo_differential.__wrapped__(C, z).conj(), gradient(Cp, z))
+    f, fp = evaluate.__wrapped__(C, z), evaluate.__wrapped__(Cp, z)
+    return _result(f * fp + HBAR * correction)
 
 
 def star_operator(C, Cp):
@@ -271,7 +254,7 @@ def kahler_condition_check(C, z):
 
     def rescaled(vec):
         p = BallPoint(vec)
-        return evaluate(C, p) * (1.0 - p.norm_sq())
+        return evaluate(C, p) * p.gap
 
     return second_degree_defect(rescaled, z.vector, 1e-4, dirs)
 
@@ -446,19 +429,38 @@ def _check_routes(val, chain_val):
         )
 
 
+def _scaled(C):
+    """(2^-e C, e), e the exponent of C's largest |entry|.  The scaling is
+    exact (`ldexp` on the real view, as in `op_norm`), and every norm here
+    is 1-homogeneous, so the estimators read the scaled operator, whose
+    products neither overflow nor underflow, and scale its values by 2^e."""
+    e = math.frexp(float(np.abs(C.matrix).max()))[1]
+    return ExtendedOperator(np.ldexp(C.matrix.view(float), -e).view(complex)), e
+
+
+def _unscaled(value, e):
+    """2^e value, a norm of C from that of `_scaled` C; DomainError where
+    it exceeds the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise DomainError("the norm exceeds the float range") from None
+
+
 def _search(C, samples, seed):
     """Screen every Sobol candidate z with the cone quotient
     ||C (z, 1)|| / ||(z, 1)|| in one batched product, polish the best
     with `_refine`, and re-evaluate the argmax once through the shifted
     star chain, which must agree.  Returns (z, reduced value, chain
-    value)."""
+    value); the search runs on `_scaled` C."""
+    S, e = _scaled(C)
     Z = _sobol_candidates(C.dim, samples, seed)
     Xi = np.hstack([Z, np.ones((Z.shape[0], 1), dtype=complex)])
-    vals = np.linalg.norm(Xi @ C.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
+    vals = np.linalg.norm(Xi @ S.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
     i = np.argmax(vals)
-    z, _, val = _refine(lambda zv: cone_supremand(C, zv), Z[i].copy(), None, float(vals[i]),
-                        C.matrix)
-    chain_val = shifted_supremand_chain(C, z)
+    z, _, val = _refine(lambda zv: cone_supremand(S, zv), Z[i].copy(), None, float(vals[i]),
+                        S.matrix)
+    val, chain_val = _unscaled(val, e), _unscaled(shifted_supremand_chain(S, z), e)
     _check_routes(val, chain_val)
     return z, val, chain_val
 
@@ -470,15 +472,17 @@ def norm_b_estimate(C):
     v's phase turned so that v_n >= 0 and v scaled so that
     max(2 ||v[:n]||, v_n) = 1, the witness is z = -v[:n] (inside the
     ball, ||z|| <= 1/2) and lambda = v_n; the value is the reduced
-    quotient there, checked once against the star chain."""
+    quotient there, checked once against the star chain.  Both are read
+    on `_scaled` C."""
+    S, e = _scaled(C)
     n = C.dim
-    v = np.linalg.svd(C.matrix)[2][0].conj()
+    v = np.linalg.svd(S.matrix)[2][0].conj()
     v = v * np.exp(-1j * np.angle(v[n]))
     lam = abs(v[n])
     scale = max(2.0 * float(np.linalg.norm(v[:n])), lam)
     z, lam = -v[:n] / scale, lam / scale
-    val = invariant_supremand(C, z, lam)
-    _check_routes(val, invariant_supremand_chain(C, z, lam))
+    val = _unscaled(invariant_supremand(S, z, lam), e)
+    _check_routes(val, _unscaled(invariant_supremand_chain(S, z, lam), e))
     return NormEstimate(val, z, lam)
 
 

@@ -62,7 +62,7 @@ def _build_generator(args):
         if not args.hamiltonian:
             raise ParseError("schrodinger mode needs --hamiltonian")
         H = serialize.load_matrix(args.hamiltonian)
-        return dynamics.HamiltonianGenerator(H, a=_parse_float(args.a, "--a"))
+        return dynamics.HamiltonianGenerator(H)
     if not args.generator:
         raise ParseError("exp mode needs --generator")
     return ExtendedOperator(serialize.load_matrix(args.generator))
@@ -172,7 +172,7 @@ def build_parser():
     e.add_argument("--state", required=True, help="initial point (JSON vector)")
     e.add_argument("--t-max", required=True, dest="t_max")
     e.add_argument("--dt", required=True)
-    e.add_argument("--a", default="0", help="disc rotation / phase parameter")
+    e.add_argument("--a", default="0", help="disc rotation parameter (disc mode only)")
     e.add_argument("--b-re", default="0", dest="b_re")
     e.add_argument("--b-im", default="0", dest="b_im")
     e.add_argument("--hamiltonian", help="JSON matrix for schrodinger mode")

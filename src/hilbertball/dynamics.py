@@ -106,10 +106,9 @@ def _hamiltonian(H, stack=False):
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianGenerator:
-    """Self-adjoint H plus a phase parameter a; drives z(t) = e^{-iHt} z."""
+    """A self-adjoint H; drives z(t) = e^{-iHt} z."""
 
     H: np.ndarray
-    a: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "H", _hamiltonian(self.H))
@@ -120,11 +119,11 @@ class HamiltonianGenerator:
 
     def extended(self):
         """The group generator whose Moebius flow equals the Schroedinger
-        flow: diag(i(-H + aI), ia)."""
+        flow: diag(-iH, 0).  Adding iaI for a real a gives the same flow,
+        since a multiple of the identity acts trivially on the ball."""
         n = self.dim
         m = np.zeros((n + 1, n + 1), dtype=complex)
-        m[:n, :n] = 1j * (-self.H + self.a * np.eye(n))
-        m[n, n] = 1j * self.a
+        m[:n, :n] = -1j * self.H
         return ExtendedOperator(m)
 
 

@@ -141,9 +141,6 @@ class BallPoint:
     def norm(self):
         return float(np.linalg.norm(self.vector))
 
-    def norm_sq(self):
-        return float(np.real(np.vdot(self.vector, self.vector)))
-
 
 def origin(dim):
     return BallPoint(np.zeros(dim, dtype=complex))

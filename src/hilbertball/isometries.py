@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _dots, _matvec, _paired_points, _points_result, _vectors
-from .numerics import _as_complex_matrix, hermitian_norm, mat_exp, real_projection
+from .numerics import _as_complex_matrix, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -44,7 +44,10 @@ DEGENERATE_DENOMINATOR = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class ExtendedOperator:
-    """Complex operator on C^n + C stored as its full (n+1)x(n+1) matrix."""
+    """Complex operator on C^n + C stored as its full (n+1)x(n+1) matrix.
+
+    Its algebra is the matrix's: `@` composes, `adjoint` is the conjugate
+    transpose, and any other arithmetic goes through `matrix`."""
 
     matrix: np.ndarray
 
@@ -96,22 +99,8 @@ class ExtendedOperator:
     def adjoint(self):
         return ExtendedOperator(self.matrix.conj().T)
 
-    def apply(self, vec):
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
     def __matmul__(self, other):
         return ExtendedOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        return ExtendedOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return ExtendedOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return ExtendedOperator(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 def _matrices(T):
@@ -278,11 +267,6 @@ class MirrorTransformation:
         A, B = real_projection(basis)
         return cls(2.0 * A - np.eye(A.shape[-1]), 2.0 * B)
 
-    @classmethod
-    def conjugation(cls, dim):
-        """The mirror fixing all real points: entrywise conjugation."""
-        return cls.from_basis(np.eye(dim, dtype=complex))
-
 
 def mirror_apply(F, z):
     """The image A z + B conj(z) of z under the mirror F.
@@ -303,8 +287,3 @@ def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
     # eps = diag(sign): both products are exact sign flips
     sign = epsilon_matrix(n).diagonal().real
     return _verdict(hermitian_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M), M, 1, tol)
-
-
-def exp_element(X, t=1.0):
-    """exp(t X) as an extended operator."""
-    return ExtendedOperator(mat_exp(X.matrix, t))

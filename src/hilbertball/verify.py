@@ -252,7 +252,7 @@ def _p_distance_formula_agreement(cfg, rng):
 def _p_curvature_constancy(cfg, rng):
     Z = _points(rng, cfg.dim, cfg.trials, max_norm=0.7)
     U = _cgauss(rng, Z.shape)
-    return np.abs(geometry.sectional_curvature_probe(Z, U) + 2.0)
+    return np.abs(geometry.sectional_curvature_probe(Z, U) - geometry.CURVATURE)
 
 
 def _p_group_closure(cfg, rng):
@@ -529,7 +529,7 @@ PROPERTIES = (
     ("geometry", "triangle_inequality", 1e-9, _p_triangle_inequality),
     ("geometry", "radial_distance_identity", 1e-12, _p_radial_distance_identity),
     ("geometry", "distance_formula_agreement", 1e-12, _p_distance_formula_agreement),
-    ("geometry", "curvature_constancy", 1e-3, _p_curvature_constancy),
+    ("geometry", "curvature_constancy", 1e-6, _p_curvature_constancy),
     ("geometry", "group_closure", 1e-9, _p_group_closure),
     ("geometry", "membership_equivalence", 0.5, _p_membership_equivalence),
     ("geometry", "isometry_distance_invariance", 1e-9, _p_isometry_distance_invariance),

@@ -68,7 +68,7 @@ def lie_element(rng, dim):
     u = cgauss(rng, dim)
     X = ExtendedOperator.from_blocks(B, u, u, 1j * float(rng.standard_normal()))
     n = op_norm(X.matrix)
-    return (1.0 / n) * X if n > 1.0 else X
+    return ExtendedOperator((1.0 / n) * X.matrix) if n > 1.0 else X
 
 
 def quadrature_distance(u, v, panels=2048):

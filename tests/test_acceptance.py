@@ -98,7 +98,7 @@ def test_membership_routes_agree():
         elif kind == 1:
             T = isometries.transport_from_origin(BallPoint(_points(rng, 4, ())))
         elif kind == 2:
-            T = (1.0 + deltas[i % 3]) * isometries.ExtendedOperator(_members(rng, 4, 1)[0])
+            T = isometries.ExtendedOperator((1.0 + deltas[i % 3]) * _members(rng, 4, 1)[0])
         elif kind == 3:
             T = isometries.ExtendedOperator(_cgauss(rng, (5, 5)))
         else:
@@ -215,10 +215,10 @@ def test_curvature_constant():
     for _ in range(50):
         z = BallPoint(_points(rng, 4, (), 0.6))
         u = _cgauss(rng, 4)
-        worst = max(worst, abs(geometry.sectional_curvature_probe(z, u) + 2.0))
-    ok = worst <= 1e-3
+        worst = max(worst, abs(geometry.sectional_curvature_probe(z, u) - geometry.CURVATURE))
+    ok = worst <= 1e-6
     _report(9, "holomorphic sectional curvature -2", ok,
-            "worst defect %.2e (tol 1e-3, 50 probes)" % worst)
+            "worst defect %.2e (tol 1e-6, 50 probes)" % worst)
 
 
 # 10 ------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from hilbertball import algebra
 from hilbertball.algebra import (
-    KahlerFunction,
     cone_supremand,
     dispersion,
     evaluate,
@@ -171,15 +170,6 @@ def test_involution_is_pointwise_conjugation(rng):
         C = random_operator(rng, 3)
         z = random_point(rng, 3)
         assert abs(evaluate(C.adjoint(), z) - np.conj(evaluate(C, z))) < 1e-12
-
-
-def test_kahler_function_wrapper(rng):
-    Ca, Cb = random_operator(rng, 2), random_operator(rng, 2)
-    f, l = KahlerFunction(Ca), KahlerFunction(Cb)
-    z = random_point(rng, 2)
-    assert f(z) == evaluate(Ca, z)
-    assert abs(f.conj()(z) - np.conj(f(z))) < 1e-12
-    assert abs(f.star(l)(z) - star_pointwise(Ca, Cb, z)) < 1e-12
 
 
 def test_commutator_is_minus_i_poisson(rng):
@@ -507,6 +497,26 @@ def test_broken_chain_route_is_caught(rng, monkeypatch, estimator):
                         lambda C, zvec: 1.01 * shifted(C, zvec))
     with pytest.raises(RuntimeError, match="supremand routes disagree"):
         estimator(random_operator(rng, 2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("estimator", [norm_b, norm_s, norm_d])
+def test_norms_scale_exactly_by_powers_of_two(estimator):
+    # each norm is 1-homogeneous and is read on the operator scaled to
+    # unit size, so 2^k C has exactly 2^k times C's norm, also where the
+    # products of C would over- or underflow (C*C at 1e-200 rounds to 0);
+    # a decimal scale rounds C's entries, which may move the sampled
+    # search of s and d by its golden-section resolution
+    rng = np.random.default_rng(31)
+    G = cgauss(rng, (5, 5))
+    value = estimator(ExtendedOperator(G))
+    for k in (664, -664, -996):
+        assert estimator(ExtendedOperator(np.ldexp(G.view(float), k).view(complex))) == math.ldexp(value, k)
+    for scale in (1e-300, 1e-200, 1e200):
+        assert abs(estimator(ExtendedOperator(scale * G)) - scale * value) <= 1e-8 * scale * value
+    # entries below the largest float whose norm is past it
+    with pytest.raises(DomainError, match="the norm exceeds the float range"):
+        estimator(ExtendedOperator(np.ldexp(G.view(float), 1022).view(complex)))
 
 
 # second-degree structure ---------------------------------------------

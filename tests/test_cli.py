@@ -385,6 +385,18 @@ def test_verify_flags_broken_metric(monkeypatch, capsys):
     assert entry["error"] is None and 0.0 < entry["max_defect"] < float("inf")
 
 
+def test_verify_flags_metric_scaled_by_one_part_in_1e5(monkeypatch, capsys):
+    # the probed curvature -(1/(2 lambda)) Laplacian(log lambda) scales by
+    # 1/(1 + 1e-5), a defect of 2e-5 where the true metric reads 3.9e-8;
+    # no other geometry property reads the metric's scale
+    true_metric = geometry.metric
+    monkeypatch.setattr("hilbertball.geometry.metric", lambda z, s, t: (1.0 + 1e-5) * true_metric(z, s, t))
+    rc = cli.main(["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed_properties"] == ["curvature_constancy"]
+
+
 def test_verify_reports_any_exception(monkeypatch, capsys):
     # a property that raises outside the numeric error types still
     # yields the complete report and exit code 1

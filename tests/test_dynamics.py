@@ -148,7 +148,7 @@ def test_generators_sit_in_lie_algebra(rng):
         assert lie_algebra_check(g.extended()).defect < 1e-13
     H = cgauss(rng, (3, 3))
     H = 0.5 * (H + H.conj().T)
-    gen = HamiltonianGenerator(H, a=0.4)
+    gen = HamiltonianGenerator(H)
     assert lie_algebra_check(gen.extended()).defect < 1e-13
 
 
@@ -408,7 +408,7 @@ def test_spectral_schrodinger_matches_the_exponential_route(rng, dim, norm):
     # exp(-iHt) from one eigendecomposition against the Moebius flow of
     # the extended generator, which goes through mat_exp, up to t = 40
     H = hamiltonian(rng, dim).H
-    gen = HamiltonianGenerator(norm / op_norm(H) * H, a=0.3)
+    gen = HamiltonianGenerator(norm / op_norm(H) * H)
     z = random_point(rng, dim, 0.8)
     times = np.linspace(0.0, 40.0, 161)
     got = schrodinger_evolve(gen, z, times)
@@ -425,7 +425,8 @@ def test_exp_trajectory_checks_its_generator_once(rng, monkeypatch):
 
     monkeypatch.setattr(dynamics, "lie_algebra_check", counted)
     X = lie_element(rng, 3)
-    times, points = trajectory(0.5 / op_norm(X.matrix) * X, random_point(rng, 3, 0.5), 5.0, 0.005)
+    X = ExtendedOperator(0.5 / op_norm(X.matrix) * X.matrix)
+    times, points = trajectory(X, random_point(rng, 3, 0.5), 5.0, 0.005)
     assert points.shape == (1001, 3) and len(calls) == 1
 
 
@@ -435,7 +436,7 @@ def test_exp_trajectory_equals_block_by_block_shifts(rng, dim, samples):
     # all later block shifts come from one stacked mat_exp; the reference
     # makes one scalar mat_exp per block and moves the first block by it
     X = lie_element(rng, dim)
-    X = 0.5 / op_norm(X.matrix) * X
+    X = ExtendedOperator(0.5 / op_norm(X.matrix) * X.matrix)
     z = random_point(rng, dim, 0.6)
     times, points = trajectory(X, z, (samples - 1) * 0.01, 0.01)
     assert len(times) == samples

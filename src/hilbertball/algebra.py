@@ -55,10 +55,10 @@ from .geometry import (
     BallPoint,
     HBAR,
     TangentVector,
-    _as_points,
     _dots,
     _matvec,
     _result,
+    _vectors,
     k_factor,
     kahler_form,
     metric,
@@ -124,8 +124,8 @@ def evaluate(C, z):
     outside the ball, or one value past the float range, raises
     DomainError.
     """
-    C, _, Z = _operands(C, z)
-    return _result(k_factor(z) * _form(C, extended_point(Z)))
+    C, _, Z, gaps = _operands(C, z)
+    return _result(np.divide(1.0, gaps) * _form(C, extended_point(Z)))
 
 
 @_finite
@@ -145,9 +145,9 @@ def holo_differential(C, z):
     matrices and of points broadcast over their leading axes as in
     `evaluate`, giving the array of differentials.
     """
-    C, n, Z = _operands(C, z)
+    C, n, Z, gaps = _operands(C, z)
     zh = extended_point(Z)
-    k = np.asarray(k_factor(z))[..., None]
+    k = np.divide(1.0, gaps)[..., None]
     row = (zh.conj()[..., None, :] @ C)[..., 0, :n]
     return k * row + (k * k) * _form(C, zh)[..., None] * Z.conj()
 
@@ -155,7 +155,7 @@ def holo_differential(C, z):
 def gradient(C, z):
     """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
     array of them for arrays of matrices and points, as in `evaluate`."""
-    C, n, Z = _operands(C, z)
+    C, n, Z, _ = _operands(C, z)
     zh = extended_point(Z)
     czh = _matvec(C, zh)
     return czh[..., :n] + czh[..., n, None] * Z
@@ -271,7 +271,7 @@ def fit_operator(points, values):
     DomainError.  Generic points determine C once there are enough of
     them, and the system is solved through its QR factorization.
     """
-    Z = _as_points(points)
+    Z, gaps = _vectors(points)
     b = np.asarray(values, dtype=complex)
     d = Z.shape[-1] + 1
     if Z.ndim < 2 or b.shape != Z.shape[:-1]:
@@ -280,7 +280,7 @@ def fit_operator(points, values):
         raise DomainError(f"fitting (n+1)^2 = {d * d} entries needs as many points, got {Z.shape[-2]}")
     zh = extended_point(Z)
     rows = (zh.conj()[..., :, None] * zh[..., None, :]).reshape(Z.shape[:-1] + (d * d,))
-    rhs = b * (1.0 - _dots(Z, Z).real)
+    rhs = b * gaps
     Q, R = np.linalg.qr(rows)
     sol = np.linalg.solve(R, (Q.conj().swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
     return sol.reshape(sol.shape[:-1] + (d, d))

@@ -44,11 +44,11 @@ from .algebra import is_self_adjoint
 from .errors import DomainError
 from .geometry import (
     BallPoint,
-    _check_points,
     _matvec,
     _paired_points,
     _points_result,
     _result,
+    _vectors,
 )
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, _as_times, mat_exp
@@ -143,7 +143,7 @@ def disc_evolve_closed(g, z, t):
     check `BallPoint` makes.
     """
     times = _as_times(np.asarray(t, dtype=float))
-    z = _check_points(np.asarray(z, dtype=complex)[..., None])[..., 0]
+    z = _vectors(np.asarray(z, dtype=complex)[..., None])[0][..., 0]
     a, b = np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex)
     try:
         shape = np.broadcast_shapes(a.shape, b.shape, z.shape, times.shape)
@@ -204,7 +204,7 @@ def schrodinger_evolve(gen, z, t):
     if H.ndim > 2 and times.ndim:
         raise DomainError("a stack of Hamiltonians takes one scalar time")
     # the points pair with the times, or with the stack of Hamiltonians
-    Z = _paired_points(times.shape or H.shape[:-2], z, H.shape[-1])
+    Z, _ = _paired_points(times.shape or H.shape[:-2], z, H.shape[-1])
     lam, V = np.linalg.eigh(H)
     coeffs = _matvec(V.conj().swapaxes(-1, -2), Z)
     phases = np.exp(-1j * (times[..., None] * lam))
@@ -247,7 +247,7 @@ def trajectory(generator, z0, t_max, dt):
         if isinstance(generator, DiscGenerator):
             if z0.dim != 1:
                 raise DomainError("disc generators act on the one-dimensional ball")
-            points = _check_points(disc_evolve_closed(generator, z0.vector[0], times)[:, None])
+            points = _vectors(disc_evolve_closed(generator, z0.vector[0], times)[:, None])[0]
         elif isinstance(generator, HamiltonianGenerator):
             points = schrodinger_evolve(generator, z0, times)
         elif isinstance(generator, ExtendedOperator):

@@ -28,13 +28,14 @@ equivalently tanh d(u,v) = s/m.  The identity
 m^2 - s^2 = (1 - ||u||^2)(1 - ||v||^2) keeps m - s strictly positive on
 the open ball, and `distance` evaluates m - s through it so that nothing
 cancels near the rim.  The rim gaps 1 - ||z||^2 it needs are stored on
-each point: `BallPoint.gap`, computed once when the point is made.  The radicand of s is evaluated as a sum of
-non-negative terms in w = u - v (see `_distance_parts`), so nothing
-cancels for nearby points either.  m and s are invariant under the Moebius
-transport group as well as under unitary and antiunitary maps, which is
-what makes d the geodesic distance of the metric above.  When <u|v> happens to be real
-both quantities reduce to 1 - <u|v> and the familiar real-part form of
-the formula.
+each point: `BallPoint.gap`, computed once when the point is made.  The
+radicand of s is evaluated as a sum of non-negative terms in w = u - v
+(see `_distance_parts`), so nothing cancels for nearby points either.
+m and s are invariant under the Moebius transport group as well as
+under unitary and antiunitary maps, which is what makes d the geodesic
+distance of the metric above.  When <u|v> happens to be real both
+quantities reduce to 1 - <u|v> and the familiar real-part form of the
+formula.
 
 The kernels of this module and of `isometries`, `algebra` and `dynamics`
 each have one formula body written over leading axes: points lie along
@@ -43,11 +44,15 @@ axes before those broadcast.  A single object is the case with no
 leading axes.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
 and the result wrapped on exit, so a single point gives a `BallPoint`,
 an operator an `ExtendedOperator` and a scalar a Python float or
-complex.  Every point of an array passes the check `BallPoint` makes,
-and one bad point raises DomainError for the whole array.  `distance`,
-`tanh_distance` and the other helpers that take `BallPoint`s only, and
-`dynamics.trajectory`, are the exceptions; `disc_evolve_closed`, whose
-points are complex numbers, broadcasts them elementwise instead.
+complex.  `distance`, `tanh_distance` and the other helpers that take
+`BallPoint`s only, and `dynamics.trajectory`, are the exceptions;
+`disc_evolve_closed`, whose points are complex numbers, broadcasts them
+elementwise instead.  A point is inside when it is finite and
+<z|z> < (1 - BOUNDARY_MARGIN)^2, <z|z> having the bits of np.vdot: one
+rule, which `BallPoint` applies to a vector and `_check_points` to each
+point of an array, where one bad point raises DomainError for the whole
+array.  The kernels read the rim gap 1 - <z|z> from that check, or a
+point's stored `gap`.
 """
 
 import math
@@ -59,7 +64,6 @@ from .errors import DomainError
 
 BOUNDARY_MARGIN = 1e-12
 _LIMIT_SQ = (1.0 - BOUNDARY_MARGIN) ** 2
-_EPS = float(np.finfo(float).eps)
 # Constant holomorphic sectional curvature of the ball, and the scale
 # constant tied to it by c = 2/hbar.
 CURVATURE = -2.0
@@ -69,38 +73,32 @@ NORM_MATCH_TOL = 1e-10
 
 
 def _check_points(z):
-    """z, a complex vector or an array of points along its last axis,
-    once every point is finite with norm below 1 - BOUNDARY_MARGIN.  A
-    single bad point raises DomainError for the whole array; the error's
-    `row` is the index of the first bad point over the flattened leading
-    axes, and the norm in its message is that point's."""
-    if not np.isfinite(z).all():
-        err = DomainError("point has non-finite entries")
-        err.row = int(np.argmax(~np.isfinite(z).all(axis=-1))) if z.ndim > 1 else 0
-        raise err
-    limit = 1.0 - BOUNDARY_MARGIN
-    if z.ndim == 1:
-        norm = np.linalg.norm(z)
-        if norm < limit:
-            return z
-        row = 0
-    else:
-        norms = np.linalg.norm(z, axis=-1)
-        if norms.size == 0 or norms.max() < limit:
-            return z
-        row = int(np.argmax(norms >= limit))
-        norm = norms.flat[row]
-    err = DomainError(f"point with norm {norm:.17g} is outside the open ball")
+    """The rim gaps 1 - <z|z> of z, points along its last axis, once every
+    point is inside (<z|z> < _LIMIT_SQ, by `_dots`); one that is not
+    raises DomainError for the whole array (`_reject`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = _dots(z, z).real
+    if not (sq < _LIMIT_SQ).all():
+        _reject(z, sq)
+    return 1.0 - sq
+
+
+def _reject(z, sq):
+    """Raise DomainError for points z, of squared norms sq, not all inside.
+    Its `row` is the first non-finite point over the flattened leading
+    axes, or if none the first outside, and its message gives that
+    point's norm as np.linalg.norm takes it of a vector or of a stack."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(z).all(axis=-1)
+        if z.ndim == 1:
+            row, norm = 0, np.linalg.norm(z)
+        else:
+            row = int(np.argmax(~finite if not finite.all() else ~(sq < _LIMIT_SQ)))
+            norm = np.linalg.norm(z, axis=-1).flat[row]
+    err = DomainError(f"point with norm {norm:.17g} is outside the open ball"
+                      if finite.all() else "point has non-finite entries")
     err.row = row
     raise err
-
-
-def _as_points(z):
-    """An array of points (last axis) as a validated complex array."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim < 1:
-        raise DomainError("points need at least one axis")
-    return _check_points(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +106,8 @@ class BallPoint:
     """An interior point of the unit ball, ||z|| < 1.
 
     `vector` is a read-only copy of the input, so the point cannot change
-    after it is checked, and `gap` is its rim gap 1 - ||z||^2, taken as
-    1 - <z|z> once here.  The squared norm that gives the gap also
-    decides the check: a point whose <z|z> lies clearly inside the
-    margin needs nothing more, and any other goes through the same check
-    as an array of points, with the same verdict, message and `row`.
+    after it is checked, and `gap` is its rim gap 1 - <z|z>.  It is
+    inside by the rule of `_check_points`, with <z|z> of the same bits.
     """
 
     vector: np.ndarray
@@ -125,11 +120,8 @@ class BallPoint:
                 raise DomainError(f"a point is a vector, got ndim {v.ndim}")
             v = v.reshape(1)
         sq = float(np.vdot(v, v).real)
-        # <z|z> and the norm the array check takes differ by a few
-        # roundings per entry, so below this bound both accept; NaN,
-        # inf and overflow fail the comparison and take the full check
-        if not sq < _LIMIT_SQ * (1.0 - 4.0 * (v.size + 2) * _EPS):
-            _check_points(v)
+        if not sq < _LIMIT_SQ:
+            _reject(v, sq)
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "gap", 1.0 - sq)
@@ -176,21 +168,26 @@ class TangentVector:
 
 
 def _vectors(z):
-    """The vector of a BallPoint, which is validated already, or z as a
-    validated array of points along its last axis."""
-    return z.vector if isinstance(z, BallPoint) else _as_points(z)
+    """(points, rim gaps): a BallPoint's vector and stored gap, or z as a
+    validated array of points along its last axis and its gaps."""
+    if isinstance(z, BallPoint):
+        return z.vector, z.gap
+    z = np.asarray(z, dtype=complex)
+    if z.ndim < 1:
+        raise DomainError("points need at least one axis")
+    return z, _check_points(z)
 
 
 def _paired_points(lead, z, n):
-    """z as validated points of dimension n whose leading axes broadcast
+    """`_vectors` of z, points of dimension n whose leading axes broadcast
     against the leading axes `lead` of an array of matrices."""
-    Z = _vectors(z)
+    Z, gaps = _vectors(z)
     if Z.shape[-1] != n:
         raise DomainError("operator and point dimensions differ")
     zlead = Z.shape[:-1]
     if lead != zlead and not all(a == b or 1 in (a, b) for a, b in zip(lead[::-1], zlead[::-1])):
         raise DomainError(f"leading axes {lead} and {zlead} do not broadcast")
-    return Z
+    return Z, gaps
 
 
 def _result(x):
@@ -201,7 +198,7 @@ def _result(x):
 def _points_result(w, single):
     """Images of points: a BallPoint for a single point, otherwise the
     validated array."""
-    return BallPoint(w) if single and w.ndim == 1 else _check_points(w)
+    return BallPoint(w) if single and w.ndim == 1 else _vectors(w)[0]
 
 
 def _dots(a, b):
@@ -228,8 +225,7 @@ def k_factor(z):
     An array of points along its last axis gives the array of factors;
     one point outside the ball raises DomainError.
     """
-    Z = _vectors(z)
-    return _result(1.0 / (1.0 - _dots(Z, Z).real))
+    return _result(np.divide(1.0, _vectors(z)[1]))
 
 
 def metric(z, s, t):
@@ -358,12 +354,16 @@ def sectional_curvature_probe(z, u, step=1e-4):
     """
     from . import isometries  # the two modules reference each other
 
-    Z = _vectors(z)
-    U = np.atleast_1d(np.asarray(u, dtype=complex))
+    Z, _ = _vectors(z)
+    U = np.array(u, dtype=complex, ndmin=1)
     if U.shape != Z.shape:
         raise DomainError(f"need points and directions of one shape, got {Z.shape} and {U.shape}")
-    if not (np.linalg.norm(U, axis=-1) > 0.0).all():
+    # the probe reads u/||u||: u scaled exactly by a power of two to unit
+    # size, as in `algebra._scaled`, neither overflows nor underflows
+    top = np.abs(U.view(float)).max(axis=-1)
+    if not (np.isfinite(top) & (top > 0.0)).all():
         raise DomainError("curvature probe needs finite nonzero directions")
+    U = np.ldexp(U.view(float), -np.frexp(top)[1][..., None]).view(complex)
     back = isometries.inverse(isometries.transport_from_origin(Z))
     pushed = _matvec(isometries.mobius_differential(back, Z), U)
     direction = pushed / np.linalg.norm(pushed, axis=-1)[..., None]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _dots, _matvec, _paired_points, _points_result, _vectors
+from .geometry import BallPoint, _matvec, _paired_points, _points_result, _vectors
 from .numerics import _as_complex_matrix, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
@@ -112,9 +112,9 @@ def _matrices(T):
 
 def _operands(T, z):
     """Validated matrices, n, and validated points of dimension n whose
-    leading axes broadcast against the matrices'."""
+    leading axes broadcast against the matrices', with their rim gaps."""
     M, n = _matrices(T)
-    return M, n, _paired_points(M.shape[:-2], z, n)
+    return (M, n) + _paired_points(M.shape[:-2], z, n)
 
 
 def epsilon_matrix(dim):
@@ -203,7 +203,7 @@ def mobius_apply(T, z):
     one operator gives a BallPoint.  One degenerate denominator, or one
     point or image outside the ball, raises DomainError.
     """
-    M, n, Z = _operands(T, z)
+    M, n, Z, _ = _operands(T, z)
     W = _moved(M, n, Z)
     return _points_result(W[..., :n] / W[..., n, None], isinstance(z, BallPoint))
 
@@ -213,7 +213,7 @@ def mobius_differential(T, z):
     Jacobians over the leading axes of arrays of matrices and points.
     Each factor of the rank-one term is divided by the denominator on its
     own, so that a tiny or huge member forms no square of it."""
-    M, n, Z = _operands(T, z)
+    M, n, Z, _ = _operands(T, z)
     W = _moved(M, n, Z)
     den = W[..., n, None, None]
     return M[..., :n, :n] / den - (W[..., :n, None] / den) * (M[..., n, None, :n] / den)
@@ -229,9 +229,9 @@ def transport_from_origin(u):
     An array of points along its last axis gives the array of their
     transports.
     """
-    U = _vectors(u)
+    U, gaps = _vectors(u)
     n = U.shape[-1]
-    m = 1.0 / np.sqrt(1.0 - _dots(U, U).real)
+    m = 1.0 / np.sqrt(gaps)
     Uc = U.conj()
     T = np.empty(U.shape[:-1] + (n + 1, n + 1), dtype=complex)
     T[..., :n, :n] = np.eye(n) + (m * m / (m + 1.0))[..., None, None] * (U[..., :, None] * Uc[..., None, :])
@@ -276,7 +276,7 @@ def mirror_apply(F, z):
     mirror gives a BallPoint.  One point or image outside the ball
     raises DomainError.
     """
-    Z = _paired_points(F.A.shape[:-2], z, F.A.shape[-1])
+    Z, _ = _paired_points(F.A.shape[:-2], z, F.A.shape[-1])
     return _points_result(_matvec(F.A, Z) + _matvec(F.B, Z.conj()), isinstance(z, BallPoint))
 
 

@@ -143,6 +143,16 @@ def test_disc_rejects_boundary():
         assert str(disc.value) == str(ball.value)
 
 
+@pytest.mark.parametrize("z, message", [
+    (1e200, "point with norm inf is outside the open ball"),
+    (complex(0.0, np.inf), "point has non-finite entries"),
+])
+def test_disc_rejects_huge_points_without_a_warning(z, message):
+    with pytest.raises(DomainError) as caught:
+        disc_evolve_closed(DiscGenerator(0.3, 0.8), z, 1.0)
+    assert str(caught.value) == message
+
+
 def test_generators_sit_in_lie_algebra(rng):
     for g in disc_generators():
         assert lie_algebra_check(g.extended()).defect < 1e-13

@@ -289,6 +289,17 @@ def test_curvature_constant_minus_two(rng):
     assert worst < 1e-3
 
 
+def test_curvature_probe_reads_directions_of_any_size(rng):
+    # the probe reads u / ||u||, so 2^k u gives u's bits at any scale
+    z, u = random_point(rng, 3, 0.8), cgauss(rng, 3)
+    want = sectional_curvature_probe(z, u)
+    for k in (-1000, -600, 600, 1000):
+        assert sectional_curvature_probe(z, u * 2.0 ** k).hex() == want.hex()
+    for bad in ([0.0, 0.0, 0.0], [0.1, np.nan, 0.0], [0.1, 0.0, complex(0.0, np.inf)]):
+        with pytest.raises(DomainError, match="finite nonzero directions"):
+            sectional_curvature_probe(z, np.array(bad, dtype=complex))
+
+
 def test_curvature_default_step_defect(rng):
     # the default step is the minimum of scripts/curvature_scan.py, where
     # the stencil's O(step^2) bias meets roundoff
@@ -343,34 +354,64 @@ def test_ball_point_validation():
 MARGIN_NORM = 1.0 - geometry.BOUNDARY_MARGIN
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("entries, message", [
     ([0.1, np.nan], "point has non-finite entries"),
     ([complex(0.0, np.inf), 0.2], "point has non-finite entries"),
     ([1e200, 0.0], "point with norm inf is outside the open ball"),
     ([MARGIN_NORM, 0.0], "point with norm %.17g is outside the open ball" % MARGIN_NORM),
     ([0.6, 0.8j], "point with norm 1 is outside the open ball"),
+    ([0.1, complex(0.0, np.inf)], "point has non-finite entries"),
+    ([0.1, 1e200], "point with norm inf is outside the open ball"),
 ])
 def test_ball_point_rejections_keep_their_messages(entries, message):
+    # one DomainError and no numpy warning, alone or as row 1 of a stack
     with pytest.raises(DomainError) as caught:
         BallPoint(np.array(entries, dtype=complex))
     assert str(caught.value) == message and caught.value.row == 0
+    with pytest.raises(DomainError) as caught:
+        k_factor(np.array([[0.1, 0.2], entries], dtype=complex))
+    assert str(caught.value) == message and caught.value.row == 1
 
 
-def test_ball_point_accepts_exactly_what_the_norm_check_accepts(rng):
-    # points within a few ulps of the margin: the verdict is the one
-    # np.linalg.norm gives, though the rim gap comes from <z|z>
+def _outcome(call):
+    try:
+        return call()
+    except DomainError:
+        return "rejected"
+
+
+def test_single_points_and_stacks_share_one_inside_rule(rng):
+    # points within 40 ulps of the margin: a single point, a stack and a
+    # map's image are inside exactly when <z|z> < _LIMIT_SQ, by np.vdot,
+    # and each reads the gap 1 - <z|z>
+    wrong = []
     for dim in (1, 2, 4, 16, 33):
-        for _ in range(400):
-            w = cgauss(rng, dim)
-            v = MARGIN_NORM * (1.0 + 1.1e-16 * rng.integers(-40, 40)) * w / np.linalg.norm(w)
-            inside = bool(np.linalg.norm(v) < MARGIN_NORM)
-            try:
-                p = BallPoint(v)
-            except DomainError:
-                assert not inside
-            else:
-                assert inside and p.gap.hex() == (1.0 - float(np.vdot(v, v).real)).hex()
+        ident = isometries.ExtendedOperator.identity(dim)
+        W = cgauss(rng, (1000, dim))
+        V = (MARGIN_NORM * (1.0 + 1.1e-16 * rng.integers(-40, 40, (1000, 1)))
+             * W / np.linalg.norm(W, axis=-1, keepdims=True))
+        for v in V:
+            sq = float(np.vdot(v, v).real)
+            gap, inside = 1.0 - sq, sq < geometry._LIMIT_SQ
+            got = (_outcome(lambda: BallPoint(v).gap.hex()),
+                   _outcome(lambda: k_factor(v[None])[0].hex()),
+                   _outcome(lambda: isometries.mobius_apply(ident, v[None]).tobytes()))
+            want = (gap.hex(), (1.0 / gap).hex(), v.tobytes()) if inside else ("rejected",) * 3
+            if got != want:
+                wrong.append((dim, v))
+    assert wrong == []
+
+
+def test_stacked_evaluate_and_differential_check_points_once(rng, monkeypatch):
+    checked = []
+    check = geometry._check_points
+    monkeypatch.setattr(geometry, "_check_points", lambda z: checked.append(z.shape) or check(z))
+    C = cgauss(rng, (6, 4, 4))
+    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
+    for kernel in (algebra.evaluate, algebra.holo_differential):
+        checked.clear()
+        kernel(C, Z)
+        assert checked == [Z.shape]
 
 
 def test_ball_point_holds_a_read_only_copy():

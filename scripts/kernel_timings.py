@@ -41,7 +41,9 @@ times and the ratio of this tree's time to its; the fresh interpreters
 of the import row alternate between the two trees too.  A verify
 property that package lacks reads `-` there.  That package must take
 the same stacks: one whose `mirror_apply` or `disc_evolve_closed` takes
-single objects only cannot run their stacked calls.
+single objects only cannot run their stacked calls.  Its modules are
+out of sys.modules while it runs, so it must import them at load time: a
+lazy import inside one fails that call.
 
     python3 scripts/kernel_timings.py --dims 1 4 16 --trials 200
     python3 scripts/kernel_timings.py --against ../parent-checkout
@@ -81,18 +83,15 @@ def owned():
 
 def load_package(src):
     """The MODULES of the hilbertball package under `src`, imported
-    apart from any copy already loaded, and all of that package's
-    sys.modules entries, which code that imports lazily needs in place
-    while it runs."""
+    apart from any copy already loaded."""
     held = owned()
     sys.path.insert(0, str(src))
     try:
-        mods = {name: importlib.import_module("hilbertball." + name) for name in MODULES}
+        return {name: importlib.import_module("hilbertball." + name) for name in MODULES}
     finally:
         sys.path.remove(str(src))
-        entries = owned()
+        owned()
         sys.modules.update(held)
-    return mods, entries
 
 
 def round_count(fn):
@@ -261,32 +260,12 @@ def cli_cases(mods, operator_file):
     return (("cli norm b", NORM_DIM, norm_b),)
 
 
-def in_place(entries, fn):
-    """`fn`, called with `entries`, its package's sys.modules entries, in
-    place of any others of those names, for the modules it imports
-    lazily."""
-    def call():
-        held = {name: sys.modules.get(name) for name in entries}
-        sys.modules.update(entries)
-        try:
-            return fn()
-        finally:
-            sys.modules.update(held)
-            for name in [name for name, module in held.items() if module is None]:
-                del sys.modules[name]
-
-    return call
-
-
-def verify_cases(package, dim, trials):
+def verify_cases(mods, dim, trials):
     """{property: one `run_property` call} on one package, at dim and
-    trials; its modules stand in sys.modules during each call, since
-    `geometry.sectional_curvature_probe` imports `isometries` lazily.
-    DomainError for a dim or trial count verify rejects."""
-    mods, entries = package
+    trials.  DomainError for a dim or trial count verify rejects."""
     verify = mods["verify"]
     cfg = verify.VerifyConfig(dim, trials, seed=SEED)
-    return {name: in_place(entries, lambda index=index: verify.run_property(index, cfg))
+    return {name: lambda index=index: verify.run_property(index, cfg)
             for index, (_, name, _, _) in enumerate(verify.PROPERTIES)}
 
 
@@ -337,12 +316,12 @@ def main():
     print(head)
     for dim in args.dims:
         arrays = draw(dim, rng)
-        for cases_row in zip(*(cases(mods, arrays) for mods, _ in packages)):
+        for cases_row in zip(*(cases(mods, arrays) for mods in packages)):
             single = per_call_us([case[1] for case in cases_row])
             stacked = per_call_us([case[2] for case in cases_row]) if cases_row[0][2] else [None] * 2
             print(row(cases_row[0][0], dim, single, stacked))
         try:
-            tables = [verify_cases(package, dim, args.trials) for package in packages]
+            tables = [verify_cases(mods, dim, args.trials) for mods in packages]
         except ValueError as err:
             print("# no verify rows at dim %d: %s" % (dim, err))
             continue
@@ -352,10 +331,10 @@ def main():
     C = draw_operator(np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:
         operator_file = os.path.join(tmp, "operator.json")
-        packages[0][0]["serialize"].save_matrix(operator_file, C)
+        packages[0]["serialize"].save_matrix(operator_file, C)
         rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
                      + csv_cases(mods, draw_csv(np.random.default_rng(SEED)))
-                     + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods, _ in packages))
+                     + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods in packages))
         timed = [(cases_row[0][0], cases_row[0][1], per_call_us([case[2] for case in cases_row]))
                  for cases_row in rows]
     timed.append(("import hilbertball.cli", "-", import_us(srcs)))

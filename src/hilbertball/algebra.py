@@ -241,9 +241,11 @@ def kahler_condition_check(C, z):
     """Defect of the degree-(1,1) property of (1 - ||z||^2) f_C.
 
     The rescaled function is exactly a + <y|z> + <z|x> + <z|Az>, so both
-    pure second derivatives vanish identically and the finite-difference
-    defect, taken with step 1e-4 along FD_DIRECTIONS fixed directions, is
-    pure roundoff noise (~1e-8).
+    pure second derivatives vanish identically and the stencil has no
+    truncation error: the defect, taken along FD_DIRECTIONS fixed
+    directions, is rounding divided by the step squared.  So the step is
+    as large as the ball allows, min(0.05, (1 - ||z||)/2), which keeps
+    every stencil point inside; the defect then reads about 1e-13.
     """
     n = z.dim
     rng = np.random.default_rng(0xD1F)
@@ -256,7 +258,7 @@ def kahler_condition_check(C, z):
         p = BallPoint(vec)
         return evaluate(C, p) * p.gap
 
-    return second_degree_defect(rescaled, z.vector, 1e-4, dirs)
+    return second_degree_defect(rescaled, z.vector, min(0.05, 0.5 * (1.0 - z.norm())), dirs)
 
 
 def fit_operator(points, values):

@@ -5,12 +5,14 @@ operators travel in the shared JSON matrix format; trajectories leave as
 CSV.  Every command is deterministic given its flags and seed, floats
 print with 17 significant digits, and the exit code tells the caller
 what went wrong: 0 success, 1 verification failure, 2 unparseable
-input, 3 domain violation.
+input, 3 domain violation, 4 standard output closed by its reader
+(`verify all | head`), which ends the command without a traceback.
 """
 
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -231,13 +233,23 @@ def _is_number(text):
 def main(argv=None):
     args = build_parser().parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so that the
+        # interpreter's own flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
 
 
 if __name__ == "__main__":

@@ -195,17 +195,9 @@ def real_projection(basis):
 #
 # For a scalar function g of one complex step s, the holomorphic and
 # antiholomorphic derivatives are d = (d/dx - i d/dy)/2 and
-# dbar = (d/dx + i d/dy)/2, realized by central differences in the four
-# axis directions.  The second derivatives use the standard 9-point data.
+# dbar = (d/dx + i d/dy)/2.  Their second derivatives d^2 and dbar^2 are
+# realized by central differences on the standard 9-point data.
 # ---------------------------------------------------------------------------
-
-def wirtinger_first(g, h=1e-4, conjugate=False):
-    gx = (g(h) - g(-h)) / (2.0 * h)
-    gy = (g(1j * h) - g(-1j * h)) / (2.0 * h)
-    if conjugate:
-        return 0.5 * (gx + 1j * gy)
-    return 0.5 * (gx - 1j * gy)
-
 
 def wirtinger_second(g, h=1e-4, conjugate=False):
     g0 = g(0.0)

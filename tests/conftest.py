@@ -52,6 +52,18 @@ def rows_close(stacked, singles, rel=1e-15):
     return a.shape == b.shape and np.abs(a - b).max() <= rel * np.abs(b).max()
 
 
+def wirtinger_first(g, h=1e-4, conjugate=False):
+    """The holomorphic derivative (d/dx - i d/dy)/2 at s = 0 of a scalar
+    function g of one complex step s, or with `conjugate` the
+    antiholomorphic one (d/dx + i d/dy)/2, by central differences of
+    spacing h along the two axes."""
+    gx = (g(h) - g(-h)) / (2.0 * h)
+    gy = (g(1j * h) - g(-1j * h)) / (2.0 * h)
+    if conjugate:
+        return 0.5 * (gx + 1j * gy)
+    return 0.5 * (gx - 1j * gy)
+
+
 def random_point(rng, dim, max_norm=0.9):
     g = cgauss(rng, dim)
     g = g / np.linalg.norm(g)

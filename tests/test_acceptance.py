@@ -216,9 +216,9 @@ def test_curvature_constant():
         z = BallPoint(_points(rng, 4, (), 0.6))
         u = _cgauss(rng, 4)
         worst = max(worst, abs(geometry.sectional_curvature_probe(z, u) - geometry.CURVATURE))
-    ok = worst <= 1e-6
+    ok = worst <= 1e-8
     _report(9, "holomorphic sectional curvature -2", ok,
-            "worst defect %.2e (tol 1e-6, 50 probes)" % worst)
+            "worst defect %.2e (tol 1e-8, 50 probes)" % worst)
 
 
 # 10 ------------------------------------------------------------------
@@ -323,13 +323,14 @@ def test_second_degree_certificate():
         return (1.0 - float(np.real(np.vdot(vec, vec)))) * abs(vec[0]) ** 4
 
     # fixed control point with a sizable first coordinate, where the
-    # quartic term cannot hide in the stencil noise
+    # quartic term cannot hide in the stencil noise, at the step 0.05
+    # that kahler_condition_check takes there
     e0 = np.eye(4, dtype=complex)[0]
     zc = np.array([0.5 + 0.1j, -0.2, 0.15j, 0.1])
-    control = algebra.second_degree_defect(quartic, zc, 1e-4, [e0])
-    ok = worst < 1e-5 and control > 1e-3
+    control = algebra.second_degree_defect(quartic, zc, 0.05, [e0])
+    ok = worst < 1e-10 and control > 1e-3
     _report(13, "represented functions are degree two", ok,
-            "worst defect %.2e (tol 1e-5), quartic control %.2e (needs > 1e-3)"
+            "worst defect %.2e (tol 1e-10), quartic control %.2e (needs > 1e-3)"
             % (worst, control))
 
 

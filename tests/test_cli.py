@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -387,14 +390,43 @@ def test_verify_flags_broken_metric(monkeypatch, capsys):
 
 def test_verify_flags_metric_scaled_by_one_part_in_1e5(monkeypatch, capsys):
     # the probed curvature -(1/(2 lambda)) Laplacian(log lambda) scales by
-    # 1/(1 + 1e-5), a defect of 2e-5 where the true metric reads 3.9e-8;
-    # no other geometry property reads the metric's scale
+    # 1/(1 + e) for a metric times 1 + e: a defect of 2e where the true
+    # metric reads 3e-10, so 1 + 1e-8 shows too.  A factor that is 1 for
+    # ||z|| <= 1/2 and 1 + 1e-4 (||z|| - 1/2)^3 beyond shows only to a
+    # probe that reads the metric at the point it is given (about 6e-6).
+    # No other geometry property reads the metric's scale.
     true_metric = geometry.metric
-    monkeypatch.setattr("hilbertball.geometry.metric", lambda z, s, t: (1.0 + 1e-5) * true_metric(z, s, t))
-    rc = cli.main(["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"])
-    assert rc == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["failed_properties"] == ["curvature_constancy"]
+
+    def scaled(e):
+        return lambda z, s, t: (1.0 + e) * true_metric(z, s, t)
+
+    def radial(z, s, t):
+        r = np.linalg.norm(getattr(z, "vector", z), axis=-1)
+        return (1.0 + 1e-4 * np.maximum(r - 0.5, 0.0) ** 3) * true_metric(z, s, t)
+
+    for planted in (scaled(1e-5), scaled(1e-8), radial):
+        monkeypatch.setattr("hilbertball.geometry.metric", planted)
+        rc = cli.main(["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failed_properties"] == ["curvature_constancy"]
+
+
+def test_closed_stdout_exits_4_without_a_traceback():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails whatever its timing
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "hilbertball", "verify", "geometry", "--dim", "1",
+                              "--trials", "2"], stdout=write_end, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert run.returncode == 4
+    assert run.stderr == b""
 
 
 def test_verify_reports_any_exception(monkeypatch, capsys):

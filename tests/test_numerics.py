@@ -18,7 +18,6 @@ from hilbertball.numerics import (
     op_norm,
     real_projection,
     sobol_unit,
-    wirtinger_first,
     wirtinger_second,
 )
 
@@ -350,17 +349,6 @@ def test_real_linear_map_apply(rng):
     P = real_projection(Q[:3] + 1j * Q[3:])
     Z = cgauss(rng, (4, 3))
     assert np.allclose(realified(apply(P, Z)), realified(Z) @ (Q @ Q.T), atol=1e-14)
-
-
-def test_wirtinger_first_on_polynomial():
-    a, b = 0.4 + 0.2j, -0.1 + 0.5j
-
-    def g(s):
-        return (a + s) ** 2 * np.conj(b + s)
-
-    # d/ds at s=0 is 2 a conj(b); d/dsbar is a^2
-    assert abs(wirtinger_first(g) - 2 * a * np.conj(b)) < 5e-8
-    assert abs(wirtinger_first(g, conjugate=True) - a * a) < 5e-8
 
 
 def test_wirtinger_second_on_polynomial():

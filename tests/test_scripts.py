@@ -73,8 +73,8 @@ def test_kernel_timings_cli_case_runs(scripts_path, tmp_path, capsys):
 
 
 def test_kernel_timings_verify_cases_run(scripts_path):
-    # a second copy of the package, as --against loads one, with its
-    # modules in sys.modules during each call only
+    # a second copy of the package, as --against loads one, which leaves
+    # sys.modules as it found it
     kernel_timings = importlib.import_module("kernel_timings")
 
     def loaded():
@@ -82,7 +82,7 @@ def test_kernel_timings_verify_cases_run(scripts_path):
 
     before = loaded()
     package = kernel_timings.load_package(SCRIPTS.parent / "src")
-    assert package[0]["verify"] is not verify
+    assert package["verify"] is not verify
     calls = kernel_timings.verify_cases(package, 1, 2)
     assert list(calls) == [name for _, name, _, _ in verify.PROPERTIES]
     for name, call in calls.items():

@@ -29,21 +29,24 @@ median wall time of IMPORT_RUNS fresh interpreters that import the CLI,
 start-up included.  Each dimension ends with one row per property of
 `hilbertball.verify`: the median over VERIFY_ROUNDS rounds of the time
 of one `run_property` call at that dimension, `--trials` trials and
-seed SEED (stacked column `-`); the verdict is the report's, not this
-table's.  verify takes dims 1..16 only, so a larger dimension has no
-such rows.  Inputs come from a fixed seed; the timings are taken here,
-outside any report.
+seed SEED (stacked column `-`), or `err` where that call's result
+carries an error, which is then not timed; the verdict is the report's,
+not this table's.  verify takes dims 1..16 only, so a larger dimension
+has no such rows.  Inputs come from a fixed seed; the timings are taken
+here, outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
 the same load on the host, and each row also gives that package's
 times and the ratio of this tree's time to its; the fresh interpreters
-of the import row alternate between the two trees too.  A verify
-property that package lacks reads `-` there.  That package must take
-the same stacks: one whose `mirror_apply` or `disc_evolve_closed` takes
-single objects only cannot run their stacked calls.  Its modules are
-out of sys.modules while it runs, so it must import them at load time: a
-lazy import inside one fails that call.
+of the import row alternate between the two trees too.  A
+`trajectory_csv` row whose text differs between the two trees ends in
+`differs`.  A verify property that package lacks reads `-` there.
+That package must take the same stacks: one whose `mirror_apply` or
+`disc_evolve_closed` takes single objects only cannot run their stacked
+calls.  Its modules are out of sys.modules while it runs, so it must
+import them at load time: a lazy import inside one fails that call,
+and a verify row then reads `err`.
 
     python3 scripts/kernel_timings.py --dims 1 4 16 --trials 200
     python3 scripts/kernel_timings.py --against ../parent-checkout
@@ -284,16 +287,34 @@ def import_us(srcs):
     return [1e6 * statistics.median(runs) for runs in spans]
 
 
+def verify_times(calls):
+    """Per tree, the time of its verify call (None, a tree that lacks the
+    property), or `err` for a tree whose `run_property` result carries
+    an error: a failing call is not timed as if it were a result."""
+    ran = [call is not None and call().error is None for call in calls]
+    spans = iter(per_call_us([call for call, ok in zip(calls, ran) if ok], VERIFY_ROUNDS))
+    return [next(spans) if ok else None if call is None else "err" for call, ok in zip(calls, ran)]
+
+
+def same_output(calls):
+    """Whether the calls, one per tree, all return what the first does."""
+    first = calls[0]()
+    return all(call() == first for call in calls[1:])
+
+
 def row(name, dim, single, stacked=(None, None)):
     """One table line: this tree's time per call on single objects and on
     stacks, then with --against (a second time in `single`) the other
-    tree's and the ratios.  A time that is None reads `-`."""
+    tree's and the ratios.  A time that is None reads `-`; a string, such
+    as `err`, reads as itself and leaves its ratio `-`."""
     cells = [single[0], stacked[0]]
     if len(single) > 1:
-        cells += [single[1], stacked[1]] + [None if None in pair else pair[0] / pair[1]
-                                            for pair in (single, stacked)]
-    return "%-30s %4s" % (name, dim) + "".join(" %*s" % (width, "-" if x is None else "%.2f" % x)
-                                              for width, x in zip((10, 11, 10, 11, 7, 7), cells))
+        cells += [single[1], stacked[1]] + [
+            pair[0] / pair[1] if all(isinstance(x, float) for x in pair) else None
+            for pair in (single, stacked)]
+    return "%-30s %4s" % (name, dim) + "".join(
+        " %*s" % (width, "-" if x is None else x if isinstance(x, str) else "%.2f" % x)
+        for width, x in zip((10, 11, 10, 11, 7, 7), cells))
 
 
 def main():
@@ -325,9 +346,8 @@ def main():
         except ValueError as err:
             print("# no verify rows at dim %d: %s" % (dim, err))
             continue
-        for name, call in tables[0].items():
-            spans = per_call_us([call] + [table[name] for table in tables[1:] if name in table], VERIFY_ROUNDS)
-            print(row(name, dim, spans + [None] * (len(packages) - len(spans))))
+        for name in tables[0]:
+            print(row(name, dim, verify_times([table.get(name) for table in tables])))
     C = draw_operator(np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:
         operator_file = os.path.join(tmp, "operator.json")
@@ -335,11 +355,16 @@ def main():
         rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
                      + csv_cases(mods, draw_csv(np.random.default_rng(SEED)))
                      + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods in packages))
-        timed = [(cases_row[0][0], cases_row[0][1], per_call_us([case[2] for case in cases_row]))
-                 for cases_row in rows]
-    timed.append(("import hilbertball.cli", "-", import_us(srcs)))
-    for name, dim, spans in timed:
-        print(row(name, dim, spans))
+        timed = []
+        for cases_row in rows:
+            name, dim = cases_row[0][:2]
+            calls = [case[2] for case in cases_row]
+            # the trees must write the same CSV text for its times to compare
+            differs = name == "trajectory_csv" and not same_output(calls)
+            timed.append((name, dim, per_call_us(calls), "  differs" if differs else ""))
+    timed.append(("import hilbertball.cli", "-", import_us(srcs), ""))
+    for name, dim, spans, note in timed:
+        print(row(name, dim, spans) + note)
 
 
 if __name__ == "__main__":

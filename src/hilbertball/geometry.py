@@ -88,12 +88,17 @@ def _reject(z, sq):
     Its `row` is the first non-finite point over the flattened leading
     axes, or if none the first outside, and its message gives that
     point's norm as sqrt(sq), so a point rejected at the margin never
-    prints a norm below 1 - BOUNDARY_MARGIN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(z).all(axis=-1)
-        row = 0 if z.ndim == 1 else int(np.argmax(~finite if not finite.all() else ~(sq < _LIMIT_SQ)))
+    prints a norm below 1 - BOUNDARY_MARGIN.  Nothing here warns, even
+    for huge or non-finite points, so it needs no np.errstate."""
+    if z.ndim == 1:
+        # a finite sq has finite entries; huge finite ones give sq = inf
+        row, finite = 0, math.isfinite(sq) or bool(np.isfinite(z).all())
+    else:
+        finite_rows = np.isfinite(z).all(axis=-1)
+        finite = bool(finite_rows.all())
+        row = int(np.argmax(~(sq < _LIMIT_SQ) if finite else ~finite_rows))
     err = DomainError(f"point with norm {math.sqrt(np.ravel(sq)[row]):.17g} is outside the open ball"
-                      if finite.all() else "point has non-finite entries")
+                      if finite else "point has non-finite entries")
     err.row = row
     raise err
 

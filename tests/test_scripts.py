@@ -98,3 +98,24 @@ def test_kernel_timings_rows_read_dash_for_missing_times(scripts_path):
     assert row("p", 1, [2.0, None]).split() == ["p", "1", "2.00", "-", "-", "-", "-", "-"]
     assert row("k", 4, [3.0, 1.5], [8.0, 2.0]).split() == [
         "k", "4", "3.00", "8.00", "1.50", "2.00", "2.00", "4.00"]
+
+
+def test_kernel_timings_verify_rows_read_err_for_a_failing_call(scripts_path, monkeypatch):
+    kernel_timings = importlib.import_module("kernel_timings")
+    monkeypatch.setattr(kernel_timings, "VERIFY_ROUNDS", 1)
+    monkeypatch.setattr(kernel_timings, "ROUND_SECONDS", 1e-4)
+
+    def result(error):
+        return lambda: verify.PropertyResult("p", "geometry", 1, 0.0, 1.0, True, error)
+
+    times = kernel_timings.verify_times([result("ModuleNotFoundError: no"), result(None)])
+    assert times[0] == "err" and isinstance(times[1], float)
+    assert kernel_timings.verify_times([result(None), None])[1] is None
+    assert kernel_timings.row("p", 1, times).split()[2:] == ["err", "-", "%.2f" % times[1], "-", "-", "-"]
+
+
+def test_kernel_timings_csv_rows_compare_the_trees_text(scripts_path):
+    same_output = importlib.import_module("kernel_timings").same_output
+    assert same_output([lambda: "a,b\n"])
+    assert same_output([lambda: "a,b\n", lambda: "a,b\n"])
+    assert not same_output([lambda: "a,b\n", lambda: "a,c\n"])

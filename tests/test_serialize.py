@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hilbertball import serialize
 from hilbertball.errors import ParseError
 from hilbertball.serialize import (
     dumps,
@@ -117,6 +119,83 @@ def test_trajectory_csv_equals_per_row_formatting(rng, samples, dim):
     flat = points.reshape(-1)
     flat[:special.size] = special[:flat.size] + 1j * special[::-1][:flat.size]
     assert trajectory_csv(times, points) == per_row_csv(times, points)
+
+
+def fields_csv(values):
+    """The values as the fields of a dim-1 trajectory, in order (padded
+    with zeros to whole rows), through `trajectory_csv` and through
+    `per_row_csv`."""
+    values = np.asarray(values, dtype=float)
+    rows = np.concatenate([values, np.zeros(-values.size % 3)]).reshape(-1, 3)
+    times, points = rows[:, 0], rows[:, 1:2] + 1j * rows[:, 2:3]
+    return trajectory_csv(times, points), per_row_csv(times, points)
+
+
+def signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def ulps(values, count):
+    """Each value and its neighbours up to `count` ulps away on each side."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        step = out[0]
+        for _ in range(count):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def test_csv_fields_at_every_decimal_exponent():
+    # k = -4..14 is where %.17g writes fixed notation and the kernel
+    # works; 1e-4 and 1e15 are its edges
+    rng = np.random.default_rng(5)
+    mantissas = np.concatenate([[1.0, 1.5, 2.0, 9.5, 9.999], rng.uniform(1.0, 10.0, 20)])
+    values = (mantissas[:, None] * 10.0 ** np.arange(-6, 17)).ravel()
+    a, b = fields_csv(signed(ulps(np.concatenate([values, [1e-4, 1e15]]), 2)))
+    assert a == b
+
+
+def test_csv_fields_near_powers_of_ten():
+    powers = 10.0 ** np.arange(-5, 16)
+    # 1 - j 2^-53 and its neighbours round up to the next decade at 17
+    # digits
+    below = (1.0 - np.arange(1, 40)[:, None] * 2.0 ** -53) * powers
+    a, b = fields_csv(signed(np.concatenate([ulps(powers, 5), ulps(below.ravel(), 1)])))
+    assert a == b
+    assert "\n1,0.001,0.01\n" in fields_csv([0.0, 0.0, 0.0, 1.0, 1e-3, 1e-2])[0]
+
+
+def test_csv_fields_at_ties_and_signed_zero():
+    rng = np.random.default_rng(6)
+    # M 2^-j whose digits stop at or past the 17th, among them exact
+    # halfway cases such as 1e14 + 0.125
+    dyadic = np.ldexp(rng.integers(1, 2 ** 53, 2000).astype(float), rng.integers(-60, 0, 2000))
+    ties = 10.0 ** np.arange(0, 15) + 0.125
+    a, b = fields_csv(signed(np.concatenate([dyadic, ties, np.arange(-500, 500) * 0.005,
+                                             np.arange(1000) * 0.01, [0.0, -0.0]])))
+    assert a == b
+    assert fields_csv([1e14 + 0.125, -0.0, 0.0])[0].endswith("\n100000000000000.12,0,0\n")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("dim", [1, 8, 16])
+def test_csv_across_block_edges(rng, dim, offset):
+    # block_rows whole rows fit in one block of fields; one more row
+    # starts the next
+    samples = serialize._CSV_BLOCK // (2 * dim + 1) + offset
+    times = np.arange(samples) * 0.002
+    points = (rng.standard_normal((samples, dim)) * 10.0 ** rng.uniform(-6, 3, (samples, dim))
+              + 1j * rng.standard_normal((samples, dim)))
+    assert trajectory_csv(times, points) == per_row_csv(times, points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_csv_fields_equal_percent_formatting(values):
+    a, b = fields_csv(values)
+    assert a == b
 
 
 def test_trajectory_csv_columns_follow_dimension():

@@ -1,20 +1,22 @@
 """Median per-call time of the layer kernels, on single objects and stacks.
 
-Times `evaluate`, `star_operator`, `star_pointwise`, `mobius_apply`,
-`mirror_apply`, `transport_from_origin`, `k_factor`, `metric`,
-`distance`, the `BallPoint` constructor, `mat_exp`, `op_norm`, the
-membership checks `is_inhomogeneous_unitary` and `check_block_conditions`
-(on group members), `lie_algebra_check` (on Lie elements) and
-`is_self_adjoint` (on Hermitian matrices) at each dimension, and
-`disc_evolve_closed`, which acts on the disc, at dimension 1 when 1 is
-among the dimensions.  Each is timed once on
-single objects (`BallPoint`, `ExtendedOperator`, one mirror, one
-`TangentVector` pair, one (dim+1) x (dim+1) matrix, one disc generator
-with one point and one time) and once on stacks of STACK of them (arrays
-over one leading axis), and the script prints the median over REPEATS
-rounds of the time per call in microseconds.  Of these, `distance` and
-the `BallPoint` constructor take single points only, so their stacked
-column reads `-`.  Then come the
+Times `evaluate`, `star_operator`, `star_pointwise`,
+`hamiltonian_field`, `poisson_bracket`, `dispersion` (on Hermitian
+matrices), `kahler_condition_check`, `mobius_apply`, `mirror_apply`,
+`transport_from_origin`, `k_factor`, `metric`, `distance`, the
+`BallPoint` constructor, `mat_exp`, `op_norm`, the membership checks
+`is_inhomogeneous_unitary` and `check_block_conditions` (on group
+members), `lie_algebra_check` (on Lie elements) and `is_self_adjoint`
+(on Hermitian matrices) at each dimension, and `disc_evolve_closed`,
+which acts on the disc, at dimension 1 when 1 is among the dimensions.
+Each is timed once on single objects (`BallPoint`, `ExtendedOperator`,
+one mirror, one `TangentVector` pair, one (dim+1) x (dim+1) matrix, one
+disc generator with one point and one time) and once on stacks of STACK
+of them (arrays over one leading axis), and the script prints the
+median over REPEATS rounds of the time per call in microseconds.  Of
+these, `distance` and the `BallPoint` constructor take single points
+only, so their stacked column reads `-`.  A call that raises is not
+timed, and its cell reads `err`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
 STEPS steps from one point (stacked column `-`), the `trajectory_csv`
@@ -41,12 +43,11 @@ the same load on the host, and each row also gives that package's
 times and the ratio of this tree's time to its; the fresh interpreters
 of the import row alternate between the two trees too.  A
 `trajectory_csv` row whose text differs between the two trees ends in
-`differs`.  A verify property that package lacks reads `-` there.
-That package must take the same stacks: one whose `mirror_apply` or
-`disc_evolve_closed` takes single objects only cannot run their stacked
-calls.  Its modules are out of sys.modules while it runs, so it must
-import them at load time: a lazy import inside one fails that call,
-and a verify row then reads `err`.
+`differs`.  A verify property that package lacks reads `-` there, and
+a stacked call it cannot run, on a kernel that takes single objects
+only, reads `err`.  Its modules are out of sys.modules while it runs,
+so it must import them at load time: a lazy import inside one fails
+that call, and a verify row then reads `err`.
 
     python3 scripts/kernel_timings.py --dims 1 4 16 --trials 200
     python3 scripts/kernel_timings.py --against ../parent-checkout
@@ -98,8 +99,12 @@ def load_package(src):
 
 
 def round_count(fn):
-    """Calls per round: enough for the round to last ROUND_SECONDS."""
-    fn()
+    """Calls per round: enough for the round to last ROUND_SECONDS; None
+    for a call that raises."""
+    try:
+        fn()
+    except Exception:
+        return None
     start = time.perf_counter()
     fn()
     return max(1, int(ROUND_SECONDS / max(time.perf_counter() - start, 1e-7)))
@@ -107,16 +112,20 @@ def round_count(fn):
 
 def per_call_us(fns, repeats=REPEATS):
     """Median over `repeats` rounds of the mean time of one call, in
-    microseconds, for each of `fns`; their rounds alternate."""
+    microseconds, for each of `fns`, or `err` for one whose call raises,
+    such as a stacked call on a tree whose kernel takes single objects
+    only; their rounds alternate."""
     numbers = [round_count(fn) for fn in fns]
     rounds = [[] for _ in fns]
     for _ in range(repeats):
         for fn, number, spans in zip(fns, numbers, rounds):
+            if number is None:
+                continue
             start = time.perf_counter()
             for _ in range(number):
                 fn()
             spans.append((time.perf_counter() - start) / number)
-    return [1e6 * statistics.median(spans) for spans in rounds]
+    return [1e6 * statistics.median(spans) if spans else "err" for spans in rounds]
 
 
 def draw(dim, rng):
@@ -161,6 +170,13 @@ def cases(mods, arrays):
         ("star_operator", lambda: algebra.star_operator(c, cp), lambda: algebra.star_operator(C, Cp)),
         ("star_pointwise", lambda: algebra.star_pointwise(c, cp, z),
          lambda: algebra.star_pointwise(C, Cp, Z)),
+        ("hamiltonian_field", lambda: algebra.hamiltonian_field(c, z),
+         lambda: algebra.hamiltonian_field(C, Z)),
+        ("poisson_bracket", lambda: algebra.poisson_bracket(c, cp, z),
+         lambda: algebra.poisson_bracket(C, Cp, Z)),
+        ("dispersion", lambda: algebra.dispersion(h, z), lambda: algebra.dispersion(H, Z)),
+        ("kahler_condition_check", lambda: algebra.kahler_condition_check(c, z),
+         lambda: algebra.kahler_condition_check(C, Z)),
         ("mobius_apply", lambda: isometries.mobius_apply(t, z), lambda: isometries.mobius_apply(T, Z)),
         ("mirror_apply", lambda: isometries.mirror_apply(f, z), lambda: isometries.mirror_apply(F, Z)),
         ("transport_from_origin", lambda: isometries.transport_from_origin(z),

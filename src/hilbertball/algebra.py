@@ -35,12 +35,12 @@ the two routes are required to agree.  Each estimator reads C scaled
 exactly by a power of two to unit size (`_scaled`), so the norm of 2^k C
 is exactly 2^k times C's at any scale the float range holds.
 
-`evaluate`, its derivatives and both star products take arrays of
-operators and of points over any leading axes as well as single
-objects, with one formula body for both (see `geometry`).  The kernels
-marked `@_finite` raise one DomainError for a value past the float range;
-a kernel built from others calls their unguarded bodies (`__wrapped__`),
-so one guard runs per public call.
+The kernels from `evaluate` to `kahler_condition_check` take arrays of
+operators and of points over any leading axes as well as single objects,
+with one formula body for both (see `geometry`).  The kernels marked
+`@_finite` raise one DomainError for a value past the float range, and
+`star_operator` for a product past it; a kernel built from others calls
+their unguarded bodies (`__wrapped__`), so one guard runs per public call.
 """
 
 import functools
@@ -59,18 +59,12 @@ from .geometry import (
     _matvec,
     _result,
     _vectors,
-    k_factor,
     kahler_form,
     metric,
 )
-from .isometries import ExtendedOperator, _matrices, _operands, _verdict, epsilon_matrix, epsilon_operator
-from .numerics import (
-    gaussian_directions,
-    golden_max,
-    hermitian_norm,
-    sobol_unit,
-    wirtinger_second,
-)
+from .isometries import (ExtendedOperator, _in_range, _matrices, _operands, _residual_norm, _verdict,
+                         epsilon_matrix, epsilon_operator)
+from .numerics import gaussian_directions, golden_max, sobol_unit
 
 # on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
@@ -103,9 +97,7 @@ def _finite(kernel):
     def guarded(*args):
         with np.errstate(over="ignore", invalid="ignore"):
             value = kernel(*args)
-        if not np.isfinite(value).all():
-            raise DomainError(f"f_C overflowed the float range in {kernel.__name__}")
-        return value
+        return _in_range(value, "f_C", kernel.__name__)
     return guarded
 
 
@@ -131,9 +123,12 @@ def evaluate(C, z):
 @_finite
 def evaluate_blocks(C, z):
     """f_C(z) through the expanded block formula
-    (a + <y|z> + <z|x> + <z|Az>) k_z; agrees with `evaluate` to roundoff."""
-    zv = z.vector
-    return complex((C.a + np.vdot(C.y, zv) + np.vdot(zv, C.x) + np.vdot(zv, C.A @ zv)) * k_factor(z))
+    (a + <y|z> + <z|x> + <z|Az>) k_z; agrees with `evaluate` to roundoff.
+    Arrays of matrices and of points broadcast as in `evaluate`."""
+    C, n, Z, gaps = _operands(C, z)
+    # the bottom row stores conj(y)
+    A, x, yc, a = C[..., :n, :n], C[..., :n, n], C[..., n, :n], C[..., n, n]
+    return _result((a + _dots(yc.conj(), Z) + _dots(Z, x) + _dots(Z, _matvec(A, Z))) * np.divide(1.0, gaps))
 
 
 @_finite
@@ -155,9 +150,12 @@ def holo_differential(C, z):
 def gradient(C, z):
     """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
     array of them for arrays of matrices and points, as in `evaluate`."""
-    C, n, Z, _ = _operands(C, z)
-    zh = extended_point(Z)
-    czh = _matvec(C, zh)
+    return _gradient(*_operands(C, z)[:3])
+
+
+def _gradient(C, n, Z):
+    """`gradient` on validated operands."""
+    czh = _matvec(C, extended_point(Z))
     return czh[..., :n] + czh[..., n, None] * Z
 
 
@@ -168,13 +166,18 @@ def hamiltonian_field(C, z):
     -i grad f_{C*}.  For self-adjoint C this is the real field
     sgrad f + conj(sgrad f); the general form is the complex-bilinear
     extension in C, which is what makes the bracket below bilinear.
+    Arrays broadcast as in `evaluate` and give arrays of fields.
     """
-    return TangentVector(-1j * gradient(C, z), -1j * gradient(C.adjoint(), z))
+    C, n, Z, _ = _operands(C, z)
+    # C* stored contiguously: the products of a transposed view round apart
+    adjoint = np.ascontiguousarray(C.conj().swapaxes(-1, -2))
+    return TangentVector(-1j * _gradient(C, n, Z), -1j * _gradient(adjoint, n, Z))
 
 
 @_finite
 def poisson_bracket(C, Cp, z):
-    """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields."""
+    """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields;
+    arrays broadcast as in `evaluate`."""
     return kahler_form(z, hamiltonian_field(C, z), hamiltonian_field(Cp, z))
 
 
@@ -196,45 +199,54 @@ def star_operator(C, Cp):
     Mp, m = _matrices(Cp)
     if n != m:
         raise DomainError("operator dimensions differ")
-    P = M @ epsilon_matrix(n) @ Mp
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _in_range(M @ epsilon_matrix(n) @ Mp, "the product", "star_operator")
     single = isinstance(C, ExtendedOperator) or isinstance(Cp, ExtendedOperator)
     return ExtendedOperator(P) if single and P.ndim == 2 else P
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_self_adjoint(C):
     """Whether ||C - C*|| <= max(SELF_ADJOINT_TOL, 1024 eps rho(C)), by the
     rule of the group checks (`isometries._verdict`); ||C - C*|| is read as
     the norm of i(C - C*), which is exactly Hermitian in floating point."""
     M, _ = _matrices(C)
-    return _verdict(hermitian_norm(1j * (M - M.conj().swapaxes(-1, -2))), M, 1, SELF_ADJOINT_TOL)
+    residual = _residual_norm(1j * (M - M.conj().swapaxes(-1, -2)))
+    return _verdict("is_self_adjoint", residual, M, 1, SELF_ADJOINT_TOL)
 
 
 @_finite
 def dispersion(C, z):
     """Dispersion sqrt(g(Idf, Idf)/2) of the observable f_C at z.
 
-    Only defined for self-adjoint C (real-valued functions)."""
-    if not is_self_adjoint(C):
+    Only defined for self-adjoint C (real-valued functions), each operator
+    of an array; arrays broadcast as in `evaluate`."""
+    if not np.all(is_self_adjoint.__wrapped__(C).ok):
         raise DomainError("dispersion needs a self-adjoint operator")
     field = hamiltonian_field(C, z)
     val = 0.5 * abs(HBAR) * metric(z, field, field).real
-    return math.sqrt(max(val, 0.0))
+    return _result(np.sqrt(np.maximum(val, 0.0)))
 
 
-def second_degree_defect(fn, zvec, h, directions):
-    """Largest second holomorphic / antiholomorphic difference of a scalar
-    field along the given complex directions at zvec."""
-    worst = 0.0
-    for u in directions:
-        def g(s, _u=u):
-            return fn(zvec + s * _u)
+# The stencil of the second Wirtinger derivatives in units of the step:
+# the centre, then the axis steps and the diagonal steps.
+_WIRTINGER = np.array([0.0, 1.0, -1.0, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
-        worst = max(
-            worst,
-            abs(wirtinger_second(g, h)),
-            abs(wirtinger_second(g, h, conjugate=True)),
-        )
-    return worst
+
+def second_degree_defect(fn, z, h, directions):
+    """Largest |d^2 g| or |dbar^2 g| at s = 0 of g(s) = fn(z + s u), u over
+    the rows of the (k, n) array `directions`, by central differences of
+    step h, one step or one per point of z.  `fn` maps an array of points
+    to its values and is called once, on all (9, k, ..., n) stencil
+    points; the result is the array of defects over z's leading axes."""
+    z, U, h = np.asarray(z, dtype=complex), np.asarray(directions, dtype=complex), np.asarray(h)
+    w = _WIRTINGER.reshape((9, 1) + (1,) * z.ndim) * h[..., None]
+    g = fn(z + w * U.reshape(U.shape[:1] + (1,) * (z.ndim - 1) + U.shape[1:]))
+    gxx = (g[1] - 2.0 * g[0] + g[2]) / (h * h)
+    gyy = (g[3] - 2.0 * g[0] + g[4]) / (h * h)
+    gxy = (g[5] - g[6] - g[7] + g[8]) / (4.0 * h * h)
+    hol, anti = 0.25 * (gxx - gyy - 2j * gxy), 0.25 * (gxx - gyy + 2j * gxy)
+    return _result(np.maximum(np.abs(hol), np.abs(anti)).max(axis=0))
 
 
 def kahler_condition_check(C, z):
@@ -245,20 +257,17 @@ def kahler_condition_check(C, z):
     truncation error: the defect, taken along FD_DIRECTIONS fixed
     directions, is rounding divided by the step squared.  So the step is
     as large as the ball allows, min(0.05, (1 - ||z||)/2), which keeps
-    every stencil point inside; the defect then reads about 1e-13.
+    every stencil point inside; the defect then reads about 1e-13.  Arrays
+    broadcast as in `evaluate`, and one `evaluate` call reads every
+    stencil point.
     """
-    n = z.dim
-    rng = np.random.default_rng(0xD1F)
-    dirs = []
-    for _ in range(FD_DIRECTIONS):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        dirs.append(u / np.linalg.norm(u))
-
-    def rescaled(vec):
-        p = BallPoint(vec)
-        return evaluate(C, p) * p.gap
-
-    return second_degree_defect(rescaled, z.vector, min(0.05, 0.5 * (1.0 - z.norm())), dirs)
+    C, n, Z, _ = _operands(C, z)
+    Z = np.broadcast_to(Z, np.broadcast_shapes(C.shape[:-2], Z.shape[:-1]) + (n,))
+    D = np.random.default_rng(0xD1F).standard_normal((FD_DIRECTIONS, 2, n))
+    U = D[:, 0] + 1j * D[:, 1]
+    h = np.minimum(0.05, 0.5 * (1.0 - np.linalg.norm(Z, axis=-1)))
+    return second_degree_defect(lambda W: evaluate(C, W) * _vectors(W)[1], Z, h,
+                                U / np.linalg.norm(U, axis=-1)[:, None])
 
 
 def fit_operator(points, values):

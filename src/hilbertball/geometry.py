@@ -44,8 +44,9 @@ axes before those broadcast.  A single object is the case with no
 leading axes.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
 and the result wrapped on exit, so a single point gives a `BallPoint`,
 an operator an `ExtendedOperator` and a scalar a Python float or
-complex.  `distance`, `tanh_distance` and the other helpers that take
-`BallPoint`s only, and `dynamics.trajectory`, are the exceptions;
+complex.  The exceptions take single objects only: `distance`,
+`tanh_distance` and the other helpers here that take `BallPoint`s,
+`algebra`'s norm estimators and `dynamics.trajectory`.
 `disc_evolve_closed`, whose points are complex numbers, broadcasts them
 elementwise instead.  A point is inside when it is finite and
 <z|z> < (1 - BOUNDARY_MARGIN)^2, <z|z> having the bits of np.vdot: one
@@ -233,16 +234,17 @@ def k_factor(z):
 def metric(z, s, t):
     """Evaluate the metric at z on two complexified tangent vectors.
 
-    z may also be an array of points along its last axis, with tangent
-    vectors whose parts are arrays of the same shape; the result is then
-    the complex array of values.
+    z may also be an array of points along its last axis, and the parts
+    of the tangent vectors arrays of vectors; their leading axes
+    broadcast, and the result is then the complex array of values.
     """
     k = k_factor(z)  # checks every point
     Z = z.vector if isinstance(z, BallPoint) else np.asarray(z, dtype=complex)
-    if s.hol.shape != Z.shape or t.hol.shape != Z.shape:
-        raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}")
-    term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
-    term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
+    try:
+        term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
+        term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
+    except ValueError:
+        raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}") from None
     return _result(k * term1 + k * k * term2)
 
 

@@ -47,7 +47,8 @@ class ExtendedOperator:
     """Complex operator on C^n + C stored as its full (n+1)x(n+1) matrix.
 
     Its algebra is the matrix's: `@` composes, `adjoint` is the conjugate
-    transpose, and any other arithmetic goes through `matrix`."""
+    transpose, and any other arithmetic, reading a block included, goes
+    through `matrix`."""
 
     matrix: np.ndarray
 
@@ -78,23 +79,6 @@ class ExtendedOperator:
     def dim(self):
         """Dimension n of the underlying ball space."""
         return self.matrix.shape[0] - 1
-
-    @property
-    def A(self):
-        return self.matrix[: self.dim, : self.dim]
-
-    @property
-    def x(self):
-        return self.matrix[: self.dim, self.dim]
-
-    @property
-    def y(self):
-        # stored conjugated in the bottom row
-        return np.conj(self.matrix[self.dim, : self.dim])
-
-    @property
-    def a(self):
-        return complex(self.matrix[self.dim, self.dim])
 
     def adjoint(self):
         return ExtendedOperator(self.matrix.conj().T)
@@ -140,13 +124,30 @@ class MembershipCheck:
         return bool(self.ok)
 
 
-def _verdict(residual, M, k, tol):
+def _in_range(value, what, name):
+    """`value` if finite; else DomainError("`what` overflowed the float range in `name`")."""
+    if not np.isfinite(value).all():
+        raise DomainError(f"{what} overflowed the float range in {name}")
+    return value
+
+
+def _residual_norm(R):
+    """`hermitian_norm` of a Hermitian residual R; inf where R overflowed."""
+    try:
+        return hermitian_norm(R)
+    except DomainError:
+        return np.inf
+
+
+def _verdict(name, residual, M, k, tol):
     """MembershipCheck(residual <= max(tol, 1024 eps rho(M)^k), residual): a
     bool and a float for one matrix, arrays for a stack.  rho(M) is formed
     only past tol, summed over |M|/s for s >= max|entry| so that no square
-    overflows."""
+    overflows.  A residual past the float range, formed with numpy's
+    warnings off, raises one DomainError naming the check `name`."""
     ok = residual <= tol
     if not np.all(ok):
+        _in_range(residual, "the residual", name)
         A = np.abs(M)
         s = np.maximum(A.max(axis=(-2, -1)), np.finfo(float).tiny)
         rho = s * np.sqrt(np.square(A / s[..., None, None]).sum(axis=(-2, -1)) / M.shape[-1])
@@ -154,6 +155,7 @@ def _verdict(residual, M, k, tol):
     return MembershipCheck(bool(ok), float(residual)) if np.ndim(residual) == 0 else MembershipCheck(ok, residual)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
     """Whether T* eps T = eps holds within tol (`_verdict`, k = 2), for an
     ExtendedOperator or a stack of (n+1) x (n+1) matrices; the residual is
@@ -161,20 +163,21 @@ def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
     M, n = _matrices(T)
     eps = epsilon_matrix(n)
     # T* eps scales the columns of T* by +-1, which is exact
-    residual = hermitian_norm((M.conj().swapaxes(-1, -2) * eps.diagonal().real) @ M - eps)
-    return _verdict(residual, M, 2, tol)
+    residual = _residual_norm((M.conj().swapaxes(-1, -2) * eps.diagonal().real) @ M - eps)
+    return _verdict("is_inhomogeneous_unitary", residual, M, 2, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_block_conditions(T, tol=MEMBERSHIP_TOL):
     """`is_inhomogeneous_unitary` through the three block identities, on the
     largest residual; A*A - y y* - I is Hermitian, read by `hermitian_norm`."""
     M, n = _matrices(T)
     # the bottom row stores conj(y)
     A, x, yc, a = M[..., :n, :n], M[..., :n, n], M[..., n, :n], M[..., n, n]
-    r1 = hermitian_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
+    r1 = _residual_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
     r2 = np.abs(np.sum(x.real ** 2 + x.imag ** 2, axis=-1) - np.abs(a) ** 2 + 1.0)
     r3 = np.linalg.norm((A.conj().swapaxes(-1, -2) @ x[..., None])[..., 0] - a[..., None] * yc.conj(), axis=-1)
-    return _verdict(np.maximum(np.maximum(r1, r2), r3), M, 2, tol)
+    return _verdict("check_block_conditions", np.maximum(np.maximum(r1, r2), r3), M, 2, tol)
 
 
 def _moved(M, n, Z):
@@ -280,10 +283,12 @@ def mirror_apply(F, z):
     return _points_result(_matvec(F.A, Z) + _matvec(F.B, Z.conj()), isinstance(z, BallPoint))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
     """Whether X* eps + eps X = 0 (exp(tX) in the group for all real t) holds
     within tol (`_verdict`, k = 1); the residual is read by `hermitian_norm`."""
     M, n = _matrices(X)
     # eps = diag(sign): both products are exact sign flips
     sign = epsilon_matrix(n).diagonal().real
-    return _verdict(hermitian_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M), M, 1, tol)
+    residual = _residual_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M)
+    return _verdict("lie_algebra_check", residual, M, 1, tol)

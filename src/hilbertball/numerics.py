@@ -191,25 +191,6 @@ def real_projection(basis):
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger finite differences.
-#
-# For a scalar function g of one complex step s, the holomorphic and
-# antiholomorphic derivatives are d = (d/dx - i d/dy)/2 and
-# dbar = (d/dx + i d/dy)/2.  Their second derivatives d^2 and dbar^2 are
-# realized by central differences on the standard 9-point data.
-# ---------------------------------------------------------------------------
-
-def wirtinger_second(g, h=1e-4, conjugate=False):
-    g0 = g(0.0)
-    gxx = (g(h) - 2.0 * g0 + g(-h)) / (h * h)
-    gyy = (g(1j * h) - 2.0 * g0 + g(-1j * h)) / (h * h)
-    gxy = (g(h + 1j * h) - g(h - 1j * h) - g(-h + 1j * h) + g(-h - 1j * h)) / (4.0 * h * h)
-    if conjugate:
-        return 0.25 * (gxx - gyy + 2j * gxy)
-    return 0.25 * (gxx - gyy - 2j * gxy)
-
-
-# ---------------------------------------------------------------------------
 # Supremum-estimation helpers: low-discrepancy candidates plus a scalar
 # golden-section line search used coordinate by coordinate.
 # ---------------------------------------------------------------------------

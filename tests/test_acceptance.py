@@ -319,8 +319,8 @@ def test_second_degree_certificate():
         z = BallPoint(_points(rng, 4, (), 0.6))
         worst = max(worst, algebra.kahler_condition_check(C, z))
 
-    def quartic(vec):
-        return (1.0 - float(np.real(np.vdot(vec, vec)))) * abs(vec[0]) ** 4
+    def quartic(W):
+        return (1.0 - np.sum(np.abs(W) ** 2, axis=-1)) * np.abs(W[..., 0]) ** 4
 
     # fixed control point with a sizable first coordinate, where the
     # quartic term cannot hide in the stencil noise, at the step 0.05

@@ -118,8 +118,8 @@ def test_evaluate_past_the_float_range_raises_one_domain_error():
     ("evaluate_blocks", 1, False),
     ("holo_differential", 1, True),
     ("star_pointwise", 2, True),
-    ("poisson_bracket", 2, False),
-    ("dispersion", 1, False),
+    ("poisson_bracket", 2, True),
+    ("dispersion", 1, True),
 ])
 def test_kernel_past_the_float_range_raises_one_domain_error(name, operators, stacks):
     # the operator and rim point that carry `evaluate` past the float
@@ -268,6 +268,44 @@ def test_stacked_star_kernels_equal_scalar_calls(rng):
         star_operator(C, Cp[:, :n, :n])
     with pytest.raises(DomainError):
         gradient(C, Z[:, :2])
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_stacked_field_kernels_equal_scalar_calls(n):
+    rng = np.random.default_rng(280 + n)
+    k = 8
+    C, Cp = cgauss(rng, (k, n + 1, n + 1)), cgauss(rng, (k, n + 1, n + 1))
+    H = C + C.conj().swapaxes(-1, -2)
+    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
+    ops = [(ExtendedOperator(c), ExtendedOperator(cp), BallPoint(z)) for c, cp, z in zip(C, Cp, Z)]
+    X = hamiltonian_field(C, Z)
+    singles = [hamiltonian_field(c, z) for c, _, z in ops]
+    assert rows_close(X.hol, [x.hol for x in singles]) and rows_close(X.antihol, [x.antihol for x in singles])
+    assert rows_close(evaluate_blocks(C, Z), [evaluate_blocks(c, z) for c, _, z in ops])
+    assert rows_close(dispersion(H, Z), [dispersion(ExtendedOperator(h), z) for h, (_, _, z) in zip(H, ops)])
+    # the bracket sums metric terms that cancel; a single point's metric
+    # rounds apart from the stacked one, so the bound scales with the
+    # size of the terms, |X| |Y| (k + k^2 ||z||^2) for k = 1/(1 - ||z||^2)
+    Y = hamiltonian_field(Cp, Z)
+    size = [np.linalg.norm(np.r_[x.hol, x.antihol]) * np.linalg.norm(np.r_[y.hol, y.antihol])
+            for x, y in zip(singles, (hamiltonian_field(cp, z) for _, cp, z in ops))]
+    kz = 1.0 / (1.0 - np.sum(np.abs(Z) ** 2, axis=-1))
+    scale = np.array(size) * (kz + kz * kz * np.sum(np.abs(Z) ** 2, axis=-1))
+    brackets = np.array([poisson_bracket(c, cp, z) for c, cp, z in ops])
+    assert np.all(np.abs(poisson_bracket(C, Cp, Z) - brackets) <= 1e-15 * scale)
+    assert same_bytes(kahler_condition_check(C, Z), [kahler_condition_check(c, z) for c, _, z in ops])
+    # one operator against many points, and many against one point,
+    # broadcast like evaluate
+    assert same_bytes(kahler_condition_check(C[0], Z), [kahler_condition_check(ops[0][0], z) for *_, z in ops])
+    assert same_bytes(kahler_condition_check(C, Z[0]), [kahler_condition_check(c, ops[0][2]) for c, *_ in ops])
+    assert np.all(np.abs(poisson_bracket(C, Cp[0], Z[0]) - [poisson_bracket(c, ops[0][1], ops[0][2])
+                                                             for c, *_ in ops]) <= 1e-15 * scale.max())
+    assert dispersion(H[:, None], Z[None, :3]).shape == (k, 3)
+    # one operator of a stack that is not self-adjoint
+    with pytest.raises(DomainError, match="dispersion needs a self-adjoint operator"):
+        dispersion(np.concatenate([H[:3], C[:1]]), Z[:4])
+    with pytest.raises(DomainError):
+        poisson_bracket(C, Cp, Z[:, :1] if n > 1 else np.zeros((k, 2)))
 
 
 # norms ---------------------------------------------------------------
@@ -543,8 +581,51 @@ def test_kahler_condition_negative_control(rng):
     # 0.05 that kahler_condition_check takes for ||z|| <= 0.9
     z = random_point(rng, 3, 0.6)
 
-    def quartic(vec):
-        return (1.0 - float(np.real(np.vdot(vec, vec)))) * abs(vec[0]) ** 4
+    def quartic(W):
+        return (1.0 - np.sum(np.abs(W) ** 2, axis=-1)) * np.abs(W[..., 0]) ** 4
 
     e0 = np.eye(3, dtype=complex)[0]
     assert second_degree_defect(quartic, z.vector, 0.05, [e0]) > 1e-3
+
+
+def test_kahler_condition_check_reads_its_stencil_in_one_evaluate_call(rng, monkeypatch):
+    # 9 stencil points along each of FD_DIRECTIONS directions, for every
+    # point of a stack, go through one call
+    shapes = []
+    evaluate_points = algebra.evaluate
+
+    def counted(C, W):
+        shapes.append(W.shape)
+        return evaluate_points(C, W)
+
+    monkeypatch.setattr(algebra, "evaluate", counted)
+    kahler_condition_check(random_operator(rng, 3), random_point(rng, 3, 0.6))
+    assert shapes == [(9, algebra.FD_DIRECTIONS, 3)]
+    kahler_condition_check(cgauss(rng, (5, 4, 4)), random_point(rng, 3, 0.6))
+    assert shapes[1:] == [(9, algebra.FD_DIRECTIONS, 5, 3)]
+
+
+def test_second_degree_defect_on_polynomials():
+    # |a + s|^4 has d^2/ds^2 = 2 conj(a)^2 and d^2/dsbar^2 = 2 a^2 at 0,
+    # both of modulus 2 |a|^2
+    a = 0.3 - 0.7j
+    calls = []
+
+    def quartic(W):
+        calls.append(W.shape)
+        return np.abs(W[..., 0]) ** 4
+
+    assert abs(second_degree_defect(quartic, [a], 1e-4, [[1.0]]) - 2 * abs(a) ** 2) < 1e-6
+    assert calls == [(9, 1, 1)]
+
+    # along u, w_0^2 + 3 conj(w_1)^2 has d^2 = 2 u_0^2 and dbar^2 =
+    # 6 conj(u_1)^2, which differ: the defect is the larger modulus,
+    # whichever derivative it comes from, and the largest over directions
+    def quadratic(W):
+        return W[..., 0] ** 2 + 3.0 * W[..., 1].conj() ** 2
+
+    z = np.array([0.2, 0.1j])
+    for u, want in (([1.0, 0.5], 2.0), ([0.5, 1.0], 6.0), ([1.0, 0.0], 2.0), ([0.0, 1.0], 6.0)):
+        assert abs(second_degree_defect(quadratic, z, 1e-2, [u]) - want) < 1e-9
+    defects = second_degree_defect(quadratic, np.stack([z, -z]), np.array([1e-2, 2e-2]), [[1.0, 0.5], [0.5, 1.0]])
+    assert defects.shape == (2,) and np.allclose(defects, 6.0, rtol=0.0, atol=1e-9)

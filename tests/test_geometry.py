@@ -524,6 +524,11 @@ def test_stack_kernels_reject_one_bad_row(rng, bad):
         lambda: algebra.holo_differential(ident, Z),
         lambda: algebra.gradient(ident, Z),
         lambda: algebra.star_pointwise(ident, ident, Z),
+        lambda: algebra.evaluate_blocks(ident, Z),
+        lambda: algebra.hamiltonian_field(ident, Z),
+        lambda: algebra.poisson_bracket(ident, ident, Z),
+        lambda: algebra.dispersion(ident, Z),
+        lambda: algebra.kahler_condition_check(ident, Z),
     ]
     if bad == "nan":
         # the matrix kernels take no points: one bad matrix instead
@@ -551,6 +556,11 @@ def _mismatched_calls():
         "holo_differential": lambda: algebra.holo_differential(C, z2),
         "gradient": lambda: algebra.gradient(C, z2),
         "star_pointwise": lambda: algebra.star_pointwise(C, C, z2),
+        "evaluate_blocks": lambda: algebra.evaluate_blocks(C, z2),
+        "hamiltonian_field": lambda: algebra.hamiltonian_field(C, z2),
+        "poisson_bracket": lambda: algebra.poisson_bracket(C, C, z2),
+        "dispersion": lambda: algebra.dispersion(isometries.ExtendedOperator(np.eye(4)), z2),
+        "kahler_condition_check": lambda: algebra.kahler_condition_check(C, z2),
         "star_operator": lambda: algebra.star_operator(C, isometries.ExtendedOperator(np.eye(3))),
         "mobius_apply": lambda: isometries.mobius_apply(T, z2),
         "mobius_differential": lambda: isometries.mobius_differential(T, z2),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hilbertball import verify
-from hilbertball.algebra import SELF_ADJOINT_TOL, is_self_adjoint
+from hilbertball.algebra import SELF_ADJOINT_TOL, is_self_adjoint, star_operator
 from hilbertball.dynamics import HamiltonianGenerator, evolve_exp
 from hilbertball.errors import DomainError
 from hilbertball.geometry import BallPoint, distance, origin
@@ -21,7 +21,7 @@ from hilbertball.isometries import (
     mobius_differential,
     transport_from_origin,
 )
-from hilbertball.numerics import mat_exp, op_norm
+from hilbertball.numerics import hermitian_norm, mat_exp, op_norm
 
 from conftest import cgauss, lie_element, random_point, rows_close, same_bytes, spectral_hermitian
 
@@ -62,11 +62,13 @@ def test_mobius_differential_matches_finite_differences(rng):
 def test_transport_frozen_blocks():
     u = BallPoint(np.array([0.6 + 0j, 0j]))
     T = transport_from_origin(u)
-    # boost factor 1/sqrt(1 - 0.36) = 1.25 exactly
-    assert np.allclose(T.A, np.diag([1.25, 1.0]), atol=1e-15)
-    assert np.allclose(T.x, [0.75, 0.0], atol=1e-15)
-    assert np.allclose(T.y, [0.75, 0.0], atol=1e-15)
-    assert T.a == 1.25
+    # boost factor 1/sqrt(1 - 0.36) = 1.25 exactly; the bottom row holds
+    # conj(y) = y
+    M = T.matrix
+    assert np.allclose(M[:2, :2], np.diag([1.25, 1.0]), atol=1e-15)
+    assert np.allclose(M[:2, 2], [0.75, 0.0], atol=1e-15)
+    assert np.allclose(M[2, :2], [0.75, 0.0], atol=1e-15)
+    assert M[2, 2] == 1.25
     assert is_inhomogeneous_unitary(T).defect == 0.0
 
 
@@ -179,10 +181,9 @@ def test_from_blocks_roundtrip(rng):
     A = cgauss(rng, (3, 3))
     x, y = cgauss(rng, 3), cgauss(rng, 3)
     T = ExtendedOperator.from_blocks(A, x, y, 2.0 - 1.0j)
-    assert np.allclose(T.A, A)
-    assert np.allclose(T.x, x)
-    assert np.allclose(T.y, y)
-    assert T.a == 2.0 - 1.0j
+    assert np.allclose(T.matrix[:3, :3], A)
+    assert np.allclose(T.matrix[:3, 3], x)
+    assert T.matrix[3, 3] == 2.0 - 1.0j
     # bottom row carries the conjugate of y
     assert np.allclose(T.matrix[-1, :-1], y.conj())
 
@@ -520,3 +521,35 @@ def test_huge_non_members_fail_the_linear_checks(rng):
             HamiltonianGenerator(scale * G)
         with pytest.raises(DomainError):
             evolve_exp(scale * G, origin(3), 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_or_product_past_the_float_range_raises_one_domain_error():
+    # finite operators whose residual or star product leaves the float
+    # range give one DomainError that names the overflow, and no numpy
+    # warning, singly and inside a stack.  The group residual and the
+    # product have degree 2, so 2^600 times a unit-size matrix overflows
+    # them; the linear residuals overflow at entries near the largest float
+    rng = np.random.default_rng(28)
+    G = cgauss(rng, (4, 4)) / 4.0
+    big = np.ldexp(G.view(float), 600).view(complex)
+    huge = 1e308j * np.ones((4, 4))
+    cases = [(is_inhomogeneous_unitary, big), (check_block_conditions, big),
+             (lie_algebra_check, huge), (is_self_adjoint, huge)]
+    for check, M in cases:
+        for T in (ExtendedOperator(M), np.stack([G, M])):
+            with pytest.raises(DomainError, match=f"^the residual overflowed the float range in {check.__name__}$"):
+                check(T)
+    for C in (ExtendedOperator(big), np.stack([G, big])):
+        with pytest.raises(DomainError, match="^the product overflowed the float range in star_operator$"):
+            star_operator(C, C)
+    # finite results keep their bits: at 2^500 the product and the group
+    # residual reach 2^1000
+    M = np.ldexp(G.view(float), 500).view(complex)
+    eps = epsilon_matrix(3)
+    assert same_bytes(star_operator(ExtendedOperator(M), ExtendedOperator(G)).matrix, M @ eps @ G)
+    assert same_bytes(star_operator(np.stack([M, G]), G), np.stack([M @ eps @ G, G @ eps @ G]))
+    verdict = is_inhomogeneous_unitary(np.stack([M, G]))
+    residual = hermitian_norm((np.stack([M, G]).conj().swapaxes(-1, -2) * eps.diagonal().real) @ np.stack([M, G]) - eps)
+    assert not verdict.ok.any() and same_bytes(verdict.defect, residual)
+    assert same_bytes([is_inhomogeneous_unitary(ExtendedOperator(M)).defect], residual[:1])

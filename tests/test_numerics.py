@@ -18,7 +18,6 @@ from hilbertball.numerics import (
     op_norm,
     real_projection,
     sobol_unit,
-    wirtinger_second,
 )
 
 from hilbertball.dynamics import TIME_BLOCK
@@ -349,17 +348,6 @@ def test_real_linear_map_apply(rng):
     P = real_projection(Q[:3] + 1j * Q[3:])
     Z = cgauss(rng, (4, 3))
     assert np.allclose(realified(apply(P, Z)), realified(Z) @ (Q @ Q.T), atol=1e-14)
-
-
-def test_wirtinger_second_on_polynomial():
-    a = 0.3 - 0.7j
-
-    def g(s):
-        return abs(a + s) ** 4
-
-    # |a+s|^4 has d^2/ds^2 = 2 conj(a)^2 and d^2/dsbar^2 = 2 a^2 at 0
-    assert abs(wirtinger_second(g) - 2 * np.conj(a) ** 2) < 1e-6
-    assert abs(wirtinger_second(g, conjugate=True) - 2 * a * a) < 1e-6
 
 
 def test_sobol_unit_deterministic():

@@ -34,7 +34,8 @@ def test_kernel_timings_layer_cases_run(scripts_path):
         rows = kernel_timings.cases(mods, kernel_timings.draw(dim, np.random.default_rng(0)))
         names = [row[0] for row in rows]
         assert {"op_norm", "is_inhomogeneous_unitary", "check_block_conditions", "lie_algebra_check",
-                "is_self_adjoint"} <= set(names)
+                "is_self_adjoint", "hamiltonian_field", "poisson_bracket", "dispersion",
+                "kahler_condition_check"} <= set(names)
         # the disc row comes only at dim 1
         assert ("disc_evolve_closed" in names) == (dim == 1)
         for _, single, stacked in rows:
@@ -112,6 +113,22 @@ def test_kernel_timings_verify_rows_read_err_for_a_failing_call(scripts_path, mo
     assert times[0] == "err" and isinstance(times[1], float)
     assert kernel_timings.verify_times([result(None), None])[1] is None
     assert kernel_timings.row("p", 1, times).split()[2:] == ["err", "-", "%.2f" % times[1], "-", "-", "-"]
+
+
+def test_kernel_timings_cells_read_err_for_a_call_that_raises(scripts_path, monkeypatch):
+    # a stacked call on a tree whose kernel takes single objects only
+    # raises; its cell reads `err` and the other tree's time still comes
+    kernel_timings = importlib.import_module("kernel_timings")
+    monkeypatch.setattr(kernel_timings, "REPEATS", 3)
+    monkeypatch.setattr(kernel_timings, "ROUND_SECONDS", 1e-4)
+
+    def single_only():
+        raise AttributeError("'numpy.ndarray' object has no attribute 'adjoint'")
+
+    times = kernel_timings.per_call_us([lambda: None, single_only])
+    assert isinstance(times[0], float) and times[1] == "err"
+    assert kernel_timings.row("k", 4, [1.0, 2.0], times).split()[2:] == [
+        "1.00", "%.2f" % times[0], "2.00", "err", "0.50", "-"]
 
 
 def test_kernel_timings_csv_rows_compare_the_trees_text(scripts_path):

@@ -128,20 +128,28 @@ def per_call_us(fns, repeats=REPEATS):
     return [1e6 * statistics.median(spans) if spans else "err" for spans in rounds]
 
 
+def cgauss(rng, shape):
+    """Complex Gaussian entries: the real parts drawn first, then the
+    imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def in_ball(rng, W):
+    """The rows of W scaled to norms uniform in [0, 0.85)."""
+    return (rng.uniform(0.0, 0.85, len(W)) / np.linalg.norm(W, axis=-1))[:, None] * W
+
+
 def draw(dim, rng):
     """Raw arrays: two point sets, two operator stacks, transport bases,
     tangent parts, totally real mirror frames (unitary matrices) and
     disc generators (a, b) with their times."""
-    def cgauss(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
     def points():
-        W = cgauss((STACK, dim))
-        return (rng.uniform(0.0, 0.85, STACK) / np.linalg.norm(W, axis=-1))[:, None] * W
+        return in_ball(rng, cgauss(rng, (STACK, dim)))
 
-    return (points(), points(), cgauss((STACK, dim + 1, dim + 1)), cgauss((STACK, dim + 1, dim + 1)),
-            points(), cgauss((STACK, dim)), cgauss((STACK, dim)), np.linalg.qr(cgauss((STACK, dim, dim)))[0],
-            (rng.standard_normal(STACK), cgauss(STACK), rng.uniform(-2.0, 2.0, STACK)))
+    return (points(), points(), cgauss(rng, (STACK, dim + 1, dim + 1)), cgauss(rng, (STACK, dim + 1, dim + 1)),
+            points(), cgauss(rng, (STACK, dim)), cgauss(rng, (STACK, dim)),
+            np.linalg.qr(cgauss(rng, (STACK, dim, dim)))[0],
+            (rng.standard_normal(STACK), cgauss(rng, STACK), rng.uniform(-2.0, 2.0, STACK)))
 
 
 def cases(mods, arrays):
@@ -200,18 +208,15 @@ def draw_flows(rng):
     """Raw inputs of the trajectory rows: an exponential-flow generator
     of norm 0.5 at dim 8 with its start point, and a Hamiltonian of norm
     2 at dim 16 with its start point."""
-    def cgauss(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
     def start(dim, radius):
-        w = cgauss(dim)
+        w = cgauss(rng, dim)
         return radius * w / np.linalg.norm(w)
 
-    G = cgauss((8, 8))
-    u = cgauss(8)
+    G = cgauss(rng, (8, 8))
+    u = cgauss(rng, 8)
     X = np.zeros((9, 9), dtype=complex)
     X[:8, :8], X[:8, 8], X[8, :8], X[8, 8] = G - G.conj().T, u, u.conj(), 0.5j
-    G = cgauss((16, 16))
+    G = cgauss(rng, (16, 16))
     H = G + G.conj().T
     return (0.5 / np.linalg.norm(X, 2) * X, start(8, 0.6),
             2.0 / np.linalg.norm(H, 2) * H, start(16, 0.8))
@@ -235,11 +240,7 @@ def draw_csv(rng):
     """Raw inputs of the trajectory_csv rows: STEPS + 1 sample times, and
     as many points in the ball at each of CSV_DIMS."""
     times = np.arange(STEPS + 1) * 0.002
-    samples = []
-    for dim in CSV_DIMS:
-        W = rng.standard_normal((STEPS + 1, dim)) + 1j * rng.standard_normal((STEPS + 1, dim))
-        samples.append((times, (rng.uniform(0.0, 0.85, STEPS + 1) / np.linalg.norm(W, axis=-1))[:, None] * W))
-    return samples
+    return [(times, in_ball(rng, cgauss(rng, (STEPS + 1, dim)))) for dim in CSV_DIMS]
 
 
 def csv_cases(mods, samples):
@@ -253,8 +254,7 @@ def csv_cases(mods, samples):
 def draw_operator(rng):
     """The operator of the norm rows: complex Gaussian entries, the
     norm_estimators workload's unclustered draw."""
-    shape = (NORM_DIM + 1, NORM_DIM + 1)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return cgauss(rng, (NORM_DIM + 1, NORM_DIM + 1))
 
 
 def norm_cases(mods, C):

@@ -62,9 +62,9 @@ from .geometry import (
     kahler_form,
     metric,
 )
-from .isometries import (ExtendedOperator, _in_range, _matrices, _operands, _residual_norm, _verdict,
-                         epsilon_matrix, epsilon_operator)
-from .numerics import gaussian_directions, golden_max, sobol_unit
+from .isometries import (ExtendedOperator, _matrices, _operands, _residual_norm, _verdict, epsilon_matrix,
+                         epsilon_operator)
+from .numerics import _in_range, gaussian_directions, golden_max, sobol_unit
 
 # on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
@@ -92,12 +92,15 @@ def extended_point(z):
 
 def _finite(kernel):
     """`kernel` raising one DomainError, and no numpy warning, when a value
-    of its result is not finite; finite results keep their bits."""
+    of its result, or a part of its field, is not finite; finite results
+    keep their bits."""
     @functools.wraps(kernel)
     def guarded(*args):
         with np.errstate(over="ignore", invalid="ignore"):
             value = kernel(*args)
-        return _in_range(value, "f_C", kernel.__name__)
+        parts = [value.hol, value.antihol] if isinstance(value, TangentVector) else value
+        _in_range(parts, "f_C", kernel.__name__)
+        return value
     return guarded
 
 
@@ -147,6 +150,7 @@ def holo_differential(C, z):
     return k * row + (k * k) * _form(C, zh)[..., None] * Z.conj()
 
 
+@_finite
 def gradient(C, z):
     """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
     array of them for arrays of matrices and points, as in `evaluate`."""
@@ -159,6 +163,7 @@ def _gradient(C, n, Z):
     return czh[..., :n] + czh[..., n, None] * Z
 
 
+@_finite
 def hamiltonian_field(C, z):
     """Complexified Hamiltonian vector field of f_C.
 
@@ -178,7 +183,7 @@ def hamiltonian_field(C, z):
 def poisson_bracket(C, Cp, z):
     """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields;
     arrays broadcast as in `evaluate`."""
-    return kahler_form(z, hamiltonian_field(C, z), hamiltonian_field(Cp, z))
+    return kahler_form(z, hamiltonian_field.__wrapped__(C, z), hamiltonian_field.__wrapped__(Cp, z))
 
 
 @_finite
@@ -187,7 +192,11 @@ def star_pointwise(C, Cp, z):
 
     Arrays of matrices and of points broadcast as in `evaluate` and give
     the complex array of values."""
-    correction = _dots(holo_differential.__wrapped__(C, z).conj(), gradient(Cp, z))
+    df, grad = holo_differential.__wrapped__(C, z), gradient.__wrapped__(Cp, z)
+    try:
+        correction = _dots(df.conj(), grad)
+    except ValueError:
+        raise DomainError(f"leading axes {df.shape[:-1]} and {grad.shape[:-1]} do not broadcast") from None
     f, fp = evaluate.__wrapped__(C, z), evaluate.__wrapped__(Cp, z)
     return _result(f * fp + HBAR * correction)
 
@@ -223,7 +232,7 @@ def dispersion(C, z):
     of an array; arrays broadcast as in `evaluate`."""
     if not np.all(is_self_adjoint.__wrapped__(C).ok):
         raise DomainError("dispersion needs a self-adjoint operator")
-    field = hamiltonian_field(C, z)
+    field = hamiltonian_field.__wrapped__(C, z)
     val = 0.5 * abs(HBAR) * metric(z, field, field).real
     return _result(np.sqrt(np.maximum(val, 0.0)))
 
@@ -256,10 +265,12 @@ def kahler_condition_check(C, z):
     pure second derivatives vanish identically and the stencil has no
     truncation error: the defect, taken along FD_DIRECTIONS fixed
     directions, is rounding divided by the step squared.  So the step is
-    as large as the ball allows, min(0.05, (1 - ||z||)/2), which keeps
-    every stencil point inside; the defect then reads about 1e-13.  Arrays
-    broadcast as in `evaluate`, and one `evaluate` call reads every
-    stencil point.
+    as large as the ball allows, h = min(0.05, (1 - ||z||)/2), which keeps
+    every stencil point inside; the defect then stays within
+    16 eps max|C_jk| / h^2: the worst of the tests' 50 draws at dim 4
+    reads 3e-13 at ||z|| = 0.85, 3e-11 at 0.99, 4e-9 at 0.999, 2e-3 at
+    1 - 1e-6 and 3e5 at 1 - 1e-10.  Arrays broadcast as in `evaluate`,
+    and one `evaluate` call reads every stencil point.
     """
     C, n, Z, _ = _operands(C, z)
     Z = np.broadcast_to(Z, np.broadcast_shapes(C.shape[:-2], Z.shape[:-1]) + (n,))

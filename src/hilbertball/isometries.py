@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _matvec, _paired_points, _points_result, _vectors
-from .numerics import _as_complex_matrix, hermitian_norm, real_projection
+from .numerics import _as_complex_matrix, _in_range, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -122,13 +122,6 @@ class MembershipCheck:
     def __bool__(self):
         # a stack of several verdicts raises numpy's ambiguity error
         return bool(self.ok)
-
-
-def _in_range(value, what, name):
-    """`value` if finite; else DomainError("`what` overflowed the float range in `name`")."""
-    if not np.isfinite(value).all():
-        raise DomainError(f"{what} overflowed the float range in {name}")
-    return value
 
 
 def _residual_norm(R):

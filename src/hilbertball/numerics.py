@@ -44,6 +44,14 @@ def _as_complex_matrix(M, square=False, stack=False):
     return M
 
 
+def _in_range(value, what, name):
+    """`value` if finite; else DomainError("`what` overflowed the float range
+    in `name`"): the guard of `mat_exp`, the membership checks and `algebra`."""
+    if not np.isfinite(value).all():
+        raise DomainError(f"{what} overflowed the float range in {name}")
+    return value
+
+
 def op_norm(M):
     """Largest singular value of a complex matrix, as s sqrt(lambda_max(G)).
 
@@ -89,6 +97,7 @@ def hermitian_norm(H):
     return float(norm) if H.ndim == 2 else norm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mat_exp(X, t=1.0):
     """exp(t X) by scaling-and-squaring with an 18-term Taylor kernel.
 
@@ -101,7 +110,8 @@ def mat_exp(X, t=1.0):
     Each matrix gets its own halvings count and is halved that many
     times, the stack is summed in one Taylor pass, and round r of
     squaring takes the matrices whose count is at least r, so every
-    slice equals the single call's result bit for bit.
+    slice equals the single call's result bit for bit.  One exponential
+    past the float range raises DomainError, and numpy warns of nothing.
     """
     X = _as_complex_matrix(X, square=True, stack=True)
     times = _as_times(t)
@@ -129,7 +139,7 @@ def mat_exp(X, t=1.0):
         R = R[:size] @ R[:size]
     out = np.empty_like(M)
     out[order] = np.concatenate([R] + done[::-1])
-    return out[0] if X.ndim == 2 and times.ndim == 0 else out
+    return _in_range(out[0] if X.ndim == 2 and times.ndim == 0 else out, "exp(tX)", "mat_exp")
 
 
 def _as_times(t):

@@ -31,7 +31,7 @@ from hilbertball.algebra import (
     unit,
 )
 from hilbertball.errors import DomainError
-from hilbertball.geometry import BallPoint
+from hilbertball.geometry import BallPoint, TangentVector
 from hilbertball.isometries import ExtendedOperator, epsilon_operator
 from hilbertball.numerics import op_norm
 
@@ -120,13 +120,17 @@ def test_evaluate_past_the_float_range_raises_one_domain_error():
     ("star_pointwise", 2, True),
     ("poisson_bracket", 2, True),
     ("dispersion", 1, True),
+    ("gradient", 1, True),
+    ("hamiltonian_field", 1, True),
 ])
 def test_kernel_past_the_float_range_raises_one_domain_error(name, operators, stacks):
     # the operator and rim point that carry `evaluate` past the float
-    # range; each kernel raises one DomainError and no numpy warning,
-    # for a single point and, where it takes them, inside a stack
+    # range, and for the fields, which read C zhat without k_z, entries
+    # of 1e308, which carry C zhat past it; each kernel raises one
+    # DomainError and no numpy warning, for a single point and, where it
+    # takes them, inside a stack
     kernel = getattr(algebra, name)
-    C = np.full((3, 3), 1e300 + 0j)
+    C = np.full((3, 3), (1e308 if name in ("gradient", "hamiltonian_field") else 1e300) + 0j)
     z, w = np.array([1.0 - 1e-8, 0j]), np.array([0.5, 0.25j])
     cases = [(ExtendedOperator(C), BallPoint(z))] + [(np.stack([C, C]), np.stack([w, z]))] * stacks
     for op, point in cases:
@@ -138,7 +142,19 @@ def test_kernel_past_the_float_range_raises_one_domain_error(name, operators, st
     cases += [(np.stack([ones, ones]), np.stack([w, 0.5 * w]))] * stacks
     for op, point in cases:
         args = (op,) * operators + (point,)
-        assert same_bytes([kernel(*args)], [kernel.__wrapped__(*args)])
+        value, unguarded = kernel(*args), kernel.__wrapped__(*args)
+        if isinstance(value, TangentVector):
+            value, unguarded = (value.hol, value.antihol), (unguarded.hol, unguarded.antihol)
+        assert same_bytes([value], [unguarded])
+
+
+def test_operator_stacks_that_do_not_broadcast_raise_domain_error(rng):
+    # leading axes (3,) and (4,) at one point: both two-operator kernels
+    # raise DomainError, not numpy's broadcasting ValueError
+    C, Cp, z = cgauss(rng, (3, 3, 3)), cgauss(rng, (4, 3, 3)), random_point(rng, 2)
+    for kernel in (star_pointwise, poisson_bracket):
+        with pytest.raises(DomainError, match="do not"):
+            kernel(C, Cp, z)
 
 
 def test_star_frozen_value():
@@ -574,6 +590,21 @@ def test_kahler_condition_holds_for_represented_functions(rng):
     C = random_operator(rng, 3)
     z = random_point(rng, 3, 0.6)
     assert kahler_condition_check(C, z) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_kahler_condition_defect_is_rounding_over_the_step_squared(n):
+    # the stencil has no truncation error, so on 50 draws at each radius
+    # the defect stays within 16 eps max|C_jk| / h^2 for the step h the
+    # check takes, from ||z|| = 0.85 (h = 0.05) to 1 - 1e-10 (h = 5e-11)
+    rng = np.random.default_rng(n)
+    for radius in (0.85, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-10):
+        C = cgauss(rng, (50, n + 1, n + 1))
+        W = cgauss(rng, (50, n))
+        Z = radius / np.linalg.norm(W, axis=-1)[:, None] * W
+        h = np.minimum(0.05, 0.5 * (1.0 - np.linalg.norm(Z, axis=-1)))
+        bound = 16 * np.finfo(float).eps * np.abs(C).max(axis=(-2, -1)) / h ** 2
+        assert np.all(kahler_condition_check(C, Z) <= bound)
 
 
 def test_kahler_condition_negative_control(rng):

@@ -174,7 +174,7 @@ def test_evolve_exp_past_the_float_range_raises_one_domain_error():
     X = ExtendedOperator(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed the float range$"):
+        with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed the float range in mat_exp$"):
             evolve_exp(X, np.array([0.1, 0.2]), 800.0)
         with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed"):
             evolve_exp(X, np.array([0.1, 0.2]), np.array([0.5, 800.0]))
@@ -443,23 +443,39 @@ def test_exp_trajectory_checks_its_generator_once(rng, monkeypatch):
 @pytest.mark.parametrize("samples", [2, 64, 65, 128, 129, 1001])
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_exp_trajectory_equals_block_by_block_shifts(rng, dim, samples):
-    # all later block shifts come from one stacked mat_exp; the reference
-    # makes one scalar mat_exp per block and moves the first block by it
+    # each later block is the block before it moved by one exponential,
+    # exp(TIME_BLOCK dt X); the reference moves the blocks one at a time
     X = lie_element(rng, dim)
     X = ExtendedOperator(0.5 / op_norm(X.matrix) * X.matrix)
     z = random_point(rng, dim, 0.6)
     times, points = trajectory(X, z, (samples - 1) * 0.01, 0.01)
     assert len(times) == samples
-    head = evolve_exp(X, z, times[:TIME_BLOCK])
-    blocks = [head]
+    blocks, shift = [evolve_exp(X, z, times[:TIME_BLOCK])], mat_exp(X.matrix, TIME_BLOCK * 0.01)
     for start in range(TIME_BLOCK, samples, TIME_BLOCK):
-        blocks.append(mobius_apply(mat_exp(X.matrix, times[start]), head[:samples - start]))
+        blocks.append(mobius_apply(shift, blocks[-1][:samples - start]))
     assert same_bytes(points, np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("samples", [2, 64, 65, 129, 1001, 8001])
+def test_exp_trajectory_makes_at_most_two_exponentials(rng, monkeypatch, samples):
+    # the head block's batched exponential, and one shift for all later blocks
+    calls = []
+
+    def counted(X, t=1.0):
+        calls.append(t)
+        return mat_exp(X, t)
+
+    monkeypatch.setattr(dynamics, "mat_exp", counted)
+    X = lie_element(rng, 3)
+    X = ExtendedOperator(0.5 / op_norm(X.matrix) * X.matrix)
+    times, points = trajectory(X, random_point(rng, 3, 0.5), (samples - 1) * 0.001, 0.001)
+    assert len(points) == samples
+    assert len(calls) == (2 if samples > TIME_BLOCK else 1)
 
 
 def test_exp_trajectory_raises_before_its_shifts_overflow():
     # a boost leaves the ball near t = 14, far before exp(tX) overflows
-    # near t = 710; the far shifts of the stack are never used
+    # near t = 710: the blocks stop at the first sample outside
     X = ExtendedOperator(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

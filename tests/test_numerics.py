@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,20 @@ def test_stacked_kernels_reject_bad_stacks(rng, bad):
 def test_mat_exp_rejects_bad_times(t):
     with pytest.raises(DomainError):
         mat_exp(np.eye(2), t)
+
+
+def test_mat_exp_past_the_float_range_raises_one_domain_error(rng):
+    # exp(2^600 G) overflows in the squaring, exp(1e10 * 1e300 G) already
+    # in t X; one such matrix of a stack, or one such time of an array,
+    # raises for the call, and numpy prints no warning
+    G = cgauss(rng, (3, 3))
+    cases = [(2.0 ** 600 * G,), (G, np.array([0.5, 2.0 ** 600, -0.5])),
+             (np.stack([G, 2.0 ** 600 * G]),), (1e300 * G, 1e10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in cases:
+            with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed the float range in mat_exp$"):
+                mat_exp(*args)
 
 
 @settings(max_examples=60, deadline=None)

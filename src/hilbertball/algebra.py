@@ -32,18 +32,15 @@ refinement's golden-section search reads that ratio in plain floats,
 each step it takes confirmed by the literal quotient.  Every estimator
 re-evaluates its argmax once through the function-level star chain;
 the two routes are required to agree.  Each estimator reads C scaled
-exactly by a power of two to unit size (`_scaled`), so the norm of 2^k C
-is exactly 2^k times C's at any scale the float range holds.
+to unit size (`numerics`) and scales its 1-homogeneous values back, so
+the norm of 2^k C is exactly 2^k times C's wherever it is a float.
 
 The kernels from `evaluate` to `kahler_condition_check` take arrays of
 operators and of points over any leading axes as well as single objects,
-with one formula body for both (see `geometry`).  The kernels marked
-`@_finite` raise one DomainError for a value past the float range, and
-`star_operator` for a product past it; a kernel built from others calls
-their unguarded bodies (`__wrapped__`), so one guard runs per public call.
+with one formula body for both (see `geometry`).  Values past the float
+range, scaling and broadcasting follow the rules of `numerics`.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -64,7 +61,7 @@ from .geometry import (
 )
 from .isometries import (ExtendedOperator, _matrices, _operands, _residual_norm, _verdict, epsilon_matrix,
                          epsilon_operator)
-from .numerics import _in_range, gaussian_directions, golden_max, sobol_unit
+from .numerics import _broadcast, _guard, _pow2_scaled, gaussian_directions, golden_max, sobol_unit
 
 # on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
@@ -90,40 +87,25 @@ def extended_point(z):
     return zh
 
 
-def _finite(kernel):
-    """`kernel` raising one DomainError, and no numpy warning, when a value
-    of its result, or a part of its field, is not finite; finite results
-    keep their bits."""
-    @functools.wraps(kernel)
-    def guarded(*args):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = kernel(*args)
-        parts = [value.hol, value.antihol] if isinstance(value, TangentVector) else value
-        _in_range(parts, "f_C", kernel.__name__)
-        return value
-    return guarded
-
-
 def _form(C, zh):
     """<zhat|C zhat> over the leading axes."""
     return _dots(zh, _matvec(C, zh))
 
 
-@_finite
+@_guard("f_C")
 def evaluate(C, z):
     """f_C(z) through the compact form k_z <zhat|C zhat>.
 
     C may also be an array of (n+1) x (n+1) matrices and z an array of
-    points along its last axis; their leading axes broadcast as numpy's
-    do, and the result is the complex array of values.  One point
-    outside the ball, or one value past the float range, raises
-    DomainError.
+    points along its last axis; their leading axes broadcast, and the
+    result is the complex array of values.  One point outside the ball,
+    or one value past the float range, raises DomainError.
     """
     C, _, Z, gaps = _operands(C, z)
     return _result(np.divide(1.0, gaps) * _form(C, extended_point(Z)))
 
 
-@_finite
+@_guard("f_C")
 def evaluate_blocks(C, z):
     """f_C(z) through the expanded block formula
     (a + <y|z> + <z|x> + <z|Az>) k_z; agrees with `evaluate` to roundoff.
@@ -134,7 +116,7 @@ def evaluate_blocks(C, z):
     return _result((a + _dots(yc.conj(), Z) + _dots(Z, x) + _dots(Z, _matvec(A, Z))) * np.divide(1.0, gaps))
 
 
-@_finite
+@_guard("f_C")
 def holo_differential(C, z):
     """Components w of the holomorphic differential of f_C at z.
 
@@ -150,7 +132,7 @@ def holo_differential(C, z):
     return k * row + (k * k) * _form(C, zh)[..., None] * Z.conj()
 
 
-@_finite
+@_guard("f_C")
 def gradient(C, z):
     """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
     array of them for arrays of matrices and points, as in `evaluate`."""
@@ -163,7 +145,7 @@ def _gradient(C, n, Z):
     return czh[..., :n] + czh[..., n, None] * Z
 
 
-@_finite
+@_guard("f_C")
 def hamiltonian_field(C, z):
     """Complexified Hamiltonian vector field of f_C.
 
@@ -179,28 +161,27 @@ def hamiltonian_field(C, z):
     return TangentVector(-1j * _gradient(C, n, Z), -1j * _gradient(adjoint, n, Z))
 
 
-@_finite
+@_guard("f_C")
 def poisson_bracket(C, Cp, z):
     """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields;
     arrays broadcast as in `evaluate`."""
     return kahler_form(z, hamiltonian_field.__wrapped__(C, z), hamiltonian_field.__wrapped__(Cp, z))
 
 
-@_finite
+@_guard("f_C")
 def star_pointwise(C, Cp, z):
     """(f_C * f_C')(z) = f_C(z) f_C'(z) + HBAR (df_C)(grad f_C'), HBAR = -1.
 
     Arrays of matrices and of points broadcast as in `evaluate` and give
     the complex array of values."""
     df, grad = holo_differential.__wrapped__(C, z), gradient.__wrapped__(Cp, z)
-    try:
-        correction = _dots(df.conj(), grad)
-    except ValueError:
-        raise DomainError(f"leading axes {df.shape[:-1]} and {grad.shape[:-1]} do not broadcast") from None
+    _broadcast(df.shape[:-1], grad.shape[:-1])
+    correction = _dots(df.conj(), grad)
     f, fp = evaluate.__wrapped__(C, z), evaluate.__wrapped__(Cp, z)
     return _result(f * fp + HBAR * correction)
 
 
+@_guard("the product")
 def star_operator(C, Cp):
     """Operator form of the product: C eps C'.  Two arrays of matrices
     broadcast over their leading axes and give the array of products."""
@@ -208,23 +189,24 @@ def star_operator(C, Cp):
     Mp, m = _matrices(Cp)
     if n != m:
         raise DomainError("operator dimensions differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = _in_range(M @ epsilon_matrix(n) @ Mp, "the product", "star_operator")
+    _broadcast(M.shape[:-2], Mp.shape[:-2])
+    P = M @ epsilon_matrix(n) @ Mp
     single = isinstance(C, ExtendedOperator) or isinstance(Cp, ExtendedOperator)
-    return ExtendedOperator(P) if single and P.ndim == 2 else P
+    # a product past the float range is left bare for the guard to name
+    return ExtendedOperator(P) if single and P.ndim == 2 and np.isfinite(P).all() else P
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_guard("the residual")
 def is_self_adjoint(C):
     """Whether ||C - C*|| <= max(SELF_ADJOINT_TOL, 1024 eps rho(C)), by the
     rule of the group checks (`isometries._verdict`); ||C - C*|| is read as
     the norm of i(C - C*), which is exactly Hermitian in floating point."""
     M, _ = _matrices(C)
     residual = _residual_norm(1j * (M - M.conj().swapaxes(-1, -2)))
-    return _verdict("is_self_adjoint", residual, M, 1, SELF_ADJOINT_TOL)
+    return _verdict(residual, M, 1, SELF_ADJOINT_TOL)
 
 
-@_finite
+@_guard("f_C")
 def dispersion(C, z):
     """Dispersion sqrt(g(Idf, Idf)/2) of the observable f_C at z.
 
@@ -273,7 +255,7 @@ def kahler_condition_check(C, z):
     and one `evaluate` call reads every stencil point.
     """
     C, n, Z, _ = _operands(C, z)
-    Z = np.broadcast_to(Z, np.broadcast_shapes(C.shape[:-2], Z.shape[:-1]) + (n,))
+    Z = np.broadcast_to(Z, _broadcast(C.shape[:-2], Z.shape[:-1]) + (n,))
     D = np.random.default_rng(0xD1F).standard_normal((FD_DIRECTIONS, 2, n))
     U = D[:, 0] + 1j * D[:, 1]
     h = np.minimum(0.05, 0.5 * (1.0 - np.linalg.norm(Z, axis=-1)))
@@ -451,20 +433,11 @@ def _check_routes(val, chain_val):
         )
 
 
-def _scaled(C):
-    """(2^-e C, e), e the exponent of C's largest |entry|.  The scaling is
-    exact (`ldexp` on the real view, as in `op_norm`), and every norm here
-    is 1-homogeneous, so the estimators read the scaled operator, whose
-    products neither overflow nor underflow, and scale its values by 2^e."""
-    e = math.frexp(float(np.abs(C.matrix).max()))[1]
-    return ExtendedOperator(np.ldexp(C.matrix.view(float), -e).view(complex)), e
-
-
 def _unscaled(value, e):
-    """2^e value, a norm of C from that of `_scaled` C; DomainError where
+    """2^e value, a norm of C from that of 2^-e C; DomainError where
     it exceeds the float range."""
     try:
-        return math.ldexp(value, e)
+        return math.ldexp(value, int(e))
     except OverflowError:
         raise DomainError("the norm exceeds the float range") from None
 
@@ -474,8 +447,9 @@ def _search(C, samples, seed):
     ||C (z, 1)|| / ||(z, 1)|| in one batched product, polish the best
     with `_refine`, and re-evaluate the argmax once through the shifted
     star chain, which must agree.  Returns (z, reduced value, chain
-    value); the search runs on `_scaled` C."""
-    S, e = _scaled(C)
+    value); the search runs on C scaled to unit size."""
+    M, e = _pow2_scaled(C.matrix, (-2, -1))
+    S = ExtendedOperator(M)
     Z = _sobol_candidates(C.dim, samples, seed)
     Xi = np.hstack([Z, np.ones((Z.shape[0], 1), dtype=complex)])
     vals = np.linalg.norm(Xi @ S.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
@@ -495,8 +469,9 @@ def norm_b_estimate(C):
     max(2 ||v[:n]||, v_n) = 1, the witness is z = -v[:n] (inside the
     ball, ||z|| <= 1/2) and lambda = v_n; the value is the reduced
     quotient there, checked once against the star chain.  Both are read
-    on `_scaled` C."""
-    S, e = _scaled(C)
+    on C scaled to unit size."""
+    M, e = _pow2_scaled(C.matrix, (-2, -1))
+    S = ExtendedOperator(M)
     n = C.dim
     v = np.linalg.svd(S.matrix)[2][0].conj()
     v = v * np.exp(-1j * np.angle(v[n]))

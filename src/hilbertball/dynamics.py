@@ -28,11 +28,12 @@ and point with a 1-D array of times, which gives the array of points,
 one per time, from one batched exponential or one eigendecomposition.
 `disc_evolve_closed` broadcasts the a and b of its generators, its disc
 points and its times elementwise, the times being a scalar or a 1-D
-array.  A trajectory is the pair of arrays (times, points): disc and
-Schroedinger flows are one call over all times, and exponential flows
-exponentiate only their first TIME_BLOCK times and step each later
-block from the one before it by exp(TIME_BLOCK dt X), by the group law
-exp((s + t)X) = exp(sX) exp(tX): two `mat_exp` calls at most.
+array.  All follow the edge rules of `numerics`.  A trajectory is the
+pair of arrays (times, points): disc and Schroedinger flows are one call
+over all times, and exponential flows exponentiate only their first
+TIME_BLOCK times and step each later block from the one before it by
+exp(TIME_BLOCK dt X), by the group law exp((s + t)X) = exp(sX) exp(tX):
+two `mat_exp` calls at most.
 """
 
 import math
@@ -51,7 +52,7 @@ from .geometry import (
     _vectors,
 )
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
-from .numerics import _as_complex_matrix, _as_times, mat_exp
+from .numerics import _as_complex_matrix, _as_times, _broadcast, _guard, _pow2_scaled, mat_exp
 
 # Times a trajectory exponentiates together, and the length of the block
 # it then steps along its grid: long enough to amortize the per-call
@@ -79,20 +80,19 @@ class DiscGenerator:
 def alpha(g):
     """Discriminant |b|^2 - a^2 separating the three flow regimes, the
     array of them for arrays a and b; +-inf past the largest float."""
-    al, e = _scaled_discriminant(np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex))
+    al, e = _scaled_generator(np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex))[2:]
     with np.errstate(over="ignore"):
         return np.ldexp(al, 2 * e)
 
 
-def _scaled_discriminant(a, b):
-    """(alpha 2^-2e, e), e the exponent of max(|a|, |b|), from a and b
-    scaled by 2^-e, which is exact: no square overflows or underflows,
-    and alpha keeps its sign.  DomainError for a non-finite a or b."""
+def _scaled_generator(a, b):
+    """(2^-e a, 2^-e b, alpha 2^-2e, e) from a and b scaled together,
+    which keeps alpha's sign.  DomainError for a non-finite a or b."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("disc generator has non-finite a or b")
-    abs_b = np.abs(b)
-    e = np.frexp(np.maximum(np.abs(a), abs_b))[1]
-    return np.ldexp(abs_b, -e) ** 2 - np.ldexp(a, -e) ** 2, e
+    ab, e = _pow2_scaled(np.stack(np.broadcast_arrays(a, b), axis=-1))
+    a, b = ab[..., 0].real, ab[..., 1]
+    return a, b, np.abs(b) ** 2 - a ** 2, e
 
 
 def _hamiltonian(H, stack=False):
@@ -127,6 +127,7 @@ class HamiltonianGenerator:
         return ExtendedOperator(m)
 
 
+@_guard("the flow")
 def disc_evolve_closed(g, z, t):
     """Closed-form disc flow.  The exact flow keeps |z| < 1 in every
     regime, but the float result can round onto the rim: the hyperbolic
@@ -145,22 +146,19 @@ def disc_evolve_closed(g, z, t):
     times = _as_times(np.asarray(t, dtype=float))
     z = _vectors(np.asarray(z, dtype=complex)[..., None])[0][..., 0]
     a, b = np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex)
-    try:
-        shape = np.broadcast_shapes(a.shape, b.shape, z.shape, times.shape)
-    except ValueError:
-        raise DomainError(f"generator shapes {a.shape} and {b.shape}, points {z.shape} "
-                          f"and times {times.shape} do not broadcast") from None
+    shape = _broadcast(a.shape, b.shape, z.shape, times.shape, what="shapes of a, b, z and t")
     a, b, z, times = np.atleast_1d(a, b, z, times)
-    al, e = _scaled_discriminant(a, b)
-    # each regime's (C, S) is evaluated on its own entries only
-    s = np.ldexp(np.sqrt(np.abs(al)), e)
-    st = s * times
+    a, b, al, e = _scaled_generator(a, b)
+    # a, b and s = 2^e r scaled down by 2^e and S up, so S a and S b keep
+    # their values; each regime's (C, S) is evaluated on its own entries only
+    r = np.sqrt(np.abs(al))
+    st = np.ldexp(r * times, e)
     C = np.ones_like(st)
-    S = np.where(al == 0.0, times, 0.0)
+    S = np.where(al == 0.0, np.ldexp(times, e), 0.0)
     np.cos(st, out=C, where=al < 0.0)
     np.sin(st, out=S, where=al < 0.0)
     np.tanh(st, out=S, where=al > 0.0)
-    np.divide(S, s, out=S, where=al != 0.0)
+    np.divide(S, r, out=S, where=al != 0.0)
     # [(C + iaS) z + bS] / [conj(b) S z + C - iaS] grouped by C and S,
     # whose coefficients need no time
     w = (C * z + S * (1j * a * z + b)) / (C + S * (b.conj() * z - 1j * a))
@@ -182,6 +180,7 @@ def evolve_exp(X, z, t):
     return mobius_apply(mat_exp(_matrices(X)[0], t), z)
 
 
+@_guard("the flow")
 def schrodinger_evolve(gen, z, t):
     """Norm-preserving quantum flow z(t) = exp(-iHt) z.
 

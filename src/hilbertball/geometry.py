@@ -39,13 +39,13 @@ formula.
 
 The kernels of this module and of `isometries`, `algebra` and `dynamics`
 each have one formula body written over leading axes: points lie along
-the last axis of an array and operators along the last two, and any
-axes before those broadcast.  A single object is the case with no
-leading axes.  One body is not one rounding: numpy's complex multiply
-rounds apart in its scalar and array loops, so a single point's
-`metric` and the same point inside a stack can differ, by up to
-1.9e-15 relative over 2,000 draws at dim 1, as can the kernels that
-read it.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
+the last axis of an array and operators along the last two, and any axes
+before those broadcast (the edge rules are `numerics`').  A single
+object is the case with no leading axes.  One body is not one rounding:
+numpy's complex multiply rounds apart in its scalar and array loops, so
+a single point's `metric` and the same point inside a stack can differ,
+by up to 1.9e-15 relative over 2,000 draws at dim 1, as can the kernels
+that read it.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
 and the result wrapped on exit, so a single point gives a `BallPoint`,
 an operator an `ExtendedOperator` and a scalar a Python float or
 complex.  The exceptions take single objects only: `distance`,
@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .numerics import _broadcast, _pow2_scaled
 
 BOUNDARY_MARGIN = 1e-12
 _LIMIT_SQ = (1.0 - BOUNDARY_MARGIN) ** 2
@@ -191,9 +192,7 @@ def _paired_points(lead, z, n):
     Z, gaps = _vectors(z)
     if Z.shape[-1] != n:
         raise DomainError("operator and point dimensions differ")
-    zlead = Z.shape[:-1]
-    if lead != zlead and not all(a == b or 1 in (a, b) for a, b in zip(lead[::-1], zlead[::-1])):
-        raise DomainError(f"leading axes {lead} and {zlead} do not broadcast")
+    _broadcast(lead, Z.shape[:-1])
     return Z, gaps
 
 
@@ -244,11 +243,11 @@ def metric(z, s, t):
     """
     k = k_factor(z)  # checks every point
     Z = z.vector if isinstance(z, BallPoint) else np.asarray(z, dtype=complex)
-    try:
-        term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
-        term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
-    except ValueError:
-        raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}") from None
+    if not s.hol.shape[-1] == t.hol.shape[-1] == Z.shape[-1]:
+        raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}")
+    _broadcast(s.hol.shape[:-1], t.hol.shape[:-1], Z.shape[:-1])
+    term1 = _dots(s.antihol, t.hol) + _dots(t.antihol, s.hol)
+    term2 = _dots(s.antihol, Z) * _dots(Z, t.hol) + _dots(t.antihol, Z) * _dots(Z, s.hol)
     return _result(k * term1 + k * k * term2)
 
 
@@ -374,12 +373,9 @@ def sectional_curvature_probe(z, u):
     U = np.array(u, dtype=complex, ndmin=1)
     if U.shape != Z.shape:
         raise DomainError(f"need points and directions of one shape, got {Z.shape} and {U.shape}")
-    # the probe reads u/||u||: u scaled exactly by a power of two to unit
-    # size, as in `algebra._scaled`, neither overflows nor underflows
-    top = np.abs(U.view(float)).max(axis=-1)
-    if not (np.isfinite(top) & (top > 0.0)).all():
+    if not (np.isfinite(U).all() and U.any(axis=-1).all()):
         raise DomainError("curvature probe needs finite nonzero directions")
-    U = np.ldexp(U.view(float), -np.frexp(top)[1][..., None]).view(complex)
+    U = _pow2_scaled(U)[0]
     U = U / np.linalg.norm(U, axis=-1)[..., None]
 
     # lambda at the stencil's nine chart points, one row per point

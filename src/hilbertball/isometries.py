@@ -27,7 +27,7 @@ singular value rho(M) = ||M||_F / sqrt(d); rho is 1 at unitaries.
 `mobius_apply`, `mobius_differential`, `transport_from_origin`,
 `mirror_apply` and the membership checks take arrays over any leading
 axes as well as single objects, with one formula body for both (see
-`geometry`).
+`geometry`) and the edge rules of `numerics`.
 """
 
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _matvec, _paired_points, _points_result, _vectors
-from .numerics import _as_complex_matrix, _in_range, hermitian_norm, real_projection
+from .numerics import _as_complex_matrix, _guard, _pow2_scaled, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -129,26 +129,22 @@ def _residual_norm(R):
     try:
         return hermitian_norm(R)
     except DomainError:
-        return np.inf
+        return np.full(R.shape[:-2], np.inf)
 
 
-def _verdict(name, residual, M, k, tol):
+def _verdict(residual, M, k, tol):
     """MembershipCheck(residual <= max(tol, 1024 eps rho(M)^k), residual): a
     bool and a float for one matrix, arrays for a stack.  rho(M) is formed
-    only past tol, summed over |M|/s for s >= max|entry| so that no square
-    overflows.  A residual past the float range, formed with numpy's
-    warnings off, raises one DomainError naming the check `name`."""
+    only past tol, from M scaled to unit size."""
     ok = residual <= tol
     if not np.all(ok):
-        _in_range(residual, "the residual", name)
-        A = np.abs(M)
-        s = np.maximum(A.max(axis=(-2, -1)), np.finfo(float).tiny)
-        rho = s * np.sqrt(np.square(A / s[..., None, None]).sum(axis=(-2, -1)) / M.shape[-1])
+        N, e = _pow2_scaled(M, (-2, -1))
+        rho = np.ldexp(np.sqrt(np.square(np.abs(N)).sum(axis=(-2, -1)) / M.shape[-1]), e)
         ok = residual <= np.maximum(tol, 1024 * np.finfo(float).eps * rho ** k)
     return MembershipCheck(bool(ok), float(residual)) if np.ndim(residual) == 0 else MembershipCheck(ok, residual)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_guard("the residual")
 def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
     """Whether T* eps T = eps holds within tol (`_verdict`, k = 2), for an
     ExtendedOperator or a stack of (n+1) x (n+1) matrices; the residual is
@@ -157,10 +153,10 @@ def is_inhomogeneous_unitary(T, tol=MEMBERSHIP_TOL):
     eps = epsilon_matrix(n)
     # T* eps scales the columns of T* by +-1, which is exact
     residual = _residual_norm((M.conj().swapaxes(-1, -2) * eps.diagonal().real) @ M - eps)
-    return _verdict("is_inhomogeneous_unitary", residual, M, 2, tol)
+    return _verdict(residual, M, 2, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_guard("the residual")
 def check_block_conditions(T, tol=MEMBERSHIP_TOL):
     """`is_inhomogeneous_unitary` through the three block identities, on the
     largest residual; A*A - y y* - I is Hermitian, read by `hermitian_norm`."""
@@ -170,7 +166,7 @@ def check_block_conditions(T, tol=MEMBERSHIP_TOL):
     r1 = _residual_norm(A.conj().swapaxes(-1, -2) @ A - yc.conj()[..., :, None] * yc[..., None, :] - np.eye(n))
     r2 = np.abs(np.sum(x.real ** 2 + x.imag ** 2, axis=-1) - np.abs(a) ** 2 + 1.0)
     r3 = np.linalg.norm((A.conj().swapaxes(-1, -2) @ x[..., None])[..., 0] - a[..., None] * yc.conj(), axis=-1)
-    return _verdict("check_block_conditions", np.maximum(np.maximum(r1, r2), r3), M, 2, tol)
+    return _verdict(np.maximum(np.maximum(r1, r2), r3), M, 2, tol)
 
 
 def _moved(M, n, Z):
@@ -276,7 +272,7 @@ def mirror_apply(F, z):
     return _points_result(_matvec(F.A, Z) + _matvec(F.B, Z.conj()), isinstance(z, BallPoint))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_guard("the residual")
 def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
     """Whether X* eps + eps X = 0 (exp(tX) in the group for all real t) holds
     within tol (`_verdict`, k = 1); the residual is read by `hermitian_norm`."""
@@ -284,4 +280,4 @@ def lie_algebra_check(X, tol=MEMBERSHIP_TOL):
     # eps = diag(sign): both products are exact sign flips
     sign = epsilon_matrix(n).diagonal().real
     residual = _residual_norm(M.conj().swapaxes(-1, -2) * sign + sign[:, None] * M)
-    return _verdict("lie_algebra_check", residual, M, 1, tol)
+    return _verdict(residual, M, 1, tol)

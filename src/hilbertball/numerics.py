@@ -13,11 +13,23 @@ here.  A real-linear map of C^n, such as a projection onto a real
 subspace, is the complex pair (A, B) of w = A z + B conj(z), which stacks
 over leading axes like the other kernels.  All functions are pure.
 
+Three rules at the edge of the domain live here, once for the package.
+Float range: a kernel decorated with `_guard` runs with numpy's overflow
+and invalid warnings off and raises one DomainError, "<what> overflowed
+the float range in <kernel>", for a non-finite value in its result or in
+a dataclass field of it; a kernel built from guarded ones calls their
+bodies (`__wrapped__`).  Scaling: `_pow2_scaled` multiplies an input
+exactly by 2^-e, e the exponent of its largest |real or imaginary
+part|, and the caller scales its answer back by 2^e.  Broadcasting:
+`_broadcast` raises DomainError where leading axes do not broadcast as
+numpy's do, and makes no numpy call for equal shapes.
+
 Only numpy loads with this module.  scipy is imported inside the two
 sampling helpers, `sobol_unit` and `gaussian_directions`, which only the
 cone-norm search calls, so no other command pays for its import.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -44,39 +56,60 @@ def _as_complex_matrix(M, square=False, stack=False):
     return M
 
 
-def _in_range(value, what, name):
-    """`value` if finite; else DomainError("`what` overflowed the float range
-    in `name`"): the guard of `mat_exp`, the membership checks and `algebra`."""
-    if not np.isfinite(value).all():
-        raise DomainError(f"{what} overflowed the float range in {name}")
-    return value
+def _guard(what):
+    """Decorator: the float-range rule, `what` naming the kernel's values."""
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def guarded(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = kernel(*args, **kwargs)
+            parts = vars(value).values() if hasattr(value, "__dataclass_fields__") else (value,)
+            if not all(np.isfinite(part).all() for part in parts):
+                raise DomainError(f"{what} overflowed the float range in {kernel.__name__}")
+            return value
+        return guarded
+    return decorate
 
 
+def _pow2_scaled(x, axes=-1):
+    """(2^-e x, e) by the scaling rule over the trailing `axes` of x, one e
+    per index of the others; e is 0 where all are 0 or one is not finite."""
+    v = np.ascontiguousarray(x, dtype=complex).view(float)
+    e = np.frexp(np.abs(v).max(axis=axes, keepdims=True))[1]
+    return np.ldexp(v, -e).view(complex), np.squeeze(e, axis=axes)
+
+
+def _broadcast(*shapes, what="leading axes"):
+    """The shape that `shapes` broadcast to, by the broadcasting rule."""
+    if shapes.count(shapes[0]) == len(shapes):
+        return shapes[0]
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DomainError(f"{what} {', '.join(map(str, shapes[:-1]))} and {shapes[-1]} do not broadcast") from None
+
+
+@_guard("the norm")
 def op_norm(M):
-    """Largest singular value of a complex matrix, as s sqrt(lambda_max(G)).
+    """Largest singular value of a complex matrix, as 2^e s sqrt(lambda_max(G)).
 
-    s is the largest |entry| of M and G the Gram matrix of M/s on its
-    smaller side, whose top eigenvalue comes from one `eigvalsh`.
-    Dividing by s keeps entries near 1e+-200 from overflowing or
-    underflowing in G.  The top eigenvalue of a positive semidefinite
-    matrix is accurate to about n eps relative whatever the spectral
-    gap, so the norm agrees with the SVD's to a few eps relative.
-    A (k, m, n) stack of matrices gives the array of their k norms.
-    Non-finite entries and non-matrix input raise DomainError; an empty
-    matrix has norm 0.
+    s is the largest |entry| of M scaled to unit size, 2^-e M, and G the
+    Gram matrix of 2^-e M/s on its smaller side, whose top eigenvalue
+    comes from one `eigvalsh`.  That is accurate to about n eps relative
+    whatever the spectral gap, so the norm agrees with the SVD's to a few
+    eps relative.  A (k, m, n) stack of matrices gives the array of their
+    k norms.  Non-finite entries and non-matrix input raise DomainError;
+    an empty matrix has norm 0.
     """
     M = _as_complex_matrix(M, stack=True)
     if M.size == 0:
         return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
-    s = np.abs(M).max(axis=(-2, -1))
-    # M/s as (2^-e M)(1/f) for s = f 2^e: 2^-e scales exactly and 1/f
-    # cannot overflow as 1/s does for a subnormal s; else the bits of M(1/s)
-    f, e = np.frexp(s)
-    N = np.ldexp(np.ascontiguousarray(M).view(float), -e[..., None, None])
-    N = (N * (1.0 / np.where(s > 0.0, f, 1.0))[..., None, None]).view(complex)
+    N, e = _pow2_scaled(M, (-2, -1))
+    s = np.abs(N).max(axis=(-2, -1))
+    N = N * (1.0 / np.where(s > 0.0, s, 1.0))[..., None, None]
     Nh = N.conj().swapaxes(-1, -2)
     G = Nh @ N if M.shape[-1] <= M.shape[-2] else N @ Nh
-    norm = s * np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0))
+    norm = np.ldexp(s * np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0)), e)
     return float(norm) if M.ndim == 2 else norm
 
 
@@ -97,7 +130,7 @@ def hermitian_norm(H):
     return float(norm) if H.ndim == 2 else norm
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_guard("exp(tX)")
 def mat_exp(X, t=1.0):
     """exp(t X) by scaling-and-squaring with an 18-term Taylor kernel.
 
@@ -110,8 +143,7 @@ def mat_exp(X, t=1.0):
     Each matrix gets its own halvings count and is halved that many
     times, the stack is summed in one Taylor pass, and round r of
     squaring takes the matrices whose count is at least r, so every
-    slice equals the single call's result bit for bit.  One exponential
-    past the float range raises DomainError, and numpy warns of nothing.
+    slice equals the single call's result bit for bit.
     """
     X = _as_complex_matrix(X, square=True, stack=True)
     times = _as_times(t)
@@ -139,7 +171,7 @@ def mat_exp(X, t=1.0):
         R = R[:size] @ R[:size]
     out = np.empty_like(M)
     out[order] = np.concatenate([R] + done[::-1])
-    return _in_range(out[0] if X.ndim == 2 and times.ndim == 0 else out, "exp(tX)", "mat_exp")
+    return out[0] if X.ndim == 2 and times.ndim == 0 else out
 
 
 def _as_times(t):
@@ -181,6 +213,7 @@ def _taylor(M):
     return R
 
 
+@_guard("the projection")
 def real_projection(basis):
     """Orthogonal projection (w.r.t. Re<.|.>) onto the real span of `basis`,
     as the pair (A, B) = (V V*/2, V V^T/2) of z -> A z + B conj(z).

@@ -149,12 +149,15 @@ def test_kernel_past_the_float_range_raises_one_domain_error(name, operators, st
 
 
 def test_operator_stacks_that_do_not_broadcast_raise_domain_error(rng):
-    # leading axes (3,) and (4,) at one point: both two-operator kernels
-    # raise DomainError, not numpy's broadcasting ValueError
+    # leading axes (3,) and (4,), at one point for the pointwise kernels:
+    # each two-operator kernel raises DomainError, not numpy's
+    # broadcasting ValueError
     C, Cp, z = cgauss(rng, (3, 3, 3)), cgauss(rng, (4, 3, 3)), random_point(rng, 2)
     for kernel in (star_pointwise, poisson_bracket):
         with pytest.raises(DomainError, match="do not"):
             kernel(C, Cp, z)
+    with pytest.raises(DomainError, match=r"^leading axes \(3,\) and \(4,\) do not broadcast$"):
+        star_operator(C, Cp)
 
 
 def test_star_frozen_value():
@@ -579,9 +582,11 @@ def test_norms_scale_exactly_by_powers_of_two(estimator):
         assert estimator(ExtendedOperator(np.ldexp(G.view(float), k).view(complex))) == math.ldexp(value, k)
     for scale in (1e-300, 1e-200, 1e200):
         assert abs(estimator(ExtendedOperator(scale * G)) - scale * value) <= 1e-8 * scale * value
-    # entries below the largest float whose norm is past it
-    with pytest.raises(DomainError, match="the norm exceeds the float range"):
-        estimator(ExtendedOperator(np.ldexp(G.view(float), 1022).view(complex)))
+    # entries below the largest float whose norm is past it, and entries
+    # whose modulus is past it, though no real or imaginary part is
+    for huge in (np.ldexp(G.view(float), 1022).view(complex), np.diag(np.full(5, 1.7e308 + 1.7e308j))):
+        with pytest.raises(DomainError, match="^the norm exceeds the float range$"):
+            estimator(ExtendedOperator(huge))
 
 
 # second-degree structure ---------------------------------------------

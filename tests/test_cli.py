@@ -388,30 +388,6 @@ def test_verify_flags_broken_metric(monkeypatch, capsys):
     assert entry["error"] is None and 0.0 < entry["max_defect"] < float("inf")
 
 
-def test_verify_flags_metric_scaled_by_one_part_in_1e5(monkeypatch, capsys):
-    # the probed curvature -(1/(2 lambda)) Laplacian(log lambda) scales by
-    # 1/(1 + e) for a metric times 1 + e: a defect of 2e where the true
-    # metric reads 3e-10, so 1 + 1e-8 shows too.  A factor that is 1 for
-    # ||z|| <= 1/2 and 1 + 1e-4 (||z|| - 1/2)^3 beyond shows only to a
-    # probe that reads the metric at the point it is given (about 6e-6).
-    # No other geometry property reads the metric's scale.
-    true_metric = geometry.metric
-
-    def scaled(e):
-        return lambda z, s, t: (1.0 + e) * true_metric(z, s, t)
-
-    def radial(z, s, t):
-        r = np.linalg.norm(getattr(z, "vector", z), axis=-1)
-        return (1.0 + 1e-4 * np.maximum(r - 0.5, 0.0) ** 3) * true_metric(z, s, t)
-
-    for planted in (scaled(1e-5), scaled(1e-8), radial):
-        monkeypatch.setattr("hilbertball.geometry.metric", planted)
-        rc = cli.main(["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"])
-        assert rc == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["failed_properties"] == ["curvature_constancy"]
-
-
 def test_closed_stdout_exits_4_without_a_traceback():
     # the read end is closed before the child starts, so its first write
     # to stdout fails whatever its timing
@@ -470,39 +446,86 @@ def test_verify_flags_broken_stacked_mobius(monkeypatch, capsys):
     assert "isometry_distance_invariance" in report["failed_properties"]
 
 
-def test_verify_flags_projection_without_conjugate_half(monkeypatch, capsys):
+def _scaled_metric(e):
+    # the probed curvature -(1/(2 lambda)) Laplacian(log lambda) scales by
+    # 1/(1 + e) for a metric times 1 + e: a defect of 2e where the true
+    # metric reads 3e-10, so 1 + 1e-8 shows too
+    return lambda metric: lambda z, s, t: (1.0 + e) * metric(z, s, t)
+
+
+def _radial_metric(metric):
+    # 1 for ||z|| <= 1/2 and 1 + 1e-4 (||z|| - 1/2)^3 beyond: shows only to
+    # a probe that reads the metric at the point it is given (about 6e-6)
+    def planted(z, s, t):
+        r = np.linalg.norm(getattr(z, "vector", z), axis=-1)
+        return (1.0 + 1e-4 * np.maximum(r - 0.5, 0.0) ** 3) * metric(z, s, t)
+    return planted
+
+
+def _transposed_star(star):
+    def planted(C, Cp):
+        P = star(C, Cp)
+        if isinstance(P, isometries.ExtendedOperator):
+            return isometries.ExtendedOperator(P.matrix.T)
+        return P.swapaxes(-1, -2)
+    return planted
+
+
+def _linear_half(projection):
     # dropping the conjugate-linear half B of every projection keeps the
     # two halves of a complete frame adding up to I, since their A halves
     # do so on their own; the projection's action on its frame fails
-    true_projection = numerics.real_projection
-
-    def linear_half(basis):
-        A, B = true_projection(basis)
+    def planted(basis):
+        A, B = projection(basis)
         return A, np.zeros_like(B)
-
-    monkeypatch.setattr("hilbertball.numerics.real_projection", linear_half)
-    rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert "projection_complement_identity" in captured.err
-    report = json.loads(captured.out)
-    assert report["failed_properties"] == ["projection_complement_identity"]
+    return planted
 
 
-def test_verify_flags_under_reporting_hermitian_norm(monkeypatch, capsys):
+def _top_eigenvalue(hermitian_norm):
     # lambda_max alone drops -lambda_min from the norm of every Hermitian
     # residual; the checks on members still pass, and only the property
     # that reads their defects against op_norm of the residuals can fail
-    def top_eigenvalue(H):
+    def planted(H):
         top = np.linalg.eigvalsh(H)[..., -1]
         return float(top) if np.ndim(H) == 2 else top
+    return planted
 
+
+_ALL = ["verify", "all", "--dim", "4", "--trials", "200", "--seed", "0"]
+_GEOMETRY_4 = ["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"]
+_GEOMETRY_2 = ["verify", "geometry", "--dim", "2", "--trials", "10"]
+_STAR = ["star_associativity", "star_homomorphism"]
+
+
+# Planted defects: each row swaps one module attribute for a broken
+# version of it (`make` maps the true attribute to the planted one), runs
+# `verify` and names exactly the properties that must fail.
+@pytest.mark.parametrize("module, name, make, argv, failed", [
+    pytest.param(algebra, "HBAR", lambda hbar: -hbar, _ALL, _STAR, id="hbar_sign_flipped"),
+    pytest.param(algebra, "star_operator", _transposed_star, _ALL, ["cstar_chain_identity"] + _STAR,
+                 id="star_operator_transposed"),
+    # no other geometry property reads the metric's scale
+    pytest.param(geometry, "metric", _scaled_metric(1e-5), _GEOMETRY_4, ["curvature_constancy"],
+                 id="metric_scaled_by_1e-5"),
+    pytest.param(geometry, "metric", _scaled_metric(1e-8), _GEOMETRY_4, ["curvature_constancy"],
+                 id="metric_scaled_by_1e-8"),
+    pytest.param(geometry, "metric", _radial_metric, _GEOMETRY_4, ["curvature_constancy"],
+                 id="metric_scaled_radially"),
+    pytest.param(numerics, "real_projection", _linear_half, _GEOMETRY_2, ["projection_complement_identity"],
+                 id="projection_without_conjugate_half"),
     # the four checks, `algebra.is_self_adjoint` among them, read their
     # residuals through `isometries._residual_norm`
-    monkeypatch.setattr("hilbertball.isometries.hermitian_norm", top_eigenvalue)
-    rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
-    assert rc == 1
+    pytest.param(isometries, "hermitian_norm", _top_eigenvalue, _GEOMETRY_2, ["membership_defect_agreement"],
+                 id="under_reporting_hermitian_norm"),
+])
+def test_verify_flags_planted_defect(monkeypatch, capsys, module, name, make, argv, failed):
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert "membership_defect_agreement" in captured.err
+    assert captured.err.startswith("verification failed:")
+    assert all(prop in captured.err for prop in failed)
     report = json.loads(captured.out)
-    assert report["failed_properties"] == ["membership_defect_agreement"]
+    assert report["failed_properties"] == failed
+    for entry in report["properties"]:
+        if entry["name"] in failed:
+            assert entry["error"] is None and 0.0 < entry["max_defect"] < float("inf")

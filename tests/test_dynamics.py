@@ -180,6 +180,22 @@ def test_evolve_exp_past_the_float_range_raises_one_domain_error():
             evolve_exp(X, np.array([0.1, 0.2]), np.array([0.5, 800.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_closed_flows_past_the_float_range_raise_one_domain_error():
+    # lambda t past the float range leaves the phases of the Schroedinger
+    # flow undefined, and st those of an elliptic disc flow: one DomainError
+    # for a single time and for one time of an array, and no numpy warning
+    H, z = HamiltonianGenerator(np.diag([3.0, -1.0])), BallPoint([0.1, 0.2])
+    for t in (2.0 ** 1023, np.array([0.5, 2.0 ** 1023])):
+        with pytest.raises(DomainError, match="^point has non-finite entries$"):
+            schrodinger_evolve(H, z, t)
+        with pytest.raises(DomainError, match="^the flow overflowed the float range in disc_evolve_closed$"):
+            disc_evolve_closed(DiscGenerator(1e300, 0.0), 0.5, t)
+    # a hyperbolic s past the float range is no such case: at t = 0 the
+    # flow is z itself, where inf * 0 once read NaN
+    assert disc_evolve_closed(DiscGenerator(0.3, 1.7e308 + 1.7e308j), 0.5, 0.0) == 0.5
+
+
 def test_exp_flow_preserves_distance(rng):
     worst = 0.0
     for _ in range(20):
@@ -539,10 +555,14 @@ def test_disc_closed_form_matches_mpmath(rng):
     (0.0, 1e-200, 1e200),
     (1e-200, 2e-200j, 1e200),
     (3e-170, 1e-170, -1e170),
+    (1.7e308, 1.7e308 + 1.7e308j, 1e-308),
+    (1.7e308, 0.5e308j, 1e-308),
+    (0.3, 1.7e308 + 1.7e308j, 1.0),
 ])
 def test_disc_flow_of_extreme_generators_matches_mpmath(a, b, t):
     # |b|^2 - a^2 overflows or underflows in doubles although t X is of
-    # order one, in each regime
+    # order one, in each regime; and s past the float range, whose orbit
+    # is then within e^{-2st} of the rim point b/|b|
     g = DiscGenerator(a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -132,6 +132,16 @@ def test_action_preserves_ball_and_distance(rng):
         assert abs(distance(su, sv) - distance(u, v)) < 1e-9
 
 
+def test_single_objects_make_no_broadcast_call(rng, monkeypatch):
+    # equal leading axes are their own broadcast: a single point under a
+    # single member, the `geometry_rim` load, pays for no numpy call
+    T = transport_from_origin(random_point(rng, 3, 0.5))
+    z = random_point(rng, 3, 0.9)
+    want = mobius_apply(T, z)
+    monkeypatch.setattr(np, "broadcast_shapes", None)
+    assert same_bytes(mobius_apply(T, z).vector, want.vector)
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1e-15, 1e-100, 1e-200])
 def test_scaled_member_acts_as_the_member(scale):
     # phi_T depends on T only up to scale, so the degeneracy threshold

@@ -223,6 +223,7 @@ def test_op_norm_stack_matches_numpy_svd(rng, shape):
     assert np.max(np.abs(op_norm(M) - want) / want) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error")
 def test_op_norm_extreme_scales(rng):
     # the Gram matrix of M itself would overflow at 1e200 and underflow
     # at 1e-200; a zero matrix in the stack has norm 0
@@ -247,6 +248,12 @@ def test_op_norm_extreme_scales(rng):
     sub = np.ldexp(M[4].real, -1060) + 1j * np.ldexp(M[4].imag, -1060)
     exact = svd_norms((np.ldexp(sub.real, 1060) + 1j * np.ldexp(sub.imag, 1060))[None])[0]
     assert abs(op_norm(sub) - np.ldexp(exact, -1060)) <= np.ldexp(1.0, -1074)
+    # a norm past the float range, of entries whose modulus is past it too
+    # or is not, raises one DomainError, alone and in a stack
+    for huge in (np.full((3, 3), 1.7e308 + 1.7e308j), np.full((3, 3), 1e308 + 0j)):
+        for X in (huge, np.stack([np.eye(3), huge])):
+            with pytest.raises(DomainError, match="^the norm overflowed the float range in op_norm$"):
+                op_norm(X)
 
 
 def test_hermitian_norm_matches_numpy_svd(rng):
@@ -347,13 +354,16 @@ def test_real_projection_idempotent(rng):
             assert same_bytes(single[0], A[k]) and same_bytes(single[1], B[k])
 
 
+@pytest.mark.filterwarnings("error")
 def test_real_projection_rejects_skew_basis():
     e1 = np.array([1.0 + 0j, 0.0])
     with pytest.raises(DomainError):
         real_projection(np.stack([e1, 0.9 * e1], axis=-1))
-    # a NaN Gram defect is no pass
+    # a NaN Gram defect is no pass, nor is one past the float range
     with pytest.raises(DomainError, match="Gram defect nan"):
         real_projection(np.array([[np.nan], [0j]]))
+    with pytest.raises(DomainError, match=r"^basis is not real-orthonormal \(Gram defect inf\)$"):
+        real_projection(2.0 ** 600 * np.eye(3, 1))
 
 
 def test_real_linear_map_apply(rng):

@@ -13,10 +13,11 @@ Each is timed once on single objects (`BallPoint`, `ExtendedOperator`,
 one mirror, one `TangentVector` pair, one (dim+1) x (dim+1) matrix, one
 disc generator with one point and one time) and once on stacks of STACK
 of them (arrays over one leading axis), and the script prints the
-median over REPEATS rounds of the time per call in microseconds.  Of
-these, `distance` and the `BallPoint` constructor take single points
-only, so their stacked column reads `-`.  A call that raises is not
-timed, and its cell reads `err`.  Then come the
+median over REPEATS rounds of the time per call in microseconds.  The
+`BallPoint` constructor is timed on one point and on the stack of STACK
+points, which it checks as one; `distance` takes single points only, so
+its stacked column reads `-`.  A call that raises is not timed, and its
+cell reads `err`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
 STEPS steps from one point (stacked column `-`), the `trajectory_csv`
@@ -192,7 +193,7 @@ def cases(mods, arrays):
         ("k_factor", lambda: geometry.k_factor(z), lambda: geometry.k_factor(Z)),
         ("metric", lambda: geometry.metric(z, s, s), lambda: geometry.metric(Z, S, S)),
         ("distance", lambda: geometry.distance(z, w), None),
-        ("BallPoint", lambda: geometry.BallPoint(Z[0]), None),
+        ("BallPoint", lambda: geometry.BallPoint(Z[0]), lambda: geometry.BallPoint(Z)),
         ("mat_exp", lambda: numerics.mat_exp(C[0]), lambda: numerics.mat_exp(C)),
         ("op_norm", lambda: numerics.op_norm(C[0]), lambda: numerics.op_norm(C)),
         ("is_inhomogeneous_unitary", lambda: isometries.is_inhomogeneous_unitary(t),

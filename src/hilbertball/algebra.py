@@ -48,17 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (
-    BallPoint,
-    HBAR,
-    TangentVector,
-    _dots,
-    _matvec,
-    _result,
-    _vectors,
-    kahler_form,
-    metric,
-)
+from .geometry import HBAR, BallPoint, TangentVector, _dots, _matvec, _point, _result, kahler_form, metric
 from .isometries import (ExtendedOperator, _matrices, _operands, _residual_norm, _verdict, epsilon_matrix,
                          epsilon_operator)
 from .numerics import _broadcast, _guard, _pow2_scaled, gaussian_directions, golden_max, sobol_unit
@@ -78,9 +68,9 @@ def unit(dim):
 
 
 def extended_point(z):
-    """zhat = (z, 1) in C^n + C; for an array of points along its last
-    axis, the array of their zhat."""
-    z = z.vector if isinstance(z, BallPoint) else z
+    """zhat = (z, 1) in C^n + C; for a stack of points, the array of
+    their zhat."""
+    z = _point(z).vector
     zh = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=complex)
     zh[..., :-1] = z
     zh[..., -1] = 1.0
@@ -101,8 +91,8 @@ def evaluate(C, z):
     result is the complex array of values.  One point outside the ball,
     or one value past the float range, raises DomainError.
     """
-    C, _, Z, gaps = _operands(C, z)
-    return _result(np.divide(1.0, gaps) * _form(C, extended_point(Z)))
+    C, _, p = _operands(C, z)
+    return _result(np.divide(1.0, p.gap) * _form(C, extended_point(p)))
 
 
 @_guard("f_C")
@@ -110,10 +100,11 @@ def evaluate_blocks(C, z):
     """f_C(z) through the expanded block formula
     (a + <y|z> + <z|x> + <z|Az>) k_z; agrees with `evaluate` to roundoff.
     Arrays of matrices and of points broadcast as in `evaluate`."""
-    C, n, Z, gaps = _operands(C, z)
+    C, n, p = _operands(C, z)
+    Z = p.vector
     # the bottom row stores conj(y)
     A, x, yc, a = C[..., :n, :n], C[..., :n, n], C[..., n, :n], C[..., n, n]
-    return _result((a + _dots(yc.conj(), Z) + _dots(Z, x) + _dots(Z, _matvec(A, Z))) * np.divide(1.0, gaps))
+    return _result((a + _dots(yc.conj(), Z) + _dots(Z, x) + _dots(Z, _matvec(A, Z))) * np.divide(1.0, p.gap))
 
 
 @_guard("f_C")
@@ -125,24 +116,24 @@ def holo_differential(C, z):
     matrices and of points broadcast over their leading axes as in
     `evaluate`, giving the array of differentials.
     """
-    C, n, Z, gaps = _operands(C, z)
-    zh = extended_point(Z)
-    k = np.divide(1.0, gaps)[..., None]
+    C, n, p = _operands(C, z)
+    zh = extended_point(p)
+    k = np.divide(1.0, p.gap)[..., None]
     row = (zh.conj()[..., None, :] @ C)[..., 0, :n]
-    return k * row + (k * k) * _form(C, zh)[..., None] * Z.conj()
+    return k * row + (k * k) * _form(C, zh)[..., None] * p.vector.conj()
 
 
 @_guard("f_C")
 def gradient(C, z):
     """grad f_C = E_1 C zhat + <e_2|C zhat> z, a holomorphic vector; the
     array of them for arrays of matrices and points, as in `evaluate`."""
-    return _gradient(*_operands(C, z)[:3])
+    return _gradient(*_operands(C, z))
 
 
-def _gradient(C, n, Z):
+def _gradient(C, n, p):
     """`gradient` on validated operands."""
-    czh = _matvec(C, extended_point(Z))
-    return czh[..., :n] + czh[..., n, None] * Z
+    czh = _matvec(C, extended_point(p))
+    return czh[..., :n] + czh[..., n, None] * p.vector
 
 
 @_guard("f_C")
@@ -155,17 +146,18 @@ def hamiltonian_field(C, z):
     extension in C, which is what makes the bracket below bilinear.
     Arrays broadcast as in `evaluate` and give arrays of fields.
     """
-    C, n, Z, _ = _operands(C, z)
+    C, n, p = _operands(C, z)
     # C* stored contiguously: the products of a transposed view round apart
     adjoint = np.ascontiguousarray(C.conj().swapaxes(-1, -2))
-    return TangentVector(-1j * _gradient(C, n, Z), -1j * _gradient(adjoint, n, Z))
+    return TangentVector(-1j * _gradient(C, n, p), -1j * _gradient(adjoint, n, p))
 
 
 @_guard("f_C")
 def poisson_bracket(C, Cp, z):
     """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields;
     arrays broadcast as in `evaluate`."""
-    return kahler_form(z, hamiltonian_field.__wrapped__(C, z), hamiltonian_field.__wrapped__(Cp, z))
+    p = _point(z)
+    return kahler_form(p, hamiltonian_field.__wrapped__(C, p), hamiltonian_field.__wrapped__(Cp, p))
 
 
 @_guard("f_C")
@@ -174,10 +166,11 @@ def star_pointwise(C, Cp, z):
 
     Arrays of matrices and of points broadcast as in `evaluate` and give
     the complex array of values."""
-    df, grad = holo_differential.__wrapped__(C, z), gradient.__wrapped__(Cp, z)
+    p = _point(z)
+    df, grad = holo_differential.__wrapped__(C, p), gradient.__wrapped__(Cp, p)
     _broadcast(df.shape[:-1], grad.shape[:-1])
     correction = _dots(df.conj(), grad)
-    f, fp = evaluate.__wrapped__(C, z), evaluate.__wrapped__(Cp, z)
+    f, fp = evaluate.__wrapped__(C, p), evaluate.__wrapped__(Cp, p)
     return _result(f * fp + HBAR * correction)
 
 
@@ -214,8 +207,9 @@ def dispersion(C, z):
     of an array; arrays broadcast as in `evaluate`."""
     if not np.all(is_self_adjoint.__wrapped__(C).ok):
         raise DomainError("dispersion needs a self-adjoint operator")
-    field = hamiltonian_field.__wrapped__(C, z)
-    val = 0.5 * abs(HBAR) * metric(z, field, field).real
+    p = _point(z)
+    field = hamiltonian_field.__wrapped__(C, p)
+    val = 0.5 * abs(HBAR) * metric(p, field, field).real
     return _result(np.sqrt(np.maximum(val, 0.0)))
 
 
@@ -254,12 +248,12 @@ def kahler_condition_check(C, z):
     1 - 1e-6 and 3e5 at 1 - 1e-10.  Arrays broadcast as in `evaluate`,
     and one `evaluate` call reads every stencil point.
     """
-    C, n, Z, _ = _operands(C, z)
-    Z = np.broadcast_to(Z, _broadcast(C.shape[:-2], Z.shape[:-1]) + (n,))
+    C, n, p = _operands(C, z)
+    Z = np.broadcast_to(p.vector, _broadcast(C.shape[:-2], p.vector.shape[:-1]) + (n,))
     D = np.random.default_rng(0xD1F).standard_normal((FD_DIRECTIONS, 2, n))
     U = D[:, 0] + 1j * D[:, 1]
     h = np.minimum(0.05, 0.5 * (1.0 - np.linalg.norm(Z, axis=-1)))
-    return second_degree_defect(lambda W: evaluate(C, W) * _vectors(W)[1], Z, h,
+    return second_degree_defect(lambda W: evaluate(C, P := BallPoint(W)) * P.gap, Z, h,
                                 U / np.linalg.norm(U, axis=-1)[:, None])
 
 
@@ -275,16 +269,17 @@ def fit_operator(points, values):
     DomainError.  Generic points determine C once there are enough of
     them, and the system is solved through its QR factorization.
     """
-    Z, gaps = _vectors(points)
+    p = _point(points)
+    Z = p.vector
     b = np.asarray(values, dtype=complex)
     d = Z.shape[-1] + 1
     if Z.ndim < 2 or b.shape != Z.shape[:-1]:
         raise DomainError(f"need one value per point, got {b.shape} for points {Z.shape}")
     if Z.shape[-2] < d * d:
         raise DomainError(f"fitting (n+1)^2 = {d * d} entries needs as many points, got {Z.shape[-2]}")
-    zh = extended_point(Z)
+    zh = extended_point(p)
     rows = (zh.conj()[..., :, None] * zh[..., None, :]).reshape(Z.shape[:-1] + (d * d,))
-    rhs = b * gaps
+    rhs = b * p.gap
     Q, R = np.linalg.qr(rows)
     sol = np.linalg.solve(R, (Q.conj().swapaxes(-1, -2) @ rhs[..., None]))[..., 0]
     return sol.reshape(sol.shape[:-1] + (d, d))

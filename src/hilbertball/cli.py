@@ -76,14 +76,14 @@ def cmd_evolve(args):
     t_max = _parse_float(args.t_max, "--t-max")
     dt = _parse_float(args.dt, "--dt")
     times, points = dynamics.trajectory(gen, z0, t_max, dt)
-    text = serialize.trajectory_csv(times, points)
+    text = serialize.trajectory_csv(times, points.vector)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)
         _emit(
             {
                 "samples": len(times),
-                "max_norm": float(np.linalg.norm(points, axis=-1).max()),
+                "max_norm": float(points.norm().max()),
                 "out": args.out,
             }
         )

@@ -24,12 +24,13 @@ flows; nothing here integrates an ODE.
 
 `evolve_exp` and `schrodinger_evolve` take a single generator and point,
 arrays of them over any leading axes (see `geometry`), or one generator
-and point with a 1-D array of times, which gives the array of points,
+and point with a 1-D array of times, which gives the stack of points,
 one per time, from one batched exponential or one eigendecomposition.
 `disc_evolve_closed` broadcasts the a and b of its generators, its disc
 points and its times elementwise, the times being a scalar or a 1-D
 array.  All follow the edge rules of `numerics`.  A trajectory is the
-pair of arrays (times, points): disc and Schroedinger flows are one call
+pair (times, points), points a `BallPoint` stack: disc and Schroedinger
+flows are one call
 over all times, and exponential flows exponentiate only their first
 TIME_BLOCK times and step each later block from the one before it by
 exp(TIME_BLOCK dt X), by the group law exp((s + t)X) = exp(sX) exp(tX):
@@ -43,14 +44,7 @@ import numpy as np
 
 from .algebra import is_self_adjoint
 from .errors import DomainError
-from .geometry import (
-    BallPoint,
-    _matvec,
-    _paired_points,
-    _points_result,
-    _result,
-    _vectors,
-)
+from .geometry import BallPoint, _joined, _matvec, _paired_points, _result
 from .isometries import ExtendedOperator, _matrices, lie_algebra_check, mobius_apply
 from .numerics import _as_complex_matrix, _as_times, _broadcast, _guard, _pow2_scaled, mat_exp
 
@@ -70,7 +64,9 @@ class DiscGenerator:
 
     def matrix(self):
         """[[ia, b], [conj(b), -ia]]; the (..., 2, 2) stack for arrays a, b."""
-        a, b = np.broadcast_arrays(np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=complex))
+        a, b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=complex)
+        _broadcast(a.shape, b.shape, what="shapes of a and b")
+        a, b = np.broadcast_arrays(a, b)
         return np.stack([np.stack([1j * a, b], axis=-1), np.stack([b.conj(), -1j * a], axis=-1)], axis=-2)
 
     def extended(self):
@@ -87,7 +83,9 @@ def alpha(g):
 
 def _scaled_generator(a, b):
     """(2^-e a, 2^-e b, alpha 2^-2e, e) from a and b scaled together,
-    which keeps alpha's sign.  DomainError for a non-finite a or b."""
+    which keeps alpha's sign.  DomainError for a non-finite a or b, or
+    for shapes that do not broadcast."""
+    _broadcast(a.shape, b.shape, what="shapes of a and b")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("disc generator has non-finite a or b")
     ab, e = _pow2_scaled(np.stack(np.broadcast_arrays(a, b), axis=-1))
@@ -144,7 +142,7 @@ def disc_evolve_closed(g, z, t):
     check `BallPoint` makes.
     """
     times = _as_times(np.asarray(t, dtype=float))
-    z = _vectors(np.asarray(z, dtype=complex)[..., None])[0][..., 0]
+    z = BallPoint(np.asarray(z, dtype=complex)[..., None]).vector[..., 0]
     a, b = np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex)
     shape = _broadcast(a.shape, b.shape, z.shape, times.shape, what="shapes of a, b, z and t")
     a, b, z, times = np.atleast_1d(a, b, z, times)
@@ -168,10 +166,10 @@ def disc_evolve_closed(g, z, t):
 def evolve_exp(X, z, t):
     """phi_{exp(tX)}(z) for any group generator in any dimension.
 
-    A 1-D array of k times gives the (k, n) array of points, one per
+    A 1-D array of k times gives the (k, n) stack of points, one per
     time, from one batched `mat_exp` and one stacked `mobius_apply`.
     Arrays of generator matrices and of points with a scalar t give the
-    array of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
+    stack of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
     off the Lie algebra raises DomainError, as `mat_exp` does for one
     exp(tX) past the float range.
     """
@@ -187,9 +185,9 @@ def schrodinger_evolve(gen, z, t):
     H is diagonalized once by `eigh`, H = V diag(lambda) V*, and the
     flow is read off as V (e^{-i lambda t} * V* z): the spectral theorem
     in place of a matrix exponential.  A 1-D array of k times gives the
-    (k, n) array of points, one per time, from that one decomposition.
+    (k, n) stack of points, one per time, from that one decomposition.
     Arrays of self-adjoint matrices H_i and of points with a scalar t
-    give the array of exp(-i H_i t) z_i over their leading axes; one
+    give the stack of exp(-i H_i t) z_i over their leading axes; one
     matrix that is not self-adjoint, or one point outside the ball,
     raises DomainError.  Each point of a time array has the bits of the
     call at that scalar time.
@@ -199,20 +197,19 @@ def schrodinger_evolve(gen, z, t):
     if H.ndim > 2 and times.ndim:
         raise DomainError("a stack of Hamiltonians takes one scalar time")
     # the points pair with the times, or with the stack of Hamiltonians
-    Z, _ = _paired_points(times.shape or H.shape[:-2], z, H.shape[-1])
+    Z = _paired_points(times.shape or H.shape[:-2], z, H.shape[-1]).vector
     lam, V = np.linalg.eigh(H)
     coeffs = _matvec(V.conj().swapaxes(-1, -2), Z)
     phases = np.exp(-1j * (times[..., None] * lam))
-    moved = _matvec(V, phases * coeffs)
-    return _points_result(moved, isinstance(z, BallPoint))
+    return BallPoint(_matvec(V, phases * coeffs))
 
 
 def trajectory(generator, z0, t_max, dt):
     """Samples of the exact flow at t = 0, dt, 2dt, ... up to t_max.
 
-    Returns `times`, the (N,) array i * dt, and `points`, the (N, n)
-    array of z(t_i).  t_max must cover at least one step, so the
-    shortest output has two samples.  Disc flows are one call of the
+    Returns `times`, the (N,) array i * dt, and `points`, the BallPoint
+    stack of the (N, n) z(t_i).  t_max must cover at least one step, so
+    the shortest output has two samples.  Disc flows are one call of the
     closed form over all times, and Schroedinger flows one
     `schrodinger_evolve` call over all times, so each of their samples
     is the per-step flow bit for bit.  Exponential flows use the group
@@ -222,7 +219,7 @@ def trajectory(generator, z0, t_max, dt):
     moved by the one step exp(TIME_BLOCK dt X), a second `mat_exp` call,
     so later samples differ from the per-step exponentials by the
     roundoff of the steps before them.  Their points are checked block
-    by block as they are made, the other flows' as one array; a sample
+    by block as they are made, the other flows' as one stack; a sample
     that rounds out of the ball raises DomainError naming the first such
     sample, its time and its norm.
     """
@@ -243,7 +240,7 @@ def trajectory(generator, z0, t_max, dt):
         if isinstance(generator, DiscGenerator):
             if z0.dim != 1:
                 raise DomainError("disc generators act on the one-dimensional ball")
-            points = _vectors(disc_evolve_closed(generator, z0.vector[0], times)[:, None])[0]
+            points = BallPoint(disc_evolve_closed(generator, z0.vector[0], times)[:, None])
         elif isinstance(generator, HamiltonianGenerator):
             points = schrodinger_evolve(generator, z0, times)
         elif isinstance(generator, ExtendedOperator):
@@ -252,7 +249,7 @@ def trajectory(generator, z0, t_max, dt):
                 shift = mat_exp(generator.matrix, times[TIME_BLOCK])
             for start in range(TIME_BLOCK, len(times), TIME_BLOCK):
                 blocks.append(mobius_apply(shift, blocks[-1][:len(times) - start]))
-            points = np.concatenate(blocks)
+            points = _joined(blocks)
         else:
             raise DomainError(f"unsupported generator type {type(generator).__name__}")
     except DomainError as err:

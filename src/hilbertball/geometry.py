@@ -45,19 +45,20 @@ object is the case with no leading axes.  One body is not one rounding:
 numpy's complex multiply rounds apart in its scalar and array loops, so
 a single point's `metric` and the same point inside a stack can differ,
 by up to 1.9e-15 relative over 2,000 draws at dim 1, as can the kernels
-that read it.  A `BallPoint` or `ExtendedOperator` is unwrapped on entry
-and the result wrapped on exit, so a single point gives a `BallPoint`,
-an operator an `ExtendedOperator` and a scalar a Python float or
-complex.  The exceptions take single objects only: `distance`,
-`tanh_distance` and the other helpers here that take `BallPoint`s,
-`algebra`'s norm estimators and `dynamics.trajectory`.
-`disc_evolve_closed`, whose points are complex numbers, broadcasts them
-elementwise instead.  A point is inside when it is finite and
-<z|z> < (1 - BOUNDARY_MARGIN)^2, <z|z> having the bits of np.vdot: one
-rule, which `BallPoint` applies to a vector and `_check_points` to each
-point of an array, where one bad point raises DomainError for the whole
-array.  The kernels read the rim gap 1 - <z|z> from that check, or a
-point's stored `gap`.
+that read it.
+
+Points are one type, `BallPoint`: a single point or a stack of them,
+with their rim gaps 1 - <z|z>, checked by the one inside rule: finite,
+with <z|z> < (1 - BOUNDARY_MARGIN)^2 and <z|z> of the bits of np.vdot.
+A kernel turns its point argument into a `BallPoint` once, on entry, and
+every kernel whose value is points returns one: `mobius_apply`,
+`mirror_apply`, `evolve_exp`, `schrodinger_evolve` and the points of
+`trajectory`.  A single operator gives an `ExtendedOperator` and a
+scalar a Python float or complex.  `distance`, `tanh_distance`,
+`recover_inner_product`, `connection`, `geodesic_from_origin` and
+`algebra`'s norm estimators take single points only, and `trajectory`
+starts from one; `disc_evolve_closed`, whose points are complex
+numbers, broadcasts them elementwise instead.
 """
 
 import math
@@ -78,24 +79,15 @@ HBAR = 2.0 / CURVATURE
 NORM_MATCH_TOL = 1e-10
 
 
-def _check_points(z):
-    """The rim gaps 1 - <z|z> of z, points along its last axis, once every
-    point is inside (<z|z> < _LIMIT_SQ, by `_dots`); one that is not
-    raises DomainError for the whole array (`_reject`)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = _dots(z, z).real
-    if not (sq < _LIMIT_SQ).all():
-        _reject(z, sq)
-    return 1.0 - sq
-
-
 def _reject(z, sq):
     """Raise DomainError for points z, of squared norms sq, not all inside.
     Its `row` is the first non-finite point over the flattened leading
     axes, or if none the first outside, and its message gives that
     point's norm as sqrt(sq), so a point rejected at the margin never
     prints a norm below 1 - BOUNDARY_MARGIN.  Nothing here warns, even
-    for huge or non-finite points, so it needs no np.errstate."""
+    for huge or non-finite points, so it needs no np.errstate.  A single
+    point, whose sq is a float, is rejected without array reductions, as
+    it is checked without them."""
     if z.ndim == 1:
         # a finite sq has finite entries; huge finite ones give sq = inf
         row, finite = 0, math.isfinite(sq) or bool(np.isfinite(z).all())
@@ -111,35 +103,62 @@ def _reject(z, sq):
 
 @dataclass(frozen=True, eq=False)
 class BallPoint:
-    """An interior point of the unit ball, ||z|| < 1.
+    """An interior point of the unit ball, ||z|| < 1, or a stack of them.
 
-    `vector` is a read-only copy of the input, so the point cannot change
-    after it is checked, and `gap` is its rim gap 1 - <z|z>.  It is
-    inside by the rule of `_check_points`, with <z|z> of the same bits.
+    `vector` is a read-only copy of the input, of shape (..., n) (a scalar
+    is a point of the disc), and `gap` its rim gaps 1 - <z|z>, a float or
+    a read-only array of shape (...).  Indexing the leading axes gives
+    points of the stack with their gaps, unchecked again.
     """
 
     vector: np.ndarray
     gap: float = field(init=False)
 
     def __post_init__(self):
-        v = np.array(self.vector, dtype=complex)
-        if v.ndim != 1:
-            if v.ndim:
-                raise DomainError(f"a point is a vector, got ndim {v.ndim}")
-            v = v.reshape(1)
-        sq = float(np.vdot(v, v).real)
-        if not sq < _LIMIT_SQ:
-            _reject(v, sq)
-        v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "gap", 1.0 - sq)
+        v = np.array(self.vector, dtype=complex, ndmin=1)
+        if v.ndim == 1:
+            # a single point pays for no np.errstate and no reduction
+            sq = float(np.vdot(v, v).real)
+            if not sq < _LIMIT_SQ:
+                _reject(v, sq)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = _dots(v, v).real
+            if not (sq < _LIMIT_SQ).all():
+                _reject(v, sq)
+        _fill(self, v, 1.0 - sq)
 
     @property
     def dim(self):
-        return self.vector.size
+        return self.vector.shape[-1]
 
     def norm(self):
-        return float(np.linalg.norm(self.vector))
+        """||z||: a float, or the array of norms of a stack."""
+        if self.vector.ndim == 1:
+            return float(np.linalg.norm(self.vector))
+        return np.linalg.norm(self.vector, axis=-1)
+
+    def __getitem__(self, index):
+        lead = index if isinstance(index, tuple) else (index,)
+        gap = self.gap[lead]
+        return _fill(object.__new__(BallPoint), self.vector[lead + (slice(None),)],
+                     gap if np.ndim(gap) else float(gap))
+
+
+def _fill(p, vector, gap):
+    """p holding the checked points `vector` and their gaps, read-only."""
+    vector.flags.writeable = False
+    if vector.ndim > 1:
+        gap.flags.writeable = False
+    object.__setattr__(p, "vector", vector)
+    object.__setattr__(p, "gap", gap)
+    return p
+
+
+def _joined(points):
+    """The stacks `points` joined along their first axis, unchecked again."""
+    return _fill(object.__new__(BallPoint), np.concatenate([p.vector for p in points]),
+                 np.concatenate([p.gap for p in points]))
 
 
 def origin(dim):
@@ -175,36 +194,29 @@ class TangentVector:
         return TangentVector(1j * self.hol, 1j * self.antihol)
 
 
-def _vectors(z):
-    """(points, rim gaps): a BallPoint's vector and stored gap, or z as a
-    validated array of points along its last axis and its gaps."""
+def _point(z):
+    """z as a BallPoint: z itself, or an array of points along its last
+    axis checked by the inside rule."""
     if isinstance(z, BallPoint):
-        return z.vector, z.gap
-    z = np.asarray(z, dtype=complex)
-    if z.ndim < 1:
+        return z
+    if np.ndim(z) == 0:
         raise DomainError("points need at least one axis")
-    return z, _check_points(z)
+    return BallPoint(z)
 
 
 def _paired_points(lead, z, n):
-    """`_vectors` of z, points of dimension n whose leading axes broadcast
-    against the leading axes `lead` of an array of matrices."""
-    Z, gaps = _vectors(z)
-    if Z.shape[-1] != n:
+    """z as a BallPoint (`_point`) of dimension n, its leading axes
+    broadcasting against `lead`, those of an array of matrices."""
+    p = _point(z)
+    if p.dim != n:
         raise DomainError("operator and point dimensions differ")
-    _broadcast(lead, Z.shape[:-1])
-    return Z, gaps
+    _broadcast(lead, p.vector.shape[:-1])
+    return p
 
 
 def _result(x):
     """A result with no leading axes as a Python scalar, any other as is."""
     return x.item() if x.ndim == 0 else x
-
-
-def _points_result(w, single):
-    """Images of points: a BallPoint for a single point, otherwise the
-    validated array."""
-    return BallPoint(w) if single and w.ndim == 1 else _vectors(w)[0]
 
 
 def _dots(a, b):
@@ -231,7 +243,7 @@ def k_factor(z):
     An array of points along its last axis gives the array of factors;
     one point outside the ball raises DomainError.
     """
-    return _result(np.divide(1.0, _vectors(z)[1]))
+    return _result(np.divide(1.0, _point(z).gap))
 
 
 def metric(z, s, t):
@@ -241,8 +253,8 @@ def metric(z, s, t):
     of the tangent vectors arrays of vectors; their leading axes
     broadcast, and the result is then the complex array of values.
     """
-    k = k_factor(z)  # checks every point
-    Z = z.vector if isinstance(z, BallPoint) else np.asarray(z, dtype=complex)
+    p = _point(z)
+    k, Z = k_factor(p), p.vector
     if not s.hol.shape[-1] == t.hol.shape[-1] == Z.shape[-1]:
         raise DomainError(f"tangent parts of shape {s.hol.shape} and {t.hol.shape} do not match points {Z.shape}")
     _broadcast(s.hol.shape[:-1], t.hol.shape[:-1], Z.shape[:-1])
@@ -369,7 +381,8 @@ def sectional_curvature_probe(z, u):
     Arrays of points and of directions of one shape give the array of
     curvatures over their leading axes.
     """
-    Z, gaps = _vectors(z)
+    p = _point(z)
+    Z = p.vector
     U = np.array(u, dtype=complex, ndmin=1)
     if U.shape != Z.shape:
         raise DomainError(f"need points and directions of one shape, got {Z.shape} and {U.shape}")
@@ -379,7 +392,7 @@ def sectional_curvature_probe(z, u):
     U = U / np.linalg.norm(U, axis=-1)[..., None]
 
     # lambda at the stencil's nine chart points, one row per point
-    h = 4e-3 * np.asarray(gaps)
+    h = 4e-3 * np.asarray(p.gap)
     w = _STENCIL.reshape((9,) + (1,) * Z.ndim) * h[..., None]
     D = np.broadcast_to(U, (9,) + U.shape)
     s = TangentVector.real(D)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BallPoint, _matvec, _paired_points, _points_result, _vectors
+from .geometry import BallPoint, _matvec, _paired_points, _point
 from .numerics import _as_complex_matrix, _guard, _pow2_scaled, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
@@ -95,10 +95,10 @@ def _matrices(T):
 
 
 def _operands(T, z):
-    """Validated matrices, n, and validated points of dimension n whose
-    leading axes broadcast against the matrices', with their rim gaps."""
+    """Validated matrices, n, and the BallPoint of points of dimension n
+    whose leading axes broadcast against the matrices'."""
     M, n = _matrices(T)
-    return (M, n) + _paired_points(M.shape[:-2], z, n)
+    return M, n, _paired_points(M.shape[:-2], z, n)
 
 
 def epsilon_matrix(dim):
@@ -191,13 +191,13 @@ def mobius_apply(T, z):
     members.
 
     Arrays of (n+1) x (n+1) matrices and of points (last axis) give the
-    array of images over their broadcast leading axes; a BallPoint under
-    one operator gives a BallPoint.  One degenerate denominator, or one
-    point or image outside the ball, raises DomainError.
+    stack of images over their broadcast leading axes.  One degenerate
+    denominator, or one point or image outside the ball, raises
+    DomainError.
     """
-    M, n, Z, _ = _operands(T, z)
-    W = _moved(M, n, Z)
-    return _points_result(W[..., :n] / W[..., n, None], isinstance(z, BallPoint))
+    M, n, p = _operands(T, z)
+    W = _moved(M, n, p.vector)
+    return BallPoint(W[..., :n] / W[..., n, None])
 
 
 def mobius_differential(T, z):
@@ -205,8 +205,8 @@ def mobius_differential(T, z):
     Jacobians over the leading axes of arrays of matrices and points.
     Each factor of the rank-one term is divided by the denominator on its
     own, so that a tiny or huge member forms no square of it."""
-    M, n, Z, _ = _operands(T, z)
-    W = _moved(M, n, Z)
+    M, n, p = _operands(T, z)
+    W = _moved(M, n, p.vector)
     den = W[..., n, None, None]
     return M[..., :n, :n] / den - (W[..., :n, None] / den) * (M[..., n, None, :n] / den)
 
@@ -218,19 +218,18 @@ def transport_from_origin(u):
     projection E_u onto the line through u, x = y = m u, a = m.  Since
     (m - 1)/||u||^2 = m^2/(m + 1), A = I + m^2/(m + 1) u u*, which is I
     at the origin.  Self-adjoint blocks, deterministic, and phi_T(0) = u.
-    An array of points along its last axis gives the array of their
-    transports.
+    A stack of points gives the array of their transports.
     """
-    U, gaps = _vectors(u)
-    n = U.shape[-1]
-    m = 1.0 / np.sqrt(gaps)
+    p = _point(u)
+    U, n = p.vector, p.dim
+    m = 1.0 / np.sqrt(p.gap)
     Uc = U.conj()
     T = np.empty(U.shape[:-1] + (n + 1, n + 1), dtype=complex)
     T[..., :n, :n] = np.eye(n) + (m * m / (m + 1.0))[..., None, None] * (U[..., :, None] * Uc[..., None, :])
     T[..., :n, n] = m[..., None] * U
     T[..., n, :n] = m[..., None] * Uc
     T[..., n, n] = m
-    return ExtendedOperator(T) if isinstance(u, BallPoint) else T
+    return ExtendedOperator(T) if isinstance(u, BallPoint) and T.ndim == 2 else T
 
 
 def inverse(T):
@@ -263,13 +262,12 @@ class MirrorTransformation:
 def mirror_apply(F, z):
     """The image A z + B conj(z) of z under the mirror F.
 
-    Arrays of points (last axis) and stacks of mirrors give the array of
-    images over their broadcast leading axes; a BallPoint under one
-    mirror gives a BallPoint.  One point or image outside the ball
-    raises DomainError.
+    Arrays of points (last axis) and stacks of mirrors give the stack of
+    images over their broadcast leading axes.  One point or image
+    outside the ball raises DomainError.
     """
-    Z, _ = _paired_points(F.A.shape[:-2], z, F.A.shape[-1])
-    return _points_result(_matvec(F.A, Z) + _matvec(F.B, Z.conj()), isinstance(z, BallPoint))
+    Z = _paired_points(F.A.shape[:-2], z, F.A.shape[-1]).vector
+    return BallPoint(_matvec(F.A, Z) + _matvec(F.B, Z.conj()))
 
 
 @_guard("the residual")

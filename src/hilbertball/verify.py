@@ -339,10 +339,10 @@ def _p_isometry_distance_invariance(cfg, rng):
     T = _members(rng, cfg.dim, len(U[0::2]))
     F = _mirrors(rng, cfg.dim, len(U[1::2]))
     SU, SV = np.empty_like(U), np.empty_like(V)
-    SU[0::2] = isometries.mobius_apply(T, U[0::2])
-    SV[0::2] = isometries.mobius_apply(T, V[0::2])
-    SU[1::2] = isometries.mirror_apply(F, U[1::2])
-    SV[1::2] = isometries.mirror_apply(F, V[1::2])
+    SU[0::2] = isometries.mobius_apply(T, U[0::2]).vector
+    SV[0::2] = isometries.mobius_apply(T, V[0::2]).vector
+    SU[1::2] = isometries.mirror_apply(F, U[1::2]).vector
+    SV[1::2] = isometries.mirror_apply(F, V[1::2]).vector
     return _distance_defects(U, V, SU, SV)
 
 
@@ -357,7 +357,7 @@ def _p_transport_transitivity(cfg, rng):
     T = isometries.transport_from_origin(V) @ isometries.inverse(
         isometries.transport_from_origin(U)
     )
-    W = isometries.mobius_apply(T, U)
+    W = isometries.mobius_apply(T, U).vector
     return np.linalg.norm(W - V, axis=-1)
 
 
@@ -445,10 +445,10 @@ def _p_flow_distance_invariance(cfg, rng):
     defects = np.empty(cfg.trials)
     U, V = _points(rng, cfg.dim, t[0].size), _points(rng, cfg.dim, t[0].size)
     X = t[0] * _lie_elements(rng, cfg.dim, t[0].size)
-    defects[0::3] = _distance_defects(U, V, *(dynamics.evolve_exp(X, W, 1.0) for W in (U, V)))
+    defects[0::3] = _distance_defects(U, V, *(dynamics.evolve_exp(X, W, 1.0).vector for W in (U, V)))
     U, V = _points(rng, cfg.dim, t[1].size), _points(rng, cfg.dim, t[1].size)
     H = t[1] * _self_adjoints(rng, cfg.dim, t[1].size)
-    defects[1::3] = _distance_defects(U, V, *(dynamics.schrodinger_evolve(H, W, 1.0) for W in (U, V)))
+    defects[1::3] = _distance_defects(U, V, *(dynamics.schrodinger_evolve(H, W, 1.0).vector for W in (U, V)))
     U, V = _points(rng, 1, t[2].size), _points(rng, 1, t[2].size)
     b = _cgauss(rng, t[2].size)
     # keep the boost bounded so near-rim roundoff cannot eat into the
@@ -467,7 +467,7 @@ def _p_flow_group_law(cfg, rng):
     s, t = times[:, 0, None, None], times[:, 1, None, None]
     once = dynamics.evolve_exp((s + t) * X, Z, 1.0)
     twice = dynamics.evolve_exp(s * X, dynamics.evolve_exp(t * X, Z, 1.0), 1.0)
-    return np.linalg.norm(once - twice, axis=-1)
+    return np.linalg.norm(once.vector - twice.vector, axis=-1)
 
 
 def _p_disc_closed_form_agreement(cfg, rng):
@@ -483,7 +483,7 @@ def _p_disc_closed_form_agreement(cfg, rng):
     t = rng.uniform(-2.0, 2.0, size=cfg.trials)
     g = dynamics.DiscGenerator(a, b)
     closed = dynamics.disc_evolve_closed(g, Z[:, 0], t)
-    viaexp = dynamics.evolve_exp(t[:, None, None] * g.matrix(), Z, 1.0)[:, 0]
+    viaexp = dynamics.evolve_exp(t[:, None, None] * g.matrix(), Z, 1.0).vector[:, 0]
     return np.abs(closed - viaexp)
 
 
@@ -493,8 +493,8 @@ def _p_quantum_flow_radius(cfg, rng):
     H = rng.uniform(-3.0, 3.0, size=cfg.trials)[:, None, None] * H
     moved = dynamics.schrodinger_evolve(H, Z, 1.0)
     fixed = dynamics.schrodinger_evolve(H, np.zeros_like(Z), 1.0)
-    radius = np.abs(np.linalg.norm(moved, axis=-1) - np.linalg.norm(Z, axis=-1))
-    return np.stack([np.linalg.norm(fixed, axis=-1), radius], axis=-1)
+    radius = np.abs(moved.norm() - np.linalg.norm(Z, axis=-1))
+    return np.stack([fixed.norm(), radius], axis=-1)
 
 
 def _p_observable_pullback(cfg, rng):

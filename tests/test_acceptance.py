@@ -76,8 +76,8 @@ def test_isometry_invariance():
             mob = max(mob, abs(d2 - d))
         else:
             F = _mirrors(rng, 4, 1)
-            d2 = geometry.distance(BallPoint(isometries.mirror_apply(F, u)[0]),
-                                   BallPoint(isometries.mirror_apply(F, v)[0]))
+            d2 = geometry.distance(BallPoint(isometries.mirror_apply(F, u).vector[0]),
+                                   BallPoint(isometries.mirror_apply(F, v).vector[0]))
             mir = max(mir, abs(d2 - d))
     ok = mob < 1e-9 and mir < 1e-9
     _report(2, "isometry invariance", ok,
@@ -268,7 +268,7 @@ def test_disc_flows_and_schrodinger():
     h = 1e-3
     t0 = 0.7
     mid = dynamics.schrodinger_evolve(gen, z0, t0).vector
-    far_m, near_m, near_p, far_p = dynamics.schrodinger_evolve(gen, z0, t0 + h * np.array([-2.0, -1.0, 1.0, 2.0]))
+    far_m, near_m, near_p, far_p = dynamics.schrodinger_evolve(gen, z0, t0 + h * np.array([-2.0, -1.0, 1.0, 2.0])).vector
     zdot = (far_m - 8.0 * near_m + 8.0 * near_p - far_p) / (12.0 * h)
     residual = float(np.linalg.norm(1j * zdot - H @ mid))
     ok = closed <= 1e-9 and group <= 1e-9 and rot <= 1e-12 and residual < 1e-11

@@ -631,7 +631,7 @@ def test_kahler_condition_check_reads_its_stencil_in_one_evaluate_call(rng, monk
     evaluate_points = algebra.evaluate
 
     def counted(C, W):
-        shapes.append(W.shape)
+        shapes.append(W.vector.shape)
         return evaluate_points(C, W)
 
     monkeypatch.setattr(algebra, "evaluate", counted)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -207,7 +208,7 @@ def test_evolve_exp_rim_exit_names_the_first_sample(tmp_path, capsys):
     X = isometries.ExtendedOperator(np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex))
     # every earlier sample is inside, and the named one is on the flow
     _, points = dynamics.trajectory(X, BallPoint([0.1]), (index - 1) * 0.02, 0.02)
-    assert len(points) == index
+    assert len(points.vector) == index
     w = numerics.mat_exp(X.matrix, index * 0.02) @ np.array([0.1, 1.0])
     assert abs(norm - abs(w[0] / w[1])) < 1e-12
 
@@ -435,7 +436,7 @@ def test_verify_flags_broken_stacked_mobius(monkeypatch, capsys):
 
     def halved(T, z):
         image = true_apply(T, z)
-        return image if isinstance(image, BallPoint) else 0.5 * image
+        return image if image.vector.ndim == 1 else BallPoint(0.5 * image.vector)
 
     monkeypatch.setattr("hilbertball.isometries.mobius_apply", halved)
     rc = cli.main(["verify", "geometry", "--dim", "2", "--trials", "10"])
@@ -491,6 +492,12 @@ def _top_eigenvalue(hermitian_norm):
     return planted
 
 
+def _log_for_log1p(module_math):
+    # geometry's math with log1p(x) read as log(x): the distance loses the
+    # 1 of (m + s)/(m - s) = 1 + 2s/(m - s), its only log1p
+    return types.SimpleNamespace(**{**vars(module_math), "log1p": module_math.log})
+
+
 _ALL = ["verify", "all", "--dim", "4", "--trials", "200", "--seed", "0"]
 _GEOMETRY_4 = ["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"]
 _GEOMETRY_2 = ["verify", "geometry", "--dim", "2", "--trials", "10"]
@@ -504,6 +511,12 @@ _STAR = ["star_associativity", "star_homomorphism"]
     pytest.param(algebra, "HBAR", lambda hbar: -hbar, _ALL, _STAR, id="hbar_sign_flipped"),
     pytest.param(algebra, "star_operator", _transposed_star, _ALL, ["cstar_chain_identity"] + _STAR,
                  id="star_operator_transposed"),
+    # HBAR keeps the value it was given at import
+    pytest.param(geometry, "CURVATURE", lambda curvature: -curvature, _ALL, ["curvature_constancy"],
+                 id="curvature_sign_flipped"),
+    pytest.param(geometry, "math", _log_for_log1p, _ALL,
+                 ["distance_formula_agreement", "radial_distance_identity", "triangle_inequality"],
+                 id="distance_log1p_as_log"),
     # no other geometry property reads the metric's scale
     pytest.param(geometry, "metric", _scaled_metric(1e-5), _GEOMETRY_4, ["curvature_constancy"],
                  id="metric_scaled_by_1e-5"),

@@ -262,7 +262,7 @@ def test_large_self_adjoint_hamiltonians_are_accepted(size):
     for Hi in H:
         assert np.array_equal(HamiltonianGenerator(Hi).H, Hi)
     z = random_point(rng, 4, 0.8)
-    assert schrodinger_evolve(H, np.broadcast_to(z.vector, (20, 4)), 0.1).shape == (20, 4)
+    assert schrodinger_evolve(H, np.broadcast_to(z.vector, (20, 4)), 0.1).vector.shape == (20, 4)
     assert dispersion(ExtendedOperator(H[0]), random_point(rng, 3)) >= 0.0
 
 
@@ -293,6 +293,7 @@ def test_schrodinger_dimension_check(rng):
 def test_trajectory_grid_and_interior():
     g = DiscGenerator(0.4, 0.3 + 0.1j)
     times, points = trajectory(g, BallPoint([0.2 + 0.1j]), 1.0, 0.25)
+    points = points.vector
     assert times.shape == (5,) and points.shape == (5, 1)
     for i, t in enumerate(times):
         assert t == i * 0.25
@@ -303,7 +304,8 @@ def test_trajectory_grid_and_interior():
 def test_trajectory_matches_pointwise_flow():
     g = DiscGenerator(0.9, 0.5j)
     z0 = BallPoint([0.3 - 0.2j])
-    for t, p in zip(*trajectory(g, z0, 2.0, 0.5)):
+    times, points = trajectory(g, z0, 2.0, 0.5)
+    for t, p in zip(times, points.vector):
         direct = disc_evolve_closed(g, z0.vector[0], t)
         assert abs(p[0] - direct) < 1e-9
 
@@ -314,6 +316,7 @@ def test_trajectory_dispatches_all_generator_kinds(rng):
     z = random_point(rng, 3, 0.5)
     for gen in (HamiltonianGenerator(H), lie_element(rng, 3)):
         times, points = trajectory(gen, z, 0.6, 0.2)
+        points = points.vector
         assert times.shape == (4,) and points.shape == (4, 3)
         assert np.all(np.linalg.norm(points, axis=-1) < 1.0)
 
@@ -333,7 +336,7 @@ def test_time_array_flows_equal_scalar_calls(rng):
     times = [0.0, 1.7, -0.4, 0.05, 3.2, -2.9]
     for gen, flow in batched_flows(rng):
         for ts in (times, np.array(times)):
-            points = flow(gen, z, ts)
+            points = flow(gen, z, ts).vector
             assert points.shape == (len(times), 3)
             for t, p in zip(times, points):
                 assert same_bytes(p, flow(gen, z, t).vector)
@@ -370,7 +373,7 @@ def test_stacked_flows_equal_scalar_calls(rng):
     for stack, single, flow in ((X, ExtendedOperator, evolve_exp),
                                 (H, HamiltonianGenerator, schrodinger_evolve)):
         for t in (0.8, -2.5):
-            moved = flow(stack, Z, t)
+            moved = flow(stack, Z, t).vector
             assert moved.shape == Z.shape
             for M, z, w in zip(stack, Z, moved):
                 assert np.abs(w - flow(single(M), BallPoint(z), t).vector).max() < 1e-15
@@ -419,9 +422,10 @@ def test_trajectory_stays_on_per_step_flow(rng, dim, norm):
     z = random_point(rng, dim, 0.8)
     for gen, flow, t_max in flows_of_norm(rng, dim, norm):
         times, points = trajectory(gen, z, t_max, 0.02)
+        points = points.vector
         assert len(times) == int(round(t_max / 0.02)) + 1 > 2 * TIME_BLOCK
         assert all(t == i * 0.02 for i, t in enumerate(times.tolist()))
-        per_step = flow(gen, z, times)
+        per_step = flow(gen, z, times).vector
         exact = len(times) if flow is schrodinger_evolve else TIME_BLOCK
         assert same_bytes(points[:exact], per_step[:exact])
         assert np.abs(points - per_step).max() < 1e-13
@@ -437,8 +441,8 @@ def test_spectral_schrodinger_matches_the_exponential_route(rng, dim, norm):
     gen = HamiltonianGenerator(norm / op_norm(H) * H)
     z = random_point(rng, dim, 0.8)
     times = np.linspace(0.0, 40.0, 161)
-    got = schrodinger_evolve(gen, z, times)
-    assert np.abs(got - evolve_exp(gen.extended(), z, times)).max() < 1e-13
+    got = schrodinger_evolve(gen, z, times).vector
+    assert np.abs(got - evolve_exp(gen.extended(), z, times).vector).max() < 1e-13
     assert np.abs(np.linalg.norm(got, axis=-1) - z.norm()).max() < 1e-14
 
 
@@ -453,7 +457,7 @@ def test_exp_trajectory_checks_its_generator_once(rng, monkeypatch):
     X = lie_element(rng, 3)
     X = ExtendedOperator(0.5 / op_norm(X.matrix) * X.matrix)
     times, points = trajectory(X, random_point(rng, 3, 0.5), 5.0, 0.005)
-    assert points.shape == (1001, 3) and len(calls) == 1
+    assert points.vector.shape == (1001, 3) and len(calls) == 1
 
 
 @pytest.mark.parametrize("samples", [2, 64, 65, 128, 129, 1001])
@@ -466,10 +470,10 @@ def test_exp_trajectory_equals_block_by_block_shifts(rng, dim, samples):
     z = random_point(rng, dim, 0.6)
     times, points = trajectory(X, z, (samples - 1) * 0.01, 0.01)
     assert len(times) == samples
-    blocks, shift = [evolve_exp(X, z, times[:TIME_BLOCK])], mat_exp(X.matrix, TIME_BLOCK * 0.01)
+    blocks, shift = [evolve_exp(X, z, times[:TIME_BLOCK]).vector], mat_exp(X.matrix, TIME_BLOCK * 0.01)
     for start in range(TIME_BLOCK, samples, TIME_BLOCK):
-        blocks.append(mobius_apply(shift, blocks[-1][:samples - start]))
-    assert same_bytes(points, np.concatenate(blocks))
+        blocks.append(mobius_apply(shift, blocks[-1][:samples - start]).vector)
+    assert same_bytes(points.vector, np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("samples", [2, 64, 65, 129, 1001, 8001])
@@ -485,7 +489,7 @@ def test_exp_trajectory_makes_at_most_two_exponentials(rng, monkeypatch, samples
     X = lie_element(rng, 3)
     X = ExtendedOperator(0.5 / op_norm(X.matrix) * X.matrix)
     times, points = trajectory(X, random_point(rng, 3, 0.5), (samples - 1) * 0.001, 0.001)
-    assert len(points) == samples
+    assert len(points.vector) == samples
     assert len(calls) == (2 if samples > TIME_BLOCK else 1)
 
 
@@ -611,6 +615,19 @@ def test_stacked_disc_flows_equal_scalar_calls(rng):
         disc_evolve_closed(stack, np.where(np.arange(a.size) == 5, 1.0, z), t)
 
 
+def test_disc_generator_shapes_that_do_not_broadcast_raise_domain_error():
+    # the generator's matrix and discriminant raise DomainError, as the
+    # flow does, not numpy's broadcasting ValueError
+    g = DiscGenerator(np.zeros(3), np.zeros(4))
+    message = r"^shapes of a and b \(3,\) and \(4,\) do not broadcast$"
+    with pytest.raises(DomainError, match=message):
+        g.matrix()
+    with pytest.raises(DomainError, match=message):
+        alpha(g)
+    with pytest.raises(DomainError, match="do not broadcast"):
+        disc_evolve_closed(g, 0.1, 1.0)
+
+
 def test_trajectory_rejects_non_generator(rng):
     G = cgauss(rng, (3, 3))
     bad = ExtendedOperator.from_blocks(G + G.conj().T, cgauss(rng, 3), cgauss(rng, 3), 1.0)
@@ -627,8 +644,8 @@ def test_trajectory_validation(rng):
         trajectory(g, z, 0.05, 0.1)  # horizon shorter than one step
     with pytest.raises(DomainError, match="at least dt"):
         trajectory(g, z, 0.5e-20, 1e-20)  # the step count is relative to dt
-    assert trajectory(g, z, 1e-20, 1e-20)[1].shape == (2, 1)
-    assert trajectory(g, z, 0.1, 0.1)[1].shape == (2, 1)
+    assert trajectory(g, z, 1e-20, 1e-20)[1].vector.shape == (2, 1)
+    assert trajectory(g, z, 0.1, 0.1)[1].vector.shape == (2, 1)
     with pytest.raises(DomainError):
         trajectory(g, random_point(rng, 2, 0.5), 1.0, 0.1)  # disc needs dim 1
     with pytest.raises(DomainError):

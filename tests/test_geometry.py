@@ -398,23 +398,61 @@ def test_single_points_and_stacks_share_one_inside_rule(rng):
             gap, inside = 1.0 - sq, sq < geometry._LIMIT_SQ
             got = (_outcome(lambda: BallPoint(v).gap.hex()),
                    _outcome(lambda: k_factor(v[None])[0].hex()),
-                   _outcome(lambda: isometries.mobius_apply(ident, v[None]).tobytes()))
+                   _outcome(lambda: isometries.mobius_apply(ident, v[None]).vector.tobytes()))
             want = (gap.hex(), (1.0 / gap).hex(), v.tobytes()) if inside else ("rejected",) * 3
             if got != want:
                 wrong.append((dim, v))
     assert wrong == []
 
 
+@pytest.mark.parametrize("dim", [1, 4, 16])
+def test_stack_gaps_are_the_single_points_gaps(rng, dim):
+    # one inside rule: every row of a stack gets the gap that the row alone
+    # gets, bit for bit, with 1 - ||z|| down to 3e-12
+    W = cgauss(rng, (2000, dim))
+    r = 1.0 - 10.0 ** rng.uniform(-11.5, 0.0, (2000, 1))
+    Z = r * W / np.linalg.norm(W, axis=-1, keepdims=True)
+    stack = BallPoint(Z)
+    singles = [BallPoint(z).gap for z in Z]
+    assert stack.gap.shape == (2000,) and same_bytes(stack.gap, singles)
+    assert all(type(stack[i].gap) is float and stack[i].gap == singles[i] for i in (0, 999, 1999))
+    assert same_bytes(BallPoint(Z.reshape(40, 50, dim)).gap, stack.gap.reshape(40, 50))
+    # one bad row raises one DomainError that names it, over any leading axes
+    for i, bad in ((int(rng.integers(2000)), np.ones(dim)), (1234, np.full(dim, np.nan))):
+        Y = Z.copy()
+        Y[i] = bad
+        for shape in ((2000, dim), (40, 50, dim)):
+            with pytest.raises(DomainError) as caught:
+                BallPoint(Y.reshape(shape))
+            assert caught.value.row == i
+            assert str(caught.value) == str(pytest.raises(DomainError, BallPoint, bad).value)
+
+
 def test_stacked_evaluate_and_differential_check_points_once(rng, monkeypatch):
+    # a kernel checks a bare array of points once, and a BallPoint never
+    # again, also a stack that another kernel returned
     checked = []
-    check = geometry._check_points
-    monkeypatch.setattr(geometry, "_check_points", lambda z: checked.append(z.shape) or check(z))
+    check = BallPoint.__post_init__
+
+    def counted(p):
+        checked.append(np.shape(p.vector))
+        check(p)
+
     C = cgauss(rng, (6, 4, 4))
     Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
-    for kernel in (algebra.evaluate, algebra.holo_differential):
+    monkeypatch.setattr(BallPoint, "__post_init__", counted)
+    for kernel in (algebra.evaluate, algebra.holo_differential,
+                   lambda C, Z: algebra.star_pointwise(C, C, Z), lambda C, Z: algebra.poisson_bracket(C, C, Z),
+                   lambda C, Z: algebra.dispersion(C + C.conj().swapaxes(-1, -2), Z)):
         checked.clear()
         kernel(C, Z)
         assert checked == [Z.shape]
+    checked.clear()
+    P = BallPoint(Z)
+    images = isometries.mobius_apply(isometries.transport_from_origin(P), P)
+    for kernel in (algebra.evaluate, algebra.holo_differential, algebra.hamiltonian_field):
+        kernel(C, images)
+    assert checked == [Z.shape, Z.shape]
 
 
 def test_ball_point_holds_a_read_only_copy():

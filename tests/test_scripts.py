@@ -36,8 +36,9 @@ def test_kernel_timings_layer_cases_run(scripts_path):
         assert {"op_norm", "is_inhomogeneous_unitary", "check_block_conditions", "lie_algebra_check",
                 "is_self_adjoint", "hamiltonian_field", "poisson_bracket", "dispersion",
                 "kahler_condition_check"} <= set(names)
-        # the disc row comes only at dim 1
+        # the disc row comes only at dim 1; distance alone has no stacked call
         assert ("disc_evolve_closed" in names) == (dim == 1)
+        assert [name for name, _, stacked in rows if stacked is None] == ["distance"]
         for _, single, stacked in rows:
             single()
             if stacked is not None:

@@ -4,7 +4,11 @@ Times `evaluate`, `star_operator`, `star_pointwise`,
 `hamiltonian_field`, `poisson_bracket`, `dispersion` (on Hermitian
 matrices), `kahler_condition_check`, `mobius_apply`, `mirror_apply`,
 `transport_from_origin`, `k_factor`, `metric`, `distance`, the
-`BallPoint` constructor, `mat_exp`, `op_norm`, the membership checks
+`BallPoint` and `ExtendedOperator` constructors, `compose` (the product
+T @ R of two operators), `rim op` (the sequence of one `geometry_rim`
+operation of perfbench: a distance, a transport composed with a group
+member, the two Moebius images and their distance), `mat_exp`,
+`op_norm`, the membership checks
 `is_inhomogeneous_unitary` and `check_block_conditions` (on group
 members), `lie_algebra_check` (on Lie elements) and `is_self_adjoint`
 (on Hermitian matrices) at each dimension, and `disc_evolve_closed`,
@@ -15,8 +19,9 @@ disc generator with one point and one time) and once on stacks of STACK
 of them (arrays over one leading axis), and the script prints the
 median over REPEATS rounds of the time per call in microseconds.  The
 `BallPoint` constructor is timed on one point and on the stack of STACK
-points, which it checks as one; `distance` takes single points only, so
-its stacked column reads `-`.  A call that raises is not timed, and its
+points, which it checks as one; `distance`, `ExtendedOperator`,
+`compose` and `rim op` take single objects only, so their stacked
+column reads `-`.  A call that raises is not timed, and its
 cell reads `err`.  Then come the
 `trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
 an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
@@ -170,6 +175,13 @@ def cases(mods, arrays):
     X = isometries.epsilon_matrix(Z.shape[-1]) @ (C - C.conj().swapaxes(-1, -2))
     H = C + C.conj().swapaxes(-1, -2)
     x, h = isometries.ExtendedOperator(X[0]), isometries.ExtendedOperator(H[0])
+    base, r = geometry.BallPoint(bases[1]), isometries.ExtendedOperator(T[1])
+
+    def rim_op():
+        geometry.distance(z, w)
+        M = isometries.transport_from_origin(base) @ r
+        return geometry.distance(isometries.mobius_apply(M, z), isometries.mobius_apply(M, w))
+
     disc = () if Z.shape[-1] != 1 else (
         ("disc_evolve_closed",
          lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a[0], b[0]), Z[0, 0], times[0]),
@@ -194,6 +206,9 @@ def cases(mods, arrays):
         ("metric", lambda: geometry.metric(z, s, s), lambda: geometry.metric(Z, S, S)),
         ("distance", lambda: geometry.distance(z, w), None),
         ("BallPoint", lambda: geometry.BallPoint(Z[0]), lambda: geometry.BallPoint(Z)),
+        ("ExtendedOperator", lambda: isometries.ExtendedOperator(C[0]), None),
+        ("compose", lambda: t @ r, None),
+        ("rim op", rim_op, None),
         ("mat_exp", lambda: numerics.mat_exp(C[0]), lambda: numerics.mat_exp(C)),
         ("op_norm", lambda: numerics.op_norm(C[0]), lambda: numerics.op_norm(C)),
         ("is_inhomogeneous_unitary", lambda: isometries.is_inhomogeneous_unitary(t),

@@ -147,9 +147,9 @@ class BallPoint:
 
 def _fill(p, vector, gap):
     """p holding the checked points `vector` and their gaps, read-only."""
-    vector.flags.writeable = False
+    vector.setflags(write=False)
     if vector.ndim > 1:
-        gap.flags.writeable = False
+        gap.setflags(write=False)
     object.__setattr__(p, "vector", vector)
     object.__setattr__(p, "gap", gap)
     return p
@@ -210,7 +210,8 @@ def _paired_points(lead, z, n):
     p = _point(z)
     if p.dim != n:
         raise DomainError("operator and point dimensions differ")
-    _broadcast(lead, p.vector.shape[:-1])
+    if lead and p.vector.ndim > 1:  # no leading axes broadcast with any
+        _broadcast(lead, p.vector.shape[:-1])
     return p
 
 
@@ -304,7 +305,7 @@ def _distance_parts(u, v):
     c = complex(np.vdot(u.vector, v.vector))
     m = abs(1.0 - c)
     du, dv = u.gap, v.gap
-    s_sq = (du + dv) * float(np.real(np.vdot(w, w))) + (
+    s_sq = (du + dv) * float(np.vdot(w, w).real) + (
         abs(np.vdot(u.vector, w)) ** 2 + abs(np.vdot(v.vector, w)) ** 2
     )
     return m, math.sqrt(0.5 * s_sq), du, dv

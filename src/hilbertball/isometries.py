@@ -27,16 +27,18 @@ singular value rho(M) = ||M||_F / sqrt(d); rho is 1 at unitaries.
 `mobius_apply`, `mobius_differential`, `transport_from_origin`,
 `mirror_apply` and the membership checks take arrays over any leading
 axes as well as single objects, with one formula body for both (see
-`geometry`) and the edge rules of `numerics`.
+`geometry`) and the edge rules of `numerics`.  A single object costs
+little beyond its arithmetic (`scripts/kernel_timings.py` times both).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _matvec, _paired_points, _point
-from .numerics import _as_complex_matrix, _guard, _pow2_scaled, hermitian_norm, real_projection
+from .numerics import _as_complex_matrix, _eye, _guard, _pow2_scaled, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -178,8 +180,8 @@ def _moved(M, n, Z):
     read only past the absolute threshold, which a group member never
     trips on a point of the ball: its |<y|z> + a| exceeds 1 - ||z||."""
     W = _matvec(M[..., :, :n], Z) + M[..., :, n]
-    den = np.abs(W[..., n])
-    if np.count_nonzero(den < DEGENERATE_DENOMINATOR):
+    den = abs(complex(W[n])) if W.ndim == 1 else np.abs(W[..., n])
+    if (den < DEGENERATE_DENOMINATOR if W.ndim == 1 else np.count_nonzero(den < DEGENERATE_DENOMINATOR)):
         scale = np.clip(np.abs(M[..., n, :]).max(axis=-1), np.finfo(float).tiny, 1.0)
         if np.count_nonzero(den < DEGENERATE_DENOMINATOR * scale):
             raise DomainError("degenerate Moebius denominator")
@@ -221,14 +223,15 @@ def transport_from_origin(u):
     A stack of points gives the array of their transports.
     """
     p = _point(u)
-    U, n = p.vector, p.dim
-    m = 1.0 / np.sqrt(p.gap)
+    U, n, single = p.vector, p.dim, p.vector.ndim == 1
+    m = 1.0 / math.sqrt(p.gap) if single else 1.0 / np.sqrt(p.gap)[..., None]
+    c = m * m / (m + 1.0)
     Uc = U.conj()
     T = np.empty(U.shape[:-1] + (n + 1, n + 1), dtype=complex)
-    T[..., :n, :n] = np.eye(n) + (m * m / (m + 1.0))[..., None, None] * (U[..., :, None] * Uc[..., None, :])
-    T[..., :n, n] = m[..., None] * U
-    T[..., n, :n] = m[..., None] * Uc
-    T[..., n, n] = m
+    T[..., :n, :n] = _eye(n) + (c if single else c[..., None]) * (U[..., :, None] * Uc[..., None, :])
+    T[..., :n, n] = m * U
+    T[..., n, :n] = m * Uc
+    T[..., n, n] = m if single else m[..., 0]
     return ExtendedOperator(T) if isinstance(u, BallPoint) and T.ndim == 2 else T
 
 

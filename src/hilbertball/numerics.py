@@ -29,6 +29,7 @@ sampling helpers, `sobol_unit` and `gaussian_directions`, which only the
 cone-norm search calls, so no other command pays for its import.
 """
 
+import cmath
 import functools
 import math
 
@@ -51,20 +52,35 @@ def _as_complex_matrix(M, square=False, stack=False):
         raise DomainError(f"expected a matrix, got array of ndim {M.ndim}")
     if square and M.shape[-2] != M.shape[-1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    if not _finite(M):
         raise DomainError("matrix has non-finite entries")
     return M
+
+
+def _finite(x):
+    """Whether x has no inf or nan: a Python number by cmath, else by numpy."""
+    if isinstance(x, (int, float, complex)):
+        return cmath.isfinite(x)
+    return np.count_nonzero(finite := np.isfinite(x)) == finite.size
+
+
+@functools.lru_cache(maxsize=16)
+def _eye(n):
+    """The complex n x n identity, read-only and shared by its callers."""
+    eye = np.eye(n, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 def _guard(what):
     """Decorator: the float-range rule, `what` naming the kernel's values."""
     def decorate(kernel):
+        quiet = np.errstate(over="ignore", invalid="ignore")(kernel)  # no errstate made per call
         @functools.wraps(kernel)
         def guarded(*args, **kwargs):
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = kernel(*args, **kwargs)
+            value = quiet(*args, **kwargs)
             parts = vars(value).values() if hasattr(value, "__dataclass_fields__") else (value,)
-            if not all(np.isfinite(part).all() for part in parts):
+            if not all(map(_finite, parts)):
                 raise DomainError(f"{what} overflowed the float range in {kernel.__name__}")
             return value
         return guarded
@@ -76,7 +92,7 @@ def _pow2_scaled(x, axes=-1):
     per index of the others; e is 0 where all are 0 or one is not finite."""
     v = np.ascontiguousarray(x, dtype=complex).view(float)
     e = np.frexp(np.abs(v).max(axis=axes, keepdims=True))[1]
-    return np.ldexp(v, -e).view(complex), np.squeeze(e, axis=axes)
+    return np.ldexp(v, -e).view(complex), e.squeeze(axis=axes)
 
 
 def _broadcast(*shapes, what="leading axes"):

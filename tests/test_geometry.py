@@ -235,6 +235,24 @@ def test_distance_of_nearby_points_matches_mpmath(rng):
                 assert_distance_matches_mpmath(BallPoint(u), BallPoint(u + h * d))
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12345])
+def test_distance_of_nearby_points_is_relatively_accurate(seed):
+    # a small distance is read to a few eps relative: the gaps carry an
+    # absolute rounding of eps each and the four dots one of n eps, so
+    # the error model is c eps d (n + 1/du + 1/dv); measured c <= 0.98
+    # at these seeds, and log((m + s)/den) in place of log1p misses by
+    # up to 1.2e-4 relative
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    for dim in (1, 4, 16):
+        for _ in range(100):
+            pu, d = cgauss(rng, dim), cgauss(rng, dim)
+            u = BallPoint(rng.uniform(0.0, 0.98) * pu / np.linalg.norm(pu))
+            v = BallPoint(u.vector + 10.0 ** rng.uniform(-12.0, -2.0) * d / np.linalg.norm(d))
+            got, want = distance(u, v), mp_distance(u, v)
+            assert abs(got - want) <= 4 * eps * want * (dim + 1.0 / u.gap + 1.0 / v.gap), (dim, got, want)
+
+
 # geodesics and lengths -----------------------------------------------
 
 def test_geodesic_param_is_euclidean_scaling():

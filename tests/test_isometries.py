@@ -142,7 +142,7 @@ def test_single_objects_make_no_broadcast_call(rng, monkeypatch):
     assert same_bytes(mobius_apply(T, z).vector, want.vector)
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1e-15, 1e-100, 1e-200])
+@pytest.mark.parametrize("scale", [1e-3, 1e-15, 1e-20, 1e-100, 1e-200])
 def test_scaled_member_acts_as_the_member(scale):
     # phi_T depends on T only up to scale, so the degeneracy threshold
     # shrinks with T's bottom row
@@ -208,6 +208,68 @@ def test_operator_arithmetic(rng):
 def test_operator_rejects_nonsquare():
     with pytest.raises(DomainError):
         ExtendedOperator(np.zeros((3, 4)))
+
+
+ENTRIES = np.array([[1.5, -2.0, 0.25], [3.0, -0.0, -0.5], [0.0, 4.0, 2.0]])
+INPUT_TYPES = {
+    "complex128": lambda M: np.asarray(M, dtype=complex),
+    "complex64": lambda M: np.asarray(M, dtype=np.complex64),
+    "real": lambda M: np.asarray(M, dtype=float),
+    "int": lambda M: np.asarray(M, dtype=float).astype(int),
+    "list": lambda M: np.asarray(M).tolist(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_TYPES))
+def test_operators_read_every_input_type_alike(kind):
+    # a complex (n+1) x (n+1) array is only checked for finiteness, any
+    # other input is converted first: both give the converted matrix
+    # and the same errors
+    convert, real = INPUT_TYPES[kind], kind in ("int", "real")
+    M = ENTRIES if real else ENTRIES + 1j * ENTRIES[::-1]
+    raw = convert(M)
+    T = ExtendedOperator(raw)
+    assert same_bytes(T.matrix, np.asarray(raw, dtype=complex)) and T.matrix.flags.c_contiguous
+    assert same_bytes(ExtendedOperator(convert(M.T)).matrix, np.ascontiguousarray(convert(M.T), dtype=complex))
+    with pytest.raises(DomainError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        ExtendedOperator(convert(M[:2]))
+    with pytest.raises(DomainError, match=r"^extended operators act on C\^n \+ C with n >= 1$"):
+        ExtendedOperator(convert(M[:1, :1]))
+    with pytest.raises(DomainError, match=r"^expected a matrix, got array of ndim 3$"):
+        ExtendedOperator(convert(M[None]))
+    if kind != "int":
+        for bad in (np.nan, np.inf, -np.inf if real else complex(0.0, -np.inf)):
+            B = M.copy()
+            B[1, 2] = bad
+            with pytest.raises(DomainError, match=r"^matrix has non-finite entries$"):
+                ExtendedOperator(convert(B))
+
+
+def test_operators_keep_their_own_copy(rng):
+    M = cgauss(rng, (4, 4))
+    T = ExtendedOperator(M)
+    want = M.copy()
+    M[0, 0] = 7.0
+    assert same_bytes(T.matrix, want) and not np.shares_memory(T.matrix, M)
+    # a view, such as the adjoint's transpose, is copied to C order
+    S = T.adjoint()
+    assert S.matrix.flags.c_contiguous and same_bytes(S.matrix, np.ascontiguousarray(want.conj().T))
+    assert same_bytes((T @ S).matrix, want @ want.conj().T)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16])
+def test_single_transports_are_their_rows_of_the_stack(rng, dim):
+    Z = cgauss(rng, (10, dim))
+    Z *= (rng.uniform(0.0, 0.95, 10) / np.linalg.norm(Z, axis=1))[:, None]
+    Z[0] = 0.0  # the origin
+    Z[1] = complex(-0.0, -0.0)  # the origin with signed zeros
+    Z[2] = Z[2].real  # a real vector
+    Z[3].imag = -0.0  # a real vector with -0.0 imaginary parts
+    Z[4, ::2] = -0.0  # +-0.0 components
+    Z[5, 1::2] = complex(0.0, -0.0)
+    T = transport_from_origin(Z)
+    for z, row in zip(Z, T):
+        assert same_bytes(transport_from_origin(BallPoint(z)).matrix, row)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from hilbertball.numerics import (
 )
 
 from hilbertball.dynamics import TIME_BLOCK
+from hilbertball.isometries import MembershipCheck
 from hilbertball.verify import _points
 
 from conftest import cgauss, complex_matrices, haar_unitary, same_bytes
@@ -310,6 +311,37 @@ def test_mat_exp_past_the_float_range_raises_one_domain_error(rng):
         for args in cases:
             with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed the float range in mat_exp$"):
                 mat_exp(*args)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("value", [
+    INF, -INF, NAN, complex(INF, 0.0), complex(0.5, NAN), np.float64(INF), np.complex128(NAN),
+    np.array([0.5, INF]), np.array([[0.5, complex(0.0, NAN)]]), (np.zeros(2), np.array([NAN, 0.0])),
+])
+def test_guard_rejects_non_finite_numbers_and_arrays(value):
+    # a Python number is read by cmath, anything else by numpy
+    kernel = numerics._guard("the value")(lambda: value)
+    with pytest.raises(DomainError, match=r"^the value overflowed the float range in <lambda>$"):
+        kernel()
+
+
+@pytest.mark.parametrize("value", [
+    0.5, -1e308, True, False, 3, complex(1e308, -1e308), np.float64(2.0), np.bool_(True),
+    np.array([0.5, -1e308]), np.array([True, False]), (np.zeros(2), np.ones(2)),
+])
+def test_guard_passes_finite_numbers_and_arrays_through(value):
+    assert numerics._guard("the value")(lambda: value)() is value
+
+
+def test_guard_reads_every_field_of_a_dataclass_result():
+    # a membership verdict is a bool and a float, or arrays of them
+    check = numerics._guard("the residual")(lambda ok, defect: MembershipCheck(ok, defect))
+    for ok, defect in [(False, INF), (True, NAN), (np.array([True, False]), np.array([0.0, INF]))]:
+        with pytest.raises(DomainError, match="the residual overflowed"):
+            check(ok, defect)
+    assert check(False, 1e308).defect == 1e308
 
 
 @settings(max_examples=60, deadline=None)

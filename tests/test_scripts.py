@@ -2,9 +2,11 @@
 their `main`: each imports, and the library calls that
 `kernel_timings.py` times run once, so a script that calls a deleted or
 re-signatured library function fails here.  The fresh interpreters of
-the import row are not started."""
+the import row are not started.  Last, the test configuration itself:
+a failing property test does not end the session."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,9 +38,11 @@ def test_kernel_timings_layer_cases_run(scripts_path):
         assert {"op_norm", "is_inhomogeneous_unitary", "check_block_conditions", "lie_algebra_check",
                 "is_self_adjoint", "hamiltonian_field", "poisson_bracket", "dispersion",
                 "kahler_condition_check"} <= set(names)
-        # the disc row comes only at dim 1; distance alone has no stacked call
+        # the disc row comes only at dim 1; the rows of single objects
+        # alone have no stacked call
         assert ("disc_evolve_closed" in names) == (dim == 1)
-        assert [name for name, _, stacked in rows if stacked is None] == ["distance"]
+        assert [name for name, _, stacked in rows if stacked is None] == [
+            "distance", "ExtendedOperator", "compose", "rim op"]
         for _, single, stacked in rows:
             single()
             if stacked is not None:
@@ -137,3 +141,19 @@ def test_kernel_timings_csv_rows_compare_the_trees_text(scripts_path):
     assert same_output([lambda: "a,b\n"])
     assert same_output([lambda: "a,b\n", lambda: "a,b\n"])
     assert not same_output([lambda: "a,b\n", lambda: "a,c\n"])
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # hypothesis' plugin warns (DeprecationWarning) while it reports a
+    # failing example; under pyproject's filterwarnings = ["error"] that
+    # warning was an INTERNALERROR, and no later test ran
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    assert True\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(SCRIPTS.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_two.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout.splitlines()[-1]

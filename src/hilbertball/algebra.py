@@ -157,7 +157,7 @@ def poisson_bracket(C, Cp, z):
     """{f_C, f_C'} as the fundamental form on the two Hamiltonian fields;
     arrays broadcast as in `evaluate`."""
     p = _point(z)
-    return kahler_form(p, hamiltonian_field.__wrapped__(C, p), hamiltonian_field.__wrapped__(Cp, p))
+    return kahler_form.__wrapped__(p, hamiltonian_field.__wrapped__(C, p), hamiltonian_field.__wrapped__(Cp, p))
 
 
 @_guard("f_C")
@@ -209,7 +209,7 @@ def dispersion(C, z):
         raise DomainError("dispersion needs a self-adjoint operator")
     p = _point(z)
     field = hamiltonian_field.__wrapped__(C, p)
-    val = 0.5 * abs(HBAR) * metric(p, field, field).real
+    val = 0.5 * abs(HBAR) * metric.__wrapped__(p, field, field).real
     return _result(np.sqrt(np.maximum(val, 0.0)))
 
 
@@ -257,6 +257,7 @@ def kahler_condition_check(C, z):
                                 U / np.linalg.norm(U, axis=-1)[:, None])
 
 
+@_guard("the fit")
 def fit_operator(points, values):
     """Least-squares recovery of C from samples of f_C.
 

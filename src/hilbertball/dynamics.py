@@ -75,10 +75,12 @@ class DiscGenerator:
 
 def alpha(g):
     """Discriminant |b|^2 - a^2 separating the three flow regimes, the
-    array of them for arrays a and b; +-inf past the largest float."""
-    al, e = _scaled_generator(np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex))[2:]
+    array of them for arrays a and b; +-inf past the largest float.  A
+    scalar is an array of one entry, as in `disc_evolve_closed`."""
+    a, b = np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex)
+    al, e = _scaled_generator(*np.atleast_1d(a, b))[2:]
     with np.errstate(over="ignore"):
-        return np.ldexp(al, 2 * e)
+        return _result(np.ldexp(al, 2 * e).reshape(np.broadcast_shapes(a.shape, b.shape)))
 
 
 def _scaled_generator(a, b):

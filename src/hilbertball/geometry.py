@@ -44,8 +44,8 @@ before those broadcast (the edge rules are `numerics`').  A single
 object is the case with no leading axes.  One body is not one rounding:
 numpy's complex multiply rounds apart in its scalar and array loops, so
 a single point's `metric` and the same point inside a stack can differ,
-by up to 1.9e-15 relative over 2,000 draws at dim 1, as can the kernels
-that read it.
+by up to 1.9e-15 relative over 2,000 draws at dim 1, as can its readers
+and `star_pointwise`.
 
 Points are one type, `BallPoint`: a single point or a stack of them,
 with their rim gaps 1 - <z|z>, checked by the one inside rule: finite,
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _broadcast, _pow2_scaled
+from .numerics import _broadcast, _guard, _pow2_scaled
 
 BOUNDARY_MARGIN = 1e-12
 _LIMIT_SQ = (1.0 - BOUNDARY_MARGIN) ** 2
@@ -247,12 +247,15 @@ def k_factor(z):
     return _result(np.divide(1.0, _point(z).gap))
 
 
+@_guard("the metric")
 def metric(z, s, t):
     """Evaluate the metric at z on two complexified tangent vectors.
 
     z may also be an array of points along its last axis, and the parts
     of the tangent vectors arrays of vectors; their leading axes
-    broadcast, and the result is then the complex array of values.
+    broadcast, and the result is then the complex array of values.  A
+    value past the float range raises DomainError (`numerics`), for
+    `kahler_form` and `hermitian_energy` too.
     """
     p = _point(z)
     k, Z = k_factor(p), p.vector
@@ -264,9 +267,10 @@ def metric(z, s, t):
     return _result(k * term1 + k * k * term2)
 
 
+@_guard("the metric")
 def kahler_form(z, s, t):
     """The fundamental two-form, metric with J applied to the first slot."""
-    return metric(z, s.apply_J(), t)
+    return metric.__wrapped__(z, s.apply_J(), t)
 
 
 def hermitian_energy(z, u):

@@ -129,7 +129,7 @@ class MembershipCheck:
 def _residual_norm(R):
     """`hermitian_norm` of a Hermitian residual R; inf where R overflowed."""
     try:
-        return hermitian_norm(R)
+        return hermitian_norm.__wrapped__(R)
     except DomainError:
         return np.full(R.shape[:-2], np.inf)
 

@@ -129,6 +129,7 @@ def op_norm(M):
     return float(norm) if M.ndim == 2 else norm
 
 
+@_guard("the norm")
 def hermitian_norm(H):
     """Operator norm max(-lambda_min, lambda_max) of a Hermitian matrix,
     from one `eigvalsh`, which reads the lower triangle only; the array
@@ -136,7 +137,8 @@ def hermitian_norm(H):
 
     The caller guarantees H = H*: the defects that go through here are
     Hermitian for every input, not only at their zero.  Non-finite
-    entries raise DomainError; an empty matrix has norm 0.
+    entries and a norm past the float range raise DomainError, as in
+    `op_norm`; an empty matrix has norm 0.
     """
     H = _as_complex_matrix(H, square=True, stack=True)
     if H.size == 0:

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from hilbertball.geometry import BallPoint, hermitian_energy
 from hilbertball.isometries import ExtendedOperator, inverse, mobius_apply, transport_from_origin
 from hilbertball.numerics import op_norm
+
+# One hypothesis profile for tier-1: the same examples on every run, and no
+# per-example deadline.  A test sets only its own max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 # The acceptance gate's `criterion NN PASS/FAIL` lines.  They are printed
 # in the terminal summary because output written during a test is

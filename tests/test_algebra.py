@@ -31,11 +31,12 @@ from hilbertball.algebra import (
     unit,
 )
 from hilbertball.errors import DomainError
-from hilbertball.geometry import BallPoint, TangentVector
+from hilbertball.geometry import BallPoint
 from hilbertball.isometries import ExtendedOperator, epsilon_operator
 from hilbertball.numerics import op_norm
 
-from conftest import cgauss, random_point, rows_close, same_bytes, wirtinger_first
+from conftest import cgauss, random_point, same_bytes, wirtinger_first
+from test_kernels import folded
 
 
 def random_operator(rng, dim):
@@ -99,65 +100,25 @@ def test_evaluate_dimension_mismatch(rng):
         evaluate(random_operator(rng, 3), random_point(rng, 2))
 
 
-def test_evaluate_past_the_float_range_raises_one_domain_error():
-    # entries of 1e300 at a point 1e-8 from the rim: k_z ~ 5e7 carries
-    # f_C past the float range, for a single point and inside a stack
-    C = np.full((3, 3), 1e300 + 0j)
-    z, w = np.array([1.0 - 1e-8, 0j]), np.array([0.5, 0.25j])
-    for args in ((ExtendedOperator(C), BallPoint(z)), (np.stack([C, C]), np.stack([w, z]))):
-        with pytest.raises(DomainError, match="f_C overflowed the float range"):
-            evaluate(*args)
-    # finite values of the same operator keep their bits
-    assert evaluate(ExtendedOperator(C), BallPoint(np.zeros(2))) == 1e300
-    singles = [evaluate(ExtendedOperator(C), BallPoint(v)) for v in (w, 0.5 * w)]
-    assert same_bytes(evaluate(np.stack([C, C]), np.stack([w, 0.5 * w])), singles)
+def test_evaluate_past_the_float_range_raises_one_domain_error(request):
+    folded(request)
+    # a finite value of the same operator keeps its bits
+    assert evaluate(ExtendedOperator(np.full((3, 3), 1e300 + 0j)), BallPoint(np.zeros(2))) == 1e300
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, operators, stacks", [
-    ("evaluate_blocks", 1, False),
-    ("holo_differential", 1, True),
-    ("star_pointwise", 2, True),
-    ("poisson_bracket", 2, True),
-    ("dispersion", 1, True),
-    ("gradient", 1, True),
-    ("hamiltonian_field", 1, True),
-])
-def test_kernel_past_the_float_range_raises_one_domain_error(name, operators, stacks):
-    # the operator and rim point that carry `evaluate` past the float
-    # range, and for the fields, which read C zhat without k_z, entries
-    # of 1e308, which carry C zhat past it; each kernel raises one
-    # DomainError and no numpy warning, for a single point and, where it
-    # takes them, inside a stack
-    kernel = getattr(algebra, name)
-    C = np.full((3, 3), (1e308 if name in ("gradient", "hamiltonian_field") else 1e300) + 0j)
-    z, w = np.array([1.0 - 1e-8, 0j]), np.array([0.5, 0.25j])
-    cases = [(ExtendedOperator(C), BallPoint(z))] + [(np.stack([C, C]), np.stack([w, z]))] * stacks
-    for op, point in cases:
-        with pytest.raises(DomainError, match="^f_C overflowed the float range in "):
-            kernel(*(op,) * operators, point)
-    # finite results keep their bits
-    ones = np.ones((3, 3), dtype=complex)
-    cases = [(ExtendedOperator(ones), BallPoint(w))]
-    cases += [(np.stack([ones, ones]), np.stack([w, 0.5 * w]))] * stacks
-    for op, point in cases:
-        args = (op,) * operators + (point,)
-        value, unguarded = kernel(*args), kernel.__wrapped__(*args)
-        if isinstance(value, TangentVector):
-            value, unguarded = (value.hol, value.antihol), (unguarded.hol, unguarded.antihol)
-        assert same_bytes([value], [unguarded])
+@pytest.mark.parametrize("name", ["evaluate_blocks", "holo_differential", "star_pointwise", "poisson_bracket",
+                                  "dispersion", "gradient", "hamiltonian_field"],
+                         ids=["evaluate_blocks-1-False", "holo_differential-1-True", "star_pointwise-2-True",
+                              "poisson_bracket-2-True", "dispersion-1-True", "gradient-1-True",
+                              "hamiltonian_field-1-True"])
+def test_kernel_past_the_float_range_raises_one_domain_error(name, request):
+    folded(request)
 
 
-def test_operator_stacks_that_do_not_broadcast_raise_domain_error(rng):
-    # leading axes (3,) and (4,), at one point for the pointwise kernels:
-    # each two-operator kernel raises DomainError, not numpy's
-    # broadcasting ValueError
-    C, Cp, z = cgauss(rng, (3, 3, 3)), cgauss(rng, (4, 3, 3)), random_point(rng, 2)
-    for kernel in (star_pointwise, poisson_bracket):
-        with pytest.raises(DomainError, match="do not"):
-            kernel(C, Cp, z)
+def test_operator_stacks_that_do_not_broadcast_raise_domain_error(request):
+    folded(request)
     with pytest.raises(DomainError, match=r"^leading axes \(3,\) and \(4,\) do not broadcast$"):
-        star_operator(C, Cp)
+        star_operator(np.zeros((3, 3, 3)), np.zeros((4, 3, 3)))
 
 
 def test_star_frozen_value():
@@ -244,6 +205,25 @@ def test_uncertainty_product_bounds_bracket(rng):
     assert worst >= -1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12345])
+def test_dispersion_is_the_star_product_variance(seed):
+    # for self-adjoint C, dispersion^2 = f_C^2 - (f_C * f_C) through both
+    # star routes, within 1024 eps of max(1, f_C^2), the rounding bound of
+    # the membership checks: 5.7e-14 at worst over these draws at dims 1, 4
+    # and 16, while a dispersion scaled by 1 + 1e-8 reads 2.5e-11 or more
+    rng = np.random.default_rng(seed)
+    bound = 1024 * np.finfo(float).eps
+    for dim in (1, 4, 16):
+        G = cgauss(rng, (200, dim + 1, dim + 1))
+        C = 0.5 * (G + G.conj().swapaxes(-1, -2))
+        Z = np.array([random_point(rng, dim).vector for _ in range(200)])
+        f, d = evaluate(C, Z).real, dispersion(C, Z)
+        size = np.maximum(1.0, f * f)
+        for variance in (f * f - star_pointwise(C, C, Z), f * f - evaluate(star_operator(C, C), Z)):
+            assert (np.abs(d * d - variance) / size).max() <= bound
+            assert (np.abs((1.0 + 1e-8) ** 2 * d * d - variance) / size).min() > bound
+
+
 def test_fit_operator_roundtrip(rng):
     C = random_operator(rng, 3)
     points = [random_point(rng, 3, 0.8) for _ in range(50)]
@@ -258,73 +238,17 @@ def test_fit_operator_roundtrip(rng):
         fit_operator(pts[:15], vals[:15])
 
 
-def test_stacked_evaluate_and_fit_equal_scalar_calls(rng):
-    C = np.array([random_operator(rng, 2).matrix for _ in range(3)])
-    Z = np.array([[random_point(rng, 2, 0.8).vector for _ in range(12)] for _ in range(3)])
-    values = evaluate(C[:, None], Z)
-    fitted = fit_operator(Z, values)
-    assert values.shape == (3, 12) and fitted.shape == (3, 3, 3)
-    for Ci, Zi, vi, Fi in zip(C, Z, values, fitted):
-        single = [evaluate(ExtendedOperator(Ci), BallPoint(z)) for z in Zi]
-        assert np.abs(vi - single).max() <= 1e-14 * np.abs(vi).max()
-        assert op_norm(Fi - fit_operator(Zi, single)) < 1e-12
-        assert op_norm(Fi - Ci) < 1e-9
+def test_stacked_evaluate_and_fit_equal_scalar_calls(request):
+    folded(request)
 
 
-def test_stacked_star_kernels_equal_scalar_calls(rng):
-    n, k = 3, 8
-    C, Cp = cgauss(rng, (k, n + 1, n + 1)), cgauss(rng, (k, n + 1, n + 1))
-    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
-    ops = [(ExtendedOperator(c), ExtendedOperator(cp), BallPoint(z)) for c, cp, z in zip(C, Cp, Z)]
-    assert same_bytes(star_operator(C, Cp), [star_operator(c, cp).matrix for c, cp, _ in ops])
-    assert rows_close(holo_differential(C, Z), [holo_differential(c, z) for c, _, z in ops])
-    assert rows_close(gradient(C, Z), [gradient(c, z) for c, _, z in ops])
-    assert rows_close(star_pointwise(C, Cp, Z), [star_pointwise(c, cp, z) for c, cp, z in ops])
-    # one operator against many points broadcasts like evaluate
-    assert rows_close(star_pointwise(C[0], Cp[0], Z), [star_pointwise(ops[0][0], ops[0][1], z)
-                                                       for _, _, z in ops])
-    with pytest.raises(DomainError):
-        star_operator(C, Cp[:, :n, :n])
-    with pytest.raises(DomainError):
-        gradient(C, Z[:, :2])
+def test_stacked_star_kernels_equal_scalar_calls(request):
+    folded(request)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
-def test_stacked_field_kernels_equal_scalar_calls(n):
-    rng = np.random.default_rng(280 + n)
-    k = 8
-    C, Cp = cgauss(rng, (k, n + 1, n + 1)), cgauss(rng, (k, n + 1, n + 1))
-    H = C + C.conj().swapaxes(-1, -2)
-    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
-    ops = [(ExtendedOperator(c), ExtendedOperator(cp), BallPoint(z)) for c, cp, z in zip(C, Cp, Z)]
-    X = hamiltonian_field(C, Z)
-    singles = [hamiltonian_field(c, z) for c, _, z in ops]
-    assert rows_close(X.hol, [x.hol for x in singles]) and rows_close(X.antihol, [x.antihol for x in singles])
-    assert rows_close(evaluate_blocks(C, Z), [evaluate_blocks(c, z) for c, _, z in ops])
-    assert rows_close(dispersion(H, Z), [dispersion(ExtendedOperator(h), z) for h, (_, _, z) in zip(H, ops)])
-    # the bracket sums metric terms that cancel; a single point's metric
-    # rounds apart from the stacked one, so the bound scales with the
-    # size of the terms, |X| |Y| (k + k^2 ||z||^2) for k = 1/(1 - ||z||^2)
-    Y = hamiltonian_field(Cp, Z)
-    size = [np.linalg.norm(np.r_[x.hol, x.antihol]) * np.linalg.norm(np.r_[y.hol, y.antihol])
-            for x, y in zip(singles, (hamiltonian_field(cp, z) for _, cp, z in ops))]
-    kz = 1.0 / (1.0 - np.sum(np.abs(Z) ** 2, axis=-1))
-    scale = np.array(size) * (kz + kz * kz * np.sum(np.abs(Z) ** 2, axis=-1))
-    brackets = np.array([poisson_bracket(c, cp, z) for c, cp, z in ops])
-    assert np.all(np.abs(poisson_bracket(C, Cp, Z) - brackets) <= 1e-15 * scale)
-    assert same_bytes(kahler_condition_check(C, Z), [kahler_condition_check(c, z) for c, _, z in ops])
-    # one operator against many points, and many against one point,
-    # broadcast like evaluate
-    assert same_bytes(kahler_condition_check(C[0], Z), [kahler_condition_check(ops[0][0], z) for *_, z in ops])
-    assert same_bytes(kahler_condition_check(C, Z[0]), [kahler_condition_check(c, ops[0][2]) for c, *_ in ops])
-    assert np.all(np.abs(poisson_bracket(C, Cp[0], Z[0]) - [poisson_bracket(c, ops[0][1], ops[0][2])
-                                                             for c, *_ in ops]) <= 1e-15 * scale.max())
-    assert dispersion(H[:, None], Z[None, :3]).shape == (k, 3)
-    # one operator of a stack that is not self-adjoint
-    with pytest.raises(DomainError, match="dispersion needs a self-adjoint operator"):
-        dispersion(np.concatenate([H[:3], C[:1]]), Z[:4])
-    with pytest.raises(DomainError):
-        poisson_bracket(C, Cp, Z[:, :1] if n > 1 else np.zeros((k, 2)))
+def test_stacked_field_kernels_equal_scalar_calls(n, request):
+    folded(request)
 
 
 # norms ---------------------------------------------------------------

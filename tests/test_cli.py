@@ -489,6 +489,22 @@ def _top_eigenvalue(hermitian_norm):
     def planted(H):
         top = np.linalg.eigvalsh(H)[..., -1]
         return float(top) if np.ndim(H) == 2 else top
+    planted.__wrapped__ = planted  # guarded callers read the body
+    return planted
+
+
+def _taylor_term_dropped(k):
+    # exp's Taylor series without its term k: exp(tX) is then off by about
+    # ||tX / 2^s||^k / k! before squaring
+    return lambda taylor: taylor[:k] + (0.0,) + taylor[k + 1:]
+
+
+def _epsilon_corner_off(epsilon_matrix):
+    # eps with its (0, 0) entry off by 1e-9, where the isometries read it
+    def planted(dim):
+        eps = epsilon_matrix(dim)
+        eps[0, 0] = -1.0 - 1e-9
+        return eps
     return planted
 
 
@@ -502,11 +518,13 @@ _ALL = ["verify", "all", "--dim", "4", "--trials", "200", "--seed", "0"]
 _GEOMETRY_4 = ["verify", "geometry", "--dim", "4", "--trials", "200", "--seed", "0"]
 _GEOMETRY_2 = ["verify", "geometry", "--dim", "2", "--trials", "10"]
 _STAR = ["star_associativity", "star_homomorphism"]
+_OFF_ALGEBRA = "DomainError: generator leaves the isometry Lie algebra"
 
 
 # Planted defects: each row swaps one module attribute for a broken
 # version of it (`make` maps the true attribute to the planted one), runs
-# `verify` and names exactly the properties that must fail.
+# `verify` and names exactly the properties that must fail, each with a
+# finite defect or, as a (name, error) pair, with that error.
 @pytest.mark.parametrize("module, name, make, argv, failed", [
     pytest.param(algebra, "HBAR", lambda hbar: -hbar, _ALL, _STAR, id="hbar_sign_flipped"),
     pytest.param(algebra, "star_operator", _transposed_star, _ALL, ["cstar_chain_identity"] + _STAR,
@@ -530,9 +548,18 @@ _STAR = ["star_associativity", "star_homomorphism"]
     # residuals through `isometries._residual_norm`
     pytest.param(isometries, "hermitian_norm", _top_eigenvalue, _GEOMETRY_2, ["membership_defect_agreement"],
                  id="under_reporting_hermitian_norm"),
+    pytest.param(numerics, "_TAYLOR", _taylor_term_dropped(9), _ALL,
+                 ["disc_closed_form_agreement", "exp_additivity", "exponential_membership"], id="taylor_term_9_zeroed"),
+    # the flows' generators then leave the Lie algebra by the check that reads eps
+    pytest.param(isometries, "epsilon_matrix", _epsilon_corner_off, _ALL,
+                 [("disc_closed_form_agreement", _OFF_ALGEBRA), "exponential_membership",
+                  ("flow_distance_invariance", _OFF_ALGEBRA), ("flow_group_law", _OFF_ALGEBRA), "group_closure",
+                  "transport_transitivity", "unit_function"], id="epsilon_entry_off_by_1e-9"),
 ])
 def test_verify_flags_planted_defect(monkeypatch, capsys, module, name, make, argv, failed):
     monkeypatch.setattr(module, name, make(getattr(module, name)))
+    errors = dict(prop for prop in failed if isinstance(prop, tuple))
+    failed = [prop[0] if isinstance(prop, tuple) else prop for prop in failed]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("verification failed:")
@@ -540,5 +567,7 @@ def test_verify_flags_planted_defect(monkeypatch, capsys, module, name, make, ar
     report = json.loads(captured.out)
     assert report["failed_properties"] == failed
     for entry in report["properties"]:
-        if entry["name"] in failed:
+        if entry["name"] in errors:
+            assert entry["error"] == errors[entry["name"]]
+        elif entry["name"] in failed:
             assert entry["error"] is None and 0.0 < entry["max_defect"] < float("inf")

@@ -25,6 +25,7 @@ from hilbertball.isometries import ExtendedOperator, lie_algebra_check, mobius_a
 from hilbertball.numerics import mat_exp, op_norm
 
 from conftest import cgauss, lie_element, random_point, same_bytes, spectral_hermitian
+from test_kernels import folded
 
 
 # ---------------------------------------------------------------------
@@ -169,28 +170,12 @@ def test_evolve_exp_rejects_non_generator(rng):
         evolve_exp(bad, random_point(rng, 3), 0.5)
 
 
-def test_evolve_exp_past_the_float_range_raises_one_domain_error():
-    # the boost's exp(800 X) overflows in mat_exp's squaring
-    X = ExtendedOperator(np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed the float range in mat_exp$"):
-            evolve_exp(X, np.array([0.1, 0.2]), 800.0)
-        with pytest.raises(DomainError, match=r"^exp\(tX\) overflowed"):
-            evolve_exp(X, np.array([0.1, 0.2]), np.array([0.5, 800.0]))
+def test_evolve_exp_past_the_float_range_raises_one_domain_error(request):
+    folded(request)
 
 
-@pytest.mark.filterwarnings("error")
-def test_closed_flows_past_the_float_range_raise_one_domain_error():
-    # lambda t past the float range leaves the phases of the Schroedinger
-    # flow undefined, and st those of an elliptic disc flow: one DomainError
-    # for a single time and for one time of an array, and no numpy warning
-    H, z = HamiltonianGenerator(np.diag([3.0, -1.0])), BallPoint([0.1, 0.2])
-    for t in (2.0 ** 1023, np.array([0.5, 2.0 ** 1023])):
-        with pytest.raises(DomainError, match="^point has non-finite entries$"):
-            schrodinger_evolve(H, z, t)
-        with pytest.raises(DomainError, match="^the flow overflowed the float range in disc_evolve_closed$"):
-            disc_evolve_closed(DiscGenerator(1e300, 0.0), 0.5, t)
+def test_closed_flows_past_the_float_range_raise_one_domain_error(request):
+    folded(request)
     # a hyperbolic s past the float range is no such case: at t = 0 the
     # flow is z itself, where inf * 0 once read NaN
     assert disc_evolve_closed(DiscGenerator(0.3, 1.7e308 + 1.7e308j), 0.5, 0.0) == 0.5
@@ -331,15 +316,12 @@ def batched_flows(rng):
     return ((lie_element(rng, 3), evolve_exp), (hamiltonian(rng, 3), schrodinger_evolve))
 
 
-def test_time_array_flows_equal_scalar_calls(rng):
-    z = random_point(rng, 3, 0.8)
-    times = [0.0, 1.7, -0.4, 0.05, 3.2, -2.9]
+def test_time_array_flows_equal_scalar_calls(rng, request):
+    folded(request)
+    # a list of times is its array
+    z, times = random_point(rng, 3, 0.8), [0.0, 1.7, -0.4]
     for gen, flow in batched_flows(rng):
-        for ts in (times, np.array(times)):
-            points = flow(gen, z, ts).vector
-            assert points.shape == (len(times), 3)
-            for t, p in zip(times, points):
-                assert same_bytes(p, flow(gen, z, t).vector)
+        assert same_bytes(flow(gen, z, times).vector, flow(gen, z, np.array(times)).vector)
 
 
 @pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([0.1, np.nan]), np.nan, np.inf])
@@ -366,29 +348,12 @@ def test_time_array_flows_reject_unpaired_points(rng):
                 flow(g, Z, times)
 
 
-def test_stacked_flows_equal_scalar_calls(rng):
-    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(5)])
-    X = np.array([lie_element(rng, 3).matrix for _ in range(5)])
-    H = np.array([hamiltonian(rng, 3).H for _ in range(5)])
-    for stack, single, flow in ((X, ExtendedOperator, evolve_exp),
-                                (H, HamiltonianGenerator, schrodinger_evolve)):
-        for t in (0.8, -2.5):
-            moved = flow(stack, Z, t).vector
-            assert moved.shape == Z.shape
-            for M, z, w in zip(stack, Z, moved):
-                assert np.abs(w - flow(single(M), BallPoint(z), t).vector).max() < 1e-15
+def test_stacked_flows_equal_scalar_calls(request):
+    folded(request)
 
 
-def test_stacked_flows_reject_bad_generators(rng):
-    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(3)])
-    X = np.array([lie_element(rng, 3).matrix for _ in range(3)])
-    X[1, 0, 1] += 0.1
-    H = np.array([hamiltonian(rng, 3).H for _ in range(3)])
-    H[2, 0, 1] += 0.1j
-    with pytest.raises(DomainError, match="Lie algebra"):
-        evolve_exp(X, Z, 1.0)
-    with pytest.raises(DomainError, match="self-adjoint"):
-        schrodinger_evolve(H, Z, 1.0)
+def test_stacked_flows_reject_bad_generators(request):
+    folded(request)
 
 
 def flows_of_norm(rng, dim, norm):
@@ -590,42 +555,14 @@ def test_disc_flow_depends_on_t_x_alone(rng):
         assert same_bytes(disc_evolve_closed(scaled, z, np.ldexp(t, -k)), w)
 
 
-def test_stacked_disc_flows_equal_scalar_calls(rng):
-    # every regime and a pole time in one stack: each entry has the bits
-    # of its scalar call, and a, b, z and t broadcast against each other
-    gens = disc_generators() + [DiscGenerator(0.0, 0.0)]
-    a = np.array([g.a for g in gens] * 3)
-    b = np.array([g.b for g in gens] * 3)
-    z = 0.85 * np.sqrt(rng.uniform(size=a.size)) * np.exp(2j * math.pi * rng.uniform(size=a.size))
-    t = rng.uniform(-3.0, 3.0, size=a.size)
-    t[1] = math.pi / (2.0 * math.sqrt(-alpha(gens[1])))
-    stack = DiscGenerator(a, b)
-    w = disc_evolve_closed(stack, z, t)
-    scalar = [disc_evolve_closed(DiscGenerator(*ab), *zt) for ab, zt in
-              zip(zip(a.tolist(), b.tolist()), zip(z.tolist(), t.tolist()))]
-    assert same_bytes(w, np.array(scalar))
-    assert same_bytes(stack.matrix(), np.array([DiscGenerator(*ab).matrix() for ab in zip(a, b)]))
-    # one generator over many points and one time, and many over one point
-    assert same_bytes(disc_evolve_closed(gens[0], z, t[0]),
-                      np.array([disc_evolve_closed(gens[0], zk, t[0]) for zk in z.tolist()]))
-    assert disc_evolve_closed(stack, 0.3, 1.0).shape == a.shape
-    with pytest.raises(DomainError, match="do not broadcast"):
-        disc_evolve_closed(stack, z[:4], 1.0)
-    with pytest.raises(DomainError, match="outside the open ball"):
-        disc_evolve_closed(stack, np.where(np.arange(a.size) == 5, 1.0, z), t)
+def test_stacked_disc_flows_equal_scalar_calls(request):
+    folded(request)
 
 
-def test_disc_generator_shapes_that_do_not_broadcast_raise_domain_error():
-    # the generator's matrix and discriminant raise DomainError, as the
-    # flow does, not numpy's broadcasting ValueError
-    g = DiscGenerator(np.zeros(3), np.zeros(4))
-    message = r"^shapes of a and b \(3,\) and \(4,\) do not broadcast$"
-    with pytest.raises(DomainError, match=message):
-        g.matrix()
-    with pytest.raises(DomainError, match=message):
-        alpha(g)
-    with pytest.raises(DomainError, match="do not broadcast"):
-        disc_evolve_closed(g, 0.1, 1.0)
+def test_disc_generator_shapes_that_do_not_broadcast_raise_domain_error(request):
+    folded(request)
+    with pytest.raises(DomainError, match=r"^shapes of a and b \(3,\) and \(4,\) do not broadcast$"):
+        alpha(DiscGenerator(np.zeros(3), np.zeros(4)))
 
 
 def test_trajectory_rejects_non_generator(rng):

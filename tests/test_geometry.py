@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hilbertball import algebra, dynamics, geometry, isometries
+from hilbertball import algebra, geometry, isometries
 from hilbertball.errors import DomainError
 from hilbertball.geometry import (
     BallPoint,
@@ -26,6 +26,7 @@ from hilbertball.geometry import (
 )
 
 from conftest import ball_vectors, cgauss, quadrature_distance, random_point, rows_close, same_bytes
+from test_kernels import folded, rows_with
 
 
 # oracle: the closed-form distance against the quadrature of the line
@@ -142,14 +143,14 @@ def test_connection_symmetric_vanishes_at_origin(rng):
 
 # distance properties -------------------------------------------------
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(ball_vectors(dim=3), ball_vectors(dim=3))
 def test_distance_log_and_tanh_agree(uv, vv):
     u, v = BallPoint(uv), BallPoint(vv)
     assert abs(math.tanh(distance(u, v)) - tanh_distance(u, v)) < 1e-12
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(ball_vectors(dim=3), ball_vectors(dim=3))
 def test_distance_symmetry_and_identity(uv, vv):
     u, v = BallPoint(uv), BallPoint(vv)
@@ -158,7 +159,7 @@ def test_distance_symmetry_and_identity(uv, vv):
     assert distance(u, v) >= 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(ball_vectors(dim=2), ball_vectors(dim=2), ball_vectors(dim=2))
 def test_triangle_inequality(av, bv, cv):
     a, b, c = BallPoint(av), BallPoint(bv), BallPoint(cv)
@@ -557,97 +558,14 @@ def test_points_rejected_at_the_margin_print_no_norm_below_it():
 
 
 @pytest.mark.parametrize("bad", ["rim", "nan"])
-def test_stack_kernels_reject_one_bad_row(rng, bad):
-    n = 3
-    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(16)])
-    if bad == "rim":
-        Z[5] *= (1.0 - 1e-13) / np.linalg.norm(Z[5])
-    else:
-        Z[5, 1] = complex(np.nan, 0.0)
-    ident = np.broadcast_to(np.eye(n + 1, dtype=complex), (16, n + 1, n + 1))
-    s = TangentVector.real(np.ones_like(Z))
-    calls = [
-        lambda: isometries.mobius_apply(ident, Z),
-        lambda: algebra.evaluate(ident, Z),
-        lambda: algebra.fit_operator(Z, np.ones(16)),
-        lambda: dynamics.evolve_exp(np.zeros((16, n + 1, n + 1)), Z, 1.0),
-        lambda: dynamics.schrodinger_evolve(np.zeros((16, n, n)), Z, 1.0),
-        lambda: k_factor(Z),
-        lambda: metric(Z, s, s),
-        lambda: sectional_curvature_probe(Z, np.ones_like(Z)),
-        lambda: isometries.transport_from_origin(Z),
-        lambda: isometries.mobius_differential(ident, Z),
-        lambda: algebra.holo_differential(ident, Z),
-        lambda: algebra.gradient(ident, Z),
-        lambda: algebra.star_pointwise(ident, ident, Z),
-        lambda: algebra.evaluate_blocks(ident, Z),
-        lambda: algebra.hamiltonian_field(ident, Z),
-        lambda: algebra.poisson_bracket(ident, ident, Z),
-        lambda: algebra.dispersion(ident, Z),
-        lambda: algebra.kahler_condition_check(ident, Z),
-    ]
-    if bad == "nan":
-        # the matrix kernels take no points: one bad matrix instead
-        M = np.array(ident)
-        M[5, 0, 1] = complex(0.0, np.nan)
-        calls += [lambda: isometries.inverse(M), lambda: algebra.star_operator(ident, M)]
-    for call in calls:
-        with pytest.raises(DomainError):
-            call()
+def test_stack_kernels_reject_one_bad_row(bad, request):
+    folded(request)
 
 
-def _mismatched_calls():
-    """Single-object calls whose operands have different dimensions: an
-    operator or generator of dim 3 against a point of dim 2, and a
-    dim-3 point against tangent vectors of dim 2."""
-    rng = np.random.default_rng(5)
-    C = isometries.ExtendedOperator(cgauss(rng, (4, 4)))
-    T = isometries.transport_from_origin(random_point(rng, 3, 0.5))
-    X = isometries.ExtendedOperator(np.diag([1j, -1j, 0.5j, 0.0]))
-    H = dynamics.HamiltonianGenerator(np.eye(3))
-    z2, z3 = random_point(rng, 2, 0.5), random_point(rng, 3, 0.5)
-    s = TangentVector.real(np.ones(2, dtype=complex))
-    return {
-        "evaluate": lambda: algebra.evaluate(C, z2),
-        "holo_differential": lambda: algebra.holo_differential(C, z2),
-        "gradient": lambda: algebra.gradient(C, z2),
-        "star_pointwise": lambda: algebra.star_pointwise(C, C, z2),
-        "evaluate_blocks": lambda: algebra.evaluate_blocks(C, z2),
-        "hamiltonian_field": lambda: algebra.hamiltonian_field(C, z2),
-        "poisson_bracket": lambda: algebra.poisson_bracket(C, C, z2),
-        "dispersion": lambda: algebra.dispersion(isometries.ExtendedOperator(np.eye(4)), z2),
-        "kahler_condition_check": lambda: algebra.kahler_condition_check(C, z2),
-        "star_operator": lambda: algebra.star_operator(C, isometries.ExtendedOperator(np.eye(3))),
-        "mobius_apply": lambda: isometries.mobius_apply(T, z2),
-        "mobius_differential": lambda: isometries.mobius_differential(T, z2),
-        "metric": lambda: metric(z3, s, s),
-        "evolve_exp": lambda: dynamics.evolve_exp(X, z2, 0.5),
-        "schrodinger_evolve": lambda: dynamics.schrodinger_evolve(H, z2, 0.5),
-    }
+@pytest.mark.parametrize("kernel", rows_with("mismatch"))
+def test_single_object_kernels_reject_mismatched_dimensions(kernel, request):
+    folded(request)
 
 
-@pytest.mark.parametrize("kernel", sorted(_mismatched_calls()))
-def test_single_object_kernels_reject_mismatched_dimensions(kernel):
-    with pytest.raises(DomainError):
-        _mismatched_calls()[kernel]()
-
-
-def test_stacked_geometry_kernels_equal_scalar_calls(rng):
-    n, k = 3, 9
-    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
-    Z[4] = 0.0  # the origin among the rows
-    U, V, W = (cgauss(rng, (k, n)) for _ in range(3))
-    points = [BallPoint(z) for z in Z]
-    assert rows_close(k_factor(Z), [k_factor(p) for p in points])
-    s, t = TangentVector(U, V), TangentVector(W, U)
-    single = [metric(p, TangentVector(u, v), TangentVector(w, u))
-              for p, u, v, w in zip(points, U, V, W)]
-    assert rows_close(metric(Z, s, t), single)
-    # one probe body over leading axes: each single probe is its row, bit for bit
-    probes = sectional_curvature_probe(Z, U)
-    assert same_bytes(probes, [sectional_curvature_probe(p, u) for p, u in zip(points, U)])
-    assert np.abs(probes + 2.0).max() <= 1e-8
-    with pytest.raises(DomainError):
-        sectional_curvature_probe(Z, np.zeros_like(U))
-    with pytest.raises(DomainError):
-        metric(Z, TangentVector(U[:3], V[:3]), t)
+def test_stacked_geometry_kernels_equal_scalar_calls(request):
+    folded(request)

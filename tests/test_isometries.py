@@ -24,6 +24,7 @@ from hilbertball.isometries import (
 from hilbertball.numerics import hermitian_norm, mat_exp, op_norm
 
 from conftest import cgauss, lie_element, random_point, rows_close, same_bytes, spectral_hermitian
+from test_kernels import folded
 
 
 def group_member(rng, dim):
@@ -258,18 +259,8 @@ def test_operators_keep_their_own_copy(rng):
 
 
 @pytest.mark.parametrize("dim", [1, 4, 16])
-def test_single_transports_are_their_rows_of_the_stack(rng, dim):
-    Z = cgauss(rng, (10, dim))
-    Z *= (rng.uniform(0.0, 0.95, 10) / np.linalg.norm(Z, axis=1))[:, None]
-    Z[0] = 0.0  # the origin
-    Z[1] = complex(-0.0, -0.0)  # the origin with signed zeros
-    Z[2] = Z[2].real  # a real vector
-    Z[3].imag = -0.0  # a real vector with -0.0 imaginary parts
-    Z[4, ::2] = -0.0  # +-0.0 components
-    Z[5, 1::2] = complex(0.0, -0.0)
-    T = transport_from_origin(Z)
-    for z, row in zip(Z, T):
-        assert same_bytes(transport_from_origin(BallPoint(z)).matrix, row)
+def test_single_transports_are_their_rows_of_the_stack(dim, request):
+    folded(request)
 
 
 @pytest.mark.parametrize(
@@ -354,23 +345,8 @@ def test_mixed_subspace_mirror_is_not_an_isometry():
     assert abs(d1 - d0) > 1e-4
 
 
-def test_stacked_mirrors_equal_single_mirrors(rng):
-    Q, _ = np.linalg.qr(cgauss(rng, (6, 3, 3)))
-    frames = np.concatenate([Q[..., :1], 1j * Q[..., :1]], axis=-1)
-    F = MirrorTransformation.from_basis(frames)
-    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
-    images = mirror_apply(F, Z).vector
-    assert images.shape == (6, 3)
-    for frame, z, w in zip(frames, Z, images):
-        single = MirrorTransformation.from_basis(frame)
-        image = mirror_apply(single, BallPoint(z))
-        assert isinstance(image, BallPoint) and same_bytes(image.vector, w)
-    # one point under the stack, and the stack over another leading axis
-    assert same_bytes(mirror_apply(F, BallPoint(Z[0])).vector,
-                      mirror_apply(F, np.broadcast_to(Z[0], Z.shape)).vector)
-    assert same_bytes(mirror_apply(F, np.stack([Z, Z])).vector[1], images)
-    with pytest.raises(DomainError):
-        mirror_apply(F, Z[:4])
+def test_stacked_mirrors_equal_single_mirrors(request):
+    folded(request)
 
 
 def test_membership_check_truth_value(rng):
@@ -382,50 +358,15 @@ def test_membership_check_truth_value(rng):
         bool(is_inhomogeneous_unitary(T))
 
 
-def test_stacked_kernels_equal_scalar_calls(rng):
-    T = np.array([group_member(rng, 3).matrix for _ in range(6)])
-    T[1] *= 1.001  # off the group, but the same Moebius map
-    X = np.array([lie_element(rng, 3).matrix for _ in range(6)])
-    X[2, 0, 0] += 0.5  # off the Lie algebra
-    Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
-    images = mobius_apply(T, Z).vector
-    checks = {is_inhomogeneous_unitary: T, check_block_conditions: T, lie_algebra_check: X}
-    stacked = {check: check(M) for check, M in checks.items()}
-    assert images.shape == (6, 3) and stacked[is_inhomogeneous_unitary].ok.tolist().count(False) == 1
-    assert stacked[lie_algebra_check].ok.tolist().count(False) == 1
-    for i in range(6):
-        Ti = ExtendedOperator(T[i])
-        assert np.abs(images[i] - mobius_apply(Ti, BallPoint(Z[i])).vector).max() < 1e-15
-        for check, M in checks.items():
-            single = check(ExtendedOperator(M[i]))
-            assert isinstance(single.ok, bool) and isinstance(single.defect, float)
-            assert stacked[check].ok[i] == single.ok
-            assert abs(stacked[check].defect[i] - single.defect) <= 1e-15 * max(1.0, single.defect)
+def test_stacked_kernels_equal_scalar_calls(request):
+    folded(request)
 
 
-def test_stacked_transport_inverse_differential_equal_scalar_calls(rng):
-    n, k = 3, 8
-    Z = np.array([random_point(rng, n, 0.8).vector for _ in range(k)])
-    Z[3] = 0.0  # the origin's transport is the identity
-    W = np.array([random_point(rng, n, 0.7).vector for _ in range(k)])
-    points = [BallPoint(z) for z in Z]
-    T = transport_from_origin(Z)
-    single = [transport_from_origin(p).matrix for p in points]
-    assert rows_close(T, single)
-    assert same_bytes(T[3], np.eye(n + 1, dtype=complex))
-    M = np.array([group_member(rng, n).matrix for _ in range(k)])
-    M[1] *= 1.001  # off the group: the formula is applied all the same
-    # eps T* eps only flips signs, so the stack is exact
-    assert same_bytes(inverse(M), [inverse(ExtendedOperator(m)).matrix for m in M])
-    D = mobius_differential(M, W)
-    assert rows_close(D, [mobius_differential(ExtendedOperator(m), BallPoint(w))
-                          for m, w in zip(M, W)])
-    # any leading axes: one more is the same stack
-    assert same_bytes(transport_from_origin(Z[None]), T[None])
-    with pytest.raises(DomainError):
-        transport_from_origin(Z[0, 0])
-    with pytest.raises(DomainError):
-        mobius_differential(M, W[:-1])
+def test_stacked_transport_inverse_differential_equal_scalar_calls(request):
+    folded(request)
+    assert same_bytes(transport_from_origin(np.zeros(3)), np.eye(4, dtype=complex))
+    with pytest.raises(DomainError, match="at least one axis"):
+        transport_from_origin(0.5)
 
 
 # ---------------------------------------------------------------------
@@ -596,28 +537,11 @@ def test_huge_non_members_fail_the_linear_checks(rng):
             evolve_exp(scale * G, origin(3), 1.0)
 
 
-@pytest.mark.filterwarnings("error")
-def test_residual_or_product_past_the_float_range_raises_one_domain_error():
-    # finite operators whose residual or star product leaves the float
-    # range give one DomainError that names the overflow, and no numpy
-    # warning, singly and inside a stack.  The group residual and the
-    # product have degree 2, so 2^600 times a unit-size matrix overflows
-    # them; the linear residuals overflow at entries near the largest float
-    rng = np.random.default_rng(28)
-    G = cgauss(rng, (4, 4)) / 4.0
-    big = np.ldexp(G.view(float), 600).view(complex)
-    huge = 1e308j * np.ones((4, 4))
-    cases = [(is_inhomogeneous_unitary, big), (check_block_conditions, big),
-             (lie_algebra_check, huge), (is_self_adjoint, huge)]
-    for check, M in cases:
-        for T in (ExtendedOperator(M), np.stack([G, M])):
-            with pytest.raises(DomainError, match=f"^the residual overflowed the float range in {check.__name__}$"):
-                check(T)
-    for C in (ExtendedOperator(big), np.stack([G, big])):
-        with pytest.raises(DomainError, match="^the product overflowed the float range in star_operator$"):
-            star_operator(C, C)
+def test_residual_or_product_past_the_float_range_raises_one_domain_error(request):
+    folded(request)
     # finite results keep their bits: at 2^500 the product and the group
     # residual reach 2^1000
+    G = cgauss(np.random.default_rng(28), (4, 4)) / 4.0
     M = np.ldexp(G.view(float), 500).view(complex)
     eps = epsilon_matrix(3)
     assert same_bytes(star_operator(ExtendedOperator(M), ExtendedOperator(G)).matrix, M @ eps @ G)

@@ -27,7 +27,7 @@ def test_format_float_normalizes_negative_zero():
     assert format_float(0.1) == "0.10000000000000001"
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(complex_matrices(dim=3, scale=1e6))
 def test_matrix_roundtrip_is_exact(M):
     back = matrix_from_json(matrix_to_json(M))
@@ -191,7 +191,7 @@ def test_csv_across_block_edges(rng, dim, offset):
     assert trajectory_csv(times, points) == per_row_csv(times, points)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_csv_fields_equal_percent_formatting(values):
     a, b = fields_csv(values)

@@ -32,7 +32,12 @@ CSV_DIMS (stacked column `-`), and the `norm_b` and
 norm, and the cone search at its default samples), on one operator at
 dim NORM_DIM (stacked column `-`).  The `cli norm b` row times one
 in-process `cli.main(["norm", FILE, "--which", "b"])` call on that
-operator, stdout captured, and the `import hilbertball.cli` row is the
+operator, stdout captured; the `load_matrix` rows read that operator
+from its file (dim NORM_DIM, a 5 x 5 matrix) and the Hamiltonian of the
+Schroedinger row (dim 16, 16 x 16), and the `cli evolve schrodinger` row
+times one in-process `hilbertball evolve schrodinger` call of STEPS
+steps from that row's start point, its CSV written to a file and stdout
+captured.  The `import hilbertball.cli` row is the
 median wall time of IMPORT_RUNS fresh interpreters that import the CLI,
 start-up included.  Each dimension ends with one row per property of
 `hilbertball.verify`: the median over VERIFY_ROUNDS rounds of the time
@@ -295,6 +300,36 @@ def cli_cases(mods, operator_file):
     return (("cli norm b", NORM_DIM, norm_b),)
 
 
+def save_inputs(serialize, directory, C, flows):
+    """The JSON files of the rows that read files, written by `serialize`
+    under `directory`: the operator C of the norm rows, and the
+    Hamiltonian and start point of the Schroedinger row."""
+    files = {name: os.path.join(directory, name + ".json") for name in ("operator", "hamiltonian", "state")}
+    _, _, H, zh = flows
+    for name, M in (("operator", C), ("hamiltonian", H), ("state", zh.reshape(-1, 1))):
+        serialize.save_matrix(files[name], M)
+    return files
+
+
+def io_cases(mods, files, out):
+    """(row, dim, one call) on one package: `load_matrix` of the saved
+    operator and Hamiltonian, and one in-process `hilbertball evolve
+    schrodinger` call on that Hamiltonian, its CSV written to `out` and
+    stdout captured."""
+    cli, serialize = mods["cli"], mods["serialize"]
+
+    def evolve():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(["evolve", "schrodinger", "--state", files["state"], "--hamiltonian",
+                             files["hamiltonian"], "--t-max", repr(STEPS * 0.01), "--dt", "0.01", "--out", out])
+
+    return (
+        ("load_matrix", NORM_DIM, lambda: serialize.load_matrix(files["operator"])),
+        ("load_matrix", 16, lambda: serialize.load_matrix(files["hamiltonian"])),
+        ("cli evolve schrodinger", 16, evolve),
+    )
+
+
 def verify_cases(mods, dim, trials):
     """{property: one `run_property` call} on one package, at dim and
     trials.  DomainError for a dim or trial count verify rejects."""
@@ -382,11 +417,12 @@ def main():
             print(row(name, dim, verify_times([table.get(name) for table in tables])))
     C = draw_operator(np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:
-        operator_file = os.path.join(tmp, "operator.json")
-        packages[0]["serialize"].save_matrix(operator_file, C)
+        files = save_inputs(packages[0]["serialize"], tmp, C, draw_flows(np.random.default_rng(SEED)))
         rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
                      + csv_cases(mods, draw_csv(np.random.default_rng(SEED)))
-                     + norm_cases(mods, C) + cli_cases(mods, operator_file) for mods in packages))
+                     + norm_cases(mods, C) + cli_cases(mods, files["operator"])
+                     + io_cases(mods, files, os.path.join(tmp, "evolve%d.csv" % i))
+                     for i, mods in enumerate(packages)))
         timed = []
         for cases_row in rows:
             name, dim = cases_row[0][:2]

@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import algebra, dynamics, geometry, serialize, verify
 from .errors import DomainError, ParseError
 from .isometries import ExtendedOperator

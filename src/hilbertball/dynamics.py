@@ -64,9 +64,7 @@ class DiscGenerator:
 
     def matrix(self):
         """[[ia, b], [conj(b), -ia]]; the (..., 2, 2) stack for arrays a, b."""
-        a, b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=complex)
-        _broadcast(a.shape, b.shape, what="shapes of a and b")
-        a, b = np.broadcast_arrays(a, b)
+        a, b = np.broadcast_arrays(*_checked(np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=complex)))
         return np.stack([np.stack([1j * a, b], axis=-1), np.stack([b.conj(), -1j * a], axis=-1)], axis=-2)
 
     def extended(self):
@@ -83,14 +81,19 @@ def alpha(g):
         return _result(np.ldexp(al, 2 * e).reshape(np.broadcast_shapes(a.shape, b.shape)))
 
 
-def _scaled_generator(a, b):
-    """(2^-e a, 2^-e b, alpha 2^-2e, e) from a and b scaled together,
-    which keeps alpha's sign.  DomainError for a non-finite a or b, or
-    for shapes that do not broadcast."""
+def _checked(a, b):
+    """The arrays a and b of disc generators; DomainError for shapes
+    that do not broadcast, or for a non-finite a or b."""
     _broadcast(a.shape, b.shape, what="shapes of a and b")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("disc generator has non-finite a or b")
-    ab, e = _pow2_scaled(np.stack(np.broadcast_arrays(a, b), axis=-1))
+    return a, b
+
+
+def _scaled_generator(a, b):
+    """(2^-e a, 2^-e b, alpha 2^-2e, e) from a and b scaled together,
+    which keeps alpha's sign.  DomainError as `_checked` raises it."""
+    ab, e = _pow2_scaled(np.stack(np.broadcast_arrays(*_checked(a, b)), axis=-1))
     a, b = ab[..., 0].real, ab[..., 1]
     return a, b, np.abs(b) ** 2 - a ** 2, e
 

@@ -55,6 +55,20 @@ def test_distance_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits, message", [
+    # past the float range: the reader names the entry
+    pytest.param(401, "error: data[0][0]: entries must be finite", id="401"),
+    # past Python's limit on an integer literal's digits: the file is named
+    pytest.param(5000, "error: cannot read {path}: Exceeds the limit (4300 digits)", id="5000"),
+])
+def test_distance_with_an_integer_literal_too_long_exits_2(tmp_path, capsys, digits, message):
+    big = tmp_path / "big.json"
+    big.write_text('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * (digits - 1)))
+    zf = write_vector(tmp_path / "z.json", [0.1])
+    assert cli.main(["distance", str(big), zf]) == 2
+    assert capsys.readouterr().err.startswith(message.format(path=big))
+
+
 def test_distance_outside_ball_exits_3(tmp_path, capsys):
     uf = write_vector(tmp_path / "u.json", [0.1])
     vf = write_vector(tmp_path / "v.json", [2.0])

@@ -293,8 +293,7 @@ ROWS = {
     # dynamics
     "DiscGenerator": Row(lambda g: g.matrix(), "g", lambda r, n, i: disc_call(r, n, i)[:1],
                          exempt={"huge": "a and b are copied into the matrix",
-                                 "mismatch": "the disc has one dimension"},
-                         found={"bad": "DiscGenerator.matrix returns NaN entries for a NaN a or b (FOUND)"}),
+                                 "mismatch": "the disc has one dimension"}),
     "alpha": Row(dynamics.alpha, "g", lambda r, n, i: (ALPHA_SPLIT[i] if i < 2 else DISC[i],),
                  exempt={"huge": "past the largest float it returns +-inf by contract",
                          "mismatch": "the disc has one dimension"}),

@@ -78,6 +78,20 @@ def test_kernel_timings_cli_case_runs(scripts_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_kernel_timings_io_cases_run(scripts_path, tmp_path, capsys):
+    kernel_timings = importlib.import_module("kernel_timings")
+    C = kernel_timings.draw_operator(np.random.default_rng(0))
+    flows = kernel_timings.draw_flows(np.random.default_rng(0))
+    files = kernel_timings.save_inputs(serialize, tmp_path, C, flows)
+    out = tmp_path / "evolve.csv"
+    (_, _, small), (_, _, large), (_, _, evolve) = kernel_timings.io_cases({"cli": cli, "serialize": serialize},
+                                                                          files, str(out))
+    assert np.array_equal(small(), C) and np.array_equal(large(), flows[2])
+    assert evolve() == 0
+    assert capsys.readouterr().out == ""
+    assert len(out.read_text().splitlines()) == kernel_timings.STEPS + 2
+
+
 def test_kernel_timings_verify_cases_run(scripts_path):
     # a second copy of the package, as --against loads one, which leaves
     # sys.modules as it found it

@@ -76,6 +76,69 @@ def test_parse_rejects_malformed_documents():
             matrix_from_json(obj)
 
 
+class Half(float):
+    """A float subclass, which the reader takes as a number."""
+
+
+def per_entry_matrix(obj):
+    """The reference reader: each [re, im] pair read on its own."""
+    values = [complex(float(re), float(im)) for re, im in obj["data"]]
+    return np.array(values, dtype=complex).reshape(obj["rows"], obj["cols"])
+
+
+# Documents as JSON text: the matrix [[a], [b]] with its data in place of DATA
+DOC = '{"rows": 2, "cols": 1, "data": [[0.25, -1], DATA]}'
+
+
+@pytest.mark.parametrize("entry, message", [
+    pytest.param(entry, message, id=name) for name, entry, message in [
+        ("true", "[true, 0]", "data[1][0]: expected a number, got True"),
+        ("string", '[0, "x"]', "data[1][1]: expected a number, got 'x'"),
+        ("null", "[null, 0]", "data[1][0]: expected a number, got None"),
+        ("nested", "[0, [1]]", "data[1][1]: expected a number, got [1]"),
+        ("one", "[1]", "matrix: data[1] must be a [re, im] pair"),
+        ("three", "[1, 2, 3]", "matrix: data[1] must be a [re, im] pair"),
+        ("scalar", "1.5", "matrix: data[1] must be a [re, im] pair"),
+        ("nan", "[0, NaN]", "data[1][1]: entries must be finite"),
+        ("inf", "[Infinity, 0]", "data[1][0]: entries must be finite"),
+        ("-inf", "[0, -Infinity]", "data[1][1]: entries must be finite"),
+        ("1e400", "[1e400, 0]", "data[1][0]: entries must be finite"),
+        ("10**400", "[0, 1" + "0" * 400 + "]", "data[1][1]: entries must be finite"),
+        # the first bad entry in order is named
+        ("first", '[NaN, "x"]', "data[1][0]: entries must be finite"),
+    ]])
+def test_reader_names_the_first_bad_entry(entry, message):
+    with pytest.raises(ParseError) as caught:
+        matrix_from_json(json.loads(DOC.replace("DATA", entry)))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry, message", [
+    pytest.param([0.0, 10 ** 400], "data[1][1]: entries must be finite", id="10**400"),
+    # past Python's limit on the digits of an integer's text
+    pytest.param([-(10 ** 4999), 0.0], "data[1][0]: entries must be finite", id="5000-digits"),
+    pytest.param((0.0, 1.0), "matrix: data[1] must be a [re, im] pair", id="tuple"),
+    pytest.param([0.0, np.int64(1)], "data[1][1]: expected a number, got np.int64(1)", id="numpy-int"),
+])
+def test_reader_names_bad_python_entries(entry, message):
+    with pytest.raises(ParseError) as caught:
+        matrix_from_json({"rows": 2, "cols": 1, "data": [[0.0, 0.0], entry]})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param([[1, -2], [0, 3]], id="ints"),
+    pytest.param([[-0.0, 0.0], [-0.0, -0.0]], id="signed-zeros"),
+    pytest.param([[5e-324, -5e-324], [2.2250738585072014e-308, 1.7976931348623157e308]], id="extremes"),
+    pytest.param([[2 ** 53 + 1, -(2 ** 64) - 1], [10 ** 300 + 1, 0.1]], id="rounded-ints"),
+    pytest.param([[Half(0.5), np.float64(0.1)], [1, Half(-3.0)]], id="float-subclasses"),
+])
+def test_reader_reads_valid_entries_as_floats_do(data):
+    obj = {"rows": 2, "cols": 1, "data": data}
+    got, want = matrix_from_json(obj), per_entry_matrix(obj)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_load_rejects_bad_file(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -189,6 +252,22 @@ def test_csv_across_block_edges(rng, dim, offset):
     points = (rng.standard_normal((samples, dim)) * 10.0 ** rng.uniform(-6, 3, (samples, dim))
               + 1j * rng.standard_normal((samples, dim)))
     assert trajectory_csv(times, points) == per_row_csv(times, points)
+
+
+def test_csv_block_of_slow_fields_only():
+    # every field of the first block is outside the kernel's range, with
+    # the longest %.17g texts and subnormals, and at its first and last
+    # positions; the next block starts with a kernel field
+    rng = np.random.default_rng(7)
+    longest = -1.2345678901234567e-300
+    slow = np.concatenate([[longest, 5e-324, -2.2e-310, 1e300, 9.9999999999999991e-5, 1e15, -1e16],
+                           signed(rng.uniform(1.0, 10.0, 200) * 10.0 ** rng.integers(-300, -4, 200)),
+                           rng.uniform(1.0, 10.0, 200) * 10.0 ** rng.integers(15, 300, 200)])
+    values = np.resize(slow, serialize._CSV_BLOCK)
+    values[-1] = longest
+    a, b = fields_csv(np.concatenate([values, [0.5, 3.0]]))
+    assert a == b
+    assert len("%.17g" % longest) == 24
 
 
 @settings(max_examples=200)

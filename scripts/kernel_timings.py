@@ -1,64 +1,46 @@
-"""Median per-call time of the layer kernels, on single objects and stacks.
+"""Median per-call time of the package's layers: its kernels on single
+objects and on stacks, its verify properties, and the commands behind
+the CLI.
 
-Times `evaluate`, `star_operator`, `star_pointwise`,
-`hamiltonian_field`, `poisson_bracket`, `dispersion` (on Hermitian
-matrices), `kahler_condition_check`, `mobius_apply`, `mirror_apply`,
-`transport_from_origin`, `k_factor`, `metric`, `distance`, the
-`BallPoint` and `ExtendedOperator` constructors, `compose` (the product
-T @ R of two operators), `rim op` (the sequence of one `geometry_rim`
-operation of perfbench: a distance, a transport composed with a group
-member, the two Moebius images and their distance), `mat_exp`,
-`op_norm`, the membership checks
-`is_inhomogeneous_unitary` and `check_block_conditions` (on group
-members), `lie_algebra_check` (on Lie elements) and `is_self_adjoint`
-(on Hermitian matrices) at each dimension, and `disc_evolve_closed`,
-which acts on the disc, at dimension 1 when 1 is among the dimensions.
-Each is timed once on single objects (`BallPoint`, `ExtendedOperator`,
-one mirror, one `TangentVector` pair, one (dim+1) x (dim+1) matrix, one
-disc generator with one point and one time) and once on stacks of STACK
-of them (arrays over one leading axis), and the script prints the
-median over REPEATS rounds of the time per call in microseconds.  The
-`BallPoint` constructor is timed on one point and on the stack of STACK
-points, which it checks as one; `distance`, `ExtendedOperator`,
-`compose` and `rim op` take single objects only, so their stacked
-column reads `-`.  A call that raises is not timed, and its
-cell reads `err`.  Then come the
-`trajectory` rows, the layer behind `evolve`: a hyperbolic disc flow,
-an exponential flow at dim 8 and a Schroedinger flow at dim 16, each
-STEPS steps from one point (stacked column `-`), the `trajectory_csv`
-rows, the CSV text `evolve` writes for STEPS + 1 samples at each of
-CSV_DIMS (stacked column `-`), and the `norm_b` and
-`norm_s` rows, the norms behind `norm --which b|s` (the exact invariant
-norm, and the cone search at its default samples), on one operator at
-dim NORM_DIM (stacked column `-`).  The `cli norm b` row times one
-in-process `cli.main(["norm", FILE, "--which", "b"])` call on that
-operator, stdout captured; the `load_matrix` rows read that operator
-from its file (dim NORM_DIM, a 5 x 5 matrix) and the Hamiltonian of the
-Schroedinger row (dim 16, 16 x 16), and the `cli evolve schrodinger` row
-times one in-process `hilbertball evolve schrodinger` call of STEPS
-steps from that row's start point, its CSV written to a file and stdout
-captured.  The `import hilbertball.cli` row is the
-median wall time of IMPORT_RUNS fresh interpreters that import the CLI,
-start-up included.  Each dimension ends with one row per property of
-`hilbertball.verify`: the median over VERIFY_ROUNDS rounds of the time
-of one `run_property` call at that dimension, `--trials` trials and
-seed SEED (stacked column `-`), or `err` where that call's result
-carries an error, which is then not timed; the verdict is the report's,
-not this table's.  verify takes dims 1..16 only, so a larger dimension
-has no such rows.  Inputs come from a fixed seed; the timings are taken
-here, outside any report.
+Every row is (name, dim, single call, stacked call or None), and one
+loop times them all: the median over REPEATS rounds of the time of one
+call, in microseconds, each round making enough calls to last
+ROUND_SECONDS.  The rows, in the order they print:
+
+* at each of `--dims`, the kernel rows: the kernels of `numerics`,
+  `geometry`, `isometries`, `algebra` and `dynamics` that the commands
+  spend their time in, each called once on single objects and once on
+  stacks of STACK of them along one leading axis, and `rim op`, the
+  sequence of one `geometry_rim` operation of perfbench.  A row of a
+  kernel that takes single objects only has no stacked call, and
+  `disc_evolve_closed`, which acts on the disc, comes at dim 1 only;
+* then the verify rows at that dim: one `run_property` call of each
+  property of `hilbertball.verify`, at `--trials` trials and seed SEED,
+  over VERIFY_ROUNDS rounds; the verdict is the report's, not this
+  table's.  A dim or trial count that verify rejects (it takes dims
+  1..16) has no verify rows;
+* the command rows: STEPS-step trajectories of the three flows behind
+  `evolve`, the CSV text it writes at each of CSV_DIMS, the norms behind
+  `norm --which b|s` on one operator at dim NORM_DIM, `load_matrix` of
+  that operator and of the Schroedinger row's Hamiltonian from their
+  files, and one in-process `hilbertball norm` and `hilbertball evolve
+  schrodinger` call each, stdout captured;
+* last, `import hilbertball.cli`: the wall time of a fresh interpreter
+  that imports the CLI, start-up included, over IMPORT_RUNS rounds.
+
+Inputs come from a fixed seed and are drawn once, through `verify`'s
+draws; the timings are taken here, outside any report.
 
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
-the same load on the host, and each row also gives that package's
-times and the ratio of this tree's time to its; the fresh interpreters
-of the import row alternate between the two trees too.  A
-`trajectory_csv` row whose text differs between the two trees ends in
-`differs`.  A verify property that package lacks reads `-` there, and
-a stacked call it cannot run, on a kernel that takes single objects
-only, reads `err`.  Its modules are out of sys.modules while it runs,
-so it must import them at load time: a lazy import inside one fails
-that call, and a verify row then reads `err`.
+the same load on the host, and each row also gives that package's times
+and the ratio of this tree's time to its.  The trees' rows match by
+(name, dim), and one rule holds for every row: a row the other tree
+lacks reads `-`; a call that raises, or a verify result that carries an
+error, reads `err` and is not timed; a row whose call returns text ends
+in `differs` when the trees' texts differ.  The other package's modules
+are out of sys.modules while it runs, so it must import them at load
+time: a lazy import inside one fails that call, which then reads `err`.
 
     python3 scripts/kernel_timings.py --dims 1 4 16 --trials 200
     python3 scripts/kernel_timings.py --against ../parent-checkout
@@ -109,53 +91,44 @@ def load_package(src):
         sys.modules.update(held)
 
 
-def round_count(fn):
-    """Calls per round: enough for the round to last ROUND_SECONDS; None
-    for a call that raises."""
+def probe(fn):
+    """fn's value and the calls per round that make a round last
+    ROUND_SECONDS, or (None, None) for a call that raises."""
     try:
-        fn()
+        value = fn()
     except Exception:
-        return None
+        return None, None
     start = time.perf_counter()
     fn()
-    return max(1, int(ROUND_SECONDS / max(time.perf_counter() - start, 1e-7)))
+    return value, max(1, int(ROUND_SECONDS / max(time.perf_counter() - start, 1e-7)))
 
 
-def per_call_us(fns, repeats=REPEATS):
-    """Median over `repeats` rounds of the mean time of one call, in
-    microseconds, for each of `fns`, or `err` for one whose call raises,
-    such as a stacked call on a tree whose kernel takes single objects
-    only; their rounds alternate."""
-    numbers = [round_count(fn) for fn in fns]
+def per_call_us(fns, repeats):
+    """For each of `fns`, the median over `repeats` rounds of the mean
+    time of one call in microseconds (None for no call, `err` for one
+    that raises), and the value of its first call; their rounds
+    alternate."""
+    probes = [probe(fn) if fn else (None, None) for fn in fns]
     rounds = [[] for _ in fns]
     for _ in range(repeats):
-        for fn, number, spans in zip(fns, numbers, rounds):
-            if number is None:
-                continue
-            start = time.perf_counter()
-            for _ in range(number):
-                fn()
-            spans.append((time.perf_counter() - start) / number)
-    return [1e6 * statistics.median(spans) if spans else "err" for spans in rounds]
+        for fn, (_, number), spans in zip(fns, probes, rounds):
+            if number:
+                start = time.perf_counter()
+                for _ in range(number):
+                    fn()
+                spans.append((time.perf_counter() - start) / number)
+    times = [1e6 * statistics.median(spans) if spans else "err" if fn else None for fn, spans in zip(fns, rounds)]
+    return times, [value for value, _ in probes]
 
 
-def cgauss(rng, shape):
-    """Complex Gaussian entries: the real parts drawn first, then the
-    imaginary parts."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def draw(verify, dim, rng):
+    """Raw arrays of the kernel rows: two point sets, two operator stacks,
+    transport bases, tangent parts, totally real mirror frames (unitary
+    matrices) and disc generators (a, b) with their times."""
+    cgauss = verify._cgauss
 
-
-def in_ball(rng, W):
-    """The rows of W scaled to norms uniform in [0, 0.85)."""
-    return (rng.uniform(0.0, 0.85, len(W)) / np.linalg.norm(W, axis=-1))[:, None] * W
-
-
-def draw(dim, rng):
-    """Raw arrays: two point sets, two operator stacks, transport bases,
-    tangent parts, totally real mirror frames (unitary matrices) and
-    disc generators (a, b) with their times."""
     def points():
-        return in_ball(rng, cgauss(rng, (STACK, dim)))
+        return verify._points(rng, dim, STACK, 0.85)
 
     return (points(), points(), cgauss(rng, (STACK, dim + 1, dim + 1)), cgauss(rng, (STACK, dim + 1, dim + 1)),
             points(), cgauss(rng, (STACK, dim)), cgauss(rng, (STACK, dim)),
@@ -163,21 +136,27 @@ def draw(dim, rng):
             (rng.standard_normal(STACK), cgauss(rng, STACK), rng.uniform(-2.0, 2.0, STACK)))
 
 
-def cases(mods, arrays):
-    """(kernel, single call, stacked call or None) on one package."""
-    algebra, dynamics, geometry, isometries, numerics = (
-        mods[name] for name in ("algebra", "dynamics", "geometry", "isometries", "numerics"))
+def ran(result):
+    """A verify result; one that carries an error raises, so that its row
+    reads `err`."""
+    if result.error is not None:
+        raise RuntimeError(result.error)
+    return result
+
+
+def dim_rows(mods, dim, arrays, trials):
+    """The kernel rows and the verify rows of one package at `dim`, on the
+    `arrays` that `draw` gives there, and at `trials` trials."""
+    algebra, dynamics, geometry, isometries, numerics, verify = (
+        mods[name] for name in ("algebra", "dynamics", "geometry", "isometries", "numerics", "verify"))
     Z, W, C, Cp, bases, hol, antihol, frames, (a, b, times) = arrays
-    T = isometries.transport_from_origin(bases)
-    S = geometry.TangentVector(hol, antihol)
-    F = isometries.MirrorTransformation.from_basis(frames)
+    T, S = isometries.transport_from_origin(bases), geometry.TangentVector(hol, antihol)
+    F, f = isometries.MirrorTransformation.from_basis(frames), isometries.MirrorTransformation.from_basis(frames[0])
     z, w = geometry.BallPoint(Z[0]), geometry.BallPoint(W[0])
     c, cp = isometries.ExtendedOperator(C[0]), isometries.ExtendedOperator(Cp[0])
-    t = isometries.ExtendedOperator(T[0])
-    s = geometry.TangentVector(hol[0], antihol[0])
-    f = isometries.MirrorTransformation.from_basis(frames[0])
+    t, s = isometries.ExtendedOperator(T[0]), geometry.TangentVector(hol[0], antihol[0])
     # eps A is in the Lie algebra for every anti-Hermitian A
-    X = isometries.epsilon_matrix(Z.shape[-1]) @ (C - C.conj().swapaxes(-1, -2))
+    X = isometries.epsilon_matrix(dim) @ (C - C.conj().swapaxes(-1, -2))
     H = C + C.conj().swapaxes(-1, -2)
     x, h = isometries.ExtendedOperator(X[0]), isometries.ExtendedOperator(H[0])
     base, r = geometry.BallPoint(bases[1]), isometries.ExtendedOperator(T[1])
@@ -187,19 +166,12 @@ def cases(mods, arrays):
         M = isometries.transport_from_origin(base) @ r
         return geometry.distance(isometries.mobius_apply(M, z), isometries.mobius_apply(M, w))
 
-    disc = () if Z.shape[-1] != 1 else (
-        ("disc_evolve_closed",
-         lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a[0], b[0]), Z[0, 0], times[0]),
-         lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a, b), Z[:, 0], times)),)
-    return (
+    kernels = (
         ("evaluate", lambda: algebra.evaluate(c, z), lambda: algebra.evaluate(C, Z)),
         ("star_operator", lambda: algebra.star_operator(c, cp), lambda: algebra.star_operator(C, Cp)),
-        ("star_pointwise", lambda: algebra.star_pointwise(c, cp, z),
-         lambda: algebra.star_pointwise(C, Cp, Z)),
-        ("hamiltonian_field", lambda: algebra.hamiltonian_field(c, z),
-         lambda: algebra.hamiltonian_field(C, Z)),
-        ("poisson_bracket", lambda: algebra.poisson_bracket(c, cp, z),
-         lambda: algebra.poisson_bracket(C, Cp, Z)),
+        ("star_pointwise", lambda: algebra.star_pointwise(c, cp, z), lambda: algebra.star_pointwise(C, Cp, Z)),
+        ("hamiltonian_field", lambda: algebra.hamiltonian_field(c, z), lambda: algebra.hamiltonian_field(C, Z)),
+        ("poisson_bracket", lambda: algebra.poisson_bracket(c, cp, z), lambda: algebra.poisson_bracket(C, Cp, Z)),
         ("dispersion", lambda: algebra.dispersion(h, z), lambda: algebra.dispersion(H, Z)),
         ("kahler_condition_check", lambda: algebra.kahler_condition_check(c, z),
          lambda: algebra.kahler_condition_check(C, Z)),
@@ -222,151 +194,88 @@ def cases(mods, arrays):
          lambda: isometries.check_block_conditions(T)),
         ("lie_algebra_check", lambda: isometries.lie_algebra_check(x), lambda: isometries.lie_algebra_check(X)),
         ("is_self_adjoint", lambda: algebra.is_self_adjoint(h), lambda: algebra.is_self_adjoint(H)),
-    ) + disc
+        ("disc_evolve_closed",
+         lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a[0], b[0]), Z[0, 0], times[0]),
+         lambda: dynamics.disc_evolve_closed(dynamics.DiscGenerator(a, b), Z[:, 0], times)),
+    )
+    # the disc flow acts on the disc, so its row comes at dim 1 only
+    kernels = [(name, dim, single, stacked) for name, single, stacked in kernels
+               if name != "disc_evolve_closed" or dim == 1]
+    try:
+        cfg = verify.VerifyConfig(dim, trials, seed=SEED)
+    except ValueError:
+        return kernels, []
+    return kernels, [(name, dim, lambda index=index: ran(verify.run_property(index, cfg)), None)
+                     for index, (_, name, _, _) in enumerate(verify.PROPERTIES)]
 
 
-def draw_flows(rng):
-    """Raw inputs of the trajectory rows: an exponential-flow generator
-    of norm 0.5 at dim 8 with its start point, and a Hamiltonian of norm
-    2 at dim 16 with its start point."""
+def command_inputs(mods, directory):
+    """Raw inputs of the command rows, each group from a fresh generator at
+    SEED: an exponential-flow generator of norm 0.5 at dim 8 and a
+    Hamiltonian of norm 2 at dim 16, each with its start point; STEPS + 1
+    sample times with as many points in the ball at each of CSV_DIMS; and
+    the operator of the norm rows.  Then the files, written by `mods`'
+    `serialize` under `directory`, of the operator, the Hamiltonian and
+    its start point."""
+    verify = mods["verify"]
+    cgauss, rng = verify._cgauss, np.random.default_rng(SEED)
+
     def start(dim, radius):
         w = cgauss(rng, dim)
         return radius * w / np.linalg.norm(w)
 
-    G = cgauss(rng, (8, 8))
-    u = cgauss(rng, 8)
-    X = np.zeros((9, 9), dtype=complex)
-    X[:8, :8], X[:8, 8], X[8, :8], X[8, 8] = G - G.conj().T, u, u.conj(), 0.5j
+    G, u = cgauss(rng, (8, 8)), cgauss(rng, 8)
+    X = np.block([[G - G.conj().T, u[:, None]], [u.conj(), 0.5j]])
     G = cgauss(rng, (16, 16))
     H = G + G.conj().T
-    return (0.5 / np.linalg.norm(X, 2) * X, start(8, 0.6),
-            2.0 / np.linalg.norm(H, 2) * H, start(16, 0.8))
-
-
-def flow_cases(mods, arrays):
-    """(row, dim, one STEPS-step trajectory) on one package."""
-    dynamics, geometry, isometries = (mods[name] for name in ("dynamics", "geometry", "isometries"))
-    X, zx, H, zh = arrays
-    disc = dynamics.DiscGenerator(0.3, 0.8 + 0.2j)
-    gen, ham = isometries.ExtendedOperator(X), dynamics.HamiltonianGenerator(H)
-    z1, zx, zh = geometry.BallPoint([0.5]), geometry.BallPoint(zx), geometry.BallPoint(zh)
-    return (
-        ("trajectory_disc", 1, lambda: dynamics.trajectory(disc, z1, STEPS * 0.002, 0.002)),
-        ("trajectory_exp", 8, lambda: dynamics.trajectory(gen, zx, STEPS * 0.005, 0.005)),
-        ("trajectory_schrodinger", 16, lambda: dynamics.trajectory(ham, zh, STEPS * 0.01, 0.01)),
-    )
-
-
-def draw_csv(rng):
-    """Raw inputs of the trajectory_csv rows: STEPS + 1 sample times, and
-    as many points in the ball at each of CSV_DIMS."""
-    times = np.arange(STEPS + 1) * 0.002
-    return [(times, in_ball(rng, cgauss(rng, (STEPS + 1, dim)))) for dim in CSV_DIMS]
-
-
-def csv_cases(mods, samples):
-    """(row, dim, one trajectory CSV text) on one package."""
-    serialize = mods["serialize"]
-    return tuple(("trajectory_csv", points.shape[1],
-                  lambda times=times, points=points: serialize.trajectory_csv(times, points))
-                 for times, points in samples)
-
-
-def draw_operator(rng):
-    """The operator of the norm rows: complex Gaussian entries, the
-    norm_estimators workload's unclustered draw."""
-    return cgauss(rng, (NORM_DIM + 1, NORM_DIM + 1))
-
-
-def norm_cases(mods, C):
-    """(row, dim, one estimator call) on one package."""
-    algebra, isometries = mods["algebra"], mods["isometries"]
-    op = isometries.ExtendedOperator(C)
-    return (
-        ("norm_b", NORM_DIM, lambda: algebra.norm_b(op)),
-        ("norm_s", NORM_DIM, lambda: algebra.norm_s(op)),
-    )
-
-
-def cli_cases(mods, operator_file):
-    """(row, dim, one in-process `hilbertball norm` call) on one package,
-    its stdout captured."""
-    cli = mods["cli"]
-
-    def norm_b():
-        with contextlib.redirect_stdout(io.StringIO()):
-            return cli.main(["norm", operator_file, "--which", "b"])
-
-    return (("cli norm b", NORM_DIM, norm_b),)
-
-
-def save_inputs(serialize, directory, C, flows):
-    """The JSON files of the rows that read files, written by `serialize`
-    under `directory`: the operator C of the norm rows, and the
-    Hamiltonian and start point of the Schroedinger row."""
+    X, zx, H, zh = 0.5 / np.linalg.norm(X, 2) * X, start(8, 0.6), 2.0 / np.linalg.norm(H, 2) * H, start(16, 0.8)
+    rng = np.random.default_rng(SEED)
+    samples = [(np.arange(STEPS + 1) * 0.002, verify._points(rng, dim, STEPS + 1, 0.85)) for dim in CSV_DIMS]
+    C = cgauss(np.random.default_rng(SEED), (NORM_DIM + 1, NORM_DIM + 1))
     files = {name: os.path.join(directory, name + ".json") for name in ("operator", "hamiltonian", "state")}
-    _, _, H, zh = flows
-    for name, M in (("operator", C), ("hamiltonian", H), ("state", zh.reshape(-1, 1))):
-        serialize.save_matrix(files[name], M)
-    return files
+    for name, M in zip(files, (C, H, zh.reshape(-1, 1))):
+        mods["serialize"].save_matrix(files[name], M)
+    return (X, zx, H, zh, samples, C), files
 
 
-def io_cases(mods, files, out):
-    """(row, dim, one call) on one package: `load_matrix` of the saved
-    operator and Hamiltonian, and one in-process `hilbertball evolve
-    schrodinger` call on that Hamiltonian, its CSV written to `out` and
-    stdout captured."""
-    cli, serialize = mods["cli"], mods["serialize"]
-
-    def evolve():
-        with contextlib.redirect_stdout(io.StringIO()):
-            return cli.main(["evolve", "schrodinger", "--state", files["state"], "--hamiltonian",
-                             files["hamiltonian"], "--t-max", repr(STEPS * 0.01), "--dt", "0.01", "--out", out])
-
-    return (
-        ("load_matrix", NORM_DIM, lambda: serialize.load_matrix(files["operator"])),
-        ("load_matrix", 16, lambda: serialize.load_matrix(files["hamiltonian"])),
-        ("cli evolve schrodinger", 16, evolve),
-    )
+def quiet(cli, *argv):
+    """One in-process `hilbertball` call through `cli`, its stdout captured."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
 
 
-def verify_cases(mods, dim, trials):
-    """{property: one `run_property` call} on one package, at dim and
-    trials.  DomainError for a dim or trial count verify rejects."""
-    verify = mods["verify"]
-    cfg = verify.VerifyConfig(dim, trials, seed=SEED)
-    return {name: lambda index=index: verify.run_property(index, cfg)
-            for index, (_, name, _, _) in enumerate(verify.PROPERTIES)}
+def command_rows(mods, inputs, files, out):
+    """The command rows of one package, on `command_inputs`; the evolve
+    row writes its CSV to `out`."""
+    algebra, cli, dynamics, geometry, isometries, serialize = (
+        mods[name] for name in ("algebra", "cli", "dynamics", "geometry", "isometries", "serialize"))
+    X, zx, H, zh, samples, C = inputs
+    disc = dynamics.DiscGenerator(0.3, 0.8 + 0.2j)
+    gen, ham, op = isometries.ExtendedOperator(X), dynamics.HamiltonianGenerator(H), isometries.ExtendedOperator(C)
+    z1, zx, zh = geometry.BallPoint([0.5]), geometry.BallPoint(zx), geometry.BallPoint(zh)
+    return [
+        ("trajectory_disc", 1, lambda: dynamics.trajectory(disc, z1, STEPS * 0.002, 0.002), None),
+        ("trajectory_exp", 8, lambda: dynamics.trajectory(gen, zx, STEPS * 0.005, 0.005), None),
+        ("trajectory_schrodinger", 16, lambda: dynamics.trajectory(ham, zh, STEPS * 0.01, 0.01), None),
+        *(("trajectory_csv", points.shape[1], lambda t=times, p=points: serialize.trajectory_csv(t, p), None)
+          for times, points in samples),
+        ("norm_b", NORM_DIM, lambda: algebra.norm_b(op), None),
+        ("norm_s", NORM_DIM, lambda: algebra.norm_s(op), None),
+        ("cli norm b", NORM_DIM, lambda: quiet(cli, "norm", files["operator"], "--which", "b"), None),
+        ("load_matrix", NORM_DIM, lambda: serialize.load_matrix(files["operator"]), None),
+        ("load_matrix", 16, lambda: serialize.load_matrix(files["hamiltonian"]), None),
+        ("cli evolve schrodinger", 16, lambda: quiet(
+            cli, "evolve", "schrodinger", "--state", files["state"], "--hamiltonian", files["hamiltonian"],
+            "--t-max", repr(STEPS * 0.01), "--dt", "0.01", "--out", out), None),
+    ]
 
 
-def import_us(srcs):
-    """Median over IMPORT_RUNS of the wall time, in microseconds, of a
-    fresh interpreter that imports hilbertball.cli from each of `srcs`;
-    the interpreters alternate between them."""
-    spans = [[] for _ in srcs]
-    for _ in range(IMPORT_RUNS):
-        for src, runs in zip(srcs, spans):
-            path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-            start = time.perf_counter()
-            subprocess.run([sys.executable, "-c", "import hilbertball.cli"], check=True,
-                           env=dict(os.environ, PYTHONPATH=path))
-            runs.append(time.perf_counter() - start)
-    return [1e6 * statistics.median(runs) for runs in spans]
-
-
-def verify_times(calls):
-    """Per tree, the time of its verify call (None, a tree that lacks the
-    property), or `err` for a tree whose `run_property` result carries
-    an error: a failing call is not timed as if it were a result."""
-    ran = [call is not None and call().error is None for call in calls]
-    spans = iter(per_call_us([call for call, ok in zip(calls, ran) if ok], VERIFY_ROUNDS))
-    return [next(spans) if ok else None if call is None else "err" for call, ok in zip(calls, ran)]
-
-
-def same_output(calls):
-    """Whether the calls, one per tree, all return what the first does."""
-    first = calls[0]()
-    return all(call() == first for call in calls[1:])
+def import_row(src):
+    """The row of a fresh interpreter that imports hilbertball.cli from
+    `src`; an import that fails raises."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return ("import hilbertball.cli", "-", lambda: subprocess.run(
+        [sys.executable, "-c", "import hilbertball.cli"], check=True, capture_output=True, env=env), None)
 
 
 def row(name, dim, single, stacked=(None, None)):
@@ -384,6 +293,19 @@ def row(name, dim, single, stacked=(None, None)):
         for width, x in zip((10, 11, 10, 11, 7, 7), cells))
 
 
+def print_rows(trees, repeats):
+    """Time the rows of the first of `trees` (one row list per tree), each
+    with the row of the same (name, dim) in the others, over `repeats`
+    rounds, and print them."""
+    others = [{(name, dim): calls for name, dim, *calls in rows} for rows in trees[1:]]
+    for name, dim, single, stacked in trees[0]:
+        calls = [(single, stacked)] + [other.get((name, dim), (None, None)) for other in others]
+        singles, values = per_call_us([call[0] for call in calls], repeats)
+        stacks, _ = per_call_us([call[1] for call in calls], repeats)
+        texts = {value for value in values if isinstance(value, str)}
+        print(row(name, dim, singles, stacks) + ("  differs" if len(texts) > 1 else ""))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[1, 4, 16])
@@ -391,9 +313,7 @@ def main():
     ap.add_argument("--against", help="a checkout whose src/ package is timed alongside")
     args = ap.parse_args()
 
-    srcs = [Path(__file__).resolve().parent.parent / "src"]
-    if args.against:
-        srcs.append(Path(args.against) / "src")
+    srcs = [Path(__file__).resolve().parent.parent / "src"] + ([Path(args.against) / "src"] if args.against else [])
     packages = [load_package(src) for src in srcs]
     rng = np.random.default_rng(SEED)
     print("# median us per call over %d rounds; stacks of %d; verify rows over %d rounds at %d trials"
@@ -403,36 +323,15 @@ def main():
         head += " %10s %11s %7s %7s" % ("other_1", "other_k", "ratio_1", "ratio_k")
     print(head)
     for dim in args.dims:
-        arrays = draw(dim, rng)
-        for cases_row in zip(*(cases(mods, arrays) for mods in packages)):
-            single = per_call_us([case[1] for case in cases_row])
-            stacked = per_call_us([case[2] for case in cases_row]) if cases_row[0][2] else [None] * 2
-            print(row(cases_row[0][0], dim, single, stacked))
-        try:
-            tables = [verify_cases(mods, dim, args.trials) for mods in packages]
-        except ValueError as err:
-            print("# no verify rows at dim %d: %s" % (dim, err))
-            continue
-        for name in tables[0]:
-            print(row(name, dim, verify_times([table.get(name) for table in tables])))
-    C = draw_operator(np.random.default_rng(SEED))
+        arrays = draw(packages[0]["verify"], dim, rng)
+        kernels, verifies = zip(*(dim_rows(mods, dim, arrays, args.trials) for mods in packages))
+        print_rows(kernels, REPEATS)
+        print_rows(verifies, VERIFY_ROUNDS)
     with tempfile.TemporaryDirectory() as tmp:
-        files = save_inputs(packages[0]["serialize"], tmp, C, draw_flows(np.random.default_rng(SEED)))
-        rows = zip(*(flow_cases(mods, draw_flows(np.random.default_rng(SEED)))
-                     + csv_cases(mods, draw_csv(np.random.default_rng(SEED)))
-                     + norm_cases(mods, C) + cli_cases(mods, files["operator"])
-                     + io_cases(mods, files, os.path.join(tmp, "evolve%d.csv" % i))
-                     for i, mods in enumerate(packages)))
-        timed = []
-        for cases_row in rows:
-            name, dim = cases_row[0][:2]
-            calls = [case[2] for case in cases_row]
-            # the trees must write the same CSV text for its times to compare
-            differs = name == "trajectory_csv" and not same_output(calls)
-            timed.append((name, dim, per_call_us(calls), "  differs" if differs else ""))
-    timed.append(("import hilbertball.cli", "-", import_us(srcs), ""))
-    for name, dim, spans, note in timed:
-        print(row(name, dim, spans) + note)
+        inputs, files = command_inputs(packages[0], tmp)
+        print_rows([command_rows(mods, inputs, files, os.path.join(tmp, "evolve%d.csv" % i))
+                    for i, mods in enumerate(packages)], REPEATS)
+    print_rows([[import_row(src)] for src in srcs], IMPORT_RUNS)
 
 
 if __name__ == "__main__":

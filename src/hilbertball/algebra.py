@@ -171,7 +171,8 @@ def star_pointwise(C, Cp, z):
     _broadcast(df.shape[:-1], grad.shape[:-1])
     correction = _dots(df.conj(), grad)
     f, fp = evaluate.__wrapped__(C, p), evaluate.__wrapped__(Cp, p)
-    return _result(f * fp + HBAR * correction)
+    # np.multiply, not *, as in `metric`: f f' rounds as in a stack's row
+    return _result(np.multiply(f, fp) + HBAR * correction)
 
 
 @_guard("the product")

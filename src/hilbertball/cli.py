@@ -5,8 +5,9 @@ operators travel in the shared JSON matrix format; trajectories leave as
 CSV.  Every command is deterministic given its flags and seed, floats
 print with 17 significant digits, and the exit code tells the caller
 what went wrong: 0 success, 1 verification failure, 2 unparseable
-input, 3 domain violation, 4 standard output closed by its reader
-(`verify all | head`), which ends the command without a traceback.
+input or an `--out` file that cannot be written, 3 domain violation,
+4 standard output closed by its reader (`verify all | head`), which
+ends the command without a traceback.
 """
 
 import argparse
@@ -76,8 +77,7 @@ def cmd_evolve(args):
     times, points = dynamics.trajectory(gen, z0, t_max, dt)
     text = serialize.trajectory_csv(times, points.vector)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        serialize.write_text(args.out, text)
         _emit(
             {
                 "samples": len(times),

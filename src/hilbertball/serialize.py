@@ -143,10 +143,18 @@ def load_vector(path):
     return vector_from_json(load_json(path))
 
 
+def write_text(path, text):
+    """Write `text` to the file at `path`; one that cannot be written
+    raises ParseError, as one that cannot be read does."""
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def save_matrix(path, M):
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(dumps(matrix_to_json(M)))
-        fp.write("\n")
+    write_text(path, dumps(matrix_to_json(M)) + "\n")
 
 
 # Fields per call of `_csv_block`: its transient arrays stay near 1 MB.

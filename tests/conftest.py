@@ -45,8 +45,9 @@ def spectral_hermitian(rng, dim, size):
 
 
 def same_bytes(a, b):
-    """Equal shapes and bit-for-bit equal entries."""
-    a, b = np.asarray(a), np.asarray(b)
+    """Equal shapes and bit-for-bit equal entries; the entries are compared
+    as contiguous copies, since a view such as `.real` has no byte view."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 

@@ -103,6 +103,19 @@ def test_evolve_out_file_and_summary(tmp_path, capsys):
     assert dest.read_text().startswith("t,re_z1,im_z1")
 
 
+@pytest.mark.parametrize("command", ["evolve", "star"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # evolve's CSV to a directory, star's product under a missing directory
+    zf = write_vector(tmp_path / "z.json", [0.2 + 0.1j])
+    mf = write_matrix(tmp_path / "m.json", np.eye(2))
+    argv, dest = {"evolve": (["evolve", "disc", "--state", zf, "--t-max", "0.5", "--dt", "0.1"], tmp_path),
+                  "star": (["star", mf, mf, "--state", zf], tmp_path / "missing" / "x.json")}[command]
+    assert cli.main(argv + ["--out", str(dest)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(re.escape(f"error: cannot write {dest}: ") + r"\[Errno \d+\] .+\n", err)
+
+
 def test_evolve_schrodinger(tmp_path, capsys):
     H = np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
     hf = write_matrix(tmp_path / "h.json", H)

@@ -25,7 +25,7 @@ from hilbertball.geometry import (
     tanh_distance,
 )
 
-from conftest import ball_vectors, cgauss, quadrature_distance, random_point, rows_close, same_bytes
+from conftest import ball_vectors, cgauss, quadrature_distance, random_point, same_bytes
 from test_kernels import folded, rows_with
 
 
@@ -124,7 +124,7 @@ def test_hermitian_energy_is_half_real_evaluation(rng):
     Z = np.array([random_point(rng, 3).vector for _ in range(6)])
     U = cgauss(rng, Z.shape)
     singles = [hermitian_energy(BallPoint(w), v) for w, v in zip(Z, U)]
-    assert rows_close(hermitian_energy(Z, U), singles)
+    assert same_bytes(hermitian_energy(Z, U), singles)
 
 
 def test_hermitian_energy_dim1_poincare():

@@ -2,10 +2,10 @@
 checks that hold every row to the contract of one formula body over
 leading axes (`geometry`) under the edge rules of `numerics`:
 
-- "stack": a stack equals its single calls, bit for bit unless the row
-  states a bound, over one leading axis and over two, and at dim 4 with
-  one operand, or all but one, single against the others' stacks, and
-  over leading axes (2, 1) against (1, 3) and (3,) against (2, 3);
+- "stack": a stack equals its single calls, bit for bit, over one
+  leading axis and over two, and at dim 4 with one operand, or all but
+  one, single against the others' stacks, and over leading axes (2, 1)
+  against (1, 3) and (3,) against (2, 3);
 - "bad": one bad call (NaN, a point past the rim margin, or the row's
   `spoil`) raises one DomainError for the stack, whose `row` names the
   first bad point;
@@ -39,7 +39,7 @@ from hilbertball.errors import DomainError
 from hilbertball.geometry import BallPoint, TangentVector
 from hilbertball.isometries import ExtendedOperator, MembershipCheck, MirrorTransformation
 
-from conftest import cgauss, lie_element, rows_close, same_bytes
+from conftest import cgauss, lie_element, same_bytes
 
 DIMS = (1, 4, 16)
 COUNT = 6  # calls per stack
@@ -70,20 +70,17 @@ ONE = {"broadcast": "one operand", "mismatch": "one operand"}
 @dataclass(frozen=True, eq=False)
 class Row:
     """A kernel; `draw(rng, dim, i)` gives the raw operands of the i-th call
-    of a stack, `kinds` how each stacks (SINGLE), `close(stacked, singles,
-    draws)` the bound where a stack is not bit-equal to its calls, and
-    `huge(*operands)` cases past the float range, made from a good call,
-    that raise `overflow`; `spoil` maps an operand's index to a function
-    that makes it bad and the message that raises; `exempt` gives the
-    reason for each check, stack layout ("axes", "one") or case a row
-    skips, and `found` marks a check that fails by a defect not yet
-    mended as a strict xfail.  Rows compare by identity, so `draw` can
-    cache by row."""
+    of a stack, `kinds` how each stacks (SINGLE), and `huge(*operands)`
+    cases past the float range, made from a good call, that raise
+    `overflow`; `spoil` maps an operand's index to a function that makes
+    it bad and the message that raises; `exempt` gives the reason for
+    each check, stack layout ("axes", "one") or case a row skips, and
+    `found` marks a check that fails by a defect not yet mended as a
+    strict xfail.  Rows compare by identity, so `draw` can cache by row."""
 
     kernel: Callable
     kinds: str
     draw: Callable
-    close: Optional[Callable] = None
     huge: Optional[Callable] = None
     overflow: str = "overflowed the float range in "
     spoil: dict = field(default_factory=dict)
@@ -161,24 +158,6 @@ def scaled(x, k):
     return np.ldexp(np.asarray(x, dtype=complex).view(float), k).view(complex)
 
 
-def metric_close(stacked, singles, draws):
-    # numpy's complex multiply rounds apart in its scalar and array loops,
-    # so the kernels that multiply complex scalars (the metric, its readers
-    # and star_pointwise) differ from a stack by a few eps (FOUND)
-    return rows_close(stacked, singles, 1e-15)
-
-
-def bracket_close(stacked, singles, draws):
-    """|stack - single| within 1e-15 |X| |Y| (k + k^2 ||z||^2), the size of
-    the metric terms that a bracket of the fields X, Y sums and cancels."""
-    C, Cp, z = map(np.array, zip(*draws))
-    X, Y = (algebra.hamiltonian_field(M, z) for M in (C, Cp))
-    size = np.prod([np.hypot(*np.linalg.norm([F.hol, F.antihol], axis=-1)) for F in (X, Y)], axis=0)
-    sq = np.sum(np.abs(z) ** 2, axis=-1)
-    k = 1.0 / (1.0 - sq)
-    return np.all(np.abs(np.asarray(stacked) - singles) <= 1e-15 * size * (k + k * k * sq))
-
-
 def f_huge(*ops, entry=1e300):
     # entries of 1e300 at a point 1e-8 from the rim: k_z ~ 5e7 carries f_C
     # past the float range; for C zhat, which has no k_z, entries of 1e308
@@ -232,11 +211,10 @@ ROWS = {
                      huge=lambda z: [(np.full_like(z, 1e200),)], overflow="^point with norm inf is outside"),
     "k_factor": Row(geometry.k_factor, "p", lambda r, n, i: (point(r, n, i),),
                     exempt={**ONE, "huge": "inside the margin k_z is below 1/(1 - (1 - 1e-12)^2), about 5e11"}),
-    "metric": Row(geometry.metric, "ptt", tangents, close=metric_close, huge=tangents_huge, overflow=METRIC),
-    "kahler_form": Row(geometry.kahler_form, "ptt", tangents, close=metric_close, huge=tangents_huge,
+    "metric": Row(geometry.metric, "ptt", tangents, huge=tangents_huge, overflow=METRIC),
+    "kahler_form": Row(geometry.kahler_form, "ptt", tangents, huge=tangents_huge,
                        overflow="^the metric overflowed the float range in kahler_form$"),
-    "hermitian_energy": Row(geometry.hermitian_energy, "pa", lambda r, n, i: (point(r, n, i), cgauss(r, n)),
-                            close=metric_close, huge=lambda z, u: [(z, 1e200 * u)], overflow=METRIC),
+    "hermitian_energy": Row(geometry.hermitian_energy, "pa", lambda r, n, i: (point(r, n, i), cgauss(r, n)), huge=lambda z, u: [(z, 1e200 * u)], overflow=METRIC),
     "sectional_curvature_probe": Row(geometry.sectional_curvature_probe, "pa",
                                      lambda r, n, i: (point(r, n, i), cgauss(r, n)),
                                      exempt={"huge": "the direction is normalized by an exact power of two",
@@ -268,10 +246,8 @@ ROWS = {
     "holo_differential": f_row(algebra.holo_differential),
     "gradient": f_row(algebra.gradient, huge=functools.partial(f_huge, entry=1e308)),
     "hamiltonian_field": f_row(algebra.hamiltonian_field, huge=functools.partial(f_huge, entry=1e308)),
-    "poisson_bracket": f_row(algebra.poisson_bracket, lambda r, n, i: (operator(r, n),) + op_point(r, n, i),
-                             close=bracket_close),
-    "star_pointwise": f_row(algebra.star_pointwise, lambda r, n, i: (operator(r, n),) + op_point(r, n, i),
-                            close=metric_close),
+    "poisson_bracket": f_row(algebra.poisson_bracket, lambda r, n, i: (operator(r, n),) + op_point(r, n, i)),
+    "star_pointwise": f_row(algebra.star_pointwise, lambda r, n, i: (operator(r, n),) + op_point(r, n, i)),
     "star_operator": Row(algebra.star_operator, "oo", lambda r, n, i: (operator(r, n), operator(r, n)),
                          huge=lambda C, Cp: [(scaled(C, 600), scaled(C, 600))],
                          overflow="^the product overflowed the float range in star_operator$"),
@@ -279,7 +255,7 @@ ROWS = {
                                     lambda r, n, i: (hermitian(r, n + 1) + 1j * (i == 2),),
                                     lambda C: [(np.full_like(C, 1e308j),)]),
     "dispersion": Row(algebra.dispersion, "op", lambda r, n, i: (hermitian(r, n + 1), point(r, n, i)),
-                      close=metric_close, huge=f_huge, overflow="^f_C overflowed the float range in dispersion$",
+                      huge=f_huge, overflow="^f_C overflowed the float range in dispersion$",
                       spoil={0: (lambda C: C + np.triu(C, 1), "dispersion needs a self-adjoint operator")}),
     "kahler_condition_check": Row(algebra.kahler_condition_check, "op", op_point, huge=f_huge,
                                   overflow="^f_C overflowed the float range in evaluate$"),
@@ -414,8 +390,7 @@ def check_layout(row, draws, layout, calls):
         # a single call gives Python scalars, never numpy ones
         assert all(type(x) in (bool, float, complex) or type(x) is np.ndarray and x.ndim for x in want)
         got = np.reshape(got, (-1,) + np.shape(got)[len(lead):])
-        assert (row.close(got, want, [picks[key] for key in keys]) if row.close
-                else same_bytes(got, np.array(want))), layout
+        assert same_bytes(got, np.array(want)), layout
     # a membership row draws one call off its set, whose verdict alone is False
     assert not isinstance(value, MembershipCheck) or np.count_nonzero(~value.ok) == 1, layout
 

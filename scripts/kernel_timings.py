@@ -188,6 +188,7 @@ def dim_rows(mods, dim, arrays, trials):
         ("rim op", rim_op, None),
         ("mat_exp", lambda: numerics.mat_exp(C[0]), lambda: numerics.mat_exp(C)),
         ("op_norm", lambda: numerics.op_norm(C[0]), lambda: numerics.op_norm(C)),
+        ("hermitian_norm", lambda: numerics.hermitian_norm(H[0]), lambda: numerics.hermitian_norm(H)),
         ("is_inhomogeneous_unitary", lambda: isometries.is_inhomogeneous_unitary(t),
          lambda: isometries.is_inhomogeneous_unitary(T)),
         ("check_block_conditions", lambda: isometries.check_block_conditions(t),

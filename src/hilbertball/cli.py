@@ -94,21 +94,21 @@ def cmd_star(args):
     left = ExtendedOperator(serialize.load_matrix(args.left))
     right = ExtendedOperator(serialize.load_matrix(args.right))
     product = algebra.star_operator(left, right)
-    doc = serialize.matrix_to_json(product.matrix)
-    if args.out:
-        serialize.save_matrix(args.out, product.matrix)
+    doc = None if args.out else serialize.matrix_to_json(product.matrix)
+    # the state is read and evaluated before --out is written, so a
+    # command that fails writes nothing
     if args.state:
         z = _load_point(args.state)
         via_operator = algebra.evaluate(product, z)
         pointwise = algebra.star_pointwise(left, right, z)
-        _emit(
-            {
-                "value": [via_operator.real, via_operator.imag],
-                "pointwise": [pointwise.real, pointwise.imag],
-                "difference": abs(via_operator - pointwise),
-            }
-        )
-    elif not args.out:
+        doc = {
+            "value": [via_operator.real, via_operator.imag],
+            "pointwise": [pointwise.real, pointwise.imag],
+            "difference": abs(via_operator - pointwise),
+        }
+    if args.out:
+        serialize.save_matrix(args.out, product.matrix)
+    if doc is not None:
         _emit(doc)
     return 0
 

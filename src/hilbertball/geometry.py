@@ -81,16 +81,10 @@ def _reject(z, sq):
     axes, or if none the first outside, and its message gives that
     point's norm as sqrt(sq), so a point rejected at the margin never
     prints a norm below 1 - BOUNDARY_MARGIN.  Nothing here warns, even
-    for huge or non-finite points, so it needs no np.errstate.  A single
-    point, whose sq is a float, is rejected without array reductions, as
-    it is checked without them."""
-    if z.ndim == 1:
-        # a finite sq has finite entries; huge finite ones give sq = inf
-        row, finite = 0, math.isfinite(sq) or bool(np.isfinite(z).all())
-    else:
-        finite_rows = np.isfinite(z).all(axis=-1)
-        finite = bool(finite_rows.all())
-        row = int(np.argmax(~(sq < _LIMIT_SQ) if finite else ~finite_rows))
+    for huge or non-finite points, so it needs no np.errstate."""
+    finite_rows = np.isfinite(z).all(axis=-1)
+    finite = bool(finite_rows.all())
+    row = int(np.argmax(~(np.asarray(sq) < _LIMIT_SQ) if finite else ~finite_rows))
     err = DomainError(f"point with norm {math.sqrt(np.ravel(sq)[row]):.17g} is outside the open ball"
                       if finite else "point has non-finite entries")
     err.row = row
@@ -129,10 +123,9 @@ class BallPoint:
         return self.vector.shape[-1]
 
     def norm(self):
-        """||z||: a float, or the array of norms of a stack."""
-        if self.vector.ndim == 1:
-            return float(np.linalg.norm(self.vector))
-        return np.linalg.norm(self.vector, axis=-1)
+        """||z||: a float, or the array of norms of a stack, each norm
+        the same bits alone and in a stack."""
+        return _result(np.linalg.norm(self.vector, axis=-1))
 
     def __getitem__(self, index):
         lead = index if isinstance(index, tuple) else (index,)

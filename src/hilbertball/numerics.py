@@ -1,13 +1,13 @@
 """Dense complex linear algebra and numerical helpers.
 
 Everything here is deliberately small-scale: matrices are at most a few
-dozen entries.  Operator norms come from one LAPACK kernel, `eigvalsh`:
-a Hermitian matrix's norm is its largest |eigenvalue|
-(`hermitian_norm`), and any other matrix's is read off the top
-eigenvalue of its Gram matrix after scaling by the largest entry
-(`op_norm`).  Both are accurate to about n eps relative.  The matrix
-exponential (scaling and squaring around a degree-18 Taylor polynomial,
-summed by Paterson-Stockmeyer in 7 matrix products) and the
+dozen entries.  Operator norms come from one `eigvalsh` call, in
+`hermitian_norm`: a Hermitian matrix's norm is its largest
+|eigenvalue|, and any other matrix's (`op_norm`) is the square root of
+the norm of its Gram matrix, formed after the scaling rule below.  Both
+are accurate to about n eps relative.  The matrix exponential (one
+scaling by a power of two, a degree-18 Taylor polynomial summed by
+Paterson-Stockmeyer in 7 matrix products, then squaring) and the
 golden-section search are small deterministic routines written out
 here.  A real-linear map of C^n, such as a projection onto a real
 subspace, is the complex pair (A, B) of w = A z + B conj(z), which stacks
@@ -89,9 +89,10 @@ def _guard(what):
 
 def _pow2_scaled(x, axes=-1):
     """(2^-e x, e) by the scaling rule over the trailing `axes` of x, one e
-    per index of the others; e is 0 where all are 0 or one is not finite."""
+    per index of the others; e is 0 where all are 0, where there are none,
+    or where one is not finite."""
     v = np.ascontiguousarray(x, dtype=complex).view(float)
-    e = np.frexp(np.abs(v).max(axis=axes, keepdims=True))[1]
+    e = np.frexp(np.abs(v).max(axis=axes, keepdims=True, initial=0.0))[1]
     return np.ldexp(v, -e).view(complex), e.squeeze(axis=axes)
 
 
@@ -107,25 +108,24 @@ def _broadcast(*shapes, what="leading axes"):
 
 @_guard("the norm")
 def op_norm(M):
-    """Largest singular value of a complex matrix, as 2^e s sqrt(lambda_max(G)).
+    """Largest singular value of a complex matrix, as 2^e sqrt(||G||).
 
-    s is the largest |entry| of M scaled to unit size, 2^-e M, and G the
-    Gram matrix of 2^-e M/s on its smaller side, whose top eigenvalue
-    comes from one `eigvalsh`.  That is accurate to about n eps relative
-    whatever the spectral gap, so the norm agrees with the SVD's to a few
-    eps relative.  A (k, m, n) stack of matrices gives the array of their
+    2^-e M is M scaled by the rule, and G its Gram matrix on the smaller
+    side, whose norm, its top eigenvalue, `hermitian_norm` reads.  Each
+    part of an entry of 2^-e M is below 1 and, unless M = 0, one is at
+    least 1/2, so ||G|| lies between 1/4 and 2 m n: nothing overflows,
+    and the top eigenvalue is accurate to about n eps relative whatever
+    the spectral gap, so the norm agrees with the SVD's to a few eps
+    relative, and op_norm(2^k M) is exactly 2^k op_norm(M) where both
+    are normal.  A (k, m, n) stack of matrices gives the array of their
     k norms.  Non-finite entries and non-matrix input raise DomainError;
     an empty matrix has norm 0.
     """
     M = _as_complex_matrix(M, stack=True)
-    if M.size == 0:
-        return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
     N, e = _pow2_scaled(M, (-2, -1))
-    s = np.abs(N).max(axis=(-2, -1))
-    N = N * (1.0 / np.where(s > 0.0, s, 1.0))[..., None, None]
     Nh = N.conj().swapaxes(-1, -2)
     G = Nh @ N if M.shape[-1] <= M.shape[-2] else N @ Nh
-    norm = np.ldexp(s * np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0)), e)
+    norm = np.ldexp(np.sqrt(hermitian_norm.__wrapped__(G)), e)
     return float(norm) if M.ndim == 2 else norm
 
 
@@ -152,16 +152,18 @@ def hermitian_norm(H):
 def mat_exp(X, t=1.0):
     """exp(t X) by scaling-and-squaring with an 18-term Taylor kernel.
 
-    t X is halved until its infinity norm is at most 0.5, where the
-    truncated series is accurate to well below double roundoff, then the
-    result is squared back up.  A 1-D array of times gives the (k, n, n)
-    stack of exp(t_i X), a (k, n, n) stack of generators with a scalar t
-    the stack of exp(t X_i) (a caller with one time per generator scales
-    the stack first), and one matrix at a scalar time is a stack of one.
-    Each matrix gets its own halvings count and is halved that many
-    times, the stack is summed in one Taylor pass, and round r of
-    squaring takes the matrices whose count is at least r, so every
-    slice equals the single call's result bit for bit.
+    t X is scaled by 2^-s, s the fewest halvings that bring its infinity
+    norm to at most 0.5, where the truncated series is accurate to well
+    below double roundoff, then the result is squared s times.  A 1-D
+    array of times gives the (k, n, n) stack of exp(t_i X), a (k, n, n)
+    stack of generators with a scalar t the stack of exp(t X_i) (a
+    caller with one time per generator scales the stack first), and one
+    matrix at a scalar time is a stack of one.  Each matrix gets its own
+    s and is scaled by one `ldexp`, the stack is summed in one Taylor
+    pass, and round r of squaring takes the matrices whose s is at least
+    r, so every slice equals the single call's result bit for bit.  The
+    scaling is exact unless it takes an entry below 2^-1022, where the
+    entry rounds once to the subnormal grid.
     """
     X = _as_complex_matrix(X, square=True, stack=True)
     times = _as_times(t)
@@ -175,20 +177,15 @@ def mat_exp(X, t=1.0):
     # otherwise, clipped at 0 (frexp gives f = e = 0 for nrm = 0)
     f, e = np.frexp(np.linalg.norm(M, np.inf, axis=(1, 2)))
     counts = np.maximum(e + (f > 0.5), 0)
-    # most halvings first, so the matrices still being halved or squared
-    # at round r are the leading sizes[r - 1] of the stack, the number
-    # whose count is at least r
+    # most halvings first, so the matrices still being squared at round r
+    # are the leading sizes[r - 1] of the stack, the number whose count is
+    # at least r
     order = np.argsort(-counts, kind="stable")
     sizes = np.cumsum(np.bincount(counts)[:0:-1])[::-1].tolist()
-    M = M[order]
+    R = _taylor(np.ldexp(M[order].view(float), -counts[order, None, None]).view(complex))
     for size in sizes:
-        M[:size] /= 2.0
-    R, done = _taylor(M), []
-    for size in sizes:
-        done.append(R[size:])
-        R = R[:size] @ R[:size]
-    out = np.empty_like(M)
-    out[order] = np.concatenate([R] + done[::-1])
+        R[:size] = R[:size] @ R[:size]
+    out = R[np.argsort(order)]
     return out[0] if X.ndim == 2 and times.ndim == 0 else out
 
 

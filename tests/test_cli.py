@@ -299,6 +299,17 @@ def test_star_state_evaluation(tmp_path, capsys):
     assert serialize.load_matrix(out).shape == (3, 3)
 
 
+def test_star_with_a_bad_state_writes_nothing(tmp_path, capsys):
+    # the state is read before --out is written, so the failed command
+    # leaves no product file behind
+    af = write_matrix(tmp_path / "a.json", np.eye(3))
+    zf = write_vector(tmp_path / "z.json", [2.0, 0.0])
+    out = tmp_path / "prod.json"
+    assert cli.main(["star", af, af, "--state", zf, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: point with norm 2 is outside the open ball\n")
+    assert not out.exists()
+
+
 def test_norm_command(tmp_path, capsys):
     rng = np.random.default_rng(6)
     cf = write_matrix(tmp_path / "c.json", cgauss(rng, (4, 4)))
@@ -520,6 +531,14 @@ def _top_eigenvalue(hermitian_norm):
     return planted
 
 
+def _inflated_op_norm(op_norm):
+    # every operator norm 1 + 1e-9 too large: the properties that hold a
+    # norm to 2 (the twist witness), to a square of norms or to
+    # `hermitian_norm` read the excess; the others read op_norm as a scale
+    # or against a tolerance far above it
+    return lambda M: op_norm(M) * (1.0 + 1e-9)
+
+
 def _taylor_term_dropped(k):
     # exp's Taylor series without its term k: exp(tX) is then off by about
     # ||tX / 2^s||^k / k! before squaring
@@ -575,6 +594,9 @@ _OFF_ALGEBRA = "DomainError: generator leaves the isometry Lie algebra"
     # residuals through `isometries._residual_norm`
     pytest.param(isometries, "hermitian_norm", _top_eigenvalue, _GEOMETRY_2, ["membership_defect_agreement"],
                  id="under_reporting_hermitian_norm"),
+    pytest.param(numerics, "op_norm", _inflated_op_norm, _ALL,
+                 ["cstar_chain_identity", "involution_twist_witness", "membership_defect_agreement",
+                  "op_norm_square_identity"], id="op_norm_inflated_by_1e-9"),
     pytest.param(numerics, "_TAYLOR", _taylor_term_dropped(9), _ALL,
                  ["disc_closed_form_agreement", "exp_additivity", "exponential_membership"], id="taylor_term_9_zeroed"),
     # the flows' generators then leave the Lie algebra by the check that reads eps

@@ -447,6 +447,17 @@ def test_stack_gaps_are_the_single_points_gaps(rng, dim):
             assert str(caught.value) == str(pytest.raises(DomainError, BallPoint, bad).value)
 
 
+@pytest.mark.parametrize("dim", [1, 4, 16])
+def test_stack_norms_are_the_single_points_norms(rng, dim):
+    # one norm: a single point's ||z|| is a float with its stack row's bits
+    W = cgauss(rng, (2000, dim))
+    Z = rng.uniform(0.0, 0.999, (2000, 1)) * W / np.linalg.norm(W, axis=-1, keepdims=True)
+    norms = BallPoint(Z).norm()
+    singles = [BallPoint(z).norm() for z in Z]
+    assert all(type(norm) is float for norm in singles) and same_bytes(norms, singles)
+    assert same_bytes(BallPoint(Z.reshape(40, 50, dim)).norm(), norms.reshape(40, 50))
+
+
 def test_stacked_evaluate_and_differential_check_points_once(rng, monkeypatch):
     # a kernel checks a bare array of points once, and a BallPoint never
     # again, also a stack that another kernel returned

@@ -236,9 +236,17 @@ def test_op_norm_extreme_scales(rng):
     assert np.isfinite(got).all() and got[1] == 0.0
     ref = np.array([1e200 * want[0], 0.0, 1e-200 * want[1], want[2]])
     assert np.all(np.abs(got - ref) <= 1e-13 * ref)
-    # a subnormal largest entry s, whose 1/s overflows: alone, in a
-    # stack, and as a dense matrix, whose norm is the SVD's of its exact
-    # rescaling by 2^1060, rounded to the subnormal grid of spacing 2^-1074
+    # one scaling pass, by an exact power of two, takes 2^k M to the matrix
+    # it takes M to, so the norm scales by 2^k bit for bit, alone and in a
+    # stack
+    for k in (664, -664, -996):
+        scaled = np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
+        assert same_bytes(op_norm(scaled), np.ldexp(op_norm(M), k))
+        assert all(op_norm(scaled[i]) == np.ldexp(op_norm(M[i]), k) for i in range(len(M)))
+    # a subnormal largest entry, which that pass takes to [1/2, 1) as it
+    # takes a normal one: alone, in a stack, and as a dense matrix, whose
+    # norm is the SVD's of its exact rescaling by 2^1060, rounded to the
+    # subnormal grid of spacing 2^-1074
     tiny = np.diag([0.0, 0.0, 2.225e-313j])
     assert op_norm(tiny) == 2.225e-313
     assert op_norm(np.stack([tiny, np.eye(3)])).tolist() == [2.225e-313, 1.0]

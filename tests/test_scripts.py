@@ -54,7 +54,7 @@ def test_kernel_timings_layer_cases_run(kernel_timings):
     for dim in (1, 2):
         kernels, verifies = kernel_timings.dim_rows(mods, dim, kernel_timings.draw(verify, dim, rng), 2)
         names = [name for name, *_ in kernels]
-        assert {"op_norm", "is_inhomogeneous_unitary", "check_block_conditions", "lie_algebra_check",
+        assert {"op_norm", "hermitian_norm", "is_inhomogeneous_unitary", "check_block_conditions", "lie_algebra_check",
                 "is_self_adjoint", "hamiltonian_field", "poisson_bracket", "dispersion",
                 "kahler_condition_check"} <= set(names)
         assert {row_dim for _, row_dim, *_ in kernels + verifies} == {dim}
@@ -199,7 +199,7 @@ def test_kernel_timings_main_prints_every_row_once(kernel_timings, monkeypatch, 
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("#") and lines[1].split()[-2:] == ["ratio_1", "ratio_k"]
     keys = [(line[:30].rstrip(), line[31:35].strip()) for line in lines[2:]]
-    assert len(keys) == len(set(keys)) == 24 + len(verify.PROPERTIES) + 12 + 1
+    assert len(keys) == len(set(keys)) == 25 + len(verify.PROPERTIES) + 12 + 1
     assert keys[-1] == ("import hilbertball.cli", "-")
     for line in lines[2:]:
         cells = line[35:].split()

@@ -34,7 +34,9 @@ draws; the timings are taken here, outside any report.
 With `--against DIR` the package under DIR/src is timed on the same
 inputs too, its rounds alternating with this tree's so that both meet
 the same load on the host, and each row also gives that package's times
-and the ratio of this tree's time to its.  The trees' rows match by
+and the ratio of this tree's time to its: the median over rounds of the
+ratio of the two trees' times in the same round, which the host's
+swings between rounds leave alone.  The trees' rows match by
 (name, dim), and one rule holds for every row: a row the other tree
 lacks reads `-`; a call that raises, or a verify result that carries an
 error, reads `err` and is not timed; a row whose call returns text ends
@@ -104,10 +106,9 @@ def probe(fn):
 
 
 def per_call_us(fns, repeats):
-    """For each of `fns`, the median over `repeats` rounds of the mean
-    time of one call in microseconds (None for no call, `err` for one
-    that raises), and the value of its first call; their rounds
-    alternate."""
+    """For each of `fns`, the list over `repeats` rounds of the mean time
+    of one call in microseconds (None for no call, `err` for one that
+    raises), and the value of its first call; their rounds alternate."""
     probes = [probe(fn) if fn else (None, None) for fn in fns]
     rounds = [[] for _ in fns]
     for _ in range(repeats):
@@ -116,9 +117,8 @@ def per_call_us(fns, repeats):
                 start = time.perf_counter()
                 for _ in range(number):
                     fn()
-                spans.append((time.perf_counter() - start) / number)
-    times = [1e6 * statistics.median(spans) if spans else "err" if fn else None for fn, spans in zip(fns, rounds)]
-    return times, [value for value, _ in probes]
+                spans.append(1e6 * (time.perf_counter() - start) / number)
+    return [spans or ("err" if fn else None) for fn, spans in zip(fns, rounds)], [value for value, _ in probes]
 
 
 def draw(verify, dim, rng):
@@ -280,14 +280,19 @@ def import_row(src):
 
 
 def row(name, dim, single, stacked=(None, None)):
-    """One table line: this tree's time per call on single objects and on
-    stacks, then with --against (a second time in `single`) the other
-    tree's and the ratios.  A time that is None reads `-`; a string, such
-    as `err`, reads as itself and leaves its ratio `-`."""
-    cells = [single[0], stacked[0]]
+    """One table line: this tree's median time per call on single objects
+    and on stacks, then with --against (a second tree's rounds in
+    `single`) the other tree's and the ratios, each the median over rounds
+    of this tree's time over the other's in that round.  The times are
+    `per_call_us`' lists of round times; None reads `-`, and a string,
+    such as `err`, reads as itself and leaves its ratio `-`."""
+    def median(times):
+        return statistics.median(times) if isinstance(times, list) else times
+
+    cells = [median(single[0]), median(stacked[0])]
     if len(single) > 1:
-        cells += [single[1], stacked[1]] + [
-            pair[0] / pair[1] if all(isinstance(x, float) for x in pair) else None
+        cells += [median(single[1]), median(stacked[1])] + [
+            statistics.median(a / b for a, b in zip(*pair)) if all(isinstance(x, list) for x in pair) else None
             for pair in (single, stacked)]
     return "%-30s %4s" % (name, dim) + "".join(
         " %*s" % (width, "-" if x is None else x if isinstance(x, str) else "%.2f" % x)

@@ -22,19 +22,19 @@ eigendecomposition H = V diag(lambda) V* as V (e^{-i lambda t} * V* z)
 with no matrix exponential.  Trajectories always sample these exact
 flows; nothing here integrates an ODE.
 
-`evolve_exp` and `schrodinger_evolve` take a single generator and point,
-arrays of them over any leading axes (see `geometry`), or one generator
-and point with a 1-D array of times, which gives the stack of points,
+`evolve_exp`, `schrodinger_evolve` and `disc_evolve_closed` take a
+single generator, point and time, or arrays of them whose leading axes
+broadcast (see `geometry`): the time is one more leading axis, so one
+generator and point with an array of times gives the stack of points,
 one per time, from one batched exponential or one eigendecomposition.
-`disc_evolve_closed` broadcasts the a and b of its generators, its disc
-points and its times elementwise, the times being a scalar or a 1-D
-array.  All follow the edge rules of `numerics`.  A trajectory is the
-pair (times, points), points a `BallPoint` stack: disc and Schroedinger
-flows are one call
-over all times, and exponential flows exponentiate only their first
-TIME_BLOCK times and step each later block from the one before it by
-exp(TIME_BLOCK dt X), by the group law exp((s + t)X) = exp(sX) exp(tX):
-two `mat_exp` calls at most.
+The disc flow's points are complex numbers, broadcast elementwise with
+the a and b of its generators.  All follow the edge rules of `numerics`.
+A trajectory is the pair (times, points), points a `BallPoint` stack:
+disc and Schroedinger flows are one call over all times, and
+exponential flows exponentiate only their first TIME_BLOCK times and
+step each later block from the one before it by exp(TIME_BLOCK dt X),
+by the group law exp((s + t)X) = exp(sX) exp(tX): two `mat_exp` calls
+at most.
 """
 
 import math
@@ -138,10 +138,9 @@ def disc_evolve_closed(g, z, t):
     `trajectory` rejects as outside the ball.
 
     The generator's a and b, the point z and the time t broadcast
-    elementwise, t being a scalar or a 1-D array of times: scalars give a
-    complex, arrays the array of flowed points over the broadcast shape,
-    from one pass of the same formula with the regime picked entry by
-    entry.  A scalar goes through it as an array of one entry, since
+    elementwise: scalars give a complex, arrays the array of flowed
+    points over the broadcast shape, from one pass of the same formula
+    with the regime picked entry by entry.  A scalar goes through it as an array of one entry, since
     numpy's scalar arithmetic rounds apart from its array loops, so its
     result has the bits of that entry of any array.  Every z passes the
     check `BallPoint` makes.
@@ -171,12 +170,11 @@ def disc_evolve_closed(g, z, t):
 def evolve_exp(X, z, t):
     """phi_{exp(tX)}(z) for any group generator in any dimension.
 
-    A 1-D array of k times gives the (k, n) stack of points, one per
-    time, from one batched `mat_exp` and one stacked `mobius_apply`.
-    Arrays of generator matrices and of points with a scalar t give the
-    stack of phi_{exp(t X_i)}(z_i) over their leading axes; one matrix
-    off the Lie algebra raises DomainError, as `mat_exp` does for one
-    exp(tX) past the float range.
+    Arrays of generator matrices, of points and of times give the stack
+    of phi_{exp(t_i X_i)}(z_i) over their broadcast leading axes, from
+    one batched `mat_exp` and one stacked `mobius_apply`; one matrix off
+    the Lie algebra raises DomainError, as `mat_exp` does for one exp(tX)
+    past the float range.
     """
     if not np.all(lie_algebra_check(X).ok):
         raise DomainError("generator leaves the isometry Lie algebra")
@@ -189,20 +187,18 @@ def schrodinger_evolve(gen, z, t):
 
     H is diagonalized once by `eigh`, H = V diag(lambda) V*, and the
     flow is read off as V (e^{-i lambda t} * V* z): the spectral theorem
-    in place of a matrix exponential.  A 1-D array of k times gives the
-    (k, n) stack of points, one per time, from that one decomposition.
-    Arrays of self-adjoint matrices H_i and of points with a scalar t
-    give the stack of exp(-i H_i t) z_i over their leading axes; one
-    matrix that is not self-adjoint, or one point outside the ball,
-    raises DomainError.  Each point of a time array has the bits of the
-    call at that scalar time.
+    in place of a matrix exponential.  Arrays of self-adjoint matrices
+    H_i, of points and of times give the stack of exp(-i H_i t_i) z_i
+    over their broadcast leading axes, one decomposition per matrix, so
+    one H with an array of times is decomposed once; one matrix that is
+    not self-adjoint, or one point outside the ball, raises DomainError.
+    Each point of a time array has the bits of the call at that scalar
+    time.
     """
     H = gen.H if isinstance(gen, HamiltonianGenerator) else _hamiltonian(gen, stack=True)
     times = _as_times(t)
-    if H.ndim > 2 and times.ndim:
-        raise DomainError("a stack of Hamiltonians takes one scalar time")
-    # the points pair with the times, or with the stack of Hamiltonians
-    Z = _paired_points(times.shape or H.shape[:-2], z, H.shape[-1]).vector
+    # the points pair with the times and the stack of Hamiltonians
+    Z = _paired_points(_broadcast(times.shape, H.shape[:-2], what="shapes of t and H"), z, H.shape[-1]).vector
     lam, V = np.linalg.eigh(H)
     coeffs = _matvec(V.conj().swapaxes(-1, -2), Z)
     phases = np.exp(-1j * (times[..., None] * lam))

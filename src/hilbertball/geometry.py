@@ -49,12 +49,14 @@ with <z|z> < (1 - BOUNDARY_MARGIN)^2 and <z|z> of the bits of np.vdot.
 A kernel turns its point argument into a `BallPoint` once, on entry, and
 every kernel whose value is points returns one: `mobius_apply`,
 `mirror_apply`, `evolve_exp`, `schrodinger_evolve` and the points of
-`trajectory`.  A single operator gives an `ExtendedOperator` and a
-scalar a Python float or complex.  `distance`, `tanh_distance`,
-`recover_inner_product`, `connection`, `geodesic_from_origin` and
-`algebra`'s norm estimators take single points only, and `trajectory`
-starts from one; `disc_evolve_closed`, whose points are complex
-numbers, broadcasts them elementwise instead.
+`trajectory`.  An operator-valued kernel gives an `ExtendedOperator`
+where one went in, and `transport_from_origin` one for a single
+`BallPoint`; raw arrays give arrays, and the `numerics` kernels take
+and give arrays only.  A scalar result is a Python float or complex.
+`distance`, `tanh_distance`, `recover_inner_product`, `connection`,
+`geodesic_from_origin` and `algebra`'s norm estimators take single
+points only, and `trajectory` starts from one; `disc_evolve_closed`,
+whose points are complex numbers, broadcasts them elementwise instead.
 """
 
 import math
@@ -105,7 +107,10 @@ class BallPoint:
     gap: float = field(init=False)
 
     def __post_init__(self):
-        v = np.array(self.vector, dtype=complex, ndmin=1)
+        try:
+            v = np.array(self.vector, dtype=complex, ndmin=1)
+        except (TypeError, ValueError):
+            raise DomainError(f"cannot read {type(self.vector).__name__} as a point") from None
         if v.ndim == 1:
             # a single point pays for no np.errstate and no reduction
             sq = float(np.vdot(v, v).real)

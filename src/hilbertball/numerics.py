@@ -46,8 +46,12 @@ GRAM_TOL = 1e-12
 
 def _as_complex_matrix(M, square=False, stack=False):
     """M as a finite complex matrix, or with `stack` also as an array of
-    matrices over leading axes; DomainError otherwise."""
-    M = np.asarray(M, dtype=complex)
+    matrices over leading axes; DomainError otherwise, also for input
+    that numpy cannot read as a complex array."""
+    try:
+        M = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError):
+        raise DomainError(f"cannot read {type(M).__name__} as a complex matrix") from None
     if M.ndim != 2 and not (stack and M.ndim > 2):
         raise DomainError(f"expected a matrix, got array of ndim {M.ndim}")
     if square and M.shape[-2] != M.shape[-1]:
@@ -117,9 +121,9 @@ def op_norm(M):
     and the top eigenvalue is accurate to about n eps relative whatever
     the spectral gap, so the norm agrees with the SVD's to a few eps
     relative, and op_norm(2^k M) is exactly 2^k op_norm(M) where both
-    are normal.  A (k, m, n) stack of matrices gives the array of their
-    k norms.  Non-finite entries and non-matrix input raise DomainError;
-    an empty matrix has norm 0.
+    are normal.  An array of matrices over leading axes gives the array
+    of their norms.  Non-finite entries and non-matrix input raise
+    DomainError; an empty matrix has norm 0.
     """
     M = _as_complex_matrix(M, stack=True)
     N, e = _pow2_scaled(M, (-2, -1))
@@ -154,24 +158,21 @@ def mat_exp(X, t=1.0):
 
     t X is scaled by 2^-s, s the fewest halvings that bring its infinity
     norm to at most 0.5, where the truncated series is accurate to well
-    below double roundoff, then the result is squared s times.  A 1-D
-    array of times gives the (k, n, n) stack of exp(t_i X), a (k, n, n)
-    stack of generators with a scalar t the stack of exp(t X_i) (a
-    caller with one time per generator scales the stack first), and one
-    matrix at a scalar time is a stack of one.  Each matrix gets its own
-    s and is scaled by one `ldexp`, the stack is summed in one Taylor
-    pass, and round r of squaring takes the matrices whose s is at least
-    r, so every slice equals the single call's result bit for bit.  The
-    scaling is exact unless it takes an entry below 2^-1022, where the
-    entry rounds once to the subnormal grid.
+    below double roundoff, then the result is squared s times.  The
+    times t and the generators X broadcast over their leading axes (the
+    broadcasting rule), so an array of times with one matrix gives one
+    exponential per time, and arrays of both pair them as numpy does.
+    Each matrix gets its own s and is scaled by one `ldexp`, the stack
+    is summed in one Taylor pass, and round r of squaring takes the
+    matrices whose s is at least r, so every slice equals the single
+    call's result bit for bit.  The scaling is exact unless it takes an
+    entry below 2^-1022, where the entry rounds once to the subnormal
+    grid.
     """
     X = _as_complex_matrix(X, square=True, stack=True)
     times = _as_times(t)
-    if X.ndim > 3:
-        raise DomainError(f"expected a matrix or a (k, n, n) stack, got array of ndim {X.ndim}")
-    if X.ndim == 3 and times.ndim:
-        raise DomainError("a stack of generators takes one scalar time")
-    M = times.reshape(-1, 1, 1) * X
+    lead = _broadcast(times.shape, X.shape[:-2], what="shapes of t and X")
+    M = (times[..., None, None] * X).reshape((-1,) + X.shape[-2:])
     # the halvings count is the smallest s >= 0 with nrm / 2^s <= 1/2: for
     # nrm = f 2^e, f in [1/2, 1), that is e when f = 1/2 and e + 1
     # otherwise, clipped at 0 (frexp gives f = e = 0 for nrm = 0)
@@ -185,16 +186,12 @@ def mat_exp(X, t=1.0):
     R = _taylor(np.ldexp(M[order].view(float), -counts[order, None, None]).view(complex))
     for size in sizes:
         R[:size] = R[:size] @ R[:size]
-    out = R[np.argsort(order)]
-    return out[0] if X.ndim == 2 and times.ndim == 0 else out
+    return R[np.argsort(order)].reshape(lead + X.shape[-2:])
 
 
 def _as_times(t):
-    """t as an array of finite times with at most one axis; DomainError
-    otherwise."""
+    """t as an array of finite times; DomainError otherwise."""
     times = np.asarray(t)
-    if times.ndim > 1:
-        raise DomainError(f"time must be a scalar or a 1-D array, got ndim {times.ndim}")
     if not np.isfinite(times).all():
         raise DomainError("non-finite time parameter")
     return times

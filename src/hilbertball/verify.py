@@ -134,9 +134,7 @@ def _lie_elements(rng, dim, count):
 def _members(rng, dim, count):
     """Random group elements: one-parameter flow samples, about every
     other one composed with a transport."""
-    X = _lie_elements(rng, dim, count)
-    t = rng.uniform(-1.5, 1.5, size=count)
-    T = numerics.mat_exp(t[:, None, None] * X)
+    T = numerics.mat_exp(_lie_elements(rng, dim, count), rng.uniform(-1.5, 1.5, size=count))
     moved = np.flatnonzero(rng.uniform(size=count) < 0.5)
     T[moved] = isometries.transport_from_origin(_points(rng, dim, moved.size)) @ T[moved]
     return T
@@ -178,10 +176,9 @@ def _p_exp_additivity(cfg, rng):
     for d in np.unique(sizes).tolist():
         picked = sizes == d
         X = _cgauss(rng, (int(picked.sum()), d, d)) / (2.0 * math.sqrt(d))
-        s, t = times[picked, 0, None, None], times[picked, 1, None, None]
-        lhs = numerics.mat_exp((s + t) * X)
-        rhs = numerics.mat_exp(s * X) @ numerics.mat_exp(t * X)
-        defects[picked] = numerics.op_norm(lhs - rhs)
+        s, t = times[picked].T
+        E = numerics.mat_exp(X[:, None], np.stack([s + t, s, t], axis=-1))
+        defects[picked] = numerics.op_norm(E[:, 0] - E[:, 1] @ E[:, 2])
     return defects
 
 
@@ -348,8 +345,7 @@ def _p_isometry_distance_invariance(cfg, rng):
 
 def _p_exponential_membership(cfg, rng):
     X = _lie_elements(rng, cfg.dim, cfg.trials)
-    return np.stack([isometries.is_inhomogeneous_unitary(numerics.mat_exp(X, t)).defect
-                     for t in (-2.0, -1.0, 0.5, 1.0, 3.0)], axis=-1)
+    return isometries.is_inhomogeneous_unitary(numerics.mat_exp(X[:, None], (-2.0, -1.0, 0.5, 1.0, 3.0))).defect
 
 
 def _p_transport_transitivity(cfg, rng):
@@ -441,13 +437,13 @@ def _p_involution_twist_witness(cfg, rng):
 def _p_flow_distance_invariance(cfg, rng):
     """Trials cycle through exponential, Schroedinger and disc flows."""
     times = rng.uniform(-2.0, 2.0, size=cfg.trials)
-    t = [times[k::3, None, None] for k in range(3)]
+    t = [times[k::3] for k in range(3)]
     defects = np.empty(cfg.trials)
     U, V = _points(rng, cfg.dim, t[0].size), _points(rng, cfg.dim, t[0].size)
-    X = t[0] * _lie_elements(rng, cfg.dim, t[0].size)
-    defects[0::3] = _distance_defects(U, V, *(dynamics.evolve_exp(X, W, 1.0).vector for W in (U, V)))
+    X = _lie_elements(rng, cfg.dim, t[0].size)
+    defects[0::3] = _distance_defects(U, V, *(dynamics.evolve_exp(X, W, t[0]).vector for W in (U, V)))
     U, V = _points(rng, cfg.dim, t[1].size), _points(rng, cfg.dim, t[1].size)
-    H = t[1] * _self_adjoints(rng, cfg.dim, t[1].size)
+    H = t[1][:, None, None] * _self_adjoints(rng, cfg.dim, t[1].size)
     defects[1::3] = _distance_defects(U, V, *(dynamics.schrodinger_evolve(H, W, 1.0).vector for W in (U, V)))
     U, V = _points(rng, 1, t[2].size), _points(rng, 1, t[2].size)
     b = _cgauss(rng, t[2].size)
@@ -456,18 +452,16 @@ def _p_flow_distance_invariance(cfg, rng):
     b = b / np.maximum(1.0, np.abs(b))
     g = dynamics.DiscGenerator(rng.standard_normal(t[2].size), b)
     defects[2::3] = _distance_defects(
-        U, V, *(dynamics.disc_evolve_closed(g, W[:, 0], t[2].ravel())[:, None] for W in (U, V)))
+        U, V, *(dynamics.disc_evolve_closed(g, W[:, 0], t[2])[:, None] for W in (U, V)))
     return defects
 
 
 def _p_flow_group_law(cfg, rng):
     X = _lie_elements(rng, cfg.dim, cfg.trials)
     Z = _points(rng, cfg.dim, cfg.trials)
-    times = rng.uniform(-1.5, 1.5, size=(cfg.trials, 2))
-    s, t = times[:, 0, None, None], times[:, 1, None, None]
-    once = dynamics.evolve_exp((s + t) * X, Z, 1.0)
-    twice = dynamics.evolve_exp(s * X, dynamics.evolve_exp(t * X, Z, 1.0), 1.0)
-    return np.linalg.norm(once.vector - twice.vector, axis=-1)
+    s, t = rng.uniform(-1.5, 1.5, size=(cfg.trials, 2)).T
+    twice = dynamics.evolve_exp(X, dynamics.evolve_exp(X, Z, t), s)
+    return np.linalg.norm(dynamics.evolve_exp(X, Z, s + t).vector - twice.vector, axis=-1)
 
 
 def _p_disc_closed_form_agreement(cfg, rng):
@@ -483,7 +477,7 @@ def _p_disc_closed_form_agreement(cfg, rng):
     t = rng.uniform(-2.0, 2.0, size=cfg.trials)
     g = dynamics.DiscGenerator(a, b)
     closed = dynamics.disc_evolve_closed(g, Z[:, 0], t)
-    viaexp = dynamics.evolve_exp(t[:, None, None] * g.matrix(), Z, 1.0).vector[:, 0]
+    viaexp = dynamics.evolve_exp(g.matrix(), Z, t).vector[:, 0]
     return np.abs(closed - viaexp)
 
 

@@ -554,6 +554,11 @@ def _epsilon_corner_off(epsilon_matrix):
     return planted
 
 
+def _disc_b_scaled(scaled_generator):
+    # the disc flow reads b (1 + 1e-9), alpha recomputed from the scaled pair
+    return lambda a, b: scaled_generator(a, b * (1.0 + 1e-9))
+
+
 def _log_for_log1p(module_math):
     # geometry's math with log1p(x) read as log(x): the distance loses the
     # 1 of (m + s)/(m - s) = 1 + 2s/(m - s), its only log1p
@@ -599,6 +604,9 @@ _OFF_ALGEBRA = "DomainError: generator leaves the isometry Lie algebra"
                   "op_norm_square_identity"], id="op_norm_inflated_by_1e-9"),
     pytest.param(numerics, "_TAYLOR", _taylor_term_dropped(9), _ALL,
                  ["disc_closed_form_agreement", "exp_additivity", "exponential_membership"], id="taylor_term_9_zeroed"),
+    # the exponential route reads the generator's matrix, not the disc flow's (a, b)
+    pytest.param(dynamics, "_scaled_generator", _disc_b_scaled, _ALL, ["disc_closed_form_agreement"],
+                 id="disc_b_off_by_1e-9"),
     # the flows' generators then leave the Lie algebra by the check that reads eps
     pytest.param(isometries, "epsilon_matrix", _epsilon_corner_off, _ALL,
                  [("disc_closed_form_agreement", _OFF_ALGEBRA), "exponential_membership",

@@ -324,7 +324,7 @@ def test_time_array_flows_equal_scalar_calls(rng, request):
         assert same_bytes(flow(gen, z, times).vector, flow(gen, z, np.array(times)).vector)
 
 
-@pytest.mark.parametrize("t", [np.zeros((2, 2)), np.array([0.1, np.nan]), np.nan, np.inf])
+@pytest.mark.parametrize("t", [np.array([[0.0, np.inf], [0.1, 0.2]]), np.array([0.1, np.nan]), np.nan, np.inf])
 def test_time_array_flows_reject_bad_times(rng, t):
     z = random_point(rng, 3, 0.8)
     with pytest.raises(DomainError):
@@ -585,5 +585,6 @@ def test_trajectory_validation(rng):
     assert trajectory(g, z, 0.1, 0.1)[1].vector.shape == (2, 1)
     with pytest.raises(DomainError):
         trajectory(g, random_point(rng, 2, 0.5), 1.0, 0.1)  # disc needs dim 1
-    with pytest.raises(DomainError):
-        disc_evolve_closed(g, 0.1, np.zeros((2, 2)))
+    # times that do not broadcast against a stack of three generators
+    with pytest.raises(DomainError, match="do not broadcast"):
+        disc_evolve_closed(DiscGenerator(np.full(3, 0.1), 0.2), 0.1, np.zeros(2))

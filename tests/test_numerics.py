@@ -280,15 +280,17 @@ def test_hermitian_norm_matches_numpy_svd(rng):
 
 @pytest.mark.parametrize("bad", ["nan_entry", "times_with_stack", "four_axes"])
 def test_stacked_kernels_reject_bad_stacks(rng, bad):
+    # times broadcast against the generators' leading axes, or raise
+    # naming both shapes
     X = cgauss(rng, (3, 2, 2))
-    t = 1.0
+    t, message = 1.0, "non-finite"
     if bad == "nan_entry":
         X[1, 0, 1] = np.nan
     elif bad == "times_with_stack":
-        t = np.array([0.1, 0.2, 0.3])
+        t, message = np.array([0.1, 0.2, 0.3, 0.4]), r"^shapes of t and X \(4,\) and \(3,\) do not broadcast$"
     else:
-        X = X[None]
-    with pytest.raises(DomainError):
+        X, t, message = X[None], np.array([0.1, 0.2]), r"^shapes of t and X \(2,\) and \(1, 3\) do not broadcast$"
+    with pytest.raises(DomainError, match=message):
         mat_exp(X, t)
     if bad == "nan_entry":
         with pytest.raises(DomainError):
@@ -296,7 +298,7 @@ def test_stacked_kernels_reject_bad_stacks(rng, bad):
 
 
 @pytest.mark.parametrize(
-    "t", [np.zeros((2, 2)), np.array([0.1, np.nan]), np.array([np.inf]), np.nan]
+    "t", [np.array([[0.0, np.inf], [0.1, 0.2]]), np.array([0.1, np.nan]), np.array([np.inf]), np.nan]
 )
 def test_mat_exp_rejects_bad_times(t):
     with pytest.raises(DomainError):

@@ -51,7 +51,7 @@ from .errors import DomainError
 from .geometry import HBAR, BallPoint, TangentVector, _dots, _matvec, _point, _result, kahler_form, metric
 from .isometries import (ExtendedOperator, _matrices, _operands, _residual_norm, _verdict, epsilon_matrix,
                          epsilon_operator)
-from .numerics import _broadcast, _guard, _pow2_scaled, gaussian_directions, golden_max, sobol_unit
+from .numerics import _broadcast, _finite, _guard, _pow2_scaled, gaussian_directions, golden_max, sobol_unit
 
 # on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
@@ -187,7 +187,7 @@ def star_operator(C, Cp):
     P = M @ epsilon_matrix(n) @ Mp
     single = isinstance(C, ExtendedOperator) or isinstance(Cp, ExtendedOperator)
     # a product past the float range is left bare for the guard to name
-    return ExtendedOperator(P) if single and P.ndim == 2 and np.isfinite(P).all() else P
+    return ExtendedOperator(P, _owned=True) if single and P.ndim == 2 and np.isfinite(P).all() else P
 
 
 @_guard("the residual")
@@ -303,7 +303,10 @@ def scale_operator(dim, lam):
     n = dim
     m = np.eye(n + 1, dtype=complex)
     m[n, n] = lam
-    return ExtendedOperator(m)
+    # lam is the one entry not made here
+    if not _finite(m[n, n]):
+        raise DomainError("matrix has non-finite entries")
+    return ExtendedOperator(m, _owned=True)
 
 
 def invariant_supremand_chain(C, zvec, lam):
@@ -446,7 +449,7 @@ def _search(C, samples, seed):
     star chain, which must agree.  Returns (z, reduced value, chain
     value); the search runs on C scaled to unit size."""
     M, e = _pow2_scaled(C.matrix, (-2, -1))
-    S = ExtendedOperator(M)
+    S = ExtendedOperator(M, _owned=True)
     Z = _sobol_candidates(C.dim, samples, seed)
     Xi = np.hstack([Z, np.ones((Z.shape[0], 1), dtype=complex)])
     vals = np.linalg.norm(Xi @ S.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
@@ -468,7 +471,7 @@ def norm_b_estimate(C):
     quotient there, checked once against the star chain.  Both are read
     on C scaled to unit size."""
     M, e = _pow2_scaled(C.matrix, (-2, -1))
-    S = ExtendedOperator(M)
+    S = ExtendedOperator(M, _owned=True)
     n = C.dim
     v = np.linalg.svd(S.matrix)[2][0].conj()
     v = v * np.exp(-1j * np.angle(v[n]))

@@ -68,7 +68,9 @@ class DiscGenerator:
         return np.stack([np.stack([1j * a, b], axis=-1), np.stack([b.conj(), -1j * a], axis=-1)], axis=-2)
 
     def extended(self):
-        return ExtendedOperator(self.matrix())
+        m = self.matrix()
+        # a stack of generators goes through the check that rejects it
+        return ExtendedOperator(m, _owned=m.ndim == 2)
 
 
 def alpha(g):
@@ -127,7 +129,7 @@ class HamiltonianGenerator:
         n = self.dim
         m = np.zeros((n + 1, n + 1), dtype=complex)
         m[:n, :n] = -1j * self.H
-        return ExtendedOperator(m)
+        return ExtendedOperator(m, _owned=True)
 
 
 @_guard("the flow")
@@ -145,7 +147,7 @@ def disc_evolve_closed(g, z, t):
     result has the bits of that entry of any array.  Every z passes the
     check `BallPoint` makes.
     """
-    times = _as_times(np.asarray(t, dtype=float))
+    times = _as_times(t).astype(float, copy=False)
     z = BallPoint(np.asarray(z, dtype=complex)[..., None]).vector[..., 0]
     a, b = np.asarray(g.a, dtype=float), np.asarray(g.b, dtype=complex)
     shape = _broadcast(a.shape, b.shape, z.shape, times.shape, what="shapes of a, b, z and t")
@@ -202,7 +204,7 @@ def schrodinger_evolve(gen, z, t):
     lam, V = np.linalg.eigh(H)
     coeffs = _matvec(V.conj().swapaxes(-1, -2), Z)
     phases = np.exp(-1j * (times[..., None] * lam))
-    return BallPoint(_matvec(V, phases * coeffs))
+    return BallPoint(_matvec(V, phases * coeffs), _owned=True)
 
 
 def trajectory(generator, z0, t_max, dt):
@@ -241,7 +243,7 @@ def trajectory(generator, z0, t_max, dt):
         if isinstance(generator, DiscGenerator):
             if z0.dim != 1:
                 raise DomainError("disc generators act on the one-dimensional ball")
-            points = BallPoint(disc_evolve_closed(generator, z0.vector[0], times)[:, None])
+            points = BallPoint(disc_evolve_closed(generator, z0.vector[0], times)[:, None], _owned=True)
         elif isinstance(generator, HamiltonianGenerator):
             points = schrodinger_evolve(generator, z0, times)
         elif isinstance(generator, ExtendedOperator):

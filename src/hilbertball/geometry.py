@@ -53,6 +53,11 @@ every kernel whose value is points returns one: `mobius_apply`,
 where one went in, and `transport_from_origin` one for a single
 `BallPoint`; raw arrays give arrays, and the `numerics` kernels take
 and give arrays only.  A scalar result is a Python float or complex.
+Both constructors copy and fully check what a caller passes them.  An
+array that a kernel has just made is handed over as it is: a point
+still gets the inside rule, which an image can fail by rounding, and an
+operator only the checks its making can fail (see
+`isometries.ExtendedOperator`).
 `distance`, `tanh_distance`, `recover_inner_product`, `connection`,
 `geodesic_from_origin` and `algebra`'s norm estimators take single
 points only, and `trajectory` starts from one; `disc_evolve_closed`,
@@ -60,7 +65,7 @@ whose points are complex numbers, broadcasts them elementwise instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -97,31 +102,47 @@ def _reject(z, sq):
 class BallPoint:
     """An interior point of the unit ball, ||z|| < 1, or a stack of them.
 
-    `vector` is a read-only copy of the input, of shape (..., n) (a scalar
-    is a point of the disc), and `gap` its rim gaps 1 - <z|z>, a float or
-    a read-only array of shape (...).  Indexing the leading axes gives
-    points of the stack with their gaps, unchecked again.
+    `vector` has shape (..., n) (a scalar is a point of the disc) and is
+    read-only: a copy of the caller's input, or the complex array a
+    kernel of the package has just made, which it hands over without a
+    copy.  `gap` holds the rim gaps 1 - <z|z>, a float or a read-only
+    array of shape (...).  Either way the inside rule is checked, since
+    an image of a kernel can round past the margin.  Indexing the
+    leading axes gives points of the stack with their gaps, unchecked
+    again.
     """
 
     vector: np.ndarray
     gap: float = field(init=False)
+    _: KW_ONLY
+    # set by the package's kernels only, for a fresh complex array of
+    # at least one axis that nothing else holds
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        try:
-            v = np.array(self.vector, dtype=complex, ndmin=1)
-        except (TypeError, ValueError):
-            raise DomainError(f"cannot read {type(self.vector).__name__} as a point") from None
+    def __post_init__(self, _owned):
+        if _owned:
+            v = self.vector
+        else:
+            try:
+                v = np.array(self.vector, dtype=complex, ndmin=1)
+            except (TypeError, ValueError):
+                raise DomainError(f"cannot read {type(self.vector).__name__} as a point") from None
+            object.__setattr__(self, "vector", v)
+        v.setflags(write=False)
         if v.ndim == 1:
             # a single point pays for no np.errstate and no reduction
             sq = float(np.vdot(v, v).real)
             if not sq < _LIMIT_SQ:
                 _reject(v, sq)
+            gap = 1.0 - sq
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 sq = _dots(v, v).real
             if not (sq < _LIMIT_SQ).all():
                 _reject(v, sq)
-        _fill(self, v, 1.0 - sq)
+            gap = 1.0 - sq
+            gap.setflags(write=False)
+        object.__setattr__(self, "gap", gap)
 
     @property
     def dim(self):
@@ -130,7 +151,9 @@ class BallPoint:
     def norm(self):
         """||z||: a float, or the array of norms of a stack, each norm
         the same bits alone and in a stack."""
-        return _result(np.linalg.norm(self.vector, axis=-1))
+        v = self.vector
+        # np.linalg.norm's own formula along an axis, without its dispatch
+        return _result(np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1)))
 
     def __getitem__(self, index):
         lead = index if isinstance(index, tuple) else (index,)
@@ -156,7 +179,7 @@ def _joined(points):
 
 
 def origin(dim):
-    return BallPoint(np.zeros(dim, dtype=complex))
+    return BallPoint(np.zeros(dim, dtype=complex), _owned=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,6 +458,6 @@ def recover_inner_product(u, v):
     def m_sq(w):
         return (fac * math.cosh(distance(w, v))) ** 2
 
-    re = (m_sq(BallPoint(-u.vector)) - m_sq(u)) / 4.0
-    im = (m_sq(BallPoint(-1j * u.vector)) - m_sq(BallPoint(1j * u.vector))) / 4.0
+    re = (m_sq(BallPoint(-u.vector, _owned=True)) - m_sq(u)) / 4.0
+    im = (m_sq(BallPoint(-1j * u.vector, _owned=True)) - m_sq(BallPoint(1j * u.vector, _owned=True))) / 4.0
     return complex(re, im)

@@ -32,13 +32,13 @@ little beyond its arithmetic (`scripts/kernel_timings.py` times both).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import BallPoint, _matvec, _paired_points, _point
-from .numerics import _as_complex_matrix, _eye, _guard, _pow2_scaled, hermitian_norm, real_projection
+from .numerics import _as_complex_matrix, _eye, _finite, _guard, _pow2_scaled, hermitian_norm, real_projection
 
 MEMBERSHIP_TOL = 1e-10
 DEGENERATE_DENOMINATOR = 1e-14
@@ -50,15 +50,28 @@ class ExtendedOperator:
 
     Its algebra is the matrix's: `@` composes, `adjoint` is the conjugate
     transpose, and any other arithmetic, reading a block included, goes
-    through `matrix`."""
+    through `matrix`.
+
+    `matrix` is a copy of the caller's array, checked to be a finite
+    square complex matrix, or the complex matrix that a kernel of the
+    package has just made, handed over without a copy.  Such a matrix
+    is finite by its making: a transport's entries are at most about
+    7.1e5 inside the margin, an adjoint or an inverse (sign flips of the
+    adjoint) of a finite matrix is finite, and `@` checks its product
+    itself, which can overflow.  Both get the rule n >= 1."""
 
     matrix: np.ndarray
+    _: KW_ONLY
+    # set by the package's kernels only, for a fresh finite square
+    # complex matrix that nothing else holds
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        m = _as_complex_matrix(self.matrix, square=True)
+    def __post_init__(self, _owned):
+        m = self.matrix if _owned else _as_complex_matrix(self.matrix, square=True)
         if m.shape[0] < 2:
             raise DomainError("extended operators act on C^n + C with n >= 1")
-        object.__setattr__(self, "matrix", m.copy())
+        if not _owned:
+            object.__setattr__(self, "matrix", m.copy())
 
     @classmethod
     def from_blocks(cls, A, x, y, a):
@@ -75,7 +88,7 @@ class ExtendedOperator:
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim + 1, dtype=complex))
+        return cls(np.eye(dim + 1, dtype=complex), _owned=True)
 
     @property
     def dim(self):
@@ -83,10 +96,14 @@ class ExtendedOperator:
         return self.matrix.shape[0] - 1
 
     def adjoint(self):
-        return ExtendedOperator(self.matrix.conj().T)
+        # conjugated into C order, the layout of the copy a caller's array gets
+        return ExtendedOperator(np.conjugate(self.matrix.T, order="C"), _owned=True)
 
     def __matmul__(self, other):
-        return ExtendedOperator(self.matrix @ other.matrix)
+        product = self.matrix @ other.matrix
+        if not _finite(product):
+            raise DomainError("matrix has non-finite entries")
+        return ExtendedOperator(product, _owned=True)
 
 
 def _matrices(T):
@@ -111,7 +128,7 @@ def epsilon_matrix(dim):
 
 
 def epsilon_operator(dim):
-    return ExtendedOperator(epsilon_matrix(dim))
+    return ExtendedOperator(epsilon_matrix(dim), _owned=True)
 
 
 @dataclass(frozen=True)
@@ -199,7 +216,7 @@ def mobius_apply(T, z):
     """
     M, n, p = _operands(T, z)
     W = _moved(M, n, p.vector)
-    return BallPoint(W[..., :n] / W[..., n, None])
+    return BallPoint(W[..., :n] / W[..., n, None], _owned=True)
 
 
 def mobius_differential(T, z):
@@ -232,7 +249,7 @@ def transport_from_origin(u):
     T[..., :n, n] = m * U
     T[..., n, :n] = m * Uc
     T[..., n, n] = m if single else m[..., 0]
-    return ExtendedOperator(T) if isinstance(u, BallPoint) and T.ndim == 2 else T
+    return ExtendedOperator(T, _owned=True) if isinstance(u, BallPoint) and T.ndim == 2 else T
 
 
 def inverse(T):
@@ -241,7 +258,7 @@ def inverse(T):
     M, n = _matrices(T)
     eps = epsilon_matrix(n)
     inv = eps @ M.conj().swapaxes(-1, -2) @ eps
-    return ExtendedOperator(inv) if isinstance(T, ExtendedOperator) else inv
+    return ExtendedOperator(inv, _owned=True) if isinstance(T, ExtendedOperator) else inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +287,10 @@ def mirror_apply(F, z):
     outside the ball raises DomainError.
     """
     Z = _paired_points(F.A.shape[:-2], z, F.A.shape[-1]).vector
-    return BallPoint(_matvec(F.A, Z) + _matvec(F.B, Z.conj()))
+    W = _matvec(F.A, Z) + _matvec(F.B, Z.conj())
+    # A and B are the caller's arrays, of any dtype: only complex images
+    # are the package's own
+    return BallPoint(W, _owned=W.dtype == complex)
 
 
 @_guard("the residual")

@@ -178,6 +178,8 @@ def mat_exp(X, t=1.0):
     # otherwise, clipped at 0 (frexp gives f = e = 0 for nrm = 0)
     f, e = np.frexp(np.linalg.norm(M, np.inf, axis=(1, 2)))
     counts = np.maximum(e + (f > 0.5), 0)
+    if not counts.any():  # no halving, no squaring: nothing to sort
+        return _taylor(M).reshape(lead + X.shape[-2:])
     # most halvings first, so the matrices still being squared at round r
     # are the leading sizes[r - 1] of the stack, the number whose count is
     # at least r
@@ -190,8 +192,10 @@ def mat_exp(X, t=1.0):
 
 
 def _as_times(t):
-    """t as an array of finite times; DomainError otherwise."""
+    """t as an array of finite real times; DomainError otherwise."""
     times = np.asarray(t)
+    if times.dtype.kind not in "biuf":
+        raise DomainError(f"time parameter must be real, got {times.dtype}")
     if not np.isfinite(times).all():
         raise DomainError("non-finite time parameter")
     return times
@@ -206,22 +210,27 @@ def _taylor(M):
     in M^4: B_0 + M^4 (B_1 + M^4 (B_2 + ...)).  That takes 7 matrix
     products where Horner's rule in M takes 18.  Each chunk is summed from
     its highest power down, which keeps the roundoff of Horner's rule.
+    The sums run in place in three arrays the size of M, so a large
+    stack allocates none per term.
     """
     M2 = M @ M
     powers = (None, M, M2, M2 @ M)
     M4 = M2 @ M2
-    eye = np.eye(M.shape[-1], dtype=complex)
+    eye = _eye(M.shape[-1])
+    B, spare = np.empty_like(M), np.empty_like(M)
 
     def chunk(j):
+        """B_j, summed in B with `spare` as scratch."""
         top = min(3, EXP_TAYLOR_TERMS - 4 * j)
-        B = _TAYLOR[4 * j + top] * powers[top]
+        np.multiply(_TAYLOR[4 * j + top], powers[top], out=B)
         for i in range(top - 1, 0, -1):
-            B = B + _TAYLOR[4 * j + i] * powers[i]
-        return B + _TAYLOR[4 * j] * eye
+            np.add(B, np.multiply(_TAYLOR[4 * j + i], powers[i], out=spare), out=B)
+        return np.add(B, _TAYLOR[4 * j] * eye, out=B)
 
-    R = chunk(EXP_TAYLOR_TERMS // 4)
+    R = chunk(EXP_TAYLOR_TERMS // 4).copy()
     for j in range(EXP_TAYLOR_TERMS // 4 - 1, -1, -1):
-        R = chunk(j) + M4 @ R
+        chunk(j)
+        np.add(np.matmul(M4, R, out=spare), B, out=R)
     return R
 
 

@@ -337,6 +337,23 @@ def test_time_array_flows_reject_bad_times(rng, t):
             disc_evolve_closed(g, 0.3, t)
 
 
+@pytest.mark.parametrize("t", [1j, 0.5 + 0.0j, np.array([0.1, 0.2 + 1e-3j])], ids=["imaginary", "zero_imag", "array"])
+def test_complex_times_raise_one_domain_error(rng, t):
+    # a complex time makes exp(-iHt) non-unitary: (0.3, 0.2) went to a
+    # point of norm 0.819 from one of norm 0.361
+    message = r"^time parameter must be real, got complex128$"
+    z = random_point(rng, 2, 0.8)
+    with pytest.raises(DomainError, match=message):
+        mat_exp(lie_element(rng, 2).matrix, t)
+    with pytest.raises(DomainError, match=message):
+        evolve_exp(lie_element(rng, 2), z, t)
+    with pytest.raises(DomainError, match=message):
+        schrodinger_evolve(np.diag([1.0, -1.0]), z, t)
+    for g in disc_generators():
+        with pytest.raises(DomainError, match=message):
+            disc_evolve_closed(g, 0.3, t)
+
+
 def test_time_array_flows_reject_unpaired_points(rng):
     # the points' leading axes pair with the times, so 4 points need 4 times
     Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(4)])

@@ -464,9 +464,9 @@ def test_stacked_evaluate_and_differential_check_points_once(rng, monkeypatch):
     checked = []
     check = BallPoint.__post_init__
 
-    def counted(p):
+    def counted(p, *flags):
         checked.append(np.shape(p.vector))
-        check(p)
+        check(p, *flags)
 
     C = cgauss(rng, (6, 4, 4))
     Z = np.array([random_point(rng, 3, 0.8).vector for _ in range(6)])
@@ -494,6 +494,25 @@ def test_ball_point_holds_a_read_only_copy():
         p.vector[0] = 5.0
     q = BallPoint(p.vector)
     assert q.vector is not p.vector and q.gap == p.gap
+    # a stack too
+    A = np.stack([p.vector, 0.5 * p.vector])
+    P = BallPoint(A)
+    A[...] = 5.0
+    assert not np.shares_memory(P.vector, A) and same_bytes(P.vector[1], 0.5 * p.vector)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16])
+def test_norm_has_the_bits_of_numpy_norm(rng, dim):
+    # near the rim too, where the last bits decide 1 - ||z||
+    radii = np.concatenate([rng.uniform(0.0, 1.0, 50), 1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 50)])
+    Z = cgauss(rng, (100, dim))
+    Z *= (radii * (1.0 - 1e-12) / np.linalg.norm(Z, axis=-1))[:, None]
+    P = BallPoint(Z)
+    assert same_bytes(P.norm(), np.linalg.norm(P.vector, axis=-1))
+    for z in Z:
+        norm = BallPoint(z).norm()
+        assert type(norm) is float and same_bytes(norm, np.linalg.norm(z, axis=-1))
+    assert same_bytes(BallPoint(Z.reshape(4, 25, dim)).norm(), np.linalg.norm(Z, axis=-1).reshape(4, 25))
 
 
 def distance_from_norms(u, v):

@@ -297,6 +297,33 @@ def test_stacked_kernels_reject_bad_stacks(rng, bad):
             op_norm(X)
 
 
+def _taylor_out_of_place(M):
+    """Paterson-Stockmeyer as `_taylor` sums it, one new array per term."""
+    M2 = M @ M
+    powers, M4, eye = (None, M, M2, M2 @ M), M2 @ M2, np.eye(M.shape[-1])
+
+    def chunk(j):
+        top = min(3, numerics.EXP_TAYLOR_TERMS - 4 * j)
+        B = numerics._TAYLOR[4 * j + top] * powers[top]
+        for i in range(top - 1, 0, -1):
+            B = B + numerics._TAYLOR[4 * j + i] * powers[i]
+        return B + numerics._TAYLOR[4 * j] * eye
+
+    R = chunk(numerics.EXP_TAYLOR_TERMS // 4)
+    for j in range(numerics.EXP_TAYLOR_TERMS // 4 - 1, -1, -1):
+        R = chunk(j) + M4 @ R
+    return R
+
+
+@pytest.mark.parametrize("n", [1, 5, 17])
+def test_taylor_sums_in_place_with_the_bits_of_new_arrays(rng, n):
+    M = cgauss(rng, (30, n, n))
+    M *= (rng.uniform(0.0, 0.5, 30) / np.linalg.norm(M, np.inf, axis=(1, 2)))[:, None, None]
+    assert same_bytes(numerics._taylor(M), _taylor_out_of_place(M))
+    # every count 0: mat_exp is the Taylor sum with no sort or ldexp
+    assert same_bytes(mat_exp(M), _taylor_out_of_place(M))
+
+
 @pytest.mark.parametrize(
     "t", [np.array([[0.0, np.inf], [0.1, 0.2]]), np.array([0.1, np.nan]), np.array([np.inf]), np.nan]
 )

@@ -21,19 +21,24 @@ reduces algebraically to the Rayleigh quotient
 ||C (-z, lambda)|| / ||(-z, lambda)|| (conjugating the chain
 t_lambda * conj(f) * h * f * t_lambda collapses eps I eps = I and leaves
 D C*C D with D = diag(-I, lambda)), so the top right singular vector of
-C is a witness (z, lambda).  `norm_s` and `norm_d` estimate one cone
-norm, the supremum of ||C (z, 1)|| / ||(z, 1)||, by two routes: the
-shifted chain conj(f) * h * f has operator C* eps I eps C = C*C, so
-`norm_d` reads the chain where `norm_s` reads the quotient, at the same
-argmax.  The cone search screens Sobol candidates and refines on the
-reduced quotient; along one real coordinate of z, xi moves on a line,
-where the quotient squared is a ratio of two real quadratics, and the
-refinement's golden-section search reads that ratio in plain floats,
-each step it takes confirmed by the literal quotient.  Every estimator
-re-evaluates its argmax once through the function-level star chain;
-the two routes are required to agree.  Each estimator reads C scaled
-to unit size (`numerics`) and scales its 1-homogeneous values back, so
-the norm of 2^k C is exactly 2^k times C's wherever it is a float.
+C is a witness (z, lambda).  `norm_s` and `norm_d` read one cone norm,
+the supremum of ||C (z, 1)|| / ||(z, 1)||, by two routes: the shifted
+chain conj(f) * h * f has operator C* eps I eps C = C*C, so `norm_d`
+reads the chain where `norm_s` reads the quotient, at the same argmax.
+By the S-lemma the cone norm squared is the minimum over mu >= 0 of
+lambda_max(C*C + mu eps), and the top eigenvector at the minimum points
+at the argmax, on the rim where mu > 0.  The search pulls that point
+into ||z|| <= MAX_RADIUS and polishes it on the reduced quotient; along
+one real coordinate of z, xi moves on a line, where the quotient
+squared is a ratio of two real quadratics, and the polish's
+golden-section search reads that ratio in plain floats, each step it
+takes confirmed by the literal quotient.  Every estimate carries an
+upper bound on its supremum: ||C||_2 for b, the dual's value for s and
+d.  Every estimator re-evaluates its argmax once through the
+function-level star chain; the two routes are required to agree.  Each
+estimator reads C scaled to unit size (`numerics`) and scales its
+1-homogeneous values back, so the norm of 2^k C is exactly 2^k times
+C's wherever it is a float.
 
 The kernels from `evaluate` to `kahler_condition_check` take arrays of
 operators and of points over any leading axes as well as single objects,
@@ -51,7 +56,7 @@ from .errors import DomainError
 from .geometry import HBAR, BallPoint, TangentVector, _dots, _matvec, _point, _result, kahler_form, metric
 from .isometries import (ExtendedOperator, _matrices, _operands, _residual_norm, _verdict, epsilon_matrix,
                          epsilon_operator)
-from .numerics import _broadcast, _finite, _guard, _pow2_scaled, gaussian_directions, golden_max, sobol_unit
+from .numerics import _broadcast, _finite, _guard, _pow2_scaled, golden_max
 
 # on ||C - C*||, or the rounding 1024 eps rho(C) where larger (`is_self_adjoint`)
 SELF_ADJOINT_TOL = 1e-12
@@ -59,6 +64,7 @@ SELF_ADJOINT_TOL = 1e-12
 MAX_RADIUS = 1.0 - 1e-6
 REFINE_STEPS = 50
 GOLDEN_ITERS = 40
+DUAL_STEPS = 200
 FD_DIRECTIONS = 8
 
 
@@ -293,9 +299,13 @@ def fit_operator(points, values):
 
 @dataclass(frozen=True)
 class NormEstimate:
+    """An estimator's value, its witness z and lambda (None for the cone
+    norms), and an upper bound, to roundoff, on the supremum it reads:
+    ||C||_2 for b, the S-lemma dual's value for s and d."""
     value: float
     argmax_z: np.ndarray
     argmax_lambda: Optional[float]
+    bound: float
 
 
 def scale_operator(dim, lam):
@@ -348,16 +358,6 @@ def shifted_supremand_chain(C, zvec):
     return math.sqrt(abs(evaluate(chain, z)) / abs(denom))
 
 
-def _sobol_candidates(dim, samples, seed):
-    U = sobol_unit(samples, 2 * dim + 1, seed)
-    normals = gaussian_directions(U[:, : 2 * dim])
-    dirs = normals[:, :dim] + 1j * normals[:, dim:]
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
-    radius = MAX_RADIUS * U[:, 2 * dim] ** (1.0 / (2 * dim))
-    return (radius / norms)[:, None] * dirs
-
-
 def _line_quotient(matrix, xi, k, unit):
     """The cone quotient ||M xi'|| / ||xi'|| on the real line
     xi' = xi_b + x d, d = unit e_k, where xi_b is xi without the part of
@@ -383,7 +383,7 @@ def _line_quotient(matrix, xi, k, unit):
 
 
 def _refine(scalar_fn, zvec, lam, best_val, matrix):
-    """Coordinate-wise golden-section ascent around the best candidate.
+    """Coordinate-wise golden-section ascent from the dual's argmax.
 
     Each step moves one real coordinate of z, and so moves xi = (z, 1)
     along a line, where the quotient ||C xi|| / ||xi|| is the quotient of
@@ -442,23 +442,65 @@ def _unscaled(value, e):
         raise DomainError("the norm exceeds the float range") from None
 
 
-def _search(C, samples, seed):
-    """Screen every Sobol candidate z with the cone quotient
-    ||C (z, 1)|| / ||(z, 1)|| in one batched product, polish the best
-    with `_refine`, and re-evaluate the argmax once through the shifted
-    star chain, which must agree.  Returns (z, reduced value, chain
-    value); the search runs on C scaled to unit size."""
+def _cone_dual(G):
+    """The S-lemma dual of the cone norm of C, G = C*C:
+    phi(mu) = lambda_max(G + mu eps) bounds sup ||C xi||^2 / ||xi||^2 over
+    the cone xi* eps xi >= 0 for every mu >= 0, and its minimum equals it.
+    phi is convex with slope s(mu) = xi* eps xi at its top unit eigenvector
+    xi, so mu* = 0 where s(0) >= 0 (the supremum is interior), and
+    otherwise s changes sign at mu*.  The root of s is bracketed from
+    [0, 2 phi(0)] by Illinois regula falsi, which converges superlinearly
+    where s is smooth and narrows a jump of s, at a repeated top
+    eigenvalue, like bisection.  As |s| <= 1, phi at the upper end exceeds
+    the minimum by at most the bracket's width; the search stops once that
+    is a rounding of phi, or after DUAL_STEPS steps.  Returns (phi, xi) at
+    the upper end, where xi lies in the cone."""
+    eps = epsilon_matrix(len(G) - 1)
+
+    def top(mu):
+        w, V = np.linalg.eigh(G + mu * eps)
+        return w[-1], V[:, -1], 2.0 * abs(V[-1, -1]) ** 2 - 1.0
+
+    phi, xi, s = top(0.0)
+    if s >= 0.0:
+        return phi, xi
+    lo, s_lo, hi, side = 0.0, s, 2.0 * phi, 0
+    phi, xi, s_hi = top(hi)
+    for _ in range(DUAL_STEPS):
+        if hi - lo <= np.finfo(float).eps * phi:
+            break
+        mu = hi - s_hi * (hi - lo) / (s_hi - s_lo)
+        p, x, s = top(mu)
+        # Illinois: an end kept twice running has its slope halved
+        if s >= 0.0:
+            hi, phi, xi, s_hi, s_lo, side = mu, p, x, s, s_lo * (0.5 if side > 0 else 1.0), 1
+        else:
+            lo, s_lo, s_hi, side = mu, s, s_hi * (0.5 if side < 0 else 1.0), -1
+    return phi, xi
+
+
+def _search(C):
+    """The cone norm's argmax from its S-lemma dual (`_cone_dual`): z =
+    xi[:n] / xi_n, for xi the top eigenvector at the dual's upper bracket
+    end, pulled radially into ||z|| <= MAX_RADIUS, polished with
+    `_refine` (which carries a start inside the ball, as at a repeated
+    top eigenvalue, out to the rim), and re-evaluated once through the
+    shifted star chain, which must agree.  At a rim argmax the squared
+    quotient's slope along the ray is at most its value, so the pull
+    costs the quotient at most (1 - MAX_RADIUS) / 2 relative, to first
+    order.  Returns the estimates of s and d, read on C scaled to unit
+    size and scaled back, with sqrt(phi) at the upper end as their
+    bound."""
     M, e = _pow2_scaled(C.matrix, (-2, -1))
     S = ExtendedOperator(M, _owned=True)
-    Z = _sobol_candidates(C.dim, samples, seed)
-    Xi = np.hstack([Z, np.ones((Z.shape[0], 1), dtype=complex)])
-    vals = np.linalg.norm(Xi @ S.matrix.T, axis=1) / np.linalg.norm(Xi, axis=1)
-    i = np.argmax(vals)
-    z, _, val = _refine(lambda zv: cone_supremand(S, zv), Z[i].copy(), None, float(vals[i]),
-                        S.matrix)
+    phi, xi = _cone_dual(M.conj().T @ M)
+    z = xi[:-1] / xi[-1]
+    z *= MAX_RADIUS / max(float(np.linalg.norm(z)), MAX_RADIUS)
+    z, _, val = _refine(lambda zv: cone_supremand(S, zv), z, None, cone_supremand(S, z), M)
     val, chain_val = _unscaled(val, e), _unscaled(shifted_supremand_chain(S, z), e)
     _check_routes(val, chain_val)
-    return z, val, chain_val
+    bound = _unscaled(math.sqrt(phi), e)
+    return NormEstimate(val, z, None, bound), NormEstimate(chain_val, z, None, bound)
 
 
 def norm_b_estimate(C):
@@ -473,40 +515,40 @@ def norm_b_estimate(C):
     M, e = _pow2_scaled(C.matrix, (-2, -1))
     S = ExtendedOperator(M, _owned=True)
     n = C.dim
-    v = np.linalg.svd(S.matrix)[2][0].conj()
+    _, sv, Vh = np.linalg.svd(S.matrix)
+    v = Vh[0].conj()
     v = v * np.exp(-1j * np.angle(v[n]))
     lam = abs(v[n])
     scale = max(2.0 * float(np.linalg.norm(v[:n])), lam)
     z, lam = -v[:n] / scale, lam / scale
     val = _unscaled(invariant_supremand(S, z, lam), e)
     _check_routes(val, _unscaled(invariant_supremand_chain(S, z, lam), e))
-    return NormEstimate(val, z, lam)
+    return NormEstimate(val, z, lam, _unscaled(float(sv[0]), e))
 
 
-def norm_s_estimate(C, samples=2048, seed=0):
-    """Sampled supremum of ||C (z,1)||/||(z,1)|| over the ball, read
-    through the reduced quotient."""
-    z, val, _ = _search(C, samples, seed)
-    return NormEstimate(val, z, None)
+def norm_s_estimate(C):
+    """The cone norm, sup ||C (z,1)||/||(z,1)|| over the ball, read through
+    the reduced quotient at the argmax of `_search`, with the dual's
+    upper bound."""
+    return _search(C)[0]
 
 
-def norm_d_estimate(C, samples=2048, seed=0):
-    """The same cone supremum read through the star chain
+def norm_d_estimate(C):
+    """The same cone norm read through the star chain
     |h(z)^{-1} (conj(f) * h * f)(z)|^(1/2) at the argmax of norm_s."""
-    z, _, val = _search(C, samples, seed)
-    return NormEstimate(val, z, None)
+    return _search(C)[1]
 
 
 def norm_b(C):
     return norm_b_estimate(C).value
 
 
-def norm_s(C, samples=2048, seed=0):
-    return norm_s_estimate(C, samples, seed).value
+def norm_s(C):
+    return norm_s_estimate(C).value
 
 
-def norm_d(C, samples=2048, seed=0):
-    return norm_d_estimate(C, samples, seed).value
+def norm_d(C):
+    return norm_d_estimate(C).value
 
 
 def _unit_and_projection(dim):

@@ -117,7 +117,7 @@ def cmd_norm(args):
     C = ExtendedOperator(serialize.load_matrix(args.operator))
     samples = _parse_int(args.samples, "--samples")
     seed = _parse_int(args.seed, "--seed")
-    # b is exact: it takes no samples or seed, which are still validated
+    # no norm samples: --samples and --seed are validated and ignored
     if samples < 1:
         raise DomainError(f"--samples must be at least 1, got {samples}")
     if seed < 0:
@@ -128,10 +128,10 @@ def cmd_norm(args):
         oracle = op_norm(C.matrix)
         gap = (oracle - est) / oracle if oracle > 0.0 else 0.0
         _emit({"which": "b", "estimate": est, "oracle_op_norm": oracle, "gap": gap})
-    elif args.which == "s":
-        _emit({"which": "s", "estimate": algebra.norm_s(C, samples=samples, seed=seed)})
     else:
-        _emit({"which": "d", "estimate": algebra.norm_d(C, samples=samples, seed=seed)})
+        est = (algebra.norm_s_estimate if args.which == "s" else algebra.norm_d_estimate)(C)
+        gap = (est.bound - est.value) / est.bound if est.bound > 0.0 else 0.0
+        _emit({"which": args.which, "estimate": est.value, "bound": est.bound, "gap": gap})
     return 0
 
 
@@ -187,11 +187,11 @@ def build_parser():
     s.add_argument("--out", help="write the product operator here")
     s.set_defaults(func=cmd_star)
 
-    n = sub.add_parser("norm", help="invariant norm (b, exact) or sampled cone norm (s, d)")
+    n = sub.add_parser("norm", help="invariant norm (b) or cone norm with its upper bound (s, d)")
     n.add_argument("operator")
     n.add_argument("--which", choices=["b", "s", "d"], default="b")
-    n.add_argument("--samples", default="2048")
-    n.add_argument("--seed", default="0")
+    n.add_argument("--samples", default="2048", help="validated and ignored: no norm samples")
+    n.add_argument("--seed", default="0", help="validated and ignored: no norm samples")
     n.set_defaults(func=cmd_norm)
 
     v = sub.add_parser("verify", help="run the property-verification suites")

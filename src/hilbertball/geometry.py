@@ -309,7 +309,8 @@ def connection(z, X, Y):
 
     Symmetric in X and Y, zero at the origin.  Compatibility with the
     metric takes the form  d_X^hol h(U,V) = h(connection(z,X,U), V)  for
-    constant fields, which the tests check by finite differences.
+    constant fields, which the tests check against the derivative of
+    h(U,V) = metric(z, (U,0), (0,V)) written out in closed form.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)

@@ -23,10 +23,6 @@ exactly by 2^-e, e the exponent of its largest |real or imaginary
 part|, and the caller scales its answer back by 2^e.  Broadcasting:
 `_broadcast` raises DomainError where leading axes do not broadcast as
 numpy's do, and makes no numpy call for equal shapes.
-
-Only numpy loads with this module.  scipy is imported inside the two
-sampling helpers, `sobol_unit` and `gaussian_directions`, which only the
-cone-norm search calls, so no other command pays for its import.
 """
 
 import cmath
@@ -255,31 +251,10 @@ def real_projection(basis):
 
 
 # ---------------------------------------------------------------------------
-# Supremum-estimation helpers: low-discrepancy candidates plus a scalar
-# golden-section line search used coordinate by coordinate.
+# The golden-section line search of the cone norm's polish.
 # ---------------------------------------------------------------------------
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def sobol_unit(samples, dim, seed):
-    """`samples` points of the scrambled Sobol sequence in [0,1)^dim."""
-    if samples < 1:
-        raise DomainError("samples must be at least 1")
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(samples)))
-    pts = sampler.random_base2(m)
-    return pts[:samples]
-
-
-def gaussian_directions(u):
-    """Map uniform variates to standard normals through the inverse CDF."""
-    from scipy.special import ndtri
-
-    clipped = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return ndtri(clipped)
 
 
 def golden_max(f, lo, hi, iters=40):
@@ -291,8 +266,7 @@ def golden_max(f, lo, hi, iters=40):
     """
     a, b = float(lo), float(hi)
     if not b > a:
-        x = a
-        return x, f(x)
+        return a, f(a)
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)

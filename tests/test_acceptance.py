@@ -200,10 +200,10 @@ def test_cone_norm_not_submultiplicative():
     n2 = algebra.norm_s(C2)
     np_ = algebra.norm_s(algebra.star_operator(C1, C2))
     ratio = np_ / (n1 * n2)
-    ok = (abs(n1 - 1.0 / math.sqrt(2.0)) <= 1e-3 and abs(n2 - 1.0) <= 1e-3
-          and abs(np_ - 1.0) <= 1e-3 and ratio >= 1.41)
+    ok = (abs(n1 - 1.0 / math.sqrt(2.0)) <= 1e-6 and abs(n2 - 1.0) <= 1e-6
+          and abs(np_ - 1.0) <= 1e-6 and ratio >= 1.41)
     _report(8, "product breaks the Banach inequality", ok,
-            "norms %.6f / %.6f / %.6f (tol 1e-3), ratio %.4f (needs >= 1.41)"
+            "norms %.6f / %.6f / %.6f (tol 1e-6), ratio %.4f (needs >= 1.41)"
             % (n1, n2, np_, ratio))
 
 

@@ -319,9 +319,16 @@ def test_norm_command(tmp_path, capsys):
     assert set(doc) == {"which", "estimate", "oracle_op_norm", "gap"}
     # b is exact; the gap is roundoff of either sign
     assert abs(doc["gap"]) <= 1e-12
-    rc = cli.main(["norm", cf, "--which", "s"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["which"] == "s"
+    for which in "sd":
+        assert cli.main(["norm", cf, "--which", which]) == 0
+        out = capsys.readouterr().out
+        # --samples and --seed are validated and ignored
+        assert cli.main(["norm", cf, "--which", which, "--samples", "16", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == out
+        doc = json.loads(out)
+        assert list(doc) == ["which", "estimate", "bound", "gap"] and doc["which"] == which
+        # the bound is certified; the estimate is the witness's value
+        assert doc["gap"] == (doc["bound"] - doc["estimate"]) / doc["bound"] and 0.0 <= doc["gap"] <= 1e-6
 
 
 def test_norm_bad_samples_exits_2(tmp_path, capsys):

@@ -70,8 +70,9 @@ def test_metric_frozen_value():
 def test_connection_frozen_value():
     z = BallPoint(np.array([0.3 + 0.4j, -0.2 + 0.1j]))
     got = connection(z, np.array([1.0 + 0j, 0j]), np.array([0j, 1.0 + 0j]))
-    want = np.array([-0.28571429 - 0.14285714j, 0.42857143 - 0.57142857j])
-    assert np.allclose(got, want, atol=1e-8)
+    # k = 1/0.7, <z|X> = 0.3 - 0.4i, <z|Y> = -0.2 - 0.1i
+    want = np.array([(-2 - 1j) / 7, (3 - 4j) / 7])
+    assert np.abs(got - want).max() <= 4e-16
 
 
 def test_curvature_probe_frozen_origin():
@@ -139,6 +140,23 @@ def test_connection_symmetric_vanishes_at_origin(rng):
     X, Y = cgauss(rng, 3), cgauss(rng, 3)
     assert np.allclose(connection(z, X, Y), connection(z, Y, X))
     assert np.allclose(connection(origin(3), X, Y), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_connection_is_compatible_with_the_metric(rng, n):
+    # d_X h(U, V) = h(connection(z, X, U), V) for constant fields, with
+    # h(U, V) = metric(z, (U, 0), (0, V)) = k<V|U> + k^2 <V|z><z|U> and its
+    # holomorphic derivative along X written out: d_X k = k^2 <z|X>,
+    # d_X <V|z> = <V|X>, and <z|U> is antiholomorphic
+    zero = np.zeros(n, dtype=complex)
+    for _ in range(20):
+        z = random_point(rng, n)
+        X, U, V = cgauss(rng, n), cgauss(rng, n), cgauss(rng, n)
+        k, Z = k_factor(z), z.vector
+        terms = (k * k * np.vdot(Z, X) * np.vdot(V, U), 2.0 * k ** 3 * np.vdot(Z, X) * np.vdot(V, Z) * np.vdot(Z, U),
+                 k * k * np.vdot(V, X) * np.vdot(Z, U))
+        got = metric(z, TangentVector(connection(z, X, U), zero), TangentVector(zero, V))
+        assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
 
 
 # distance properties -------------------------------------------------

@@ -306,7 +306,7 @@ UNTABLED = {
     **dict.fromkeys(["norm_b", "norm_s", "norm_d", "norm_b_estimate", "norm_s_estimate", "norm_d_estimate",
                      "invariant_supremand", "invariant_supremand_chain", "cone_supremand",
                      "shifted_supremand_chain"], "a norm estimator of one operator"),
-    **dict.fromkeys(["sobol_unit", "gaussian_directions", "golden_max"], "a sampling helper of the cone search"),
+    "golden_max": "a scalar line search, the cone norm's polish",
     **dict.fromkeys(["origin", "unit", "epsilon_matrix", "epsilon_operator", "scale_operator",
                      "submultiplicativity_witnesses", "involution_failure_operator"],
                     "builds one fixed object of a given dimension"),
